@@ -54,7 +54,7 @@ let bmax ~block_size n f =
     let best = ref 0 in
     for j = 0 to nb - 1 do
       let lo = j * block_size in
-      let hi = min n (lo + block_size) in
+      let hi = Int.min n (lo + block_size) in
       let s = ref 0 in
       for i = lo to hi - 1 do
         s := !s + f i
@@ -66,7 +66,7 @@ let bmax ~block_size n f =
 
 let log2_ceil n =
   let rec go acc v = if v <= 1 then acc else go (acc + 1) ((v + 1) / 2) in
-  go 0 (max 1 n)
+  go 0 (Int.max 1 n)
 
 let delayed_unit = ((fun _ -> 1), (fun _ -> 1), fun _ -> 0)
 

@@ -93,7 +93,7 @@ let sum_slice_mat (a : floatarray) lo hi =
   let i = ref lo in
   while !i < hi do
     Cancel.poll ();
-    let stop = min hi (!i + poll_chunk) in
+    let stop = Int.min hi (!i + poll_chunk) in
     let j = ref !i in
     while !j + 3 < stop do
       s0 := !s0 +. Float.Array.unsafe_get a !j;
@@ -115,7 +115,7 @@ let sum_slice_fn (get : int -> float) lo hi =
   let i = ref lo in
   while !i < hi do
     Cancel.poll ();
-    let stop = min hi (!i + poll_chunk) in
+    let stop = Int.min hi (!i + poll_chunk) in
     let j = ref !i in
     while !j + 1 < stop do
       s0 := !s0 +. get !j;
@@ -132,7 +132,7 @@ let dot_slice_mat (a : floatarray) (b : floatarray) lo hi =
   let i = ref lo in
   while !i < hi do
     Cancel.poll ();
-    let stop = min hi (!i + poll_chunk) in
+    let stop = Int.min hi (!i + poll_chunk) in
     let j = ref !i in
     while !j + 3 < stop do
       s0 := !s0 +. (Float.Array.unsafe_get a !j *. Float.Array.unsafe_get b !j);
@@ -160,7 +160,7 @@ let dot_slice_fn (ga : int -> float) (gb : int -> float) lo hi =
   let i = ref lo in
   while !i < hi do
     Cancel.poll ();
-    let stop = min hi (!i + poll_chunk) in
+    let stop = Int.min hi (!i + poll_chunk) in
     let j = ref !i in
     while !j + 1 < stop do
       s0 := !s0 +. (ga !j *. gb !j);
@@ -180,7 +180,7 @@ let fold_slice_fn (f : float -> float -> float) z (get : int -> float) lo hi =
   let i = ref lo in
   while !i < hi do
     Cancel.poll ();
-    let stop = min hi (!i + poll_chunk) in
+    let stop = Int.min hi (!i + poll_chunk) in
     for j = !i to stop - 1 do
       acc := f !acc (get j)
     done;
@@ -192,7 +192,7 @@ let write_slice (out : floatarray) (get : int -> float) lo hi =
   let i = ref lo in
   while !i < hi do
     Cancel.poll ();
-    let stop = min hi (!i + poll_chunk) in
+    let stop = Int.min hi (!i + poll_chunk) in
     for j = !i to stop - 1 do
       Float.Array.unsafe_set out j (get j)
     done;
@@ -306,7 +306,7 @@ let fold2 ~f1 ~f2 x y =
         | Mat a, Mat b ->
           while !i < hi do
             Cancel.poll ();
-            let stop = min hi (!i + poll_chunk) in
+            let stop = Int.min hi (!i + poll_chunk) in
             for k = !i to stop - 1 do
               let xv = Float.Array.unsafe_get a k in
               let yv = Float.Array.unsafe_get b k in
@@ -318,7 +318,7 @@ let fold2 ~f1 ~f2 x y =
         | _ ->
           while !i < hi do
             Cancel.poll ();
-            let stop = min hi (!i + poll_chunk) in
+            let stop = Int.min hi (!i + poll_chunk) in
             for k = !i to stop - 1 do
               let xv = gx k and yv = gy k in
               s1 := !s1 +. f1 xv yv;
@@ -362,7 +362,7 @@ let filter p t =
         | Mat a ->
           while !i < hi do
             Cancel.poll ();
-            let stop = min hi (!i + poll_chunk) in
+            let stop = Int.min hi (!i + poll_chunk) in
             for k = !i to stop - 1 do
               let v = Float.Array.unsafe_get a k in
               if p v then begin
@@ -375,7 +375,7 @@ let filter p t =
         | Fn _ ->
           while !i < hi do
             Cancel.poll ();
-            let stop = min hi (!i + poll_chunk) in
+            let stop = Int.min hi (!i + poll_chunk) in
             for k = !i to stop - 1 do
               let v = get k in
               if p v then begin
@@ -466,7 +466,7 @@ let scan t =
         let i = ref lo in
         while !i < hi do
           Cancel.poll ();
-          let stop = min hi (!i + poll_chunk) in
+          let stop = Int.min hi (!i + poll_chunk) in
           for k = !i to stop - 1 do
             Float.Array.unsafe_set out k !acc;
             acc := !acc +. get k
@@ -508,7 +508,7 @@ let scan_incl t =
         let i = ref lo in
         while !i < hi do
           Cancel.poll ();
-          let stop = min hi (!i + poll_chunk) in
+          let stop = Int.min hi (!i + poll_chunk) in
           for k = !i to stop - 1 do
             acc := !acc +. get k;
             Float.Array.unsafe_set out k !acc

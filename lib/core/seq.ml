@@ -71,7 +71,7 @@ let num_blocks_of b = Block.num_blocks ~block_size:b.b_size b.b_len
 
 let block_bounds b j =
   let lo = j * b.b_size in
-  let hi = min b.b_len (lo + b.b_size) in
+  let hi = Int.min b.b_len (lo + b.b_size) in
   (lo, hi)
 
 (* Run [body j] once per block of [b] through the runtime's heavy-block
@@ -108,7 +108,7 @@ let unopt = function Some v -> v | None -> assert false
 
 let memo_blocks b a j =
   let lo = j * b.b_size in
-  Stream.of_array_slice a lo (min b.b_size (b.b_len - lo))
+  Stream.of_array_slice a lo (Int.min b.b_size (b.b_len - lo))
 
 (* toArray over a block function (the paper's [applySeq (zip (I, S))]
    with the index fused in).  Block 0's first element doubles as the
@@ -124,7 +124,7 @@ let array_of_bid b blocks =
     let out = Array.make b.b_len first in
     Runtime.apply_blocks ~bounds:(block_bounds b) ~nb (fun j ->
         if j = 0 then begin
-          let len0 = min b.b_size b.b_len in
+          let len0 = Int.min b.b_size b.b_len in
           for k = 1 to len0 - 1 do
             Array.unsafe_set out k (next0 ())
           done
@@ -214,7 +214,7 @@ let bid_of_seq_with bsize = function
   | Rad { r_len; get } ->
     fresh_bid ~b_len:r_len ~b_size:bsize (fun () j ->
         let lo = j * bsize in
-        let len = min bsize (r_len - lo) in
+        let len = Int.min bsize (r_len - lo) in
         Stream.tabulate len (fun k -> get (lo + k)))
 
 let bid_of_seq s = bid_of_seq_with (Block.size (length s)) s
@@ -333,7 +333,7 @@ let reduce f z s =
         else begin
           let bsize = Block.size r_len in
           let nb = Block.num_blocks ~block_size:bsize r_len in
-          let bounds j = (j * bsize, min r_len ((j + 1) * bsize)) in
+          let bounds j = (j * bsize, Int.min r_len ((j + 1) * bsize)) in
           let sums = Array.make nb None in
           Runtime.apply_blocks ~bounds ~nb (fun j ->
               let lo, hi = bounds j in
@@ -385,8 +385,10 @@ let scan_incl f z s =
       end)
 
 (* Largest j with offsets.(j) <= pos: locates the subsequence containing
-   output position [pos] (getRegion's binary search, Figure 10 line 42). *)
-let offset_search offsets pos =
+   output position [pos] (getRegion's binary search, Figure 10 line 42).
+   The annotation matters: inferred as ['a array], every step would be a
+   polymorphic [caml_lessequal] call. *)
+let offset_search (offsets : int array) pos =
   let rec search lo hi =
     if lo >= hi then lo
     else begin
@@ -404,7 +406,7 @@ let offset_search offsets pos =
    of region blocks are fused instead of trickle fallbacks. *)
 let region_block ~offsets ~seg_len ~elem ~total ~bsize i =
   let pos = i * bsize in
-  let len = min bsize (total - pos) in
+  let len = Int.min bsize (total - pos) in
   let j0 = offset_search offsets pos in
   Stream.of_segments ~length:len ~seg_len ~elem ~start_seg:j0
     ~start_ofs:(pos - offsets.(j0))
@@ -457,7 +459,7 @@ let packed_bid (packed : 'a array array) =
    region constructor [region masks] is built once per drive. *)
 let filter_blocks ~n ~bsize mark region =
   let nb = Block.num_blocks ~block_size:bsize n in
-  let bounds j = (j * bsize, min n ((j + 1) * bsize)) in
+  let bounds j = (j * bsize, Int.min n ((j + 1) * bsize)) in
   let masks = Array.make nb Bytes.empty in
   let counts = Array.make nb 0 in
   Runtime.apply_blocks ~bounds ~nb (fun j ->
@@ -475,7 +477,7 @@ let filter_blocks ~n ~bsize mark region =
            fun i ->
              let pos = i * out_bsize in
              let j0 = offset_search offsets pos in
-             region ~length:(min out_bsize (total - pos)) ~start_block:j0
+             region ~length:(Int.min out_bsize (total - pos)) ~start_block:j0
                ~skip:(pos - offsets.(j0))))
   end
 
@@ -499,7 +501,7 @@ let filter p s =
               let i = ref lo in
               while !i < hi do
                 Cancel.poll ();
-                let chunk_hi = min hi (!i + 64) in
+                let chunk_hi = Int.min hi (!i + 64) in
                 for k = !i to chunk_hi - 1 do
                   if p (get k) then begin
                     Stream.mask_set mask (k - lo);
@@ -628,7 +630,7 @@ let take s n =
              let p = drive b in
              fun j ->
                let lo = j * b.b_size in
-               Stream.take (min b.b_size (n - lo)) (p j)))
+               Stream.take (Int.min b.b_size (n - lo)) (p j)))
 
 let drop s n = slice s n (length s - n)
 
@@ -689,7 +691,7 @@ let int_sum s =
     else begin
       let bsize = Block.size r_len in
       let nb = Block.num_blocks ~block_size:bsize r_len in
-      let bounds j = (j * bsize, min r_len ((j + 1) * bsize)) in
+      let bounds j = (j * bsize, Int.min r_len ((j + 1) * bsize)) in
       let partial = Array.make nb 0 in
       Runtime.apply_blocks ~bounds ~nb (fun j ->
           let lo, hi = bounds j in
@@ -708,7 +710,7 @@ let int_sum s =
       else begin
         let bsize = Block.size n in
         let nb = Block.num_blocks ~block_size:bsize n in
-        let bounds j = (j * bsize, min n ((j + 1) * bsize)) in
+        let bounds j = (j * bsize, Int.min n ((j + 1) * bsize)) in
         let partial = Array.make nb 0 in
         Runtime.apply_blocks ~bounds ~nb (fun j ->
             let lo, hi = bounds j in

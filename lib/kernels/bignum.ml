@@ -20,7 +20,7 @@ module Make (S : Bds_seqs.Sig.S) = struct
   (* [add a b] returns the digit string of a+b (same length as the longer
      input) together with the final carry-out (0 or 1). *)
   let add (a : Bytes.t) (b : Bytes.t) : Bytes.t * int =
-    let n = max (Bytes.length a) (Bytes.length b) in
+    let n = Int.max (Bytes.length a) (Bytes.length b) in
     let digit x i = if i < Bytes.length x then Char.code (Bytes.unsafe_get x i) else 0 in
     let sums = S.tabulate n (fun i -> digit a i + digit b i) in
     let classes =
@@ -43,7 +43,7 @@ module Delay_version = Make (Bds_seqs.Impl_delay)
 
 (* Sequential schoolbook reference. *)
 let reference (a : Bytes.t) (b : Bytes.t) : Bytes.t * int =
-  let n = max (Bytes.length a) (Bytes.length b) in
+  let n = Int.max (Bytes.length a) (Bytes.length b) in
   let digit x i = if i < Bytes.length x then Char.code (Bytes.get x i) else 0 in
   let out = Bytes.create n in
   let carry = ref 0 in

@@ -23,7 +23,7 @@ module Make (S : Bds_seqs.Sig.S) = struct
     let n = Array.length keys in
     let out = Array.make buckets 0 in
     if n > 0 then begin
-      let sorted = Psort.sort compare keys in
+      let sorted = Psort.sort Int.compare keys in
       (* Boundary positions: the start index of each run of equal keys. *)
       let starts =
         S.to_array
@@ -57,4 +57,4 @@ let generate ?(seed = 42) ~buckets n =
       let u = Bds_data.Splitmix.float_at ~seed i in
       (* Inverse-CDF of the harmonic weights, approximated: exp scale. *)
       let b = int_of_float (float_of_int buckets ** u) - 1 in
-      min (buckets - 1) (max 0 b))
+      Int.min (buckets - 1) (Int.max 0 b))

@@ -50,7 +50,7 @@ let integrate_unboxed ?(lo = 1.0) ?(hi = 1000.0) (n : int) : float =
         let i = ref blo in
         while !i < bhi do
           Cancel.poll ();
-          let stop = min bhi (!i + 64) in
+          let stop = Int.min bhi (!i + 64) in
           let k = ref !i in
           while !k + 1 < stop do
             (* f (lo + (k + 0.5) dx), inlined *)

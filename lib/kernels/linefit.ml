@@ -94,7 +94,7 @@ let sums_pts (pts : (float * float) array) =
       let i = ref lo in
       while !i < hi do
         Cancel.poll ();
-        let stop = min hi (!i + 64) in
+        let stop = Int.min hi (!i + 64) in
         for k = !i to stop - 1 do
           let x, y = Array.unsafe_get pts k in
           sx := !sx +. x;
@@ -124,7 +124,7 @@ let second_moments_pts (pts : (float * float) array) ~mx ~my =
       let i = ref lo in
       while !i < hi do
         Cancel.poll ();
-        let stop = min hi (!i + 64) in
+        let stop = Int.min hi (!i + 64) in
         for k = !i to stop - 1 do
           let x, y = Array.unsafe_get pts k in
           let dx = x -. mx in

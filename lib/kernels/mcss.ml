@@ -8,16 +8,18 @@ type summary = { total : int; prefix : int; suffix : int; best : int }
 
 let unit_summary = { total = 0; prefix = 0; suffix = 0; best = 0 }
 
+(* [Int.max], not [max]: without flambda the polymorphic one is a
+   [caml_greaterequal] C call, six of them per element here. *)
 let of_element x =
-  let m = max 0 x in
+  let m = Int.max 0 x in
   { total = x; prefix = m; suffix = m; best = m }
 
 let combine l r =
   {
     total = l.total + r.total;
-    prefix = max l.prefix (l.total + r.prefix);
-    suffix = max r.suffix (l.suffix + r.total);
-    best = max (max l.best r.best) (l.suffix + r.prefix);
+    prefix = Int.max l.prefix (l.total + r.prefix);
+    suffix = Int.max r.suffix (l.suffix + r.total);
+    best = Int.max (Int.max l.best r.best) (l.suffix + r.prefix);
   }
 
 module Make (S : Bds_seqs.Sig.S) = struct
@@ -95,7 +97,7 @@ let mcss_floats (a : float array) : float =
         let i = ref lo in
         while !i < hi do
           Cancel.poll ();
-          let stop = min hi (!i + 64) in
+          let stop = Int.min hi (!i + 64) in
           for k = !i to stop - 1 do
             let x = Float.Array.unsafe_get fa k in
             let m = Float.max 0.0 x in

@@ -145,16 +145,16 @@ let block_size ~workers n =
     match get_policy () with
     | Fixed b -> b
     | Scaled { per_worker_blocks; min_size; max_size } ->
-      let p = max 1 workers in
+      let p = Int.max 1 workers in
       let b = n / (per_worker_blocks * p) in
-      max min_size (min max_size (max 1 b))
+      Int.max min_size (Int.min max_size (Int.max 1 b))
 
 let num_blocks ~block_size n =
   if n = 0 then 0 else (n + block_size - 1) / block_size
 
 let block_bounds ~block_size ~n j =
   let lo = j * block_size in
-  (lo, min n (lo + block_size))
+  (lo, Int.min n (lo + block_size))
 
 type grid = { n : int; block_size : int; num_blocks : int }
 
@@ -171,7 +171,7 @@ let leaf_grain ~workers n =
   ensure_env ();
   match Atomic.get leaf_override with
   | Some g -> g
-  | None -> max 1 (n / (chunks_per_worker * max 1 workers))
+  | None -> Int.max 1 (n / (chunks_per_worker * Int.max 1 workers))
 
 let set_leaf_grain o =
   ensure_env ();

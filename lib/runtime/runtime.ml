@@ -181,9 +181,9 @@ let parallel_for ?grain lo hi (body : int -> unit) =
     let tune = tune_decision grain n in
     let grain =
       match (grain, tune) with
-      | Some g, _ -> max 1 g
-      | None, Some (g, _) -> max 1 g
-      | None, None -> max 1 (auto_grain n)
+      | Some g, _ -> Int.max 1 g
+      | None, Some (g, _) -> Int.max 1 g
+      | None, None -> Int.max 1 (auto_grain n)
     in
     Profile.with_region (fun prof ->
         let rec go lo hi =
@@ -281,7 +281,7 @@ let parallel_for_lazy ?chunk lo hi (body : int -> unit) =
   if n <= 0 then ()
   else begin
     let chunk_size =
-      match chunk with Some c -> max 1 c | None -> Grain.lazy_chunk ()
+      match chunk with Some c -> Int.max 1 c | None -> Grain.lazy_chunk ()
     in
     let pool = get_pool () in
     let tok = scope_token () in
@@ -296,7 +296,7 @@ let parallel_for_lazy ?chunk lo hi (body : int -> unit) =
             Pool.await pool p
           end
           else begin
-            let stop = min hi (lo + chunk_size) in
+            let stop = Int.min hi (lo + chunk_size) in
             seq_chunk prof tok body lo stop;
             go stop hi
           end
@@ -314,9 +314,9 @@ let parallel_for_reduce ?grain lo hi ~combine ~init (body : int -> 'a) =
     let tune = tune_decision grain n in
     let grain =
       match (grain, tune) with
-      | Some g, _ -> max 1 g
-      | None, Some (g, _) -> max 1 g
-      | None, None -> max 1 (auto_grain n)
+      | Some g, _ -> Int.max 1 g
+      | None, Some (g, _) -> Int.max 1 g
+      | None, None -> Int.max 1 (auto_grain n)
     in
     (* [go lo hi] folds the non-empty range seeded from its first element,
        so [init] is combined exactly once at the top: correct for any

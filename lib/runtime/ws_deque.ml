@@ -95,6 +95,6 @@ let steal q =
 let size q =
   let b = Atomic.get q.bottom in
   let t = Atomic.get q.top in
-  max 0 (b - t)
+  Int.max 0 (b - t)
 
 let is_empty q = size q = 0

@@ -46,7 +46,7 @@ let tabulate ~block_size n f =
         let next_lo = ref 0 in
         fun () ->
           let lo = !next_lo in
-          let len = min block_size (n - lo) in
+          let len = Int.min block_size (n - lo) in
           next_lo := lo + len;
           Parray.tabulate len (fun k -> f (lo + k)));
   }

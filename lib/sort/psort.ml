@@ -109,7 +109,7 @@ let sort_in_place ?grain cmp a =
   if n > 1 then
     Profile.with_op "sort" (fun () ->
         let grain =
-          max 16 (match grain with Some g -> g | None -> default_grain ())
+          Int.max 16 (match grain with Some g -> g | None -> default_grain ())
         in
         let scratch = Array.copy a in
         (* One region for the whole fork-join recursion: the span
@@ -133,7 +133,7 @@ let merge cmp a b =
     Profile.with_op "sort" (fun () ->
         let src = Array.append a b in
         let dst = Array.make (la + lb) a.(0) in
-        let grain = max 16 (default_grain ()) in
+        let grain = Int.max 16 (default_grain ()) in
         Profile.with_region (fun prof ->
             Runtime.run (fun () ->
                 par_merge cmp grain prof src 0 la la (la + lb) dst 0));
@@ -209,7 +209,7 @@ let seq_merge_floats (src : float array) alo ahi blo bhi (dst : float array)
    monotone in [i], so a binary search for its smallest witness finds
    the split in O(log min(la, lb, k)). *)
 let merge_path (src : float array) alo la blo lb k =
-  let lo = ref (max 0 (k - lb)) and hi = ref (min k la) in
+  let lo = ref (Int.max 0 (k - lb)) and hi = ref (Int.min k la) in
   while !lo < !hi do
     let i = (!lo + !hi) / 2 in
     let j = k - i in
@@ -235,7 +235,7 @@ let par_merge_floats grain prof (src : float array) alo ahi blo bhi
     Runtime.parallel_for ~grain:1 0 nt (fun t ->
         Profile.leaf prof (fun () ->
             let k1 = t * tile in
-            let k2 = min total (k1 + tile) in
+            let k2 = Int.min total (k1 + tile) in
             let i1 = merge_path src alo la blo lb k1 in
             let i2 = merge_path src alo la blo lb k2 in
             seq_merge_floats src (alo + i1) (alo + i2)
@@ -284,7 +284,7 @@ let sort_floats_in_place ?grain (a : float array) =
   if n > 1 then
     Profile.with_op "sort_floats" (fun () ->
         let grain =
-          max 16 (match grain with Some g -> g | None -> default_grain ())
+          Int.max 16 (match grain with Some g -> g | None -> default_grain ())
         in
         let scratch = Array.copy a in
         Profile.with_region (fun prof ->
@@ -305,7 +305,7 @@ let merge_floats (a : float array) (b : float array) =
     Profile.with_op "sort_floats" (fun () ->
         let src = Array.append a b in
         let dst = Array.make (la + lb) 0.0 in
-        let grain = max 16 (default_grain ()) in
+        let grain = Int.max 16 (default_grain ()) in
         Profile.with_region (fun prof ->
             Runtime.run (fun () ->
                 par_merge_floats grain prof src 0 la la (la + lb) dst 0));

@@ -11,7 +11,7 @@ let length b = b.len
 let ensure b v =
   let cap = Array.length b.data in
   if b.len >= cap then begin
-    let ncap = max 8 (2 * cap) in
+    let ncap = Int.max 8 (2 * cap) in
     let ndata = Array.make ncap v in
     Array.blit b.data 0 ndata 0 b.len;
     b.data <- ndata

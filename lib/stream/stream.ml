@@ -81,7 +81,7 @@ let fold_of_start (start : unit -> unit -> 'a) =
   let i = ref 0 in
   while !i < stop do
     Cancel.poll ();
-    let hi = min stop (!i + poll_chunk) in
+    let hi = Int.min stop (!i + poll_chunk) in
     for _ = !i to hi - 1 do
       acc := g !acc (next ())
     done;
@@ -119,7 +119,7 @@ let tabulate n f =
         let i = ref 0 in
         while !i < stop do
           Cancel.poll ();
-          let hi = min stop (!i + poll_chunk) in
+          let hi = Int.min stop (!i + poll_chunk) in
           for k = !i to hi - 1 do
             acc := g !acc (f k)
           done;
@@ -148,7 +148,7 @@ let of_array_slice a off len =
         let i = ref 0 in
         while !i < stop do
           Cancel.poll ();
-          let hi = min stop (!i + poll_chunk) in
+          let hi = Int.min stop (!i + poll_chunk) in
           for k = !i to hi - 1 do
             acc := g !acc (Array.unsafe_get a (off + k))
           done;
@@ -295,7 +295,7 @@ let scan f z s =
           let i = ref 0 in
           while !i < stop do
             Cancel.poll ();
-            let hi = min stop (!i + poll_chunk) in
+            let hi = Int.min stop (!i + poll_chunk) in
             for k = !i to hi - 1 do
               let cur = !st in
               st := f cur (fi k);
@@ -345,7 +345,7 @@ let scan_incl f z s =
           let i = ref 0 in
           while !i < stop do
             Cancel.poll ();
-            let hi = min stop (!i + poll_chunk) in
+            let hi = Int.min stop (!i + poll_chunk) in
             for k = !i to hi - 1 do
               let nxt = f !st (fi k) in
               st := nxt;
@@ -378,7 +378,7 @@ let scan_incl f z s =
    fold is driven with the smaller [stop], which every fold honours. *)
 let take n s =
   if n < 0 then invalid_arg "Stream.take";
-  { s with length = min n s.length }
+  { s with length = Int.min n s.length }
 
 (* Nested-push concatenation of indexed segments, starting
    mid-subsequence: the region view behind [Seq.flatten] and the packed
@@ -425,11 +425,11 @@ let of_segments ~length ~seg_len ~elem ~start_seg ~start_ofs =
           else begin
             let cur = !seg in
             let base = !ofs in
-            let avail = min (sl - base) (stop - !emitted) in
+            let avail = Int.min (sl - base) (stop - !emitted) in
             let i = ref 0 in
             while !i < avail do
               Cancel.poll ();
-              let hi = min avail (!i + poll_chunk) in
+              let hi = Int.min avail (!i + poll_chunk) in
               for k = !i to hi - 1 do
                 acc := g !acc (elem cur (base + k))
               done;
@@ -630,7 +630,7 @@ let masked_region ~length ~masks ~block_size ~(get : int -> 'a) ~start_block ~sk
         end);
     fold =
       (fun ~stop g z ->
-        let stop = min stop length in
+        let stop = Int.min stop length in
         if stop <= 0 then z
         else begin
           let b0, i0, bits0 = mask_seek masks start_block skip in
@@ -703,7 +703,7 @@ let sum_floats (s : float t) =
         let i = ref 0 in
         while !i < stop do
           Cancel.poll ();
-          let hi = min stop (!i + poll_chunk) in
+          let hi = Int.min stop (!i + poll_chunk) in
           let j = ref !i in
           while !j + 1 < hi do
             s0 := !s0 +. f !j;
@@ -734,7 +734,7 @@ let sum_ints (s : int t) =
         let i = ref 0 in
         while !i < stop do
           Cancel.poll ();
-          let hi = min stop (!i + poll_chunk) in
+          let hi = Int.min stop (!i + poll_chunk) in
           let j = ref !i in
           while !j < hi do
             acc := !acc + f !j;

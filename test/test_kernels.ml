@@ -206,6 +206,72 @@ let test_mcss_floats () =
   float_eq "all negative" (K.Mcss.reference_floats (Array.make 100 (-5.0)))
     (K.Mcss.mcss_floats (Array.make 100 (-5.0)))
 
+(* Every library's mcss against Kadane on random inputs, under block
+   policies that put block boundaries everywhere (B=1), at odd offsets
+   (B=3, B=17) and at the default scaled size.  The generator mixes
+   arbitrary arrays with the monoid's edge cases: all-negative (the empty
+   subsequence wins), all-zero, and singletons. *)
+let mcss_input_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        array_size (int_bound 5000) (int_range (-1000) 1000);
+        array_size (int_range 1 500) (int_range (-1000) (-1));
+        map (fun n -> Array.make n 0) (int_bound 500);
+        map (fun x -> [| x |]) (int_range (-1000) 1000);
+      ])
+
+let mcss_policies =
+  [
+    ("B=1", Bds.Block.Fixed 1);
+    ("B=3", Bds.Block.Fixed 3);
+    ("B=17", Bds.Block.Fixed 17);
+    ("scaled", Bds.Block.default_policy);
+  ]
+
+let mcss_matches_reference =
+  List.map
+    (fun (pname, policy) ->
+      QCheck2.Test.make ~count:60
+        ~name:(Printf.sprintf "mcss libs = reference, %s" pname)
+        ~print:QCheck2.Print.(array int)
+        mcss_input_gen
+        (fun a ->
+          with_policy policy (fun () ->
+              let expect = K.Mcss.reference a in
+              K.Mcss.Array_version.mcss a = expect
+              && K.Mcss.Rad_version.mcss a = expect
+              && K.Mcss.Delay_version.mcss a = expect)))
+    mcss_policies
+
+(* Summaries drawn as folds of [of_element] images: an arbitrary 4-tuple
+   need not be the summary of any array, and the laws only have to hold
+   on realizable ones. *)
+let summary_gen =
+  QCheck2.Gen.(
+    map
+      (List.fold_left
+         (fun acc x -> K.Mcss.combine acc (K.Mcss.of_element x))
+         K.Mcss.unit_summary)
+      (list_size (int_bound 20) (int_range (-1000) 1000)))
+
+let print_summary (s : K.Mcss.summary) =
+  Printf.sprintf "{total=%d; prefix=%d; suffix=%d; best=%d}" s.total s.prefix
+    s.suffix s.best
+
+let mcss_monoid_laws =
+  let open QCheck2 in
+  let c = K.Mcss.combine and u = K.Mcss.unit_summary in
+  [
+    Test.make ~count:500 ~name:"mcss combine associative"
+      ~print:Print.(triple print_summary print_summary print_summary)
+      Gen.(triple summary_gen summary_gen summary_gen)
+      (fun (a, b, d) -> c (c a b) d = c a (c b d));
+    Test.make ~count:500 ~name:"mcss unit_summary two-sided"
+      ~print:print_summary summary_gen
+      (fun a -> c u a = a && c a u = a);
+  ]
+
 (* ---------------- quickhull ---------------- *)
 
 let sort_points l = List.sort compare l
@@ -352,4 +418,8 @@ let () =
           Alcotest.test_case "small blocks" `Quick test_kernels_small_blocks;
           Alcotest.test_case "policy matrix" `Quick test_policy_matrix;
         ] );
+      ( "mcss properties",
+        List.map
+          (QCheck_alcotest.to_alcotest ~long:false)
+          (mcss_matches_reference @ mcss_monoid_laws) );
     ]
