@@ -549,35 +549,7 @@ let ablation cfg =
           (Printf.sprintf
              "Ablation: static grain vs lazy binary splitting, triangular load (n=%d, P=%d)"
              nl cfg.procs)
-        ~headers:[ "strategy"; "time" ] ~rows);
-  (* 4. Stream encoding (§4.4): the per-block stream representation is an
-     implementation detail — trickle closures (ours/MPL-style) vs pure
-     state-passing. Sequential, like the inner loop of a block. *)
-  Printf.eprintf "  ablation: stream encoding...\n%!" ;
-  let m = scaled cfg 2_000_000 in
-  let chain_trickle () =
-    let open Bds_stream.Stream in
-    reduce ( + ) 0
-      (scan_incl ( + ) 0 (map (fun x -> (x * 2) + 1) (tabulate m (fun i -> i land 1023))))
-  in
-  let chain_pure () =
-    let open Bds_stream.Stream_pure in
-    reduce ( + ) 0
-      (scan_incl ( + ) 0 (map (fun x -> (x * 2) + 1) (tabulate m (fun i -> i land 1023))))
-  in
-  let tt = Measure.time ~repeat:cfg.repeat chain_trickle in
-  let tp = Measure.time ~repeat:cfg.repeat chain_pure in
-  let at = Measure.total_alloc_single_domain chain_trickle in
-  let ap = Measure.total_alloc_single_domain chain_pure in
-  assert (chain_trickle () = chain_pure ());
-  Tables.print
-    ~title:(Printf.sprintf "Ablation: stream encoding on a fused map-scan-reduce chain (n=%d, sequential)" m)
-    ~headers:[ "encoding"; "time"; "alloc" ]
-    ~rows:
-      [
-        [ "trickle closures (ours)"; Measure.pp_time tt; Measure.pp_bytes at ];
-        [ "pure state-passing"; Measure.pp_time tp; Measure.pp_bytes ap ];
-      ]
+        ~headers:[ "strategy"; "time" ] ~rows)
 
 (* ------------------------------------------------------------------ *)
 (* Granularity sweeps (--sweep-grain / --sweep-block): run the bestcut
@@ -764,23 +736,15 @@ let stream_overhead cfg =
      "materialized" forces each intermediate to its memo array before
      the next stage (the pre-fusion shape: pack, then reread);
      "fused" consumes the delayed views directly.  The gated quantity
-     is again the within-run ratio.  The trickle_fallbacks delta is
-     recorded across the fused run and must be zero — a nonzero count
-     means a region view silently fell back to a trickle-derived
-     fold. *)
+     is again the within-run ratio. *)
   let chain_bench name ~materialized ~fused =
     assert (materialized () = fused ());
     Measure.with_domains cfg.procs (fun () ->
         let t_mat =
           Measure.time ~repeat:cfg.repeat (fun () -> ignore (materialized ()))
         in
-        let before = Telemetry.snapshot () in
         let t_fused =
           Measure.time ~repeat:cfg.repeat (fun () -> ignore (fused ()))
-        in
-        let fallbacks =
-          (Telemetry.diff ~before ~after:(Telemetry.snapshot ()))
-            .Telemetry.s_trickle_fallbacks
         in
         List.iter
           (fun (version, t) ->
@@ -790,19 +754,16 @@ let stream_overhead cfg =
         record ~section:"stream-overhead" ~bench:name ~version:"fused"
           ~procs:cfg.procs ~metric:"speedup_fused_vs_materialized"
           (t_mat /. t_fused);
-        record ~section:"stream-overhead" ~bench:name ~version:"fused"
-          ~procs:cfg.procs ~metric:"trickle_fallbacks" (float_of_int fallbacks);
         Tables.print
           ~title:
             (Printf.sprintf
                "Seq chain: materialized intermediates vs fused regions on %s (P=%d)"
                name cfg.procs)
-          ~headers:[ "version"; "time"; "speedup"; "trickle_fallbacks" ]
+          ~headers:[ "version"; "time"; "speedup" ]
           ~rows:
             [
-              [ "materialized"; Measure.pp_time t_mat; "1.00x"; "-" ];
-              [ "fused"; Measure.pp_time t_fused; Tables.ratio t_mat t_fused;
-                string_of_int fallbacks ];
+              [ "materialized"; Measure.pp_time t_mat; "1.00x" ];
+              [ "fused"; Measure.pp_time t_fused; Tables.ratio t_mat t_fused ];
             ])
   in
   let module S = Bds.Seq in

@@ -89,11 +89,10 @@ let blocks () =
 (* Drive fixed Seq pipelines and report, for each, the stream
    execution-path counters its blocks bumped (docs/STREAMS.md).  With
    BDS_BLOCK_SIZE pinned the counts are exact: every Stream consumer
-   bumps fused_folds when its fold bottoms out in a native push loop and
-   trickle_fallbacks when the fold was derived from a trickle function.
-   Since the skip-push filter and nested-push flatten landed, whole
-   filter/flatten chains are push-fused end to end: the cram test
-   asserts ZERO trickle fallbacks on every pipeline below.  The
+   bumps fused_folds once per drive.  trickle_fallbacks is 0 by
+   construction (every stream fold is a native push loop) and stays in
+   the output as a schema pin, which the cram test asserts on every
+   pipeline below.  The
    shared-consumer scenario consumes one BID twice and reports the
    shared_forces counter (exactly one memo force for the second
    consumer, docs/STREAMS.md "Shared consumers"). *)

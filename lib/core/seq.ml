@@ -802,42 +802,43 @@ let count p s = reduce ( + ) 0 (map (fun v -> if p v then 1 else 0) s)
 (* ------------------------------------------------------------------ *)
 (* Early-exit parallel search                                          *)
 
-exception Found
-
-(* Short-circuiting existential: the first block to hit a witness raises
-   [Found], which the enclosing cancellation scope records and uses to
-   cancel the token — un-started sibling blocks become no-ops, and
-   in-flight blocks observe the cancellation at their periodic poll and
-   stop mid-stream. *)
+(* Short-circuiting existential: each block is one push fold whose step
+   raises [Found] at the first witness.  The exception leaves the block,
+   so the enclosing cancellation scope records it and cancels the token
+   — un-started sibling blocks become no-ops, and in-flight blocks
+   observe the cancellation at their fold's 64-element poll and stop
+   mid-stream.  [Found] is per invocation, the idiom
+   [Stream.selected_region] uses for its early stop. *)
 let exists p s =
   if length s = 0 then false
   else begin
+    let exception Found in
     let b = bid_of_seq s in
     let blocks = drive b in
     try
       apply_bid_blocks b (fun j ->
-          let lo, hi = block_bounds b j in
-          let next = Stream.start (blocks j) in
-          for k = 0 to hi - lo - 1 do
-            if k land 63 = 0 then Cancel.poll ();
-            if p (next ()) then raise Found
-          done);
+          let st = blocks j in
+          Stream.fold st ~stop:(Stream.length st)
+            (fun () v -> if p v then raise_notrace Found)
+            ());
       false
     with Found -> true
   end
 
 let for_all p s = not (exists (fun v -> not (p v)) s)
 
-(* Leftmost-match search: blocks run in parallel, each recording its
-   first local hit and CAS-min-ing the hit's position into [best].  A
-   block is skipped (or abandoned mid-stream) once a strictly earlier
-   position is known, so no later work can hide an earlier match; the
-   winning block's recorded hit is read back after the join.  Worst case
-   (no match) scans everything, like the parallel filter it replaces,
-   but a hit near the front cancels almost all of the work. *)
+(* Leftmost-match search: blocks run in parallel, each a push fold that
+   records its first local hit, CAS-mins the hit's position into [best]
+   and stops.  A block is skipped (or abandoned at a 64-element
+   boundary) once a strictly earlier position is known, so no later
+   work can hide an earlier match; the winning block's recorded hit is
+   read back after the join.  Worst case (no match) scans everything,
+   like the parallel filter it replaces, but a hit near the front
+   cancels almost all of the work. *)
 let find_mapi_leftmost (f : int -> 'a -> 'b option) s =
   if length s = 0 then None
   else begin
+    let exception Stop in
     let b = bid_of_seq s in
     let best = Atomic.make max_int in
     let rec cas_min pos =
@@ -847,24 +848,23 @@ let find_mapi_leftmost (f : int -> 'a -> 'b option) s =
     let blocks = drive b in
     let results = Array.make (num_blocks_of b) None in
     apply_bid_blocks b (fun j ->
-        let lo, hi = block_bounds b j in
+        let lo, _ = block_bounds b j in
         if Atomic.get best > lo then begin
-          let next = Stream.start (blocks j) in
+          let st = blocks j in
           try
-            for k = 0 to hi - lo - 1 do
-              if k land 63 = 0 then begin
-                Cancel.poll ();
-                if Atomic.get best <= lo then raise_notrace Exit
-              end;
-              let v = next () in
-              match f (lo + k) v with
-              | Some r ->
-                results.(j) <- Some r;
-                cas_min (lo + k);
-                raise_notrace Exit
-              | None -> ()
-            done
-          with Exit -> ()
+            ignore
+              (Stream.fold st ~stop:(Stream.length st)
+                 (fun k v ->
+                   if k land 63 = 0 && Atomic.get best <= lo then raise_notrace Stop;
+                   match f (lo + k) v with
+                   | Some r ->
+                     results.(j) <- Some r;
+                     cas_min (lo + k);
+                     raise_notrace Stop
+                   | None -> k + 1)
+                 0
+                : int)
+          with Stop -> ()
         end);
     let pos = Atomic.get best in
     if pos = max_int then None else results.(pos / b.b_size)

@@ -25,7 +25,6 @@ type counters = {
   mutable cancel_trips : int;
   mutable chaos_injections : int;
   mutable fused_folds : int;
-  mutable trickle_fallbacks : int;
   (* Float-lane execution-path counters (lib/core/float_seq.ml and the
      Stream/Seq float reductions): which representation a float
      reduction loop actually ran over — a monomorphic unboxed loop, or
@@ -53,10 +52,11 @@ type counters = {
      run at a non-incumbent grain. *)
   mutable adapt_adjustments : int;
   mutable adapt_probes : int;
-  (* Padding out to three cache lines (the 23 counters above plus this
-     pad are 192 bytes of payload): adjacent domains' records can never
+  (* Padding out to three cache lines (the 22 counters above plus these
+     pads are 192 bytes of payload): adjacent domains' records can never
      share a line even when the allocator places them back to back. *)
   mutable pad0 : int;
+  mutable pad1 : int;
 }
 
 type snapshot = {
@@ -111,7 +111,6 @@ let fresh_counters () =
     cancel_trips = 0;
     chaos_injections = 0;
     fused_folds = 0;
-    trickle_fallbacks = 0;
     float_fast_path = 0;
     float_boxed_fallback = 0;
     shared_forces = 0;
@@ -126,6 +125,7 @@ let fresh_counters () =
     adapt_adjustments = 0;
     adapt_probes = 0;
     pad0 = 0;
+    pad1 = 0;
   }
 
 let key : counters Domain.DLS.key =
@@ -173,10 +173,6 @@ let[@inline] incr_chaos_injections () =
 let[@inline] incr_fused_folds () =
   let c = local () in
   c.fused_folds <- c.fused_folds + 1
-
-let[@inline] incr_trickle_fallbacks () =
-  let c = local () in
-  c.trickle_fallbacks <- c.trickle_fallbacks + 1
 
 let[@inline] incr_float_fast_path () =
   let c = local () in
@@ -273,7 +269,7 @@ let snapshot () =
         s_cancel_trips = acc.s_cancel_trips + c.cancel_trips;
         s_chaos_injections = acc.s_chaos_injections + c.chaos_injections;
         s_fused_folds = acc.s_fused_folds + c.fused_folds;
-        s_trickle_fallbacks = acc.s_trickle_fallbacks + c.trickle_fallbacks;
+        s_trickle_fallbacks = 0;
         s_float_fast_path = acc.s_float_fast_path + c.float_fast_path;
         s_float_boxed_fallback =
           acc.s_float_boxed_fallback + c.float_boxed_fallback;

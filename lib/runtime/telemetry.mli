@@ -25,7 +25,8 @@ type snapshot = {
   s_fused_folds : int;
       (** stream consumers that drove a native push fold (Stream) *)
   s_trickle_fallbacks : int;
-      (** stream consumers that drove a trickle-derived fold (Stream) *)
+      (** always 0: every stream fold is a native push loop.  Kept so
+          the STATS schema and the counter listing stay unchanged. *)
   s_float_fast_path : int;
       (** float-reduction loops that ran monomorphic and unboxed
           ([Float_seq] block bodies, [Stream.sum_floats] over a pure
@@ -91,12 +92,10 @@ val incr_cancel_polls : unit -> unit
 val incr_cancel_trips : unit -> unit
 val incr_chaos_injections : unit -> unit
 
-(** Bumped by [Stream]'s linear consumers: which execution path
-    (fused push fold vs trickle-derived fallback) a block actually
-    took.  See docs/STREAMS.md. *)
+(** Bumped once by each of [Stream]'s linear consumers (one push fold
+    per drive, i.e. per block).  See docs/STREAMS.md. *)
 
 val incr_fused_folds : unit -> unit
-val incr_trickle_fallbacks : unit -> unit
 
 (** Bumped by the unboxed float lane ([Float_seq], [Stream.sum_floats],
     [Seq.float_sum]): one increment per block (or per whole loop for

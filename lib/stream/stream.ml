@@ -1,38 +1,38 @@
-(* Sequential delayed streams — the paper's ML encoding (§4.4), with a
-   dual execution representation:
+(* Sequential delayed streams — the paper's ML encoding (§4.4), executed
+   by one push driver:
 
-   - [start] is the resumable "trickle" function of the paper
-     (`unit -> unit -> 'a`): applying the first [unit] allocates the
-     mutable cursor state and returns a stateful function producing one
-     element per call.  It supports partial consumption and resumption,
-     which [Seq.to_array]'s block-0 allocation witness, [get_region]'s
-     mid-subsequence starts and the early-exit searches all need.
-   - [fold] is a fused *push* driver: the stream owns the element loop
-     and pushes each element into a consumer-supplied step function.
-     Sources ([tabulate], [of_array_slice]) run a direct [for] loop
-     (with [unsafe_get] on arrays); stateless stages compose into the
-     source's index function at construction time (see [ixfn]), scans
-     over such sources run their own native loop, and the remaining
-     combinators wrap the upstream fold once at drive time — so a whole
+   - [fold] is the fused *push* driver, and every linear consumer runs
+     through it: the stream owns the element loop and pushes each
+     element into a consumer-supplied step function.  Sources
+     ([tabulate], [of_array_slice]) run a direct [for] loop (with
+     [unsafe_get] on arrays); stateless stages compose into the source's
+     index function at construction time (see [ixfn]), scans over such
+     sources run their own native loop, and the remaining combinators
+     wrap the upstream fold once at drive time — so a whole
      [map |> scan |> reduce] pipeline runs as a single loop per block
      instead of re-entering a chain of trickle closures (one indirect
-     call + cursor bump per stage) for every element.
+     call + cursor bump per stage) for every element.  Early exits stop
+     a fold by raising a per-invocation [let exception] from the step
+     function ([selected_region] below, [Seq.exists]).
+   - [start] is the paper's resumable "trickle" function
+     (`unit -> unit -> 'a`): applying the first [unit] allocates the
+     mutable cursor state and returns a stateful function producing one
+     element per call.  It is kept only for the pulls that need lockstep
+     or resumption: the non-indexed right side of [zip_with], [equal],
+     and [Seq.array_of_bid]'s block-0 allocation witness.  Since any
+     stream can reach one of them, every constructor still builds one.
 
-   Constructors ([tabulate], [map], [zip], [scan], ...) still cost O(1):
-   they compose closures without touching elements.  Only the linear
+   Constructors ([tabulate], [map], [zip], [scan], ...) cost O(1): they
+   compose closures without touching elements.  Only the linear
    consumers ([reduce], [iter], [pack_to_array], [to_array], ...) do
-   linear work, and all of them drive the push path.  [fused] records
-   whether the fold bottoms out in a native push loop ([true] for every
-   stream built from the constructors here) or was derived from a
-   trickle function handed to [make] ([false]; e.g. [Seq.get_region]'s
-   multi-subsequence blocks) — consumers report the distinction through
-   the [fused_folds] / [trickle_fallbacks] telemetry counters.
+   linear work, and each bumps the [fused_folds] telemetry counter once
+   per drive.
 
    Cancellation: the push loops poll the ambient cancellation token once
-   per 64-element chunk (sources and the [make] fallback own the loop,
-   so the cadence holds for any pipeline over them), matching the
-   per-block poll cadence of the Seq layer's drivers — a poisoned scope
-   stops a long fold mid-block, within one chunk of the cancel. *)
+   per 64-element chunk (sources own the loop, so the cadence holds for
+   any pipeline over them), matching the per-block poll cadence of the
+   Seq layer's drivers — a poisoned scope stops a long fold mid-block,
+   within one chunk of the cancel. *)
 
 module Cancel = Bds_runtime.Cancel
 module Telemetry = Bds_runtime.Telemetry
@@ -45,7 +45,6 @@ type 'a t = {
       (** Push [min stop length] elements, left to right, through the
           step function.  Consumers always pass [~stop:length]; [take]
           relies on every fold honouring a smaller [stop]. *)
-  fused : bool;
   ixfn : (int -> 'a) option;
       (** [Some f] when the stream is semantically [tabulate length f]
           with [f] pure per position (sources, and stateless combinator
@@ -55,11 +54,11 @@ type 'a t = {
           inlining (no flambda), each wrapper level costs one extra
           2-argument closure call per element, which is exactly the
           dispatch this representation exists to avoid.  Stateful stages
-          ([scan], [scan_incl]) and [make] break the chain ([None]). *)
+          ([scan], [scan_incl]) and the region views carry [None]. *)
 }
 
 (* Elements between cancellation polls in a push loop.  Matches the
-   [k land 63] cadence of the Seq layer's trickle-driven searches. *)
+   per-64-element poll of the Seq layer's direct index loops. *)
 let poll_chunk = 64
 
 let length s = s.length
@@ -67,37 +66,6 @@ let length s = s.length
 let start s = s.start ()
 
 let fold s ~stop f z = s.fold ~stop f z
-
-let is_fused s = s.fused
-
-(* Derive a push fold from a trickle-function factory: the fallback for
-   streams built by [make] (no native push loop).  Chunked so the
-   cancellation cadence is preserved even though elements arrive one
-   trickle call at a time. *)
-let fold_of_start (start : unit -> unit -> 'a) =
-  fun ~stop g z ->
-  let next = start () in
-  let acc = ref z in
-  let i = ref 0 in
-  while !i < stop do
-    Cancel.poll ();
-    let hi = Int.min stop (!i + poll_chunk) in
-    for _ = !i to hi - 1 do
-      acc := g !acc (next ())
-    done;
-    i := hi
-  done;
-  !acc
-
-let make ~length ~start =
-  if length < 0 then invalid_arg "Stream.make";
-  {
-    length;
-    start;
-    fold = (fun ~stop g z -> fold_of_start start ~stop g z);
-    fused = false;
-    ixfn = None;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* O(1) constructors                                                   *)
@@ -126,7 +94,6 @@ let tabulate n f =
           i := hi
         done;
         !acc);
-    fused = true;
   }
 
 let of_array_slice a off len =
@@ -155,7 +122,6 @@ let of_array_slice a off len =
           i := hi
         done;
         !acc);
-    fused = true;
   }
 
 let of_array a = of_array_slice a 0 (Array.length a)
@@ -175,7 +141,6 @@ let map g s =
           let next = s.start () in
           fun () -> g (next ()));
       fold = (fun ~stop h z -> s.fold ~stop (fun acc v -> h acc (g v)) z);
-      fused = s.fused;
       ixfn = None;
     }
 
@@ -202,17 +167,16 @@ let mapi g s =
             i := k + 1;
             h acc (g k v))
           z);
-    fused = s.fused;
     ixfn = None;
   }
 
 (* Zipping in push mode: a push driver owns its element loop, so only one
    side can push.  When exactly one side carries a pure index function,
-   the *other* side drives (its native fold, or its trickle-derived one)
-   and the indexed side is read by a lockstep counter — no trickle is
-   pulled at all.  Otherwise the left fold drives and the right trickle
-   is pulled inside the same loop.  Still one loop per block; [fused]
-   reports the driving side.  In [zip_indexed_side], [combine d k] pairs
+   the *other* side's fold drives and the indexed side is read by a
+   lockstep counter — no trickle is pulled at all.  Otherwise the left
+   fold drives and the right trickle is pulled inside the same loop:
+   one of the three pulls [start] is kept for.  Still one loop per
+   block.  In [zip_indexed_side], [combine d k] pairs
    the driver's element [d] at position [k] with the indexed side's
    element [k]. *)
 let zip_indexed_side (driver : 'd t) (combine : 'd -> int -> 'c) =
@@ -235,7 +199,6 @@ let zip_indexed_side (driver : 'd t) (combine : 'd -> int -> 'c) =
             i := k + 1;
             h acc (combine d k))
           z);
-    fused = driver.fused;
     ixfn = None;
   }
 
@@ -260,7 +223,6 @@ let zip_with f s1 s2 =
       (fun ~stop h z ->
         let n2 = s2.start () in
         s1.fold ~stop (fun acc a -> h acc (f a (n2 ()))) z);
-    fused = s1.fused;
     ixfn = None;
   }
 
@@ -304,7 +266,6 @@ let scan f z s =
             i := hi
           done;
           !acc);
-      fused = true;
       ixfn = None;
     }
   | None ->
@@ -320,7 +281,6 @@ let scan f z s =
               st := f cur v;
               h acc cur)
             z0);
-      fused = s.fused;
       ixfn = None;
     }
 
@@ -354,7 +314,6 @@ let scan_incl f z s =
             i := hi
           done;
           !acc);
-      fused = true;
       ixfn = None;
     }
   | None ->
@@ -370,7 +329,6 @@ let scan_incl f z s =
               st := nxt;
               h acc nxt)
             z0);
-      fused = s.fused;
       ixfn = None;
     }
 
@@ -385,8 +343,8 @@ let take n s =
    two-level results ([Seq.partition]).  The fold runs an outer loop
    over segments and a native chunked inner loop per segment — the
    nested-push shape of "Fast Collection Operations from Indexed Stream
-   Fusion" — so consumers of region blocks count as fused instead of
-   falling back to a trickle-derived fold.  [seg_len]/[elem] must be
+   Fusion" — with no per-element cursor tracking the current segment.
+   [seg_len]/[elem] must be
    pure per position; the caller guarantees at least [length] elements
    exist from ([start_seg], [start_ofs]) onward. *)
 let of_segments ~length ~seg_len ~elem ~start_seg ~start_ofs =
@@ -440,7 +398,6 @@ let of_segments ~length ~seg_len ~elem ~start_seg ~start_ofs =
           end
         done;
         !acc);
-    fused = true;
   }
 
 (* [selected_region]'s step function stops the inner block fold early
@@ -457,11 +414,8 @@ let of_segments ~length ~seg_len ~elem ~start_seg ~start_ofs =
    [start_block] inside each input's own (native) fold loop; a [None]
    element emits nothing — the "skip" arm of the push protocol — a
    [Some] emits its payload, with the first [skip] survivors dropped so
-   a region can start mid-block.  [fused] mirrors the first input
-   block: when the producer blocks are fused (the common case — memo
-   slices, or tabulate chains the selecting [mapi] composed into),
-   consumers of the region count as fused too, and the cancellation
-   cadence is the input loop's own 64-element poll.  The caller
+   a region can start mid-block.  The cancellation cadence is the input
+   loop's own 64-element poll.  The caller
    guarantees [skip + length] survivors exist from [start_block]
    onward. *)
 let selected_region ~length ~(blocks : int -> 'b option t) ~start_block ~skip =
@@ -529,7 +483,6 @@ let selected_region ~length ~(blocks : int -> 'b option t) ~start_block ~skip =
            with Region_filled -> ());
           !acc
         end);
-    fused = (if length = 0 then true else (blocks start_block).fused);
   }
 
 (* Survivor bitmasks: position [k] is bit [k land 7] of byte [k lsr 3].
@@ -660,15 +613,10 @@ let masked_region ~length ~masks ~block_size ~(get : int -> 'a) ~start_block ~sk
           done;
           !acc
         end);
-    fused = true;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Linear consumers — all push-driven                                  *)
-
-let[@inline] count_path s =
-  if s.fused then Telemetry.incr_fused_folds ()
-  else Telemetry.incr_trickle_fallbacks ()
 
 (* Profiled push fold: a consumer driven inside a Seq block leaf is
    already accounted there ([Profile.seq_op] is free in a leaf); a
@@ -677,7 +625,7 @@ let[@inline] count_path s =
 let[@inline] profiled f = Profile.seq_op "fold" f
 
 let reduce f z s =
-  count_path s;
+  Telemetry.incr_fused_folds ();
   profiled (fun () -> s.fold ~stop:s.length f z)
 
 (* Monomorphic float sum: the stream-lane entry of the unboxed float
@@ -688,12 +636,12 @@ let reduce f z s =
    call boundary, instead of once per pipeline stage plus once per
    combine — keeping the 64-element poll cadence, and bumps
    [float_fast_path].  Streams with no index function (stateful stages
-   like [scan], or [make]-built trickles) fall back to the generic
+   like [scan], or the regions) fall back to the generic
    polymorphic fold, which boxes every element through the step closure;
    those bump [float_boxed_fallback] so fallen-off chains show up in
    [bds_probe stats]. *)
 let sum_floats (s : float t) =
-  count_path s;
+  Telemetry.incr_fused_folds ();
   match s.ixfn with
   | Some f ->
     Telemetry.incr_float_fast_path ();
@@ -725,7 +673,7 @@ let sum_floats (s : float t) =
    minus the split accumulators (int adds carry no rounding and the
    dependency chain is a single-cycle add). *)
 let sum_ints (s : int t) =
-  count_path s;
+  Telemetry.incr_fused_folds ();
   match s.ixfn with
   | Some f ->
     profiled (fun () ->
@@ -751,7 +699,7 @@ let sum_ints (s : int t) =
    witness per element: later steps mutate the one cell in place). *)
 let reduce1 f s =
   if s.length = 0 then invalid_arg "Stream.reduce1: empty stream";
-  count_path s;
+  Telemetry.incr_fused_folds ();
   let cell =
     profiled (fun () ->
         s.fold ~stop:s.length
@@ -766,18 +714,18 @@ let reduce1 f s =
   match cell with Some r -> !r | None -> assert false
 
 let iter f s =
-  count_path s;
+  Telemetry.incr_fused_folds ();
   profiled (fun () -> s.fold ~stop:s.length (fun () v -> f v) ())
 
 let iteri f s =
-  count_path s;
+  Telemetry.incr_fused_folds ();
   let _ : int =
     profiled (fun () -> s.fold ~stop:s.length (fun i v -> f i v; i + 1) 0)
   in
   ()
 
 let pack_to_array p s =
-  count_path s;
+  Telemetry.incr_fused_folds ();
   profiled (fun () ->
       let buf = Buffer_ext.create () in
       s.fold ~stop:s.length (fun () v -> if p v then Buffer_ext.push buf v) ();
@@ -785,7 +733,7 @@ let pack_to_array p s =
 
 (* filterOp / mapPartial: keep [Some] images. *)
 let pack_op_to_array p s =
-  count_path s;
+  Telemetry.incr_fused_folds ();
   profiled (fun () ->
       let buf = Buffer_ext.create () in
       s.fold ~stop:s.length
@@ -796,7 +744,7 @@ let pack_op_to_array p s =
 let to_array s =
   if s.length = 0 then [||]
   else begin
-    count_path s;
+    Telemetry.incr_fused_folds ();
     profiled (fun () ->
         let out = ref [||] in
         let n = s.length in
@@ -815,7 +763,7 @@ let to_list s =
   (* The push driver delivers elements strictly left-to-right (streams
      are stateful, so no other order is sound); accumulate reversed and
      flip once. *)
-  count_path s;
+  Telemetry.incr_fused_folds ();
   profiled (fun () ->
       List.rev (s.fold ~stop:s.length (fun acc v -> v :: acc) []))
 

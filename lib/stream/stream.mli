@@ -6,23 +6,24 @@
     {!pack_to_array}, ...) drives the stream.  Streams are the per-block
     representation inside BID sequences.
 
-    Every stream carries two execution representations (see
-    docs/STREAMS.md):
-
-    - the resumable {e trickle} function returned by {!start}, which
-      supports partial consumption and resumption (needed by
-      [Seq.to_array]'s block-0 allocation witness, [get_region]'s
-      mid-subsequence starts and the early-exit searches); and
-    - the fused {e push} driver {!fold}, where the stream owns the
-      element loop and a whole combinator pipeline runs as one loop per
-      block.  All linear consumers below drive this path. *)
+    A stream is executed by its fused {e push} driver {!fold}: the
+    stream owns the element loop and a whole combinator pipeline runs as
+    one loop per block.  All linear consumers below drive this path,
+    and early exits stop it by raising from the step function.  The
+    paper's resumable {e trickle} function ({!start}) is kept only for
+    the pulls that need lockstep or resumption (see docs/STREAMS.md). *)
 
 type 'a t
 
 val length : 'a t -> int
 
 (** Start iteration: returns the stateful "trickle" function producing
-    successive elements. Calling it more than [length] times is undefined. *)
+    successive elements. Calling it more than [length] times is undefined.
+    Its callers are the pulls a push fold cannot express: {!zip_with}'s
+    right side when neither side is indexed, {!equal}, and
+    [Seq.array_of_bid]'s block-0 allocation witness (which pulls one
+    element, then resumes the same trickle).  Everything else drives
+    {!fold}; [test/lint] rejects a new [Stream.start] elsewhere. *)
 val start : 'a t -> unit -> 'a
 
 (** [fold s ~stop f z] pushes the first [min stop (length s)] elements
@@ -35,19 +36,6 @@ val start : 'a t -> unit -> 'a
     polls the ambient cancellation token ({!Bds_runtime.Cancel.poll})
     once per 64-element chunk.  See docs/STREAMS.md. *)
 val fold : 'a t -> stop:int -> ('acc -> 'a -> 'acc) -> 'acc -> 'acc
-
-(** Whether {!fold} bottoms out in a native push loop ([true] for all
-    streams built from the constructors below) rather than in the
-    trickle-derived fallback that {!make} installs ([false]).  Combinators
-    propagate the flag of the stream whose loop does the driving. *)
-val is_fused : 'a t -> bool
-
-(** Low-level constructor from a trickle-function factory: [start ()] must
-    return a function that yields the [length] elements in order.  The
-    stream's {!fold} is derived from the trickle function (it still
-    honours [stop] and the cancellation-poll cadence), so consumers of
-    such streams count as [trickle_fallbacks] in the runtime telemetry. *)
-val make : length:int -> start:(unit -> unit -> 'a) -> 'a t
 
 (** {1 O(1) constructors} *)
 
@@ -64,9 +52,9 @@ val zip : 'a t -> 'b t -> ('a * 'b) t
 (** Element-wise combination.  Two indexed sides compose into one index
     function.  When exactly one side is indexed (a source or a stateless
     chain over one), the other side's fold drives and the indexed side
-    is read by a lockstep counter, in either argument order; {!is_fused}
-    then reports the driving, non-indexed side.  Otherwise the left fold
-    drives and the right side is pulled through its trickle. *)
+    is read by a lockstep counter, in either argument order.  Otherwise
+    the left fold drives and the right side is pulled through its
+    trickle. *)
 val zip_with : ('a -> 'b -> 'c) -> 'a t -> 'b t -> 'c t
 
 (** Exclusive running fold: output element [i] combines [z] with inputs
@@ -88,8 +76,7 @@ val take : int -> 'a t -> 'a t
     [start_ofs] inside the first; element [i] of segment [s] is
     [elem s i] and segment [s] holds [seg_len s] elements (both must be
     pure per position).  The fold is a native outer-loop/inner-loop pair
-    keeping the 64-element cancellation cadence, so consumers count as
-    fused.  The caller guarantees enough elements exist; O(1). *)
+    keeping the 64-element cancellation cadence.  The caller guarantees enough elements exist; O(1). *)
 val of_segments :
   length:int ->
   seg_len:(int -> int) ->
@@ -105,9 +92,7 @@ val of_segments :
     the first [skip] survivors and stopping after [length].  The fold
     consumes every raw input element inside the input block's own fold
     loop (emitting zero elements for a [None] is the "skip" arm of the
-    push protocol), so when the inputs are fused the region is too —
-    {!is_fused} mirrors [blocks start_block] — and the cancellation
-    cadence is the input loop's.  The caller guarantees [skip + length]
+    push protocol), so the cancellation cadence is the input loop's.  The caller guarantees [skip + length]
     survivors exist from [start_block] onward; O(1). *)
 val selected_region :
   length:int ->
@@ -150,8 +135,7 @@ val masked_region :
 (** {1 Linear consumers}
 
     All of these drive the push path ({!fold}) and bump the
-    [fused_folds] / [trickle_fallbacks] telemetry counter matching
-    {!is_fused}. *)
+    [fused_folds] telemetry counter once per call. *)
 
 val reduce : ('a -> 'b -> 'a) -> 'a -> 'b t -> 'a
 
@@ -195,5 +179,6 @@ val pack_op_to_array : ('a -> 'b option) -> 'a t -> 'b array
 val to_array : 'a t -> 'a array
 val to_list : 'a t -> 'a list
 
-(** Element-wise equality (drives both streams). *)
+(** Element-wise equality: pulls both trickles in lockstep and stops at
+    the first mismatch. *)
 val equal : ('a -> 'a -> bool) -> 'a t -> 'a t -> bool

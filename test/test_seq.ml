@@ -546,6 +546,58 @@ let test_early_exit_counts () =
           Alcotest.(check bool) "for_all short-circuits" true
             (Atomic.get evals <= 100)))
 
+(* Each block of a search is one push fold that stops at its first hit.
+   On a 1-domain pool the blocks run left to right, so a hit at position
+   [p] evaluates the predicate exactly [p + 1] times (and a miss [n]
+   times), over every input representation: a RAD, a memoised BID, a
+   scan output (phase-3 stream blocks) and a filter output (bit-walk
+   region blocks).  [value p] is the input's element at position [p]. *)
+let test_early_exit_exact_counts () =
+  let n = 5_000 in
+  let identity_scan () = S.scan_incl (fun _ x -> x) 0 (S.iota n) in
+  let inputs =
+    [
+      ("RAD", (fun () -> S.iota n), Fun.id);
+      ( "memoised BID",
+        (fun () ->
+          let b = identity_scan () in
+          ignore (S.to_array b);
+          b),
+        Fun.id );
+      ("scan BID", identity_scan, Fun.id);
+      ( "filter BID",
+        (fun () -> S.filter (fun x -> x land 1 = 0) (S.iota (2 * n))),
+        fun p -> 2 * p );
+    ]
+  in
+  Bds_runtime.Runtime.set_num_domains 1;
+  Fun.protect
+    ~finally:(fun () -> Bds_runtime.Runtime.set_num_domains domains)
+    (fun () ->
+      with_policy (Bds.Block.Fixed 1000) (fun () ->
+          List.iter
+            (fun (name, input, value) ->
+              List.iter
+                (fun p ->
+                  let evals = Atomic.make 0 in
+                  let hit x =
+                    Atomic.incr evals;
+                    x = value p
+                  in
+                  let check op ok =
+                    let tag = Printf.sprintf "%s %s, hit at %d" name op p in
+                    Alcotest.(check bool) (tag ^ ": result") true ok;
+                    Alcotest.(check int) (tag ^ ": evaluations")
+                      (Int.min (p + 1) n) (Atomic.get evals);
+                    Atomic.set evals 0
+                  in
+                  let found = p < n in
+                  check "exists" (S.exists hit (input ()) = found);
+                  check "find_index"
+                    (S.find_index hit (input ()) = if found then Some p else None))
+                [ 0; 1; 999; 1000; 2345; n - 1; n ])
+            inputs))
+
 let test_early_exit_parallel () =
   with_policy (Bds.Block.Fixed 100) (fun () ->
       let n = 100_000 in
@@ -593,5 +645,7 @@ let () =
           Alcotest.test_case "shared forces" `Quick test_shared_forces;
           Alcotest.test_case "early-exit counts" `Quick test_early_exit_counts;
           Alcotest.test_case "early-exit parallel" `Quick test_early_exit_parallel;
+          Alcotest.test_case "early-exit exact counts" `Quick
+            test_early_exit_exact_counts;
         ] );
     ]

@@ -235,7 +235,8 @@ let prop_search_invariance (a, bsize) =
 (* Filter over each input representation — RAD and memoised BID (the
    indexed bit-walk path) and a non-indexed BID (the re-drive path) —
    under Fixed 1/3/17 and Scaled block policies, against List.filter.
-   Also filter∘filter and the tokens shape: a zip of two filter outputs,
+   Also the early-exit searches over each input and its filter output,
+   filter∘filter and the tokens shape: a zip of two filter outputs,
    which drives one region's fold and pulls the other's trickle, so
    output blocks that start mid-input-block (skip > 0) are exercised
    through both execution paths. *)
@@ -256,6 +257,13 @@ let prop_filter_inputs (a, k, r) =
   let q x = x land 1 = 0 in
   let l = Array.to_list a in
   let pl = List.filter p l in
+  let index_of l =
+    let rec go i = function
+      | [] -> None
+      | x :: tl -> if q x then Some i else go (i + 1) tl
+    in
+    go 0 l
+  in
   List.for_all
     (fun policy ->
       with_policy policy (fun () ->
@@ -268,6 +276,10 @@ let prop_filter_inputs (a, k, r) =
               let zipped = S.zip_with (fun x y -> (1000 * x) + y) (S.filter p (input ())) shifted in
               S.to_list once = pl
               && S.reduce ( + ) 0 once = List.fold_left ( + ) 0 pl
+              && S.exists q (input ()) = List.exists q l
+              && S.find_index q (input ()) = index_of l
+              && S.exists q (S.filter p (input ())) = List.exists q pl
+              && S.find_index q (S.filter p (input ())) = index_of pl
               && S.to_list twice = List.filter q pl
               && S.to_list zipped = List.map (fun x -> (1000 * x) + x + 1) pl)
             (filter_inputs a)))

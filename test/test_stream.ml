@@ -163,49 +163,16 @@ let test_fold_stop () =
   let sl = Stream.of_array_slice [| 9; 1; 2; 3; 4 |] 1 4 in
   Alcotest.(check int) "slice stop 2" 3 (Stream.fold sl ~stop:2 ( + ) 0)
 
-let mk_trickle n =
-  Stream.make ~length:n ~start:(fun () ->
-      let i = ref (-1) in
-      fun () ->
-        incr i;
-        !i)
-
-let test_is_fused () =
-  let base = Stream.tabulate 8 Fun.id in
-  Alcotest.(check bool) "tabulate" true (Stream.is_fused base);
-  Alcotest.(check bool) "of_array_slice" true
-    (Stream.is_fused (Stream.of_array_slice [| 1; 2; 3 |] 0 3));
-  Alcotest.(check bool) "combinators keep fused" true
-    (Stream.is_fused (Stream.take 3 (Stream.scan ( + ) 0 (Stream.map succ base))));
-  let trickle = mk_trickle 8 in
-  Alcotest.(check bool) "make is a trickle fallback" false (Stream.is_fused trickle);
-  Alcotest.(check bool) "map keeps trickle" false
-    (Stream.is_fused (Stream.map succ (mk_trickle 8)));
-  (* zip_with reports the driving side.  With exactly one indexed side
-     the other side drives, in either argument order — here the trickle,
-     whose own loop is trickle-derived. *)
-  Alcotest.(check bool) "zip: trickle right drives an indexed left" false
-    (Stream.is_fused (Stream.zip_with ( + ) base (mk_trickle 8)));
-  Alcotest.(check bool) "zip: trickle left drives an indexed right" false
-    (Stream.is_fused (Stream.zip_with ( + ) (mk_trickle 8) base));
-  let scanned () = Stream.scan ( + ) 0 (Stream.tabulate 8 Fun.id) in
-  Alcotest.(check bool) "zip: fused scan right drives an indexed left" true
-    (Stream.is_fused (Stream.zip_with ( + ) base (scanned ())));
-  Alcotest.(check bool) "zip: fused scan left drives an indexed right" true
-    (Stream.is_fused (Stream.zip_with ( + ) (scanned ()) base));
-  Alcotest.(check bool) "zip: neither indexed, left drives" false
-    (Stream.is_fused (Stream.zip_with ( + ) (mk_trickle 8) (scanned ())));
-  (* The trickle-derived fold still computes the right answer. *)
-  Alcotest.(check int) "trickle fold result" 28
-    (Stream.reduce ( + ) 0 (mk_trickle 8));
-  check_ilist "trickle zip result" [ 0; 2; 4 ]
-    (Stream.to_list (Stream.zip_with ( + ) (mk_trickle 3) (Stream.tabulate 3 Fun.id)))
+(* A non-indexed stream of [0 .. n-1]: an identity inclusive scan has
+   no index function, so stages over it wrap its native scan loop
+   instead of composing into a source. *)
+let unindexed n = Stream.scan_incl (fun _ x -> x) 0 (Stream.tabulate n Fun.id)
 
 (* A push fold polls the ambient cancellation token once per 64-element
    chunk: a token cancelled mid-stream (here by the map body itself at
    element 1000) stops the fold at the next chunk boundary instead of
-   running the remaining 99k elements.  Exercised for both the native
-   push loop and the trickle-derived fallback. *)
+   running the remaining 99k elements.  Exercised for a map composed
+   into the source's loop and for a map wrapping a non-indexed fold. *)
 let poll_cadence_of drive =
   let tok = Cancel.create () in
   let touched = ref 0 in
@@ -226,7 +193,7 @@ let test_fold_poll_cadence () =
       ignore
         (Stream.reduce ( + ) 0 (Stream.map poison (Stream.tabulate 100_000 Fun.id))));
   poll_cadence_of (fun poison ->
-      ignore (Stream.reduce ( + ) 0 (Stream.map poison (mk_trickle 100_000))))
+      ignore (Stream.reduce ( + ) 0 (Stream.map poison (unindexed 100_000))))
 
 (* Nested-push segment concatenation: model = the flattened suffix of
    the segment table starting at (start_seg, start_ofs). *)
@@ -237,9 +204,8 @@ let test_of_segments () =
   let mk ~length ~start_seg ~start_ofs =
     Stream.of_segments ~length ~seg_len ~elem ~start_seg ~start_ofs
   in
-  let s = mk ~length:9 ~start_seg:0 ~start_ofs:0 in
-  Alcotest.(check bool) "fused" true (Stream.is_fused s);
-  check_ilist "full" [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ] (Stream.to_list s);
+  check_ilist "full" [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ]
+    (Stream.to_list (mk ~length:9 ~start_seg:0 ~start_ofs:0));
   (* Mid-segment start, both execution paths. *)
   let mid = mk ~length:4 ~start_seg:3 ~start_ofs:1 in
   check_ilist "mid-segment push" [ 5; 6; 7; 8 ]
@@ -266,9 +232,8 @@ let test_selected_region () =
   let mk ~length ~start_block ~skip =
     Stream.selected_region ~length ~blocks ~start_block ~skip
   in
-  let s = mk ~length:7 ~start_block:0 ~skip:0 in
-  Alcotest.(check bool) "fused mirrors input" true (Stream.is_fused s);
-  check_ilist "from origin" [ 0; 3; 6; 9; 12; 15; 18 ] (Stream.to_list s);
+  check_ilist "from origin" [ 0; 3; 6; 9; 12; 15; 18 ]
+    (Stream.to_list (mk ~length:7 ~start_block:0 ~skip:0));
   (* skip drops survivors, so a region can start mid-block. *)
   check_ilist "with skip" [ 6; 9; 12 ]
     (Stream.to_list (mk ~length:3 ~start_block:0 ~skip:2));
@@ -353,9 +318,8 @@ let test_masked_region () =
   let mk ~length ~start_block ~skip =
     Stream.masked_region ~length ~masks ~block_size:10 ~get ~start_block ~skip
   in
-  let s = mk ~length:7 ~start_block:0 ~skip:0 in
-  Alcotest.(check bool) "fused" true (Stream.is_fused s);
-  check_ilist "from origin" [ 0; 3; 6; 9; 12; 15; 18 ] (Stream.to_list s);
+  check_ilist "from origin" [ 0; 3; 6; 9; 12; 15; 18 ]
+    (Stream.to_list (mk ~length:7 ~start_block:0 ~skip:0));
   Alcotest.(check int) "get only at survivors" 7 !gets;
   check_ilist "with skip" [ 6; 9; 12 ]
     (Stream.to_list (mk ~length:3 ~start_block:0 ~skip:2));
@@ -537,6 +501,36 @@ let prop_zip_one_indexed (a, k) =
   && Stream.to_list (Stream.zip_with f (indexed ()) (scanned ())) = right
   && trickle_to_list (Stream.zip_with f (indexed ()) (scanned ())) = right
 
+(* [zip_with] with neither side indexed: the left fold drives and the
+   right side's trickle is pulled in lockstep.  The sides are a scan and
+   a [masked_region] keeping every position (the shape of a zip of two
+   filter outputs), in both argument orders; fold, trickle and a [~stop]
+   prefix against the list model. *)
+let prop_zip_neither_indexed ((a, k), bsize, stop) =
+  let n = Array.length a in
+  let scanned () = Stream.scan ( + ) k (Stream.of_array a) in
+  let masks = masks_of ~n ~bsize (fun _ -> true) in
+  let region () =
+    Stream.masked_region ~length:n ~masks ~block_size:bsize
+      ~get:(fun i -> (10 * i) - a.(i))
+      ~start_block:0 ~skip:0
+  in
+  let scan_l = fst (list_scan ( + ) k (Array.to_list a)) in
+  let region_l = List.init n (fun i -> (10 * i) - a.(i)) in
+  let f x y = (3 * x) - y in
+  let left = List.map2 f scan_l region_l and right = List.map2 f region_l scan_l in
+  let stop = min stop n in
+  let prefix l = List.filteri (fun i _ -> i < stop) l in
+  Stream.to_list (Stream.zip_with f (scanned ()) (region ())) = left
+  && trickle_to_list (Stream.zip_with f (scanned ()) (region ())) = left
+  && Stream.to_list (Stream.zip_with f (region ()) (scanned ())) = right
+  && trickle_to_list (Stream.zip_with f (region ()) (scanned ())) = right
+  && List.rev
+       (Stream.fold (Stream.zip_with f (region ()) (scanned ())) ~stop
+          (fun acc v -> v :: acc)
+          [])
+     = prefix right
+
 let region_tests =
   let open QCheck2 in
   [
@@ -545,6 +539,9 @@ let region_tests =
     Test.make ~name:"zip_with one indexed side = list model" ~count:300
       Gen.(pair small_int_array (int_range (-5) 5))
       prop_zip_one_indexed;
+    Test.make ~name:"zip_with neither side indexed = list model" ~count:300
+      Gen.(triple (pair small_int_array (int_range (-5) 5)) (int_range 1 40) (int_bound 250))
+      prop_zip_neither_indexed;
   ]
 
 let push_pull_tests =
@@ -587,47 +584,6 @@ let push_pull_tests =
         List.rev (Stream.fold (mk ()) ~stop (fun acc v -> v :: acc) []) = prefix);
   ]
 
-(* The alternative pure state-passing encoding must agree with the
-   trickle-closure encoding on every operation. *)
-module SP = Bds_stream.Stream_pure
-
-let test_pure_encoding () =
-  check_ilist "tabulate" [ 0; 2; 4 ] (SP.to_list (SP.tabulate 3 (fun i -> 2 * i)));
-  check_ilist "map" [ 1; 2; 3 ] (SP.to_list (SP.map (( + ) 1) (SP.tabulate 3 Fun.id)));
-  check_ilist "mapi" [ 0; 11; 22 ]
-    (SP.to_list (SP.mapi (fun i v -> i + v) (SP.tabulate 3 (fun i -> 10 * i))));
-  check_ilist "scan" [ 0; 1; 3; 6 ]
-    (SP.to_list (SP.scan ( + ) 0 (SP.tabulate 4 (fun i -> i + 1))));
-  check_ilist "scan_incl" [ 1; 3; 6; 10 ]
-    (SP.to_list (SP.scan_incl ( + ) 0 (SP.tabulate 4 (fun i -> i + 1))));
-  Alcotest.(check int) "reduce" 4950 (SP.reduce ( + ) 0 (SP.tabulate 100 Fun.id));
-  Alcotest.(check int_array) "to_array" [| 5; 6; 7 |]
-    (SP.to_array (SP.of_array_slice [| 4; 5; 6; 7; 8 |] 1 3));
-  let acc = ref [] in
-  SP.iter (fun v -> acc := v :: !acc) (SP.tabulate 3 Fun.id);
-  check_ilist "iter" [ 2; 1; 0 ] !acc
-
-let pure_equiv_tests =
-  let open QCheck2 in
-  [
-    Test.make ~name:"pure = trickle on random chains" ~count:300
-      Gen.(pair small_int_array (int_range (-5) 5))
-      (fun (a, k) ->
-        let with_trickle =
-          let open Stream in
-          to_list (scan_incl ( + ) k (map (fun x -> x - k) (of_array a)))
-        in
-        let with_pure =
-          let open SP in
-          to_list (scan_incl ( + ) k (map (fun x -> x - k) (of_array a)))
-        in
-        with_trickle = with_pure);
-    Test.make ~name:"pure zip_with = trickle zip_with" ~count:200 small_int_array
-      (fun a ->
-        Stream.(to_list (zip_with ( * ) (of_array a) (of_array a)))
-        = SP.(to_list (zip_with ( * ) (of_array a) (of_array a))));
-  ]
-
 let () =
   Alcotest.run "stream"
     [
@@ -646,7 +602,6 @@ let () =
           Alcotest.test_case "iter/iteri" `Quick test_iter_iteri;
           Alcotest.test_case "equal" `Quick test_equal;
           Alcotest.test_case "fold with stop" `Quick test_fold_stop;
-          Alcotest.test_case "is_fused flag" `Quick test_is_fused;
           Alcotest.test_case "fold poll cadence" `Quick test_fold_poll_cadence;
           Alcotest.test_case "of_segments" `Quick test_of_segments;
           Alcotest.test_case "selected_region" `Quick test_selected_region;
@@ -660,7 +615,4 @@ let () =
       ( "push/pull",
         List.map (QCheck_alcotest.to_alcotest ~long:false) push_pull_tests );
       ("regions", List.map (QCheck_alcotest.to_alcotest ~long:false) region_tests);
-      ( "pure encoding",
-        Alcotest.test_case "operations" `Quick test_pure_encoding
-        :: List.map (QCheck_alcotest.to_alcotest ~long:false) pure_equiv_tests );
     ]
