@@ -10,6 +10,9 @@
      bds_probe streams     — stream execution-path counters per pipeline
      bds_probe floats      — float-lane execution-path counters per
                              pipeline (fast path vs boxed fallback)
+     bds_probe alloc       — major-heap words of filter_op, partition,
+                             flatten and a BID reduce against the
+                             Cost_model prediction, with a 2x verdict
      bds_probe report [--json] [--large] — run a map|scan|reduce pipeline
                              under the profiler and print the per-op
                              work/span report
@@ -169,6 +172,69 @@ let floats () =
   in
   let d = Bds.Float_seq.dot xs xs in
   report "floatarray-dot" b2 d;
+  Runtime.shutdown ()
+
+(* Allocation oracle: run each block op on a 1-domain pool (the calling
+   domain does every allocation, so the GC counters are exact) at a
+   pinned size and block grid, and compare the major-heap words it
+   allocated (direct major allocations plus promotions) with the
+   Figure 11 allocation [Cost_model] predicts for it, user functions
+   taken as "simple" (no allocation of their own).  The verdict is [ok]
+   within twice the model and [over] beyond it.  flatten's inners are
+   prebuilt, so the line isolates the spine: the inner index functions,
+   their lengths and the offsets scan, which the model charges as |X|
+   alone. *)
+let alloc () =
+  let module CM = Bds.Cost_model in
+  let module S = Bds.Seq in
+  let n = 1 lsl 18 and block_size = 4096 in
+  Runtime.set_num_domains 1;
+  Bds.Block.set_policy (Bds.Block.Fixed block_size);
+  let major_words f =
+    f ();
+    Gc.full_major ();
+    let before = (Gc.quick_stat ()).major_words in
+    f ();
+    (* A direct major allocation is counted at the next major slice. *)
+    ignore (Gc.major_slice 0 : int);
+    (Gc.quick_stat ()).major_words -. before
+  in
+  let input, _ = CM.tabulate n CM.simple in
+  let filter_alloc out_len =
+    (snd (CM.filter ~block_size ~out_len CM.simple input)).CM.alloc
+  in
+  let keep f () = ignore (Sys.opaque_identity (f ())) in
+  let inners = Array.init (n / 2) (fun i -> S.tabulate 2 (fun j -> i + j)) in
+  let ops =
+    [
+      ( "filter_op",
+        keep (fun () -> S.filter_op (fun x -> if x land 1 = 0 then Some x else None) (S.iota n)),
+        filter_alloc (n / 2) );
+      ( "partition",
+        keep (fun () -> S.partition (fun x -> x land 1 = 0) (S.iota n)),
+        filter_alloc (n / 2) + filter_alloc (n / 2) );
+      ( "flatten",
+        keep (fun () -> S.flatten (S.tabulate (n / 2) (Array.get inners))),
+        (snd
+           (CM.flatten ~block_size
+              (fst (CM.tabulate (n / 2) CM.simple))
+              (Array.make (n / 2) (fst (CM.tabulate 2 CM.simple)))))
+          .CM.alloc );
+      ( "reduce",
+        keep (fun () -> S.reduce ( + ) 0 (S.scan_incl ( + ) 0 (S.iota n))),
+        let scanned, c = CM.scan ~block_size input in
+        c.CM.alloc + (CM.reduce ~block_size scanned).CM.alloc );
+    ]
+  in
+  Printf.printf "alloc: n=%d block_size=%d domains=%d budget=2x\n" n block_size
+    (Runtime.num_workers ());
+  List.iter
+    (fun (name, f, model) ->
+      let measured = major_words f in
+      Printf.printf "%s: major_words=%.0f model=%d ratio=%.2f %s\n" name measured model
+        (measured /. float_of_int model)
+        (if measured <= 2. *. float_of_int model then "ok" else "over"))
+    ops;
   Runtime.shutdown ()
 
 (* Run the acceptance pipeline (iota |> map |> scan |> reduce, plus a
@@ -430,6 +496,7 @@ let () =
   | [ "blocks" ] when flags = [] -> blocks ()
   | [ "streams" ] when flags = [] -> streams ()
   | [ "floats" ] when flags = [] -> floats ()
+  | [ "alloc" ] when flags = [] -> alloc ()
   | [ "report" ] -> report ~json:(flag "--json") ~large:(flag "--large")
   | [ "trace-check"; file ] -> exit (trace_check ~strict:(flag "--strict") file)
   | [ "trace-count"; file; name ] when flags = [] -> exit (trace_count file name)
@@ -446,7 +513,7 @@ let () =
       exit 2)
   | _ ->
     prerr_endline
-      "usage: bds_probe [stats [--json] | blocks | streams | floats | report \
+      "usage: bds_probe [stats [--json] | blocks | streams | floats | alloc | report \
        [--json] [--large] | trace-check [--strict] FILE | trace-count FILE \
        NAME | jobs | grain | metrics | metrics-check FILE | flight-check \
        FILE [MIN]]";

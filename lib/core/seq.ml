@@ -569,11 +569,12 @@ let flatten (s : 'a t t) =
         (* Lazy outer spine: ONE parallel pass drives the outer — which
            in the flat_map idiom is itself a delayed map — evaluating
            each outer element once, forcing it to random access and
-           measuring it in place.  The previous spine materialised the
-           outer three times over ([to_array] + a parallel [rad_of_seq]
-           map + a parallel [length] map), and that eager outer work
-           dominated the flatten-chain bench (BENCH_8 host_note). *)
-        let inners = Array.make n_out empty in
+           measuring it in place.  The spine keeps each inner's index
+           function, not its [Seq.t] record: the spine arrays live in the
+           major heap, so a stored record would be promoted at the next
+           minor collection, while this way the records die young and
+           [elem] is one indirect call with no per-element [match]. *)
+        let inners = Array.make n_out (fun _ -> invalid_arg "Seq.flatten") in
         let lengths = Array.make n_out 0 in
         let ob = bid_of_seq s in
         let oblocks = drive ob in
@@ -581,24 +582,22 @@ let flatten (s : 'a t t) =
             let lo, _ = block_bounds ob j in
             Stream.iteri
               (fun k inner ->
-                let r = rad_of_seq inner in
-                Array.unsafe_set inners (lo + k) r;
-                Array.unsafe_set lengths (lo + k) (length r))
+                match rad_of_seq inner with
+                | Rad { r_len; get } ->
+                  Array.unsafe_set inners (lo + k) get;
+                  Array.unsafe_set lengths (lo + k) r_len
+                | Bid _ -> assert false)
               (oblocks j));
         let offsets, total = Parray.scan ( + ) 0 lengths in
         if total = 0 then empty
         else begin
           let bsize = Block.size total in
-          let elem j k =
-            match inners.(j) with
-            | Rad { get; _ } -> get k
-            | Bid _ -> assert false
-          in
           Bid
             (fresh_bid ~b_len:total ~b_size:bsize (fun () ->
                  region_block ~offsets
                    ~seg_len:(fun j -> Array.unsafe_get lengths j)
-                   ~elem ~total ~bsize))
+                   ~elem:(fun j k -> (Array.unsafe_get inners j) k)
+                   ~total ~bsize))
         end
       end)
 

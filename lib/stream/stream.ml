@@ -694,24 +694,19 @@ let sum_ints (s : int t) =
   | None -> profiled (fun () -> s.fold ~stop:s.length ( + ) 0)
 
 (* Fold of a non-empty stream seeded from its first element; lets parallel
-   callers combine a seed exactly once across blocks.  The accumulator
-   cell is allocated when the first element arrives (no ['a option]
-   witness per element: later steps mutate the one cell in place). *)
+   callers combine a seed exactly once across blocks.  The fold starts
+   from [unset], a private block no stream element can be physically
+   equal to, and the first step replaces it with the element: no cell or
+   option per fold, and the accumulator stays in the fold's own local
+   (no [caml_modify] per element). *)
+let unset = Obj.repr (ref ())
+
 let reduce1 f s =
   if s.length = 0 then invalid_arg "Stream.reduce1: empty stream";
   Telemetry.incr_fused_folds ();
-  let cell =
-    profiled (fun () ->
-        s.fold ~stop:s.length
-          (fun acc v ->
-            match acc with
-            | None -> Some (ref v)
-            | Some r ->
-              r := f !r v;
-              acc)
-          None)
-  in
-  match cell with Some r -> !r | None -> assert false
+  let seed = Obj.obj unset in
+  profiled (fun () ->
+      s.fold ~stop:s.length (fun acc v -> if acc == seed then v else f acc v) seed)
 
 let iter f s =
   Telemetry.incr_fused_folds ();

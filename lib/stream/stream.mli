@@ -159,9 +159,10 @@ val sum_floats : float t -> float
     design rule. *)
 val sum_ints : int t -> int
 
-(** Fold of a non-empty stream seeded from its first element (no option
-    witness: the accumulator cell is allocated when the first element is
-    pushed).  Raises [Invalid_argument] on an empty stream. *)
+(** Fold of a non-empty stream seeded from its first element.  Allocates
+    nothing per element: the fold starts from a private sentinel that the
+    first element replaces.  Raises [Invalid_argument] on an empty
+    stream. *)
 val reduce1 : ('a -> 'a -> 'a) -> 'a t -> 'a
 
 (** The paper's [s.applyStream]. *)
@@ -169,8 +170,9 @@ val iter : ('a -> unit) -> 'a t -> unit
 
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 
-(** Sequential filter into a fresh array (the paper's [s.packToArray]);
-    allocates only as much as survives (plus geometric slack). *)
+(** Sequential filter into a fresh array (the paper's [s.packToArray]).
+    Survivors are collected in minor-heap chunks of at most 256 words,
+    then copied once into an array of exactly their number. *)
 val pack_to_array : ('a -> bool) -> 'a t -> 'a array
 
 (** filterOp / mapPartial: keep the [Some] images. *)

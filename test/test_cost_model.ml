@@ -157,18 +157,35 @@ let test_bfs_alloc_bound () =
 (* ------------------------------------------------------------------ *)
 (* Model vs measured allocations of the real library                   *)
 
-(* Measure allocated words on a single-domain pool (so all allocation is
-   on the calling domain and [Gc.allocated_bytes] is exact). *)
-let measure_alloc f =
+(* Measure allocated bytes on a single-domain pool (so all allocation is
+   on the calling domain and the GC counters are exact): every heap with
+   [Gc.allocated_bytes], or with [~major:true] the major heap alone
+   (direct major allocations plus promotions, from [Gc.quick_stat]). *)
+let measure_alloc ?(major = false) f =
+  let bytes () =
+    if major then Gc.((quick_stat ()).major_words) *. float_of_int (Sys.word_size / 8)
+    else Gc.allocated_bytes ()
+  in
   Bds_runtime.Runtime.set_num_domains 1;
   Fun.protect
     ~finally:(fun () -> Bds_runtime.Runtime.set_num_domains Bds_test_util.domains)
     (fun () ->
       ignore (f ());
-      (* warm-up evaluated; measure second run *)
-      let before = Gc.allocated_bytes () in
+      (* warm-up evaluated; measure second run from an empty minor heap *)
+      Gc.full_major ();
+      let before = bytes () in
       ignore (Sys.opaque_identity (f ()));
-      Gc.allocated_bytes () -. before)
+      (* A direct major allocation is counted at the next major slice. *)
+      if major then ignore (Gc.major_slice 0 : int);
+      bytes () -. before)
+
+let words_of_bytes b = b /. float_of_int (Sys.word_size / 8)
+
+let measure_block_size n =
+  Bds_runtime.Runtime.set_num_domains 1;
+  Fun.protect
+    ~finally:(fun () -> Bds_runtime.Runtime.set_num_domains Bds_test_util.domains)
+    (fun () -> Bds.Block.size n)
 
 let test_measured_alloc_reduce () =
   let n = 300_000 in
@@ -210,6 +227,72 @@ let test_measured_alloc_scan_pipeline () =
     true
     (da *. 4.0 < aa)
 
+(* Allocation oracle: the packing ops put only their output (plus
+   O(n/B) block bookkeeping) in the major heap, as Figure 11 charges
+   them.  Budget: twice the model's words. *)
+let oracle_n = 1 lsl 20
+
+let test_filter_op_major_alloc () =
+  let n = oracle_n in
+  (* [measure_alloc] runs on a 1-domain pool, whose block size this is. *)
+  let block_size = measure_block_size n in
+  List.iter
+    (fun k ->
+      let select x = if x mod k = 0 then Some x else None in
+      let out_len = (n + k - 1) / k in
+      let measured =
+        words_of_bytes (measure_alloc ~major:true (fun () -> S.filter_op select (S.iota n)))
+      in
+      let _, c = CM.filter ~block_size ~out_len CM.simple (fst (CM.tabulate n CM.simple)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "keep 1/%d: major %.0f words <= 2 x model %d" k measured c.alloc)
+        true
+        (measured <= 2. *. float_of_int c.alloc))
+    [ 2; 14 ]
+
+let test_partition_major_alloc () =
+  let n = oracle_n in
+  List.iter
+    (fun k ->
+      let measured =
+        words_of_bytes
+          (measure_alloc ~major:true (fun () -> S.partition (fun x -> x mod k = 0) (S.iota n)))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "partition 1/%d: major %.0f words <= 2n" k measured)
+        true
+        (measured <= 2. *. float_of_int n))
+    [ 2; 14 ]
+
+(* Flatten's spine keeps each inner's index function, not the inner
+   [Seq.t]: inners built on demand by a RAD map die young, so none is
+   reachable after a full major collection while the output lives. *)
+let test_flatten_spine_drops_inners () =
+  let n = 2_000 in
+  let weak = Weak.create n in
+  let outer =
+    S.map
+      (fun i ->
+        let inner = S.tabulate (i mod 4) (fun j -> i + j) in
+        Weak.set weak i (Some inner);
+        inner)
+      (S.iota n)
+  in
+  let out = S.flatten outer in
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check weak i then incr live
+  done;
+  Alcotest.(check int) "inner records reachable" 0 !live;
+  let expect = ref 0 in
+  for i = 0 to n - 1 do
+    for j = 0 to (i mod 4) - 1 do
+      expect := !expect + i + j
+    done
+  done;
+  Alcotest.(check int) "flatten sum" !expect (S.reduce ( + ) 0 out)
+
 let () =
   Alcotest.run "cost_model"
     [
@@ -232,5 +315,12 @@ let () =
         [
           Alcotest.test_case "map+reduce alloc" `Quick test_measured_alloc_reduce;
           Alcotest.test_case "scan pipeline alloc" `Quick test_measured_alloc_scan_pipeline;
+        ] );
+      ( "allocation oracle",
+        [
+          Alcotest.test_case "filter_op major <= 2x model" `Quick test_filter_op_major_alloc;
+          Alcotest.test_case "partition major <= 2n" `Quick test_partition_major_alloc;
+          Alcotest.test_case "flatten spine drops inners" `Quick
+            test_flatten_spine_drops_inners;
         ] );
     ]

@@ -235,6 +235,7 @@ let prop_search_invariance (a, bsize) =
 (* Filter over each input representation — RAD and memoised BID (the
    indexed bit-walk path) and a non-indexed BID (the re-drive path) —
    under Fixed 1/3/17 and Scaled block policies, against List.filter.
+   Also a non-commutative [reduce] over each input and its filter output.
    Also the early-exit searches over each input and its filter output,
    filter∘filter and the tokens shape: a zip of two filter outputs,
    which drives one region's fold and pulls the other's trickle, so
@@ -274,8 +275,16 @@ let prop_filter_inputs (a, k, r) =
               (* Same survivors, different values: x and x + 1. *)
               let shifted = S.filter (fun y -> p (y - 1)) (S.map succ (S.of_array a)) in
               let zipped = S.zip_with (fun x y -> (1000 * x) + y) (S.filter p (input ())) shifted in
+              (* Associative, non-commutative combines: block sums are
+                 seeded from each block's first element ([Stream.reduce1]
+                 on a BID) and [z] is combined exactly once, on the left. *)
+              let cat s = S.reduce ( @ ) [ -1 ] (S.map (fun x -> [ x ]) s) in
               S.to_list once = pl
               && S.reduce ( + ) 0 once = List.fold_left ( + ) 0 pl
+              && cat (input ()) = -1 :: l
+              && cat once = -1 :: pl
+              && S.reduce ( ^ ) "" (S.map string_of_int (input ()))
+                 = String.concat "" (List.map string_of_int l)
               && S.exists q (input ()) = List.exists q l
               && S.find_index q (input ()) = index_of l
               && S.exists q (S.filter p (input ())) = List.exists q pl

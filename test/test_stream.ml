@@ -371,19 +371,85 @@ let test_selected_region_trickle_alloc () =
     (Printf.sprintf "minor words per element %.2f < 1" per_elem)
     true (per_elem < 1.0)
 
+(* Buffer_ext against a list model of push/to_array, across the chunk
+   boundaries (the first chunk holds 8, chunks stop growing at 256).  A
+   float buffer must come back as a flat float array. *)
 let test_buffer () =
-  let b = Buffer_ext.create () in
-  Alcotest.(check int) "empty len" 0 (Buffer_ext.length b);
-  for i = 0 to 99 do
-    Buffer_ext.push b i
-  done;
-  Alcotest.(check int) "len" 100 (Buffer_ext.length b);
-  Alcotest.(check int) "get" 57 (Buffer_ext.get b 57);
-  Alcotest.(check int_array) "to_array" (Array.init 100 Fun.id) (Buffer_ext.to_array b);
-  Alcotest.check_raises "get out of range" (Invalid_argument "Buffer_ext.get")
-    (fun () -> ignore (Buffer_ext.get b 100));
-  Buffer_ext.clear b;
-  Alcotest.(check int) "cleared" 0 (Buffer_ext.length b)
+  let flat a = Obj.tag (Obj.repr a) = Obj.double_array_tag in
+  List.iter
+    (fun n ->
+      let tag = Printf.sprintf "n=%d" n in
+      let b = Buffer_ext.create () in
+      let f = Buffer_ext.create () in
+      let model = ref [] in
+      for i = 0 to n - 1 do
+        Buffer_ext.push b ((i * 7) - 3);
+        Buffer_ext.push f (float_of_int i +. 0.5);
+        model := i :: !model
+      done;
+      let model = List.rev !model in
+      Alcotest.(check int) (tag ^ " length") n (Buffer_ext.length b);
+      Alcotest.(check int) (tag ^ " float length") n (Buffer_ext.length f);
+      Alcotest.(check int_array) (tag ^ " ints")
+        (Array.of_list (List.map (fun i -> (i * 7) - 3) model))
+        (Buffer_ext.to_array b);
+      let fa = Buffer_ext.to_array f in
+      Alcotest.(check (array (float 0.)))
+        (tag ^ " floats")
+        (Array.of_list (List.map (fun i -> float_of_int i +. 0.5) model))
+        fa;
+      if n > 0 then Alcotest.(check bool) (tag ^ " flat floats") true (flat fa))
+    [ 0; 1; 8; 255; 256; 257; 513; 10_000 ]
+
+(* [reduce1] seeds its fold from the first element: with an associative,
+   non-commutative combine the result is the in-order concatenation on
+   every constructor's fold, including the regions and a zip of two
+   stateful streams (left fold driving, right trickle pulled). *)
+let test_reduce1_seeding () =
+  let cat s = Stream.reduce1 ( ^ ) (Stream.map string_of_int s) in
+  let digits l = String.concat "" (List.map string_of_int l) in
+  let check name l s = Alcotest.(check string) name (digits l) (cat s) in
+  let src = Stream.tabulate 12 (fun i -> i + 1) in
+  check "tabulate" (List.init 12 (fun i -> i + 1)) src;
+  check "of_array" [ 4; 0; 9 ] (Stream.of_array [| 4; 0; 9 |]);
+  check "scan" [ 0; 0; 1; 3; 6 ] (Stream.scan ( + ) 0 (Stream.tabulate 5 Fun.id));
+  check "scan_incl" [ 1; 3; 6; 10; 15 ]
+    (Stream.scan_incl ( + ) 0 (Stream.tabulate 5 (fun i -> i + 1)));
+  let segs = [| [| 1; 2 |]; [||]; [| 3 |]; [| 4; 5; 6 |] |] in
+  check "of_segments" [ 2; 3; 4; 5 ]
+    (Stream.of_segments ~length:4
+       ~seg_len:(fun j -> Array.length segs.(j))
+       ~elem:(fun j k -> segs.(j).(k))
+       ~start_seg:0 ~start_ofs:1);
+  let opt_blocks j =
+    Stream.tabulate 10 (fun k ->
+        let v = (10 * j) + k in
+        if v mod 3 = 0 then Some v else None)
+  in
+  check "selected_region" [ 6; 9; 12; 15 ]
+    (Stream.selected_region ~length:4 ~blocks:opt_blocks ~start_block:0 ~skip:2);
+  check "masked_region" [ 24; 27; 30 ]
+    (Stream.masked_region ~length:3
+       ~masks:(masks_of ~n:100 ~bsize:10 (fun i -> i mod 3 = 0))
+       ~block_size:10 ~get:Fun.id ~start_block:2 ~skip:1);
+  check "stateful zip_with" [ 10; 13; 18; 25 ]
+    (Stream.zip_with ( + )
+       (Stream.scan_incl ( + ) 0 (Stream.tabulate 4 (fun i -> i + 1)))
+       (Stream.scan ( + ) 9 (Stream.tabulate 4 (fun i -> i + 1))));
+  Alcotest.(check (list int)) "list concatenation" [ 5; 6; 7 ]
+    (Stream.reduce1 ( @ ) (Stream.tabulate 3 (fun i -> [ i + 5 ])));
+  Alcotest.(check (float 0.)) "floats" (-0.125)
+    (Stream.reduce1 (fun a b -> (a *. 0.5) +. b)
+       (Stream.of_array [| 1.0; -0.5; 0.0; -0.125 |]));
+  Alcotest.(check (float 0.)) "one float" 2.5
+    (Stream.reduce1 ( -. ) (Stream.of_array [| 2.5 |]));
+  (* Every element one physical value: only the seed may be replaced. *)
+  let x = "ab" in
+  Alcotest.(check string) "one physical value" "abababab"
+    (Stream.reduce1 ( ^ ) (Stream.tabulate 4 (fun _ -> x)));
+  let l = [ 1 ] in
+  Alcotest.(check (list int)) "one physical list" [ 1; 1; 1 ]
+    (Stream.reduce1 ( @ ) (Stream.tabulate 3 (fun _ -> l)))
 
 (* QCheck: stream pipeline equals list pipeline. *)
 let qcheck_tests =
@@ -610,6 +676,7 @@ let () =
             test_selected_region_trickle_alloc;
           Alcotest.test_case "region poll cadence" `Quick test_region_poll_cadence;
           Alcotest.test_case "buffer_ext" `Quick test_buffer;
+          Alcotest.test_case "reduce1 seeding" `Quick test_reduce1_seeding;
         ] );
       ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests);
       ( "push/pull",
