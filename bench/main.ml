@@ -675,34 +675,56 @@ let sweeps cfg =
 (* ------------------------------------------------------------------ *)
 (* Stream execution: fused push fold vs trickle pull (--only
    stream-overhead).  One 3-stage combinator chain
-   (tabulate |> map |> scan_incl), consumed two ways over the same
-   stream value: "pull" drives the resumable trickle function exactly
-   the way every linear consumer did before the push path existed (one
-   indirect call + cursor bump per stage per element), "push" drives
-   [Stream.reduce], i.e. the fused fold.  Sequential by construction —
-   this is the *within-block* loop the Seq layer runs on every block —
-   so the ratio is the per-element dispatch overhead the fold
-   eliminates. *)
+   (tabulate |> map |> scan_incl), consumed two ways: "pull" drives the
+   paper's resumable trickle encoding of the chain (one indirect call +
+   cursor bump per stage per element), "push" drives [Stream.reduce],
+   i.e. the fused fold.  Sequential by construction — this is the
+   *within-block* loop the Seq layer runs on every block — so the ratio
+   is the per-element dispatch overhead the fold eliminates.
+
+   The library no longer builds trickles, so the pull side is this
+   fixed yardstick: closure for closure the trickles [Stream] carried
+   before its fold became the only execution path.  [map] over an
+   indexed source composed into the source's index function, so the
+   chain is two trickle stages. *)
+module Trickle = struct
+  let[@inline never] tabulate f () =
+    let i = ref 0 in
+    fun () ->
+      let v = f !i in
+      incr i;
+      v
+
+  (* A closure of its own, as [Stream.map] built it, not a partial
+     application. *)
+  let[@inline never] map_indexed g f = Sys.opaque_identity (fun i -> g (f i))
+
+  let[@inline never] scan_incl f z start () =
+    let next = start () in
+    let acc = ref z in
+    fun () ->
+      acc := f !acc (next ());
+      !acc
+end
 
 let stream_overhead cfg =
   let m = scaled cfg 2_000_000 in
   Printf.eprintf "  stream-overhead (n=%d)...\n%!" m;
-  let mk () =
-    Bds_stream.Stream.(
-      scan_incl ( + ) 0
-        (map (fun x -> (x * 2) + 1) (tabulate m (fun i -> i land 1023))))
-  in
+  let g x = (x * 2) + 1 and f i = i land 1023 in
+  let mk () = Bds_stream.Stream.(scan_incl ( + ) 0 (map g (tabulate m f))) in
   (* Exactly the pre-push consumer loop: the step function arrives as a
      closure (as it does in [reduce f z s]), not inlined into the loop. *)
-  let pull_reduce f z s =
-    let next = Bds_stream.Stream.start s in
+  let pull_reduce f z start =
+    let next = start () in
     let acc = ref z in
-    for _ = 1 to Bds_stream.Stream.length s do
+    for _ = 1 to m do
       acc := f !acc (next ())
     done;
     !acc
   in
-  let pull () = pull_reduce ( + ) 0 (mk ()) in
+  let pull () =
+    pull_reduce ( + ) 0 Trickle.(scan_incl ( + ) 0 (tabulate (map_indexed g f)))
+  in
   let push () = Bds_stream.Stream.reduce ( + ) 0 (mk ()) in
   assert (pull () = push ());
   Measure.with_domains cfg.procs (fun () ->

@@ -111,28 +111,28 @@ let memo_blocks b a j =
   Stream.of_array_slice a lo (Int.min b.b_size (b.b_len - lo))
 
 (* toArray over a block function (the paper's [applySeq (zip (I, S))]
-   with the index fused in).  Block 0's first element doubles as the
-   allocation witness; its partially-consumed trickle function is
-   resumed inside the parallel apply, so every element is evaluated
-   exactly once (as the cost semantics of [force] requires). *)
+   with the index fused in).  Block 0 is folded first, the way
+   [Stream.to_array] folds: its first pushed element is the witness for
+   [Array.make] (so floats get a flat array), and the fold fills the
+   rest of the block.  Blocks [1 .. nb-1] then run in the parallel
+   apply.  Every element is evaluated exactly once, as the cost
+   semantics of [force] requires. *)
 let array_of_bid b blocks =
   if b.b_len = 0 then [||]
   else begin
-    let nb = num_blocks_of b in
-    let next0 = Stream.start (blocks 0) in
-    let first = next0 () in
-    let out = Array.make b.b_len first in
-    Runtime.apply_blocks ~bounds:(block_bounds b) ~nb (fun j ->
-        if j = 0 then begin
-          let len0 = Int.min b.b_size b.b_len in
-          for k = 1 to len0 - 1 do
-            Array.unsafe_set out k (next0 ())
-          done
-        end
-        else begin
-          let lo, _ = block_bounds b j in
-          Stream.iteri (fun k v -> Array.unsafe_set out (lo + k) v) (blocks j)
-        end);
+    let out = ref [||] in
+    Stream.iteri
+      (fun k v ->
+        if k = 0 then out := Array.make b.b_len v;
+        Array.unsafe_set !out k v)
+      (blocks 0);
+    let out = !out in
+    Runtime.apply_blocks
+      ~bounds:(fun j -> block_bounds b (j + 1))
+      ~nb:(num_blocks_of b - 1)
+      (fun j ->
+        let lo, _ = block_bounds b (j + 1) in
+        Stream.iteri (fun k v -> Array.unsafe_set out (lo + k) v) (blocks (j + 1)));
     out
   end
 

@@ -10,7 +10,7 @@
     Kinds (parameters in brackets, with defaults):
     - [sum  [n=100000]] — [reduce (+) (map ( *7 mod) (iota n))]
     - [scan [n=100000]] — [scan_incl] then [reduce]
-    - [filter [n=100000]] — [filter even] then [reduce] (trickle path)
+    - [filter [n=100000]] — [filter even] then [reduce] (masked-region path)
     - [busy [ms=50]] — cancellation-polled busy loop of [ms]
       milliseconds (deadline / cancel fodder)
     - [fail [k=1] [n=1000]] — raises {!Job.Transient} on the first [k]

@@ -1,26 +1,21 @@
 (* Sequential delayed streams — the paper's ML encoding (§4.4), executed
    by one push driver:
 
-   - [fold] is the fused *push* driver, and every linear consumer runs
-     through it: the stream owns the element loop and pushes each
-     element into a consumer-supplied step function.  Sources
-     ([tabulate], [of_array_slice]) run a direct [for] loop (with
-     [unsafe_get] on arrays); stateless stages compose into the source's
-     index function at construction time (see [ixfn]), scans over such
-     sources run their own native loop, and the remaining combinators
-     wrap the upstream fold once at drive time — so a whole
+   - [fold] is the fused *push* driver, and every consumer runs through
+     it: the stream owns the element loop and pushes each element into
+     a consumer-supplied step function.  Sources ([tabulate],
+     [of_array_slice]) run a direct [for] loop (with [unsafe_get] on
+     arrays); stateless stages compose into the source's index function
+     at construction time (see [view]), scans over such sources run
+     their own native loop, and the remaining combinators wrap the
+     upstream fold once at drive time — so a whole
      [map |> scan |> reduce] pipeline runs as a single loop per block
-     instead of re-entering a chain of trickle closures (one indirect
-     call + cursor bump per stage) for every element.  Early exits stop
-     a fold by raising a per-invocation [let exception] from the step
-     function ([selected_region] below, [Seq.exists]).
-   - [start] is the paper's resumable "trickle" function
-     (`unit -> unit -> 'a`): applying the first [unit] allocates the
-     mutable cursor state and returns a stateful function producing one
-     element per call.  It is kept only for the pulls that need lockstep
-     or resumption: the non-indexed right side of [zip_with], [equal],
-     and [Seq.array_of_bid]'s block-0 allocation witness.  Since any
-     stream can reach one of them, every constructor still builds one.
+     instead of re-entering a chain of per-stage closures for every
+     element.  Early exits stop a fold by raising a per-invocation [let
+     exception] from the step function ([selected_region], [equal]).
+   - There is no pull: the paper's resumable "trickle"
+     (`unit -> unit -> 'a`) is not built.  The lockstep a zip needs
+     comes from each side's [view] (see [zip_with]).
 
    Constructors ([tabulate], [map], [zip], [scan], ...) cost O(1): they
    compose closures without touching elements.  Only the linear
@@ -38,23 +33,36 @@ module Cancel = Bds_runtime.Cancel
 module Telemetry = Bds_runtime.Telemetry
 module Profile = Bds_runtime.Profile
 
+(* What a zip may use besides the fold: how the elements can be reached
+   without running the stream.
+
+   - [Indexed f]: the stream is semantically [tabulate length f] with
+     [f] pure per position (sources, and stateless combinator chains
+     over them).  Lets [map]/[mapi]/[zip_with] fuse by *composing
+     element functions at construction time* instead of stacking a fold
+     wrapper per stage: without cross-module inlining (no flambda), each
+     wrapper level costs one extra 2-argument closure call per element,
+     which is exactly the dispatch this representation exists to avoid.
+   - [Masked]: the stream is a [masked_region] with these arguments, so
+     a zip of two of them can walk both survivor masks in one loop.
+   - [Opaque]: only the fold (stateful stages, the other regions). *)
+type 'a view = Indexed of (int -> 'a) | Masked of 'a masked | Opaque
+
+and 'a masked = {
+  masks : Bytes.t array;
+  block_size : int;
+  get : int -> 'a;
+  start_block : int;
+  skip : int;
+}
+
 type 'a t = {
   length : int;
-  start : unit -> unit -> 'a;
   fold : 'acc. stop:int -> ('acc -> 'a -> 'acc) -> 'acc -> 'acc;
       (** Push [min stop length] elements, left to right, through the
           step function.  Consumers always pass [~stop:length]; [take]
           relies on every fold honouring a smaller [stop]. *)
-  ixfn : (int -> 'a) option;
-      (** [Some f] when the stream is semantically [tabulate length f]
-          with [f] pure per position (sources, and stateless combinator
-          chains over them).  Lets [map]/[mapi]/[zip_with] fuse by
-          *composing element functions at construction time* instead of
-          stacking a fold wrapper per stage: without cross-module
-          inlining (no flambda), each wrapper level costs one extra
-          2-argument closure call per element, which is exactly the
-          dispatch this representation exists to avoid.  Stateful stages
-          ([scan], [scan_incl]) and the region views carry [None]. *)
+  view : 'a view;
 }
 
 (* Elements between cancellation polls in a push loop.  Matches the
@@ -62,8 +70,6 @@ type 'a t = {
 let poll_chunk = 64
 
 let length s = s.length
-
-let start s = s.start ()
 
 let fold s ~stop f z = s.fold ~stop f z
 
@@ -73,14 +79,7 @@ let fold s ~stop f z = s.fold ~stop f z
 let tabulate n f =
   {
     length = n;
-    ixfn = Some f;
-    start =
-      (fun () ->
-        let i = ref 0 in
-        fun () ->
-          let v = f !i in
-          incr i;
-          v);
+    view = Indexed f;
     fold =
       (fun ~stop g z ->
         let acc = ref z in
@@ -101,14 +100,7 @@ let of_array_slice a off len =
     invalid_arg "Stream.of_array_slice";
   {
     length = len;
-    ixfn = Some (fun k -> Array.unsafe_get a (off + k));
-    start =
-      (fun () ->
-        let i = ref off in
-        fun () ->
-          let v = Array.unsafe_get a !i in
-          incr i;
-          v);
+    view = Indexed (fun k -> Array.unsafe_get a (off + k));
     fold =
       (fun ~stop g z ->
         let acc = ref z in
@@ -128,36 +120,24 @@ let of_array a = of_array_slice a 0 (Array.length a)
 
 (* Stateless stages over a pure index function fuse at construction
    time: [map g (tabulate f)] *is* [tabulate (g . f)], so the whole
-   stage chain collapses into the source's native loop (and into a
-   single-stage trickle) instead of adding a dispatch level. *)
+   stage chain collapses into the source's native loop instead of
+   adding a dispatch level. *)
 let map g s =
-  match s.ixfn with
-  | Some f -> tabulate s.length (fun i -> g (f i))
-  | None ->
+  match s.view with
+  | Indexed f -> tabulate s.length (fun i -> g (f i))
+  | Masked _ | Opaque ->
     {
       length = s.length;
-      start =
-        (fun () ->
-          let next = s.start () in
-          fun () -> g (next ()));
       fold = (fun ~stop h z -> s.fold ~stop (fun acc v -> h acc (g v)) z);
-      ixfn = None;
+      view = Opaque;
     }
 
 let mapi g s =
-  match s.ixfn with
-  | Some f -> tabulate s.length (fun i -> g i (f i))
-  | None ->
+  match s.view with
+  | Indexed f -> tabulate s.length (fun i -> g i (f i))
+  | Masked _ | Opaque ->
   {
     length = s.length;
-    start =
-      (fun () ->
-        let next = s.start () in
-        let i = ref 0 in
-        fun () ->
-          let v = g !i (next ()) in
-          incr i;
-          v);
     fold =
       (fun ~stop h z ->
         let i = ref 0 in
@@ -167,89 +147,20 @@ let mapi g s =
             i := k + 1;
             h acc (g k v))
           z);
-    ixfn = None;
+    view = Opaque;
   }
-
-(* Zipping in push mode: a push driver owns its element loop, so only one
-   side can push.  When exactly one side carries a pure index function,
-   the *other* side's fold drives and the indexed side is read by a
-   lockstep counter — no trickle is pulled at all.  Otherwise the left
-   fold drives and the right trickle is pulled inside the same loop:
-   one of the three pulls [start] is kept for.  Still one loop per
-   block.  In [zip_indexed_side], [combine d k] pairs
-   the driver's element [d] at position [k] with the indexed side's
-   element [k]. *)
-let zip_indexed_side (driver : 'd t) (combine : 'd -> int -> 'c) =
-  {
-    length = driver.length;
-    start =
-      (fun () ->
-        let next = driver.start () in
-        let i = ref 0 in
-        fun () ->
-          let v = combine (next ()) !i in
-          incr i;
-          v);
-    fold =
-      (fun ~stop h z ->
-        let i = ref 0 in
-        driver.fold ~stop
-          (fun acc d ->
-            let k = !i in
-            i := k + 1;
-            h acc (combine d k))
-          z);
-    ixfn = None;
-  }
-
-let zip_with f s1 s2 =
-  if s1.length <> s2.length then invalid_arg "Stream.zip_with: length mismatch";
-  match (s1.ixfn, s2.ixfn) with
-  | Some f1, Some f2 -> tabulate s1.length (fun i -> f (f1 i) (f2 i))
-  | None, Some f2 -> zip_indexed_side s1 (fun a k -> f a (f2 k))
-  | Some f1, None -> zip_indexed_side s2 (fun b k -> f (f1 k) b)
-  | None, None ->
-  {
-    length = s1.length;
-    start =
-      (fun () ->
-        let n1 = s1.start () in
-        let n2 = s2.start () in
-        fun () ->
-          let a = n1 () in
-          let b = n2 () in
-          f a b);
-    fold =
-      (fun ~stop h z ->
-        let n2 = s2.start () in
-        s1.fold ~stop (fun acc a -> h acc (f a (n2 ()))) z);
-    ixfn = None;
-  }
-
-let zip s1 s2 =
-  if s1.length <> s2.length then invalid_arg "Stream.zip: length mismatch";
-  zip_with (fun a b -> (a, b)) s1 s2
 
 (* Exclusive running fold: element [i] of the output is
    [f (... (f z x0) ...) x(i-1)]; the input is consumed one element per
    output element, so block lengths are preserved. *)
 let scan f z s =
-  let start () =
-    let next = s.start () in
-    let acc = ref z in
-    fun () ->
-      let v = !acc in
-      acc := f !acc (next ());
-      v
-  in
-  match s.ixfn with
-  | Some fi ->
+  match s.view with
+  | Indexed fi ->
     (* Native loop over the pure index function: the running state and
        the consumer accumulator advance in the same chunked [for] body,
        with no per-element wrapper call in between. *)
     {
       length = s.length;
-      start;
       fold =
         (fun ~stop h z0 ->
           let st = ref z in
@@ -266,12 +177,11 @@ let scan f z s =
             i := hi
           done;
           !acc);
-      ixfn = None;
+      view = Opaque;
     }
-  | None ->
+  | Masked _ | Opaque ->
     {
       length = s.length;
-      start;
       fold =
         (fun ~stop h z0 ->
           let st = ref z in
@@ -281,23 +191,15 @@ let scan f z s =
               st := f cur v;
               h acc cur)
             z0);
-      ixfn = None;
+      view = Opaque;
     }
 
 (* Inclusive variant: element [i] is [f (... (f z x0) ...) xi]. *)
 let scan_incl f z s =
-  let start () =
-    let next = s.start () in
-    let acc = ref z in
-    fun () ->
-      acc := f !acc (next ());
-      !acc
-  in
-  match s.ixfn with
-  | Some fi ->
+  match s.view with
+  | Indexed fi ->
     {
       length = s.length;
-      start;
       fold =
         (fun ~stop h z0 ->
           let st = ref z in
@@ -314,12 +216,11 @@ let scan_incl f z s =
             i := hi
           done;
           !acc);
-      ixfn = None;
+      view = Opaque;
     }
-  | None ->
+  | Masked _ | Opaque ->
     {
       length = s.length;
-      start;
       fold =
         (fun ~stop h z0 ->
           let st = ref z in
@@ -329,7 +230,7 @@ let scan_incl f z s =
               st := nxt;
               h acc nxt)
             z0);
-      ixfn = None;
+      view = Opaque;
     }
 
 (* [take n s]: the first [min n (length s)] elements; O(1).  The copied
@@ -344,27 +245,14 @@ let take n s =
    over segments and a native chunked inner loop per segment — the
    nested-push shape of "Fast Collection Operations from Indexed Stream
    Fusion" — with no per-element cursor tracking the current segment.
-   [seg_len]/[elem] must be
-   pure per position; the caller guarantees at least [length] elements
-   exist from ([start_seg], [start_ofs]) onward. *)
+   [seg_len]/[elem] must be pure per position; the caller guarantees at
+   least [length] elements exist from ([start_seg], [start_ofs]) on. *)
 let of_segments ~length ~seg_len ~elem ~start_seg ~start_ofs =
   if length < 0 || start_seg < 0 || start_ofs < 0 then
     invalid_arg "Stream.of_segments";
   {
     length;
-    ixfn = None;
-    start =
-      (fun () ->
-        let seg = ref start_seg in
-        let ofs = ref start_ofs in
-        fun () ->
-          while !ofs >= seg_len !seg do
-            incr seg;
-            ofs := 0
-          done;
-          let v = elem !seg !ofs in
-          incr ofs;
-          v);
+    view = Opaque;
     fold =
       (fun ~stop g z ->
         let acc = ref z in
@@ -415,45 +303,14 @@ let of_segments ~length ~seg_len ~elem ~start_seg ~start_ofs =
    element emits nothing — the "skip" arm of the push protocol — a
    [Some] emits its payload, with the first [skip] survivors dropped so
    a region can start mid-block.  The cancellation cadence is the input
-   loop's own 64-element poll.  The caller
-   guarantees [skip + length] survivors exist from [start_block]
-   onward. *)
+   loop's own 64-element poll.  The caller guarantees [skip + length]
+   survivors exist from [start_block] onward. *)
 let selected_region ~length ~(blocks : int -> 'b option t) ~start_block ~skip =
   if length < 0 || start_block < 0 || skip < 0 then
     invalid_arg "Stream.selected_region";
   {
     length;
-    ixfn = None;
-    start =
-      (fun () ->
-        let blk = ref start_block in
-        let remaining = ref 0 in
-        let next = ref (fun () -> assert false) in
-        let to_skip = ref skip in
-        (* Built once per [start], not once per pulled element (as
-           [of_segments] does): the trickle itself is [go]. *)
-        let rec go () =
-          if !remaining = 0 then begin
-            let s = blocks !blk in
-            incr blk;
-            remaining := s.length;
-            next := s.start ();
-            go ()
-          end
-          else begin
-            let v = !next () in
-            decr remaining;
-            match v with
-            | None -> go ()
-            | Some w ->
-              if !to_skip > 0 then begin
-                decr to_skip;
-                go ()
-              end
-              else w
-          end
-        in
-        go);
+    view = Opaque;
     fold =
       (fun ~stop g z ->
         if stop <= 0 then z
@@ -508,6 +365,8 @@ let lowest_bit_table =
       done;
       Char.chr !k)
 
+let[@inline] lowest_bit b = Char.code (String.unsafe_get lowest_bit_table b)
+
 let popcount_table =
   String.init 256 (fun b ->
       let c = ref 0 in
@@ -558,29 +417,7 @@ let masked_region ~length ~masks ~block_size ~(get : int -> 'a) ~start_block ~sk
     invalid_arg "Stream.masked_region";
   {
     length;
-    ixfn = None;
-    start =
-      (fun () ->
-        if length = 0 then (fun () -> invalid_arg "Stream.masked_region: exhausted")
-        else begin
-          let b0, i0, bits0 = mask_seek masks start_block skip in
-          let blk = ref b0 and m = ref masks.(b0) and bi = ref i0 and bits = ref bits0 in
-          fun () ->
-            while !bits = 0 do
-              incr bi;
-              if !bi >= Bytes.length !m then begin
-                incr blk;
-                m := masks.(!blk);
-                bi := 0
-              end;
-              bits := mask_byte !m !bi
-            done;
-            let b = !bits in
-            bits := b land (b - 1);
-            get
-              ((!blk * block_size) + (!bi lsl 3)
-              + Char.code (String.unsafe_get lowest_bit_table b))
-        end);
+    view = Masked { masks; block_size; get; start_block; skip };
     fold =
       (fun ~stop g z ->
         let stop = Int.min stop length in
@@ -603,17 +440,129 @@ let masked_region ~length ~masks ~block_size ~(get : int -> 'a) ~start_block ~sk
             end
             else begin
               bits := b land (b - 1);
-              acc :=
-                g !acc
-                  (get
-                     ((!blk * block_size) + (!bi lsl 3)
-                     + Char.code (String.unsafe_get lowest_bit_table b)));
+              acc := g !acc (get ((!blk * block_size) + (!bi lsl 3) + lowest_bit b));
               decr left
             end
           done;
           !acc
         end);
   }
+
+(* Zipping in push mode: a push driver owns its element loop, so only one
+   side can push; the other is reached through its [view].
+
+   - Two indexed sides compose into one index function.
+   - With exactly one indexed side, the *other* side's fold drives and
+     the indexed side is read by a lockstep counter, in either argument
+     order ([zip_indexed_side]: [combine d k] pairs the driver's element
+     [d] at position [k] with the indexed side's element [k]).
+   - Two masked regions (a zip of two filter outputs) are walked by one
+     loop over both survivor masks ([zip_masked]): the co-iteration of
+     indexed stream fusion, with no per-element closure call besides
+     the two [get]s, and [masked_region]'s poll cadence on each side.
+   - Any other pair packs the right side's first [stop] elements into an
+     exact-size array, which then serves as the indexed side: the
+     paper's force option, on a cold path that no kernel reaches.
+
+   Each side's elements are evaluated exactly once, left to right. *)
+let zip_indexed_side (driver : 'd t) (combine : 'd -> int -> 'c) =
+  {
+    length = driver.length;
+    fold =
+      (fun ~stop h z ->
+        let i = ref 0 in
+        driver.fold ~stop
+          (fun acc d ->
+            let k = !i in
+            i := k + 1;
+            h acc (combine d k))
+          z);
+    view = Opaque;
+  }
+
+let zip_masked f length (r1 : 'a masked) (r2 : 'b masked) =
+  let masks1 = r1.masks and bs1 = r1.block_size and get1 = r1.get in
+  let masks2 = r2.masks and bs2 = r2.block_size and get2 = r2.get in
+  {
+    length;
+    view = Opaque;
+    fold =
+      (fun ~stop h z ->
+        let stop = Int.min stop length in
+        if stop <= 0 then z
+        else begin
+          let b1, i1, x1 = mask_seek masks1 r1.start_block r1.skip in
+          let b2, i2, x2 = mask_seek masks2 r2.start_block r2.skip in
+          let acc = ref z in
+          let blk1 = ref b1 and m1 = ref masks1.(b1) and bi1 = ref i1 and bits1 = ref x1 in
+          let blk2 = ref b2 and m2 = ref masks2.(b2) and bi2 = ref i2 and bits2 = ref x2 in
+          for _ = 1 to stop do
+            while !bits1 = 0 do
+              incr bi1;
+              if !bi1 >= Bytes.length !m1 then begin
+                incr blk1;
+                m1 := masks1.(!blk1);
+                bi1 := 0
+              end;
+              if !bi1 land 7 = 0 then Cancel.poll ();
+              bits1 := mask_byte !m1 !bi1
+            done;
+            while !bits2 = 0 do
+              incr bi2;
+              if !bi2 >= Bytes.length !m2 then begin
+                incr blk2;
+                m2 := masks2.(!blk2);
+                bi2 := 0
+              end;
+              if !bi2 land 7 = 0 then Cancel.poll ();
+              bits2 := mask_byte !m2 !bi2
+            done;
+            let x1 = !bits1 and x2 = !bits2 in
+            bits1 := x1 land (x1 - 1);
+            bits2 := x2 land (x2 - 1);
+            let a = get1 ((!blk1 * bs1) + (!bi1 lsl 3) + lowest_bit x1) in
+            let b = get2 ((!blk2 * bs2) + (!bi2 lsl 3) + lowest_bit x2) in
+            acc := h !acc (f a b)
+          done;
+          !acc
+        end);
+  }
+
+(* The first [n] elements of [s] in an array of exactly [n]: the first
+   pushed element is the witness for [Array.make], so a float stream
+   fills a flat float array. *)
+let prefix_array s n =
+  let out = ref [||] in
+  let _ : int =
+    s.fold ~stop:n
+      (fun i v ->
+        if i = 0 then out := Array.make n v;
+        Array.unsafe_set !out i v;
+        i + 1)
+      0
+  in
+  !out
+
+let zip_with f s1 s2 =
+  if s1.length <> s2.length then invalid_arg "Stream.zip_with: length mismatch";
+  match (s1.view, s2.view) with
+  | Indexed f1, Indexed f2 -> tabulate s1.length (fun i -> f (f1 i) (f2 i))
+  | _, Indexed f2 -> zip_indexed_side s1 (fun a k -> f a (f2 k))
+  | Indexed f1, _ -> zip_indexed_side s2 (fun b k -> f (f1 k) b)
+  | Masked r1, Masked r2 -> zip_masked f s1.length r1 r2
+  | (Masked _ | Opaque), (Masked _ | Opaque) ->
+    {
+      length = s1.length;
+      view = Opaque;
+      fold =
+        (fun ~stop h z ->
+          let right = prefix_array s2 (Int.min stop s1.length) in
+          (zip_indexed_side s1 (fun a k -> f a (Array.unsafe_get right k))).fold ~stop h z);
+    }
+
+let zip s1 s2 =
+  if s1.length <> s2.length then invalid_arg "Stream.zip: length mismatch";
+  zip_with (fun a b -> (a, b)) s1 s2
 
 (* ------------------------------------------------------------------ *)
 (* Linear consumers — all push-driven                                  *)
@@ -642,8 +591,8 @@ let reduce f z s =
    [bds_probe stats]. *)
 let sum_floats (s : float t) =
   Telemetry.incr_fused_folds ();
-  match s.ixfn with
-  | Some f ->
+  match s.view with
+  | Indexed f ->
     Telemetry.incr_float_fast_path ();
     profiled (fun () ->
         let stop = s.length in
@@ -662,7 +611,7 @@ let sum_floats (s : float t) =
           i := hi
         done;
         !s0 +. !s1)
-  | None ->
+  | Masked _ | Opaque ->
     Telemetry.incr_float_boxed_fallback ();
     profiled (fun () -> s.fold ~stop:s.length ( +. ) 0.0)
 
@@ -674,8 +623,8 @@ let sum_floats (s : float t) =
    dependency chain is a single-cycle add). *)
 let sum_ints (s : int t) =
   Telemetry.incr_fused_folds ();
-  match s.ixfn with
-  | Some f ->
+  match s.view with
+  | Indexed f ->
     profiled (fun () ->
         let stop = s.length in
         let acc = ref 0 in
@@ -691,7 +640,7 @@ let sum_ints (s : int t) =
           i := hi
         done;
         !acc)
-  | None -> profiled (fun () -> s.fold ~stop:s.length ( + ) 0)
+  | Masked _ | Opaque -> profiled (fun () -> s.fold ~stop:s.length ( + ) 0)
 
 (* Fold of a non-empty stream seeded from its first element; lets parallel
    callers combine a seed exactly once across blocks.  The fold starts
@@ -740,18 +689,7 @@ let to_array s =
   if s.length = 0 then [||]
   else begin
     Telemetry.incr_fused_folds ();
-    profiled (fun () ->
-        let out = ref [||] in
-        let n = s.length in
-        let _ : int =
-          s.fold ~stop:n
-            (fun i v ->
-              if i = 0 then out := Array.make n v;
-              Array.unsafe_set !out i v;
-              i + 1)
-            0
-        in
-        !out)
+    profiled (fun () -> prefix_array s s.length)
   end
 
 let to_list s =
@@ -762,12 +700,12 @@ let to_list s =
   profiled (fun () ->
       List.rev (s.fold ~stop:s.length (fun acc v -> v :: acc) []))
 
+(* Lockstep comparison is a zip: fold [zip_with eq] and stop at the first
+   mismatch by raising a per-invocation exception. *)
 let equal eq s1 s2 =
   s1.length = s2.length
   &&
-  (* Trickle path on purpose: equality wants lockstep consumption of two
-     streams with the possibility of stopping at the first mismatch. *)
-  let n1 = s1.start () in
-  let n2 = s2.start () in
-  let rec go i = i >= s1.length || (eq (n1 ()) (n2 ()) && go (i + 1)) in
-  go 0
+  let exception Mismatch in
+  match reduce (fun () same -> if not same then raise_notrace Mismatch) () (zip_with eq s1 s2) with
+  | () -> true
+  | exception Mismatch -> false

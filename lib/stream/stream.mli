@@ -6,25 +6,17 @@
     {!pack_to_array}, ...) drives the stream.  Streams are the per-block
     representation inside BID sequences.
 
-    A stream is executed by its fused {e push} driver {!fold}: the
+    A stream is executed only by its fused {e push} driver {!fold}: the
     stream owns the element loop and a whole combinator pipeline runs as
-    one loop per block.  All linear consumers below drive this path,
-    and early exits stop it by raising from the step function.  The
-    paper's resumable {e trickle} function ({!start}) is kept only for
-    the pulls that need lockstep or resumption (see docs/STREAMS.md). *)
+    one loop per block.  All consumers below drive this path, and early
+    exits stop it by raising from the step function.  There is no pull:
+    the paper's resumable {e trickle} function is not built, and the
+    lockstep a {!zip_with} needs comes from how each side can be reached
+    without running it (see docs/STREAMS.md). *)
 
 type 'a t
 
 val length : 'a t -> int
-
-(** Start iteration: returns the stateful "trickle" function producing
-    successive elements. Calling it more than [length] times is undefined.
-    Its callers are the pulls a push fold cannot express: {!zip_with}'s
-    right side when neither side is indexed, {!equal}, and
-    [Seq.array_of_bid]'s block-0 allocation witness (which pulls one
-    element, then resumes the same trickle).  Everything else drives
-    {!fold}; [test/lint] rejects a new [Stream.start] elsewhere. *)
-val start : 'a t -> unit -> 'a
 
 (** [fold s ~stop f z] pushes the first [min stop (length s)] elements
     through [f], left to right.  This is the fused execution path:
@@ -52,9 +44,12 @@ val zip : 'a t -> 'b t -> ('a * 'b) t
 (** Element-wise combination.  Two indexed sides compose into one index
     function.  When exactly one side is indexed (a source or a stateless
     chain over one), the other side's fold drives and the indexed side
-    is read by a lockstep counter, in either argument order.  Otherwise
-    the left fold drives and the right side is pulled through its
-    trickle. *)
+    is read by a lockstep counter, in either argument order.  Two
+    {!masked_region}s are walked by one loop over both survivor masks.
+    Any other pair packs the right side's first [stop] elements into an
+    exact-size array before the left fold drives.  Each side's elements
+    are evaluated exactly once and left to right; the interleaving
+    across sides is unspecified. *)
 val zip_with : ('a -> 'b -> 'c) -> 'a t -> 'b t -> 'c t
 
 (** Exclusive running fold: output element [i] combines [z] with inputs
@@ -119,10 +114,11 @@ val mask_mem : Bytes.t -> int -> bool
     [skip] survivors and stopping after [length].  Unlike
     {!selected_region} it never touches a dropped element: whole zero
     bytes are skipped per step, [get] runs exactly once per emitted
-    element, and nothing is allocated per element.  Both {!start} and
-    {!fold} are native; the fold polls cancellation once per 64 input
-    positions.  The caller guarantees [skip + length] survivors exist
-    from [start_block] onward and that [get] is pure; O(1). *)
+    element, and nothing is allocated per element.  The fold polls
+    cancellation once per 64 input positions, and a {!zip_with} of two
+    masked regions walks both masks in one loop.  The caller guarantees
+    [skip + length] survivors exist from [start_block] onward and that
+    [get] is pure; O(1). *)
 val masked_region :
   length:int ->
   masks:Bytes.t array ->
@@ -181,6 +177,8 @@ val pack_op_to_array : ('a -> 'b option) -> 'a t -> 'b array
 val to_array : 'a t -> 'a array
 val to_list : 'a t -> 'a list
 
-(** Element-wise equality: pulls both trickles in lockstep and stops at
-    the first mismatch. *)
+(** Element-wise equality: a fold over [zip_with eq] that stops at the
+    first mismatch, so no element past it is evaluated unless
+    {!zip_with} packs the right side (neither side indexed nor both
+    masked).  Streams of different lengths are unequal. *)
 val equal : ('a -> 'a -> bool) -> 'a t -> 'a t -> bool

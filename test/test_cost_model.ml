@@ -264,6 +264,67 @@ let test_partition_major_alloc () =
         (measured <= 2. *. float_of_int n))
     [ 2; 14 ]
 
+(* A zip of two filter outputs walks both survivor masks in one loop:
+   reducing it puts no more in the major heap than reducing the two
+   filters separately, plus O(n/B) words of block bookkeeping.  Packing
+   either side of each block into an array would add its survivors. *)
+let test_zip_of_filters_major_alloc () =
+  let n = oracle_n in
+  let block_size = measure_block_size n in
+  let evens () = S.filter (fun x -> x land 1 = 0) (S.iota n) in
+  let odds () = S.filter (fun x -> x land 1 = 1) (S.iota n) in
+  let zipped () = S.reduce ( + ) 0 (S.zip_with ( - ) (odds ()) (evens ())) in
+  let separate () = S.reduce ( + ) 0 (evens ()) + S.reduce ( + ) 0 (odds ()) in
+  Alcotest.(check int) "every odd minus its even" (n / 2) (zipped ());
+  let measured = words_of_bytes (measure_alloc ~major:true zipped) in
+  let budget = words_of_bytes (measure_alloc ~major:true separate) in
+  let slack = 8 * (n / block_size) in
+  Alcotest.(check bool)
+    (Printf.sprintf "zip major %.0f words <= filters %.0f + %d" measured budget slack)
+    true
+    (measured <= budget +. float_of_int slack)
+
+(* Forcing a BID folds block 0 first, using its first element as the
+   [Array.make] witness, then fills the other blocks in parallel: every
+   element is evaluated exactly once, and a float BID forces to a flat
+   float array. *)
+let test_to_array_witness () =
+  let n = 1_000 in
+  Fun.protect
+    ~finally:(fun () -> Bds_runtime.Runtime.set_num_domains Bds_test_util.domains)
+    (fun () ->
+      List.iter
+        (fun d ->
+          Bds_runtime.Runtime.set_num_domains d;
+          List.iter
+            (fun (name, p) ->
+              with_policy p (fun () ->
+                  let tag = Printf.sprintf "d=%d %s" d name in
+                  let calls = Array.make n 0 in
+                  let scanned = fst (S.scan ( + ) 0 (S.iota n)) in
+                  let counted =
+                    S.mapi
+                      (fun i x ->
+                        calls.(i) <- calls.(i) + 1;
+                        x)
+                      scanned
+                  in
+                  Alcotest.(check int_array) (tag ^ " values")
+                    (Array.init n (fun i -> i * (i - 1) / 2))
+                    (S.to_array counted);
+                  Alcotest.(check bool) (tag ^ " each element once") true
+                    (Array.for_all (( = ) 1) calls);
+                  let floats = S.to_array (S.map float_of_int scanned) in
+                  Alcotest.(check bool) (tag ^ " flat float array") true
+                    (Obj.tag (Obj.repr floats) = Obj.double_array_tag)))
+            [
+              ("B=1", Bds.Block.Fixed 1);
+              ("B=3", Bds.Block.Fixed 3);
+              ("B=17", Bds.Block.Fixed 17);
+              ("scaled", Bds.Block.default_policy);
+            ])
+        [ 1; 2 ])
+
 (* Flatten's spine keeps each inner's index function, not the inner
    [Seq.t]: inners built on demand by a RAD map die young, so none is
    reachable after a full major collection while the output lives. *)
@@ -322,5 +383,8 @@ let () =
           Alcotest.test_case "partition major <= 2n" `Quick test_partition_major_alloc;
           Alcotest.test_case "flatten spine drops inners" `Quick
             test_flatten_spine_drops_inners;
+          Alcotest.test_case "zip of filters major <= filters" `Quick
+            test_zip_of_filters_major_alloc;
+          Alcotest.test_case "to_array witness once" `Quick test_to_array_witness;
         ] );
     ]

@@ -237,10 +237,11 @@ let prop_search_invariance (a, bsize) =
    under Fixed 1/3/17 and Scaled block policies, against List.filter.
    Also a non-commutative [reduce] over each input and its filter output.
    Also the early-exit searches over each input and its filter output,
-   filter∘filter and the tokens shape: a zip of two filter outputs,
-   which drives one region's fold and pulls the other's trickle, so
-   output blocks that start mid-input-block (skip > 0) are exercised
-   through both execution paths. *)
+   filter∘filter and the tokens shape: a zip of two filter outputs —
+   over indexed inputs one loop walks both regions' survivor masks,
+   otherwise the right region is packed and the left one's fold drives —
+   so output blocks that start mid-input-block (skip > 0) are exercised
+   on both sides of either path. *)
 let filter_inputs a =
   let identity_scan () = S.scan_incl (fun _ x -> x) 0 (S.of_array a) in
   let memoised () =

@@ -82,12 +82,12 @@ let test_take () =
   Alcotest.(check int) "only prefix evaluated" 3 !calls
 
 let test_to_list_order () =
-  (* to_list must pull the trickle function strictly left-to-right:
+  (* to_list must deliver the pushed elements strictly left-to-right:
      streams are stateful, so any other evaluation order (e.g. handing
-     the effectful [next] to [List.init], whose order is unspecified)
-     permutes — and for scans corrupts — the result.  A scan stream
-     makes order violations visible in the values, and a side-channel
-     log pins the pull order itself.  The length is large enough that a
+     an effectful element producer to [List.init], whose order is
+     unspecified) permutes — and for scans corrupts — the result.  A
+     scan stream makes order violations visible in the values, and a
+     side-channel log pins the evaluation order itself.  The length is large enough that a
      right-to-left [List.init] implementation would also hit its
      non-tail-recursive fallback threshold. *)
   let n = 20_000 in
@@ -133,13 +133,59 @@ let test_iter_iteri () =
   Stream.iteri (fun i v -> acc2 := (i + v) :: !acc2) (Stream.tabulate 3 (fun i -> 10 * i));
   check_ilist "iteri" [ 22; 11; 0 ] !acc2
 
+(* A non-indexed stream of [0 .. n-1]: an identity inclusive scan has
+   no index function, so stages over it wrap its native scan loop
+   instead of composing into a source. *)
+let unindexed n = Stream.scan_incl (fun _ x -> x) 0 (Stream.tabulate n Fun.id)
+
 let test_equal () =
   let mk () = Stream.tabulate 5 Fun.id in
   Alcotest.(check bool) "equal" true (Stream.equal ( = ) (mk ()) (mk ()));
   Alcotest.(check bool) "not equal" false
     (Stream.equal ( = ) (mk ()) (Stream.tabulate 5 (fun i -> i + 1)));
   Alcotest.(check bool) "length differs" false
-    (Stream.equal ( = ) (mk ()) (Stream.tabulate 4 Fun.id))
+    (Stream.equal ( = ) (mk ()) (Stream.tabulate 4 Fun.id));
+  (* Every pair of views: indexed, masked (every position survives) and
+     opaque (a stage over a scan).  Element [k] of a side is [k], except
+     that the right side differs at [bad]; each side counts the
+     evaluations it makes past [bad].  The fold stops at the mismatch,
+     so nothing past it is evaluated — except the right side of a pair
+     that is neither indexed nor both masked, which [zip_with] packs
+     whole before the left fold drives. *)
+  let n = 200 and bad = 70 in
+  let masks = Array.make 13 (Bytes.make 2 '\255') in
+  let side kind ~differs past =
+    let value k =
+      if k > bad then incr past;
+      if differs && k = bad then -1 else k
+    in
+    match kind with
+    | `Indexed -> Stream.tabulate n value
+    | `Masked ->
+      Stream.masked_region ~length:n ~masks ~block_size:16 ~get:value ~start_block:0
+        ~skip:0
+    | `Opaque -> Stream.map value (unindexed n)
+  in
+  let kinds = [ (`Indexed, "indexed"); (`Masked, "masked"); (`Opaque, "opaque") ] in
+  List.iter
+    (fun (k1, name1) ->
+      List.iter
+        (fun (k2, name2) ->
+          let tag = name1 ^ " x " ^ name2 in
+          let past1 = ref 0 and past2 = ref 0 in
+          Alcotest.(check bool) (tag ^ " equal") true
+            (Stream.equal ( = ) (side k1 ~differs:false past1) (side k2 ~differs:false past2));
+          past1 := 0;
+          past2 := 0;
+          Alcotest.(check bool) (tag ^ " mismatch") false
+            (Stream.equal ( = ) (side k1 ~differs:false past1) (side k2 ~differs:true past2));
+          let packed = k1 <> `Indexed && k2 <> `Indexed && not (k1 = `Masked && k2 = `Masked) in
+          Alcotest.(check int) (tag ^ " left past mismatch") 0 !past1;
+          Alcotest.(check int) (tag ^ " right past mismatch")
+            (if packed then n - bad - 1 else 0)
+            !past2)
+        kinds)
+    kinds
 
 let test_fold_stop () =
   let s () = Stream.tabulate 100 Fun.id in
@@ -162,11 +208,6 @@ let test_fold_stop () =
   Alcotest.(check int) "only prefix pushed" 5 !calls;
   let sl = Stream.of_array_slice [| 9; 1; 2; 3; 4 |] 1 4 in
   Alcotest.(check int) "slice stop 2" 3 (Stream.fold sl ~stop:2 ( + ) 0)
-
-(* A non-indexed stream of [0 .. n-1]: an identity inclusive scan has
-   no index function, so stages over it wrap its native scan loop
-   instead of composing into a source. *)
-let unindexed n = Stream.scan_incl (fun _ x -> x) 0 (Stream.tabulate n Fun.id)
 
 (* A push fold polls the ambient cancellation token once per 64-element
    chunk: a token cancelled mid-stream (here by the map body itself at
@@ -206,13 +247,12 @@ let test_of_segments () =
   in
   check_ilist "full" [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ]
     (Stream.to_list (mk ~length:9 ~start_seg:0 ~start_ofs:0));
-  (* Mid-segment start, both execution paths. *)
-  let mid = mk ~length:4 ~start_seg:3 ~start_ofs:1 in
+  (* Mid-segment start, whole and as a [~stop] prefix. *)
+  let mid () = mk ~length:4 ~start_seg:3 ~start_ofs:1 in
   check_ilist "mid-segment push" [ 5; 6; 7; 8 ]
-    (List.rev (Stream.fold mid ~stop:4 (fun acc v -> v :: acc) []));
-  let next = Stream.start (mk ~length:4 ~start_seg:3 ~start_ofs:1) in
-  check_ilist "mid-segment trickle" [ 5; 6; 7; 8 ]
-    (List.init 4 (fun _ -> next ()));
+    (List.rev (Stream.fold (mid ()) ~stop:4 (fun acc v -> v :: acc) []));
+  check_ilist "mid-segment prefix" [ 5; 6 ]
+    (List.rev (Stream.fold (mid ()) ~stop:2 (fun acc v -> v :: acc) []));
   (* stop truncates inside a segment; empty segments are skipped. *)
   Alcotest.(check int) "stop mid-segment" 10
     (Stream.fold (mk ~length:9 ~start_seg:0 ~start_ofs:0) ~stop:5 ( + ) 0);
@@ -239,10 +279,12 @@ let test_selected_region () =
     (Stream.to_list (mk ~length:3 ~start_block:0 ~skip:2));
   check_ilist "later block + skip" [ 24; 27; 30 ]
     (Stream.to_list (mk ~length:3 ~start_block:2 ~skip:1));
-  (* Trickle path agrees. *)
-  let next = Stream.start (mk ~length:3 ~start_block:2 ~skip:1) in
-  check_ilist "trickle agrees" [ 24; 27; 30 ] (List.init 3 (fun _ -> next ()));
-  (* fold ~stop truncates the region itself. *)
+  (* fold ~stop truncates the region itself, also mid-block. *)
+  check_ilist "later block + skip, prefix" [ 24; 27 ]
+    (List.rev
+       (Stream.fold (mk ~length:3 ~start_block:2 ~skip:1) ~stop:2
+          (fun acc v -> v :: acc)
+          []));
   Alcotest.(check int) "fold stop" 3
     (Stream.fold (mk ~length:7 ~start_block:0 ~skip:0) ~stop:2 ( + ) 0);
   (* Regression: regions nest (filter-of-filter).  The outer region's
@@ -287,12 +329,17 @@ let test_region_poll_cadence () =
            (Stream.selected_region ~length:100_000 ~blocks ~start_block:0
               ~skip:0)));
   (* Every position survives, so emitted elements = walked positions. *)
+  let masked get =
+    Stream.masked_region ~length:100_000
+      ~masks:(Array.make 100 (Bytes.make 125 '\255'))
+      ~block_size:1_000 ~get ~start_block:0 ~skip:0
+  in
+  poll_cadence_of (fun poison -> ignore (Stream.reduce ( + ) 0 (masked poison)));
+  (* The co-walk of two masked regions polls on each side's walk. *)
   poll_cadence_of (fun poison ->
-      let masks = Array.make 100 (Bytes.make 125 '\255') in
-      ignore
-        (Stream.reduce ( + ) 0
-           (Stream.masked_region ~length:100_000 ~masks ~block_size:1_000
-              ~get:poison ~start_block:0 ~skip:0)))
+      ignore (Stream.reduce ( + ) 0 (Stream.zip_with ( + ) (masked poison) (masked Fun.id))));
+  poll_cadence_of (fun poison ->
+      ignore (Stream.reduce ( + ) 0 (Stream.zip_with ( + ) (masked Fun.id) (masked poison))))
 
 (* Survivor masks over an indexed input of length [n] cut into blocks of
    [bsize]: bit [k] of block [j] is set iff [keep (j * bsize + k)]. *)
@@ -325,8 +372,11 @@ let test_masked_region () =
     (Stream.to_list (mk ~length:3 ~start_block:0 ~skip:2));
   check_ilist "later block + skip" [ 24; 27; 30 ]
     (Stream.to_list (mk ~length:3 ~start_block:2 ~skip:1));
-  let next = Stream.start (mk ~length:3 ~start_block:2 ~skip:1) in
-  check_ilist "trickle agrees" [ 24; 27; 30 ] (List.init 3 (fun _ -> next ()));
+  check_ilist "later block + skip, prefix" [ 24; 27 ]
+    (List.rev
+       (Stream.fold (mk ~length:3 ~start_block:2 ~skip:1) ~stop:2
+          (fun acc v -> v :: acc)
+          []));
   gets := 0;
   Alcotest.(check int) "fold stop" 3
     (Stream.fold (mk ~length:7 ~start_block:0 ~skip:0) ~stop:2 ( + ) 0);
@@ -345,31 +395,6 @@ let test_masked_region () =
     (walk ~start_block:1 ~skip:0 ~length:2);
   check_ilist "sparse, skip into a later block" [ 99 ]
     (walk ~start_block:0 ~skip:2 ~length:1)
-
-(* [selected_region]'s trickle builds its stepping closure once per
-   [start], not once per pulled element: pulling a long region through
-   [Stream.start] over preallocated option blocks allocates well under a
-   word per element (a fresh closure per pull cost several). *)
-let test_selected_region_trickle_alloc () =
-  let n = 30_000 and bsize = 1_000 in
-  let opts =
-    Array.init n (fun i -> if i mod 3 = 0 then Some i else None)
-  in
-  let blocks j = Stream.of_array_slice opts (j * bsize) bsize in
-  let length = (n + 2) / 3 in
-  let next =
-    Stream.start (Stream.selected_region ~length ~blocks ~start_block:0 ~skip:0)
-  in
-  let before = Gc.minor_words () in
-  let sum = ref 0 in
-  for _ = 1 to length do
-    sum := !sum + next ()
-  done;
-  let per_elem = (Gc.minor_words () -. before) /. float_of_int length in
-  Alcotest.(check int) "elements" (3 * length * (length - 1) / 2) !sum;
-  Alcotest.(check bool)
-    (Printf.sprintf "minor words per element %.2f < 1" per_elem)
-    true (per_elem < 1.0)
 
 (* Buffer_ext against a list model of push/to_array, across the chunk
    boundaries (the first chunk holds 8, chunks stop growing at 256).  A
@@ -403,8 +428,9 @@ let test_buffer () =
 
 (* [reduce1] seeds its fold from the first element: with an associative,
    non-commutative combine the result is the in-order concatenation on
-   every constructor's fold, including the regions and a zip of two
-   stateful streams (left fold driving, right trickle pulled). *)
+   every constructor's fold, including the regions, a zip of two masked
+   regions (one co-walk) and a zip of two stateful streams (right side
+   packed, left fold driving). *)
 let test_reduce1_seeding () =
   let cat s = Stream.reduce1 ( ^ ) (Stream.map string_of_int s) in
   let digits l = String.concat "" (List.map string_of_int l) in
@@ -432,6 +458,13 @@ let test_reduce1_seeding () =
     (Stream.masked_region ~length:3
        ~masks:(masks_of ~n:100 ~bsize:10 (fun i -> i mod 3 = 0))
        ~block_size:10 ~get:Fun.id ~start_block:2 ~skip:1);
+  let thirds = masks_of ~n:100 ~bsize:10 (fun i -> i mod 3 = 0) in
+  check "masked zip_with" [ 27; 33; 39 ]
+    (Stream.zip_with ( + )
+       (Stream.masked_region ~length:3 ~masks:thirds ~block_size:10 ~get:Fun.id
+          ~start_block:0 ~skip:3)
+       (Stream.masked_region ~length:3 ~masks:thirds ~block_size:10 ~get:Fun.id
+          ~start_block:1 ~skip:2));
   check "stateful zip_with" [ 10; 13; 18; 25 ]
     (Stream.zip_with ( + )
        (Stream.scan_incl ( + ) 0 (Stream.tabulate 4 (fun i -> i + 1)))
@@ -476,10 +509,9 @@ let qcheck_tests =
           |> Array.of_list));
   ]
 
-(* QCheck: push/pull equivalence.  Arbitrary combinator chains over both
-   source kinds must produce the same elements through the fused push
-   fold (what every linear consumer drives) as through the resumable
-   trickle function (the reference semantics [start] still exposes). *)
+(* QCheck: arbitrary combinator chains over both source kinds must
+   produce, through every push consumer and every [~stop] prefix of the
+   fold, the elements of the same op chain over lists. *)
 type chain_op = OMap of int | OMapi | OZip | OScan of int | OScanIncl of int | OTake of int
 
 let apply_op s = function
@@ -491,6 +523,19 @@ let apply_op s = function
   | OScanIncl k -> Stream.scan_incl ( + ) k s
   | OTake k -> Stream.take (k mod (Stream.length s + 1)) s
 
+let apply_op_list l = function
+  | OMap k -> List.map (fun x -> (2 * x) + k) l
+  | OMapi -> List.mapi (fun i v -> i + v) l
+  | OZip -> List.mapi (fun i x -> x + (3 * i)) l
+  | OScan k -> fst (list_scan ( + ) k l)
+  | OScanIncl k -> list_scan_incl ( + ) k l
+  | OTake k ->
+    let k = k mod (List.length l + 1) in
+    List.filteri (fun i _ -> i < k) l
+
+let slice_of (a, use_slice, _) =
+  if use_slice && Array.length a >= 2 then (1, Array.length a - 2) else (0, Array.length a)
+
 (* Streams are single-use once driven, so the property builds a fresh
    chain per consumer. *)
 let mk_chain (a, use_slice, ops) () =
@@ -501,16 +546,14 @@ let mk_chain (a, use_slice, ops) () =
   in
   List.fold_left apply_op base ops
 
-let trickle_to_list s =
-  let next = Stream.start s in
-  let n = Stream.length s in
-  let rec go i acc = if i = n then List.rev acc else go (i + 1) (next () :: acc) in
-  go 0 []
+let model_chain ((a, _, ops) as c) =
+  let off, len = slice_of c in
+  List.fold_left apply_op_list (Array.to_list (Array.sub a off len)) ops
 
 (* [masked_region] against a list model: a random survivor mask over a
    random block grid, a random starting block, skip and length; the push
-   fold, the trickle and every [~stop] prefix agree with the model, and
-   the fold reads [get] once per emitted element. *)
+   fold and a [~stop] prefix agree with the model, and the fold reads
+   [get] once per emitted element. *)
 let region_gen =
   let open QCheck2.Gen in
   let* n = int_range 1 300 in
@@ -547,13 +590,12 @@ let prop_masked_region (keep, bsize, start_block, (r1, r2), stop) =
   let stop = min stop length in
   pushed = model
   && pushed_gets = length
-  && trickle_to_list (mk ()) = model
   && List.rev (Stream.fold (mk ()) ~stop (fun acc v -> v :: acc) [])
      = List.filteri (fun k _ -> k < stop) model
 
 (* [zip_with] with exactly one indexed side, in both argument orders:
    the non-indexed side (a scan, so stateful) drives and the indexed side
-   is read by a counter — through the fold and through the trickle. *)
+   is read by a counter. *)
 let prop_zip_one_indexed (a, k) =
   let n = Array.length a in
   let scanned () = Stream.scan ( + ) k (Stream.of_array a) in
@@ -563,15 +605,12 @@ let prop_zip_one_indexed (a, k) =
   let f x y = (3 * x) - y in
   let left = List.map2 f scan_l ix_l and right = List.map2 f ix_l scan_l in
   Stream.to_list (Stream.zip_with f (scanned ()) (indexed ())) = left
-  && trickle_to_list (Stream.zip_with f (scanned ()) (indexed ())) = left
   && Stream.to_list (Stream.zip_with f (indexed ()) (scanned ())) = right
-  && trickle_to_list (Stream.zip_with f (indexed ()) (scanned ())) = right
 
-(* [zip_with] with neither side indexed: the left fold drives and the
-   right side's trickle is pulled in lockstep.  The sides are a scan and
-   a [masked_region] keeping every position (the shape of a zip of two
-   filter outputs), in both argument orders; fold, trickle and a [~stop]
-   prefix against the list model. *)
+(* [zip_with] with neither side indexed and not both masked: the right
+   side is packed and the left fold drives.  The sides are a scan and a
+   [masked_region] keeping every position, in both argument orders;
+   fold and a [~stop] prefix against the list model. *)
 let prop_zip_neither_indexed ((a, k), bsize, stop) =
   let n = Array.length a in
   let scanned () = Stream.scan ( + ) k (Stream.of_array a) in
@@ -588,14 +627,64 @@ let prop_zip_neither_indexed ((a, k), bsize, stop) =
   let stop = min stop n in
   let prefix l = List.filteri (fun i _ -> i < stop) l in
   Stream.to_list (Stream.zip_with f (scanned ()) (region ())) = left
-  && trickle_to_list (Stream.zip_with f (scanned ()) (region ())) = left
   && Stream.to_list (Stream.zip_with f (region ()) (scanned ())) = right
-  && trickle_to_list (Stream.zip_with f (region ()) (scanned ())) = right
   && List.rev
        (Stream.fold (Stream.zip_with f (region ()) (scanned ())) ~stop
           (fun acc v -> v :: acc)
           [])
      = prefix right
+
+(* [zip_with] of two masked regions (the shape of a zip of two filter
+   outputs), walked in one loop: each side has its own random mask,
+   block grid, starting block and skip, at equal lengths.  The fold and
+   every [~stop] prefix agree with the list model, and each side's [get]
+   runs exactly once per emitted element. *)
+let masked_side_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 1 200 in
+  let* bsize = int_range 1 40 in
+  let* density = int_range 1 4 in
+  let* keep = array_size (return n) (map (fun x -> x < density) (int_bound 3)) in
+  let* start_block = int_bound (((n + bsize - 1) / bsize) - 1) in
+  let* r = int_bound 1000 in
+  return (keep, bsize, start_block, r)
+
+(* A side's survivors from its starting block, after its skip, and the
+   region over them with a counting [get] (scaled by [k]). *)
+let masked_side (keep, bsize, start_block, r) k =
+  let n = Array.length keep in
+  let masks = masks_of ~n ~bsize (fun i -> keep.(i)) in
+  let avail =
+    List.filter (fun i -> i >= start_block * bsize && keep.(i)) (List.init n Fun.id)
+  in
+  let skip = r mod (List.length avail + 1) in
+  let rest = List.filteri (fun j _ -> j >= skip) avail in
+  let gets = ref 0 in
+  let mk length =
+    Stream.masked_region ~length ~masks ~block_size:bsize
+      ~get:(fun i ->
+        incr gets;
+        (k * i) + 1)
+      ~start_block ~skip
+  in
+  (List.map (fun i -> (k * i) + 1) rest, gets, mk)
+
+let prop_zip_masked (side1, side2, r) =
+  let l1, gets1, mk1 = masked_side side1 7 and l2, gets2, mk2 = masked_side side2 5 in
+  let length = r mod (Int.min (List.length l1) (List.length l2) + 1) in
+  let take k l = List.filteri (fun j _ -> j < k) l in
+  let f x y = (3 * x) - y in
+  let model = List.map2 f (take length l1) (take length l2) in
+  List.for_all
+    (fun stop ->
+      gets1 := 0;
+      gets2 := 0;
+      let got =
+        List.rev (Stream.fold (Stream.zip_with f (mk1 length) (mk2 length)) ~stop (fun acc v -> v :: acc) [])
+      in
+      got = take stop model && !gets1 = stop && !gets2 = stop)
+    (List.init (length + 1) Fun.id)
+  && Stream.to_list (Stream.zip_with f (mk1 length) (mk2 length)) = model
 
 let region_tests =
   let open QCheck2 in
@@ -608,9 +697,12 @@ let region_tests =
     Test.make ~name:"zip_with neither side indexed = list model" ~count:300
       Gen.(triple (pair small_int_array (int_range (-5) 5)) (int_range 1 40) (int_bound 250))
       prop_zip_neither_indexed;
+    Test.make ~name:"zip_with two masked regions = list model" ~count:500
+      Gen.(triple masked_side_gen masked_side_gen (int_bound 1000))
+      prop_zip_masked;
   ]
 
-let push_pull_tests =
+let chain_tests =
   let open QCheck2 in
   let gen_op =
     Gen.(
@@ -632,21 +724,21 @@ let push_pull_tests =
         (list_size (int_range 0 5) gen_op))
   in
   [
-    Test.make ~name:"push consumers = trickle reference" ~count:500 gen_chain
+    Test.make ~name:"push consumers = list model" ~count:500 gen_chain
       (fun c ->
         let mk = mk_chain c in
-        let reference = trickle_to_list (mk ()) in
+        let reference = model_chain c in
         Stream.to_list (mk ()) = reference
         && Stream.reduce ( + ) 0 (mk ()) = List.fold_left ( + ) 0 reference
         && Array.to_list (Stream.to_array (mk ())) = reference
         && Array.to_list (Stream.pack_to_array (fun x -> x land 1 = 0) (mk ()))
            = List.filter (fun x -> x land 1 = 0) reference);
-    Test.make ~name:"fold ~stop = trickle prefix" ~count:500
+    Test.make ~name:"fold ~stop = list model prefix" ~count:500
       QCheck2.Gen.(pair gen_chain (int_range 0 40))
       (fun (c, stop) ->
         let mk = mk_chain c in
         let stop = min stop (Stream.length (mk ())) in
-        let prefix = List.filteri (fun i _ -> i < stop) (trickle_to_list (mk ())) in
+        let prefix = List.filteri (fun i _ -> i < stop) (model_chain c) in
         List.rev (Stream.fold (mk ()) ~stop (fun acc v -> v :: acc) []) = prefix);
   ]
 
@@ -672,14 +764,11 @@ let () =
           Alcotest.test_case "of_segments" `Quick test_of_segments;
           Alcotest.test_case "selected_region" `Quick test_selected_region;
           Alcotest.test_case "masked_region" `Quick test_masked_region;
-          Alcotest.test_case "selected_region trickle allocation" `Quick
-            test_selected_region_trickle_alloc;
           Alcotest.test_case "region poll cadence" `Quick test_region_poll_cadence;
           Alcotest.test_case "buffer_ext" `Quick test_buffer;
           Alcotest.test_case "reduce1 seeding" `Quick test_reduce1_seeding;
         ] );
       ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests);
-      ( "push/pull",
-        List.map (QCheck_alcotest.to_alcotest ~long:false) push_pull_tests );
+      ("chains", List.map (QCheck_alcotest.to_alcotest ~long:false) chain_tests);
       ("regions", List.map (QCheck_alcotest.to_alcotest ~long:false) region_tests);
     ]
