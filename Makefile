@@ -70,7 +70,7 @@ metrics-smoke:
 # run under the online self-tuning controller; the gate fails the
 # target if the adaptive run lands below half the best fixed point (a
 # loose livelock/catastrophe floor — the precision claim lives in
-# BENCH_9.json behind bench_compare, not here, because a --quick
+# BENCH_10.json behind bench_compare, not here, because a --quick
 # 1-repeat run on a shared host is noisy).
 adapt-smoke:
 	dune build bench/main.exe
@@ -97,8 +97,8 @@ bench-quick:
 	dune exec bench/main.exe -- --quick
 
 # Perf-regression gate: stream-overhead + float-kernels + sweep-grain
-# bench vs BENCH_9.json (ratio metrics only; see scripts/bench_compare
-# for knobs).
+# bench vs the ratio gates BENCH_10.json declares (see
+# scripts/bench_compare).
 bench-compare:
 	scripts/bench_compare
 

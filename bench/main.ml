@@ -773,9 +773,6 @@ let stream_overhead cfg =
             record ~section:"stream-overhead" ~bench:name ~version
               ~procs:cfg.procs ~metric:"time_s" t)
           [ ("materialized", t_mat); ("fused", t_fused) ];
-        record ~section:"stream-overhead" ~bench:name ~version:"fused"
-          ~procs:cfg.procs ~metric:"speedup_fused_vs_materialized"
-          (t_mat /. t_fused);
         Tables.print
           ~title:
             (Printf.sprintf
@@ -805,21 +802,24 @@ let stream_overhead cfg =
       S.reduce ( + ) 0 (S.filter p (S.flat_map expand (S.iota mf))))
 
 (* ------------------------------------------------------------------ *)
-(* Float kernels: boxed vs unboxed lane (--only float-kernels).
+(* Float kernels: the unboxed lane against a sequential yardstick
+   (--only float-kernels).
 
-   Each bench runs the same float-heavy computation two ways on the
-   same input: "boxed" through the generic polymorphic pipeline (the
-   pre-ISSUE-7 code path — polymorphic reads, boxed closure crossings,
-   an allocation per element) and "unboxed" through the float lane
-   (Float_seq / Stream.sum_floats / Psort.sort_floats).  As with
-   stream-overhead, the gated quantity is the within-run speedup ratio,
-   which is stable on this noisy shared host even when absolute times
-   are not (BENCH_7.json, gated by bench_compare).
+   Each bench runs the same float-heavy computation three ways on the
+   same input: "ref", a sequential loop written by hand (the kernel's
+   own [reference], a [for] loop, or the stdlib float sort); "boxed",
+   the generic polymorphic pipeline (polymorphic reads, boxed closure
+   crossings, an allocation per element); and "unboxed", the float lane
+   (Float_seq / Stream.sum_floats / Psort.sort_floats).  The gated
+   quantity is ref/unboxed (BENCH_10.json, bench_compare): the yardstick
+   is fixed code, so the ratio moves only when the lane moves.
+   boxed/unboxed is printed but not gated, since a faster boxed
+   pipeline would read as a slower lane.
 
    The unboxed runs are wrapped in a telemetry snapshot pair: the
    float_boxed_fallback delta is recorded per bench and must be zero on
-   these fused chains (ISSUE 7 acceptance criterion) — a nonzero count
-   means a pipeline silently fell off the lane. *)
+   these fused chains — a nonzero count means a pipeline silently fell
+   off the lane. *)
 
 let float_kernels cfg =
   let n = scaled cfg 2_000_000 in
@@ -834,16 +834,15 @@ let float_kernels cfg =
   in
   Measure.with_domains cfg.procs (fun () ->
       let results = ref [] in
-      let bench name ~boxed ~unboxed ~agree =
-        if not (agree (boxed ()) (unboxed ())) then
-          failwith (Printf.sprintf "float-kernels/%s: boxed and unboxed disagree" name);
-        let t_boxed =
-          Measure.time ~repeat:cfg.repeat (fun () -> ignore (boxed ()))
-        in
+      let bench name ~reference ~boxed ~unboxed ~agree =
+        let u = unboxed () in
+        if not (agree (reference ()) u && agree (boxed ()) u) then
+          failwith (Printf.sprintf "float-kernels/%s: versions disagree" name);
+        let time f = Measure.time ~repeat:cfg.repeat (fun () -> ignore (f ())) in
+        let t_ref = time reference in
+        let t_boxed = time boxed in
         let before = Telemetry.snapshot () in
-        let t_unboxed =
-          Measure.time ~repeat:cfg.repeat (fun () -> ignore (unboxed ()))
-        in
+        let t_unboxed = time unboxed in
         let after = Telemetry.snapshot () in
         let fallbacks =
           (Telemetry.diff ~before ~after).Telemetry.s_float_boxed_fallback
@@ -852,37 +851,49 @@ let float_kernels cfg =
           (fun (version, t) ->
             record ~section:"float-kernels" ~bench:name ~version
               ~procs:cfg.procs ~metric:"time_s" t)
-          [ ("boxed", t_boxed); ("unboxed", t_unboxed) ];
-        record ~section:"float-kernels" ~bench:name ~version:"unboxed"
-          ~procs:cfg.procs ~metric:"speedup_unboxed_vs_boxed"
-          (t_boxed /. t_unboxed);
+          [ ("ref", t_ref); ("boxed", t_boxed); ("unboxed", t_unboxed) ];
         record ~section:"float-kernels" ~bench:name ~version:"unboxed"
           ~procs:cfg.procs ~metric:"boxed_fallbacks" (float_of_int fallbacks);
-        results := (name, t_boxed, t_unboxed, fallbacks) :: !results
+        results := (name, t_ref, t_boxed, t_unboxed, fallbacks) :: !results
       in
       bench "sum"
+        ~reference:(fun () ->
+          let s = ref 0.0 in
+          for i = 0 to n - 1 do s := !s +. af.(i) done;
+          !s)
         ~boxed:(fun () -> S.reduce ( +. ) 0.0 (S.of_array af))
         ~unboxed:(fun () -> S.float_sum (S.of_array af))
         ~agree:(close ~tol:1e-9);
       bench "dot"
+        ~reference:(fun () ->
+          let s = ref 0.0 in
+          for i = 0 to n - 1 do s := !s +. (af.(i) *. bf.(i)) done;
+          !s)
         ~boxed:(fun () ->
           S.reduce ( +. ) 0.0 (S.zip_with ( *. ) (S.of_array af) (S.of_array bf)))
         ~unboxed:(fun () -> FS.dot (FS.of_array af) (FS.of_array bf))
         ~agree:(close ~tol:1e-9);
       bench "integrate"
+        ~reference:(fun () -> K.Integrate.reference n)
         ~boxed:(fun () -> K.Integrate.Delay_version.integrate n)
         ~unboxed:(fun () -> K.Integrate.integrate_unboxed n)
         ~agree:(close ~tol:1e-9);
       bench "linefit"
+        ~reference:(fun () -> K.Linefit.reference pts)
         ~boxed:(fun () -> K.Linefit.Delay_version.fit pts)
         ~unboxed:(fun () -> K.Linefit.fit_unboxed pts)
         ~agree:(fun (s1, i1) (s2, i2) ->
           close ~tol:1e-6 s1 s2 && close ~tol:1e-6 i1 i2);
       bench "mcss-float"
+        ~reference:(fun () -> K.Mcss.reference_floats af)
         ~boxed:(fun () -> K.Mcss.mcss_floats_boxed af)
         ~unboxed:(fun () -> K.Mcss.mcss_floats af)
         ~agree:(close ~tol:1e-9);
       bench "sort-floats"
+        ~reference:(fun () ->
+          let c = Float.Array.copy (FS.floatarray_of_array af) in
+          Float.Array.stable_sort Float.compare c;
+          FS.array_of_floatarray c)
         ~boxed:(fun () -> Bds_sort.Psort.sort Float.compare af)
         ~unboxed:(fun () -> Bds_sort.Psort.sort_floats af)
         ~agree:(fun a b ->
@@ -891,16 +902,20 @@ let float_kernels cfg =
       Tables.print
         ~title:
           (Printf.sprintf
-             "Float kernels: boxed pipeline vs unboxed lane (n=%d, P=%d)" n
-             cfg.procs)
-        ~headers:[ "bench"; "boxed"; "unboxed"; "speedup"; "fallbacks" ]
+             "Float kernels: sequential yardstick, boxed pipeline and unboxed lane (n=%d, P=%d)"
+             n cfg.procs)
+        ~headers:
+          [ "bench"; "ref"; "boxed"; "unboxed"; "ref/unboxed"; "boxed/unboxed";
+            "fallbacks" ]
         ~rows:
           (List.rev_map
-             (fun (name, tb, tu, fb) ->
+             (fun (name, tr, tb, tu, fb) ->
                [
                  name;
+                 Measure.pp_time tr;
                  Measure.pp_time tb;
                  Measure.pp_time tu;
+                 Tables.ratio tr tu;
                  Tables.ratio tb tu;
                  string_of_int fb;
                ])
@@ -936,9 +951,6 @@ let int_kernels cfg =
             record ~section:"int-kernels" ~bench:name ~version
               ~procs:cfg.procs ~metric:"time_s" t)
           [ ("generic", t_generic); ("monomorphic", t_mono) ];
-        record ~section:"int-kernels" ~bench:name ~version:"monomorphic"
-          ~procs:cfg.procs ~metric:"speedup_monomorphic_vs_generic"
-          (t_generic /. t_mono);
         results := (name, t_generic, t_mono) :: !results
       in
       bench "sum-array"

@@ -1,25 +1,27 @@
-(* Perf-regression gate: compare a fresh benchmark CSV (bench/main.exe
-   --csv) against the committed baseline snapshot (BENCH_9.json).
+(* Perf-regression gate: check a fresh benchmark CSV (bench/main.exe
+   --csv) against the gates a committed baseline snapshot declares.
 
-   The host is a shared container whose absolute wall-clock drifts by
-   tens of percent between runs, so the gate judges *within-run ratios*
-   by default: the push-vs-pull speedup of the stream-overhead chain,
-   the fused-vs-materialized speedup of the Seq filter/flatten chains,
-   the unboxed-vs-boxed speedup of every float-kernels bench, and the
-   adaptive-vs-best-fixed ratio of the grain sweep — each divides two
-   times measured seconds apart on the same machine, which is stable
-   (see the snapshots' host_note).  A section is gated when it is
-   present in the baseline's "results" (so older BENCH_4-shaped
-   baselines still work); a baseline with no known section is a usage
-   error, never a silent pass.  Absolute times are compared only under
-   --absolute, for quiet hosts.
+   The baseline's "gates" array holds one entry per gated quantity:
 
-   Exit status: 0 when every checked metric is within --max-regress
-   percent of the baseline, 1 on any regression, 2 on usage/parse
-   errors.  The report prints one line per metric either way, so the CI
-   artifact shows the margins even when the gate passes. *)
+     {"name": "...", "num": [section, bench, version, metric],
+      "den": [section, bench, version, metric], "floor": 1.25}
+
+   "den" is optional.  A gate's current value is num/den (or num alone)
+   read from the CSV; it passes when that value is at least
+   floor * (1 - max-regress/100).  Every gate is a ratio of two times
+   measured in the same run, or a ratio the harness computes itself:
+   the host's absolute wall-clock drifts by tens of percent between
+   runs, while within-run ratios hold (see the snapshot's host_note).
+
+   Exit status: 0 when every gate passes, 1 on any regression, 2 on
+   usage and parse errors -- an unreadable file, a baseline without
+   gates, a malformed gate, a missing CSV row or a non-positive
+   denominator.  The report prints one line per gate either way, so the
+   CI artifact shows the margins even when the gate passes. *)
 
 module J = Bds_runtime.Tiny_json
+
+let ( let* ) = Result.bind
 
 let read_file path =
   let ic = open_in_bin path in
@@ -27,301 +29,100 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* ------------------------------------------------------------------ *)
-(* CSV rows: section,bench,version,procs,metric,value *)
-
-type row = {
-  section : string;
-  bench : string;
-  version : string;
-  metric : string;
-  value : float;
-}
-
+(* CSV rows: section,bench,version,procs,metric,value, keyed by
+   [section; bench; version; metric].  The last matching row wins,
+   mirroring how the harness appends rows. *)
 let parse_csv text =
-  let lines =
-    String.split_on_char '\n' text
-    |> List.filter (fun l -> String.trim l <> "")
+  let rows = Hashtbl.create 64 in
+  let parse_line i l =
+    match String.split_on_char ',' l with
+    | [ section; bench; version; _procs; metric; value ] -> (
+      match float_of_string_opt value with
+      | Some v -> Ok (Hashtbl.replace rows [ section; bench; version; metric ] v)
+      | None -> Error (Printf.sprintf "line %d: bad value %S" (i + 2) value))
+    | _ -> Error (Printf.sprintf "line %d: expected 6 fields" (i + 2))
   in
-  match lines with
+  let rec go i = function
+    | [] -> Ok rows
+    | l :: rest ->
+      let* () = parse_line i l in
+      go (i + 1) rest
+  in
+  match List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' text) with
   | [] -> Error "empty CSV"
   | header :: rest ->
     if String.trim header <> "section,bench,version,procs,metric,value" then
       Error (Printf.sprintf "unexpected CSV header: %s" header)
-    else
-      let parse_line i l =
-        match String.split_on_char ',' l with
-        | [ section; bench; version; _procs; metric; value ] -> (
-          match float_of_string_opt value with
-          | Some value -> Ok { section; bench; version; metric; value }
-          | None -> Error (Printf.sprintf "line %d: bad value %S" (i + 2) value))
-        | _ -> Error (Printf.sprintf "line %d: expected 6 fields" (i + 2))
-      in
-      let rec go i acc = function
-        | [] -> Ok (List.rev acc)
-        | l :: rest -> (
-          match parse_line i l with
-          | Ok r -> go (i + 1) (r :: acc) rest
-          | Error _ as e -> e)
-      in
-      go 0 [] rest
+    else go 0 rest
 
-(* Last matching row wins, mirroring how the harness appends rows. *)
-let find rows ~section ~bench ~version ~metric =
-  List.fold_left
-    (fun acc r ->
-      if
-        r.section = section && r.bench = bench && r.version = version
-        && r.metric = metric
-      then Some r.value
-      else acc)
-    None rows
-
-(* ------------------------------------------------------------------ *)
-(* Checks *)
-
-type direction = Higher_better | Lower_better
-
-type check = {
+type gate = {
   name : string;
-  dir : direction;
-  baseline : float;
-  current : float;
+  num : string list;
+  den : string list option;
+  floor : float;
 }
 
-let verdict ~tolerance c =
-  let margin = tolerance /. 100.0 in
-  match c.dir with
-  | Higher_better -> c.current >= c.baseline *. (1.0 -. margin)
-  | Lower_better -> c.current <= c.baseline *. (1.0 +. margin)
+let parse_gate i g =
+  let fail what = Error (Printf.sprintf "baseline: gates[%d]: %s" i what) in
+  let row field =
+    match J.member field g with
+    | Some (J.Arr [ J.Str s; J.Str b; J.Str v; J.Str m ]) -> Ok (Some [ s; b; v; m ])
+    | None -> Ok None
+    | Some _ -> fail (field ^ " is not [section, bench, version, metric]")
+  in
+  match (J.member "name" g, row "num", row "den", J.member "floor" g) with
+  | _, Error e, _, _ | _, _, Error e, _ -> Error e
+  | Some (J.Str name), Ok (Some num), Ok den, Some (J.Num floor) when floor > 0.0 ->
+    Ok { name; num; den; floor }
+  | Some (J.Str _), Ok None, _, _ -> fail "missing num"
+  | Some (J.Str _), _, _, _ -> fail "floor is missing or not a positive number"
+  | _ -> fail "missing name"
 
-let change_pct c =
-  if c.baseline = 0.0 then 0.0
-  else (c.current -. c.baseline) /. c.baseline *. 100.0
+let parse_gates json =
+  match J.member "gates" json with
+  | Some (J.Arr (_ :: _ as gates)) ->
+    let rec go i = function
+      | [] -> Ok []
+      | g :: rest ->
+        let* gate = parse_gate i g in
+        let* gates = go (i + 1) rest in
+        Ok (gate :: gates)
+    in
+    go 0 gates
+  | _ -> Error "baseline: no non-empty \"gates\" array"
 
-let baseline_float json path_ =
-  match Option.bind (J.path path_ json) J.to_float with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "baseline: missing %s" (String.concat "." path_))
-
-let build_checks ~absolute json rows =
-  let ( let* ) = Result.bind in
-  let csv_time ~section ~bench version =
-    match find rows ~section ~bench ~version ~metric:"time_s" with
-    | Some v when v > 0.0 ->
-      Ok v
-    | Some _ ->
-      Error
-        (Printf.sprintf "csv: non-positive time for %s/%s/%s" section bench
-           version)
+let current rows g =
+  let get key =
+    match Hashtbl.find_opt rows key with
+    | Some v -> Ok v
     | None ->
-      Error (Printf.sprintf "csv: no %s time for %s/%s" section bench version)
+      Error
+        (Printf.sprintf "gate %S: csv has no row %s" g.name
+           (String.concat "/" key))
   in
-  (* stream-overhead: gate the push-vs-pull speedup (present since
-     BENCH_4). *)
-  let stream_checks () =
-    let chain = [ "results"; "stream-overhead/chain3" ] in
-    match J.path chain json with
-    | None -> Ok []
-    | Some _ ->
-      let* base_speedup =
-        baseline_float json (chain @ [ "speedup_push_vs_pull" ])
-      in
-      let time = csv_time ~section:"stream-overhead" ~bench:"chain3" in
-      let* t_pull = time "pull" in
-      let* t_push = time "push" in
-      let ratio_checks =
-        [
-          {
-            name = "stream-overhead push-vs-pull speedup";
-            dir = Higher_better;
-            baseline = base_speedup;
-            current = t_pull /. t_push;
-          };
-        ]
-      in
-      if not absolute then Ok ratio_checks
-      else
-        let* base_pull =
-          baseline_float json (chain @ [ "pull_trickle"; "time_s" ])
-        in
-        let* base_push =
-          baseline_float json (chain @ [ "push_fused"; "time_s" ])
-        in
-        Ok
-          (ratio_checks
-          @ [
-              {
-                name = "stream-overhead pull time_s (absolute)";
-                dir = Lower_better;
-                baseline = base_pull;
-                current = t_pull;
-              };
-              {
-                name = "stream-overhead push time_s (absolute)";
-                dir = Lower_better;
-                baseline = base_push;
-                current = t_push;
-              };
-            ])
-  in
-  (* Seq filter/flatten chains: gate the fused-vs-materialized speedup
-     of each chain bench the baseline records (present since BENCH_8). *)
-  let chain_checks bench =
-    let chain = [ "results"; "stream-overhead/" ^ bench ] in
-    match J.path chain json with
-    | None -> Ok []
-    | Some _ ->
-      let* base_speedup =
-        baseline_float json (chain @ [ "speedup_fused_vs_materialized" ])
-      in
-      let time = csv_time ~section:"stream-overhead" ~bench in
-      let* t_mat = time "materialized" in
-      let* t_fused = time "fused" in
-      let ratio_checks =
-        [
-          {
-            name =
-              Printf.sprintf "stream-overhead %s fused-vs-materialized speedup"
-                bench;
-            dir = Higher_better;
-            baseline = base_speedup;
-            current = t_mat /. t_fused;
-          };
-        ]
-      in
-      if not absolute then Ok ratio_checks
-      else
-        let* base_mat =
-          baseline_float json (chain @ [ "materialized"; "time_s" ])
-        in
-        let* base_fused = baseline_float json (chain @ [ "fused"; "time_s" ]) in
-        Ok
-          (ratio_checks
-          @ [
-              {
-                name =
-                  Printf.sprintf "stream-overhead %s materialized time_s (absolute)"
-                    bench;
-                dir = Lower_better;
-                baseline = base_mat;
-                current = t_mat;
-              };
-              {
-                name =
-                  Printf.sprintf "stream-overhead %s fused time_s (absolute)"
-                    bench;
-                dir = Lower_better;
-                baseline = base_fused;
-                current = t_fused;
-              };
-            ])
-  in
-  (* float-kernels: gate the unboxed-vs-boxed speedup of every bench the
-     baseline records (present since BENCH_7). *)
-  let float_checks () =
-    match J.path [ "results"; "float-kernels" ] json with
-    | None -> Ok []
-    | Some (J.Obj benches) ->
-      let* checks =
-        List.fold_left
-          (fun acc (bench, v) ->
-            let* acc = acc in
-            let* base =
-              match
-                Option.bind (J.member "speedup_unboxed_vs_boxed" v) J.to_float
-              with
-              | Some f -> Ok f
-              | None ->
-                Error
-                  (Printf.sprintf
-                     "baseline: missing results.float-kernels.%s.speedup_unboxed_vs_boxed"
-                     bench)
-            in
-            let time = csv_time ~section:"float-kernels" ~bench in
-            let* t_boxed = time "boxed" in
-            let* t_unboxed = time "unboxed" in
-            Ok
-              ({
-                 name =
-                   Printf.sprintf "float-kernels %s unboxed-vs-boxed speedup"
-                     bench;
-                 dir = Higher_better;
-                 baseline = base;
-                 current = t_boxed /. t_unboxed;
-               }
-              :: acc))
-          (Ok []) benches
-      in
-      Ok (List.rev checks)
-    | Some _ -> Error "baseline: results.float-kernels is not an object"
-  in
-  (* sweep-grain: gate the adaptive controller against the best fixed
-     grain of the same sweep (present since BENCH_9).  The ratio is
-     computed by the harness itself (best-fixed time / adaptive time,
-     both from one process), so it is read straight from the CSV. *)
-  let adaptive_checks () =
-    let path_ = [ "results"; "sweep-grain/bestcut-delay" ] in
-    match J.path path_ json with
-    | None -> Ok []
-    | Some _ ->
-      let* base =
-        baseline_float json (path_ @ [ "adaptive_vs_best_fixed" ])
-      in
-      let* cur =
-        match
-          find rows ~section:"sweep-grain" ~bench:"bestcut-delay"
-            ~version:"adaptive" ~metric:"adaptive_vs_best_fixed"
-        with
-        | Some v -> Ok v
-        | None ->
-          Error
-            "csv: no sweep-grain adaptive_vs_best_fixed row (run bench with \
-             --sweep-grain ... --adaptive)"
-      in
-      Ok
-        [
-          {
-            name = "sweep-grain adaptive-vs-best-fixed ratio";
-            dir = Higher_better;
-            baseline = base;
-            current = cur;
-          };
-        ]
-  in
-  let* sc = stream_checks () in
-  let* filter_c = chain_checks "filter-chain" in
-  let* flatten_c = chain_checks "flatten-chain" in
-  let* fc = float_checks () in
-  let* ac = adaptive_checks () in
-  match sc @ filter_c @ flatten_c @ fc @ ac with
-  | [] ->
-    Error
-      "baseline: results contains no known gated section \
-       (stream-overhead/chain3, stream-overhead/filter-chain, \
-       stream-overhead/flatten-chain, float-kernels or \
-       sweep-grain/bestcut-delay)"
-  | checks -> Ok checks
-
-(* ------------------------------------------------------------------ *)
-(* Driver *)
+  let* num = get g.num in
+  match g.den with
+  | None -> Ok num
+  | Some key ->
+    let* den = get key in
+    if den > 0.0 then Ok (num /. den)
+    else
+      Error
+        (Printf.sprintf "gate %S: denominator %s is %g, not positive" g.name
+           (String.concat "/" key) den)
 
 let () =
-  let baseline = ref "BENCH_9.json" in
-  let csv = ref "" in
-  let tolerance = ref 15.0 in
-  let absolute = ref false in
-  let usage = "bench_compare --csv FILE [--baseline FILE] [--max-regress PCT] [--absolute]" in
+  let baseline = ref "" and csv = ref "" and tolerance = ref 15.0 in
+  let usage = "bench_compare --baseline FILE --csv FILE [--max-regress PCT]" in
   Arg.parse
     [
-      ("--baseline", Arg.Set_string baseline, "FILE Baseline snapshot JSON (default BENCH_9.json)");
+      ("--baseline", Arg.Set_string baseline, "FILE Baseline snapshot JSON with a \"gates\" array");
       ("--csv", Arg.Set_string csv, "FILE Fresh bench CSV (bench/main.exe --csv)");
       ("--max-regress", Arg.Set_float tolerance, "PCT Allowed regression percent (default 15)");
-      ("--absolute", Arg.Set absolute, " Also gate absolute times (noisy hosts: leave off)");
     ]
     (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a)))
     usage;
-  if !csv = "" then begin
+  if !baseline = "" || !csv = "" then begin
     prerr_endline usage;
     exit 2
   end;
@@ -329,45 +130,38 @@ let () =
     Printf.eprintf "bench_compare: %s\n" msg;
     exit 2
   in
-  let json =
-    match J.parse_result (read_file !baseline) with
-    | Ok j -> j
-    | Error e -> fail (Printf.sprintf "%s: %s" !baseline e)
+  let load path parse =
+    match parse (read_file path) with
+    | Ok v -> v
+    | Error e -> fail (Printf.sprintf "%s: %s" path e)
     | exception Sys_error e -> fail e
   in
-  let rows =
-    match parse_csv (read_file !csv) with
-    | Ok r -> r
-    | Error e -> fail (Printf.sprintf "%s: %s" !csv e)
-    | exception Sys_error e -> fail e
-  in
-  let checks =
-    match build_checks ~absolute:!absolute json rows with
-    | Ok c -> c
-    | Error e -> fail e
+  let json = load !baseline J.parse_result in
+  let rows = load !csv parse_csv in
+  let gates = match parse_gates json with Ok g -> g | Error e -> fail e in
+  let results =
+    List.map
+      (fun g -> match current rows g with Ok v -> (g, v) | Error e -> fail e)
+      gates
   in
   let snap =
-    match Option.bind (J.member "snapshot" json) J.to_float with
-    | Some f -> string_of_int (int_of_float f)
-    | None -> "?"
+    match J.member "snapshot" json with
+    | Some (J.Num f) -> string_of_int (int_of_float f)
+    | _ -> "?"
   in
   Printf.printf "bench_compare: baseline snapshot %s (%s), tolerance %g%%\n" snap
     !baseline !tolerance;
+  let width = List.fold_left (fun w g -> Int.max w (String.length g.name)) 0 gates in
   let ok =
     List.fold_left
-      (fun ok c ->
-        let pass = verdict ~tolerance:!tolerance c in
-        Printf.printf "  %-42s baseline %8.4f  current %8.4f  %+6.1f%%  %s\n"
-          c.name c.baseline c.current (change_pct c)
+      (fun ok (g, v) ->
+        let pass = v >= g.floor *. (1.0 -. (!tolerance /. 100.0)) in
+        Printf.printf "  %-*s  floor %8.4f  current %8.4f  %+6.1f%%  %s\n" width
+          g.name g.floor v
+          ((v -. g.floor) /. g.floor *. 100.0)
           (if pass then "ok" else "REGRESSION");
         ok && pass)
-      true checks
+      true results
   in
-  if ok then begin
-    print_endline "result: PASS";
-    exit 0
-  end
-  else begin
-    print_endline "result: FAIL";
-    exit 1
-  end
+  print_endline (if ok then "result: PASS" else "result: FAIL");
+  exit (if ok then 0 else 1)

@@ -131,6 +131,7 @@ val set_merge_tile : int -> unit
 
 (** [parse_pos_int ~key s]: [Ok None] for a blank string (use the
     default), [Ok (Some v)] for an integer [v >= 1], [Error msg]
-    otherwise.  Exposed so tests can pin the grammar the [BDS_GRAIN] /
-    [BDS_BLOCK_SIZE] / [BDS_BLOCKS_PER_WORKER] validation uses. *)
+    otherwise.  The grammar of [BDS_GRAIN], [BDS_BLOCK_SIZE],
+    [BDS_BLOCKS_PER_WORKER] and [Runtime]'s [BDS_NUM_DOMAINS]; exposed
+    so tests can pin it. *)
 val parse_pos_int : key:string -> string -> (int option, string) result

@@ -19,13 +19,14 @@ let poll_mask = 63
 
 let global : Pool.t option Atomic.t = Atomic.make None
 
+(* A malformed or zero [BDS_NUM_DOMAINS] fails fast, like [BDS_GRAIN];
+   unset or blank means the recommended count. *)
 let requested_domains () =
-  match Sys.getenv_opt "BDS_NUM_DOMAINS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | _ -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
+  let key = "BDS_NUM_DOMAINS" in
+  match Grain.parse_pos_int ~key (Option.value ~default:"" (Sys.getenv_opt key)) with
+  | Ok (Some n) -> n
+  | Ok None -> Domain.recommended_domain_count ()
+  | Error msg -> failwith msg
 
 let rec get_pool () =
   match Atomic.get global with
