@@ -799,7 +799,40 @@ let stream_overhead cfg =
       S.reduce ( + ) 0
         (S.force (S.filter p (S.force (S.flat_map expand (S.iota mf))))))
     ~fused:(fun () ->
-      S.reduce ( + ) 0 (S.filter p (S.flat_map expand (S.iota mf))))
+      S.reduce ( + ) 0 (S.filter p (S.flat_map expand (S.iota mf))));
+  (* Seq consumers over one map-of-tabulate RAD: [reduce ( + )] and an
+     [iteri] that stores each element at its index.  Both make one user
+     call per element besides the RAD's own, so their ratio is the
+     overhead iteri's block loop adds per element: a wrapper closure
+     around the user function, or a stream where an index loop would do,
+     pulls it down (gate "consumers reduce/iteri"). *)
+  let xs = S.map g (S.tabulate m f) in
+  let out = Array.make m 0 in
+  let reduce () = S.reduce ( + ) 0 xs in
+  let iteri () = S.iteri (fun i v -> Array.unsafe_set out i v) xs in
+  iteri ();
+  assert (reduce () = Array.fold_left ( + ) 0 out);
+  Measure.with_domains cfg.procs (fun () ->
+      let t_reduce = Measure.time ~repeat:cfg.repeat reduce in
+      let t_iteri = Measure.time ~repeat:cfg.repeat iteri in
+      let per_elem t = t /. float_of_int m *. 1e9 in
+      List.iter
+        (fun (version, t) ->
+          record ~section:"stream-overhead" ~bench:"consumers" ~version
+            ~procs:cfg.procs ~metric:"time_s" t;
+          record ~section:"stream-overhead" ~bench:"consumers" ~version
+            ~procs:cfg.procs ~metric:"ns_per_elem" (per_elem t))
+        [ ("reduce", t_reduce); ("iteri", t_iteri) ];
+      Tables.print
+        ~title:
+          (Printf.sprintf "Seq consumers over map|tabulate: reduce vs iteri (n=%d, P=%d)"
+             m cfg.procs)
+        ~headers:[ "consumer"; "time"; "ns/elem" ]
+        ~rows:
+          [
+            [ "reduce (+)"; Measure.pp_time t_reduce; Printf.sprintf "%.2f" (per_elem t_reduce) ];
+            [ "iteri (store)"; Measure.pp_time t_iteri; Printf.sprintf "%.2f" (per_elem t_iteri) ];
+          ])
 
 (* ------------------------------------------------------------------ *)
 (* Float kernels: the unboxed lane against a sequential yardstick

@@ -13,6 +13,8 @@
      bds_probe alloc       — major-heap words of filter_op, partition,
                              flatten and a BID reduce against the
                              Cost_model prediction, with a 2x verdict
+     bds_probe calls       — user-function calls per element of the
+                             five BID kernels in A, R and Ours
      bds_probe report [--json] [--large] — run a map|scan|reduce pipeline
                              under the profiler and print the per-op
                              work/span report
@@ -235,6 +237,70 @@ let alloc () =
         (measured /. float_of_int model)
         (if measured <= 2. *. float_of_int model then "ok" else "over"))
     ops;
+  Runtime.shutdown ()
+
+(* Call-count instrument: each BID kernel of Figure 13, instantiated
+   over [Counting.Make] of A, R and Ours, runs once on a 1-domain pool at
+   a pinned size and block grid; the line per library is its user
+   function calls per input element (bfs: per edge), in total and per
+   operation.  The counts are exact and repeat on any host. *)
+let calls () =
+  let module C = Bds_seqs.Counting in
+  let module K = Bds_kernels in
+  let n = 1 lsl 16 and block_size = 1024 in
+  Runtime.set_num_domains 1;
+  Bds.Block.set_policy (Bds.Block.Fixed block_size);
+  let module A = C.Make (Bds_seqs.Impl_array) in
+  let module R = C.Make (Bds_seqs.Impl_rad) in
+  let module O = C.Make (Bds_seqs.Impl_delay) in
+  let versions (run : (module Bds_seqs.Sig.S) -> unit -> unit) =
+    [ ("array", run (module A)); ("rad", run (module R)); ("delay", run (module O)) ]
+  in
+  let floats = K.Bestcut.generate n in
+  let da, db = K.Bignum.generate_input n in
+  let text = K.Tokens.generate n in
+  let g = Bds_graph.Rmat.generate ~scale:12 ~num_edges:n () in
+  let keep v = ignore (Sys.opaque_identity v) in
+  let kernels =
+    [
+      ( "bestcut",
+        versions (fun (module S) () ->
+            let module K = K.Bestcut.Make (S) in
+            keep (K.best_cut floats)) );
+      ( "bfs",
+        versions (fun (module S) () ->
+            let module K = Bds_graph.Bfs.Make (S) in
+            keep (K.bfs g 0)) );
+      ( "bignum-add",
+        versions (fun (module S) () ->
+            let module K = K.Bignum.Make (S) in
+            keep (K.add da db)) );
+      ( "primes",
+        versions (fun (module S) () ->
+            let module K = K.Primes.Make (S) in
+            keep (K.primes n)) );
+      ( "tokens",
+        versions (fun (module S) () ->
+            let module K = K.Tokens.Make (S) in
+            keep (K.tokens text)) );
+    ]
+  in
+  Printf.printf "calls: n=%d block_size=%d domains=%d (bfs: %d edges)\n" n block_size
+    (Runtime.num_workers ()) n;
+  List.iter
+    (fun (kernel, vs) ->
+      List.iter
+        (fun (vname, run) ->
+          C.reset ();
+          run ();
+          let per c = float_of_int c /. float_of_int n in
+          let counts = C.counts () in
+          Printf.printf "%s %s: %.3f per element (%s)\n" kernel vname
+            (per (List.fold_left (fun acc (_, c) -> acc + c) 0 counts))
+            (String.concat ", "
+               (List.map (fun (op, c) -> Printf.sprintf "%s %.3f" op (per c)) counts)))
+        vs)
+    kernels;
   Runtime.shutdown ()
 
 (* Run the acceptance pipeline (iota |> map |> scan |> reduce, plus a
@@ -497,6 +563,7 @@ let () =
   | [ "streams" ] when flags = [] -> streams ()
   | [ "floats" ] when flags = [] -> floats ()
   | [ "alloc" ] when flags = [] -> alloc ()
+  | [ "calls" ] when flags = [] -> calls ()
   | [ "report" ] -> report ~json:(flag "--json") ~large:(flag "--large")
   | [ "trace-check"; file ] -> exit (trace_check ~strict:(flag "--strict") file)
   | [ "trace-count"; file; name ] when flags = [] -> exit (trace_count file name)
@@ -513,7 +580,7 @@ let () =
       exit 2)
   | _ ->
     prerr_endline
-      "usage: bds_probe [stats [--json] | blocks | streams | floats | alloc | report \
+      "usage: bds_probe [stats [--json] | blocks | streams | floats | alloc | calls | report \
        [--json] [--large] | trace-check [--strict] FILE | trace-count FILE \
        NAME | jobs | grain | metrics | metrics-check FILE | flight-check \
        FILE [MIN]]";

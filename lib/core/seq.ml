@@ -131,8 +131,7 @@ let array_of_bid b blocks =
       ~bounds:(fun j -> block_bounds b (j + 1))
       ~nb:(num_blocks_of b - 1)
       (fun j ->
-        let lo, _ = block_bounds b (j + 1) in
-        Stream.iteri (fun k v -> Array.unsafe_set out (lo + k) v) (blocks (j + 1)));
+        Stream.iteri ~first:((j + 1) * b.b_size) (Array.unsafe_set out) (blocks (j + 1)));
     out
   end
 
@@ -208,14 +207,14 @@ let scan_sums f z sums =
 (* Conversions (Figure 9)                                              *)
 
 (* BIDfromSeq, with a caller-specified block size for RAD inputs so [zip]
-   can align blocks with an existing BID. *)
+   can align blocks with an existing BID.  Each block is the RAD's own
+   index function at the block's base: no per-element wrapper. *)
 let bid_of_seq_with bsize = function
   | Bid b -> b
   | Rad { r_len; get } ->
     fresh_bid ~b_len:r_len ~b_size:bsize (fun () j ->
         let lo = j * bsize in
-        let len = Int.min bsize (r_len - lo) in
-        Stream.tabulate len (fun k -> get (lo + k)))
+        Stream.tabulate_slice get lo (Int.min bsize (r_len - lo)))
 
 let bid_of_seq s = bid_of_seq_with (Block.size (length s)) s
 
@@ -292,10 +291,7 @@ let mapi g s =
       match s with
       | Rad { r_len; get } -> Rad { r_len; get = (fun i -> g i (get i)) }
       | Bid b ->
-        Bid
-          (derived_bid b (fun st j ->
-               let lo = j * b.b_size in
-               Stream.mapi (fun k v -> g (lo + k) v) st)))
+        Bid (derived_bid b (fun st j -> Stream.mapi ~first:(j * b.b_size) g st)))
 
 let zip_with f s1 s2 =
   if length s1 <> length s2 then invalid_arg "Seq.zip: length mismatch";
@@ -323,8 +319,12 @@ let zip s1 s2 = zip_with (fun a b -> (a, b)) s1 s2
 
 (* Two-phase block-based reduce. Per-block sums are seeded from the
    block's first element, so [z] is combined exactly once (no identity
-   requirement). The RAD case reads straight through the index function
-   (identical cost, less closure overhead). *)
+   requirement).  The RAD case reads straight through the index function
+   with no BID, drive or stream per call.  The generic block path runs
+   the same per-element loop ([Stream.reduce1] over an indexed block),
+   but its per-call set-up (a fresh BID, its consumption CAS, a stream
+   per block) made sparse-mxv, one reduce per 50-element matrix row,
+   about 18% slower on the rad-large benchmark. *)
 let reduce f z s =
   Profile.with_op "reduce" (fun () ->
       match s with
@@ -424,7 +424,7 @@ let packed_bid (packed : 'a array array) =
       (fresh_bid ~b_len:total ~b_size:bsize (fun () ->
            region_block ~offsets
              ~seg_len:(fun j -> Array.length packed.(j))
-             ~elem:(fun j k -> packed.(j).(k))
+             ~elem:(fun j -> Array.unsafe_get (Array.unsafe_get packed j))
              ~total ~bsize))
   end
 
@@ -579,13 +579,12 @@ let flatten (s : 'a t t) =
         let ob = bid_of_seq s in
         let oblocks = drive ob in
         apply_bid_blocks ob (fun j ->
-            let lo, _ = block_bounds ob j in
-            Stream.iteri
-              (fun k inner ->
+            Stream.iteri ~first:(j * ob.b_size)
+              (fun i inner ->
                 match rad_of_seq inner with
                 | Rad { r_len; get } ->
-                  Array.unsafe_set inners (lo + k) get;
-                  Array.unsafe_set lengths (lo + k) r_len
+                  Array.unsafe_set inners i get;
+                  Array.unsafe_set lengths i r_len
                 | Bid _ -> assert false)
               (oblocks j));
         let offsets, total = Parray.scan ( + ) 0 lengths in
@@ -595,8 +594,8 @@ let flatten (s : 'a t t) =
           Bid
             (fresh_bid ~b_len:total ~b_size:bsize (fun () ->
                  region_block ~offsets
-                   ~seg_len:(fun j -> Array.unsafe_get lengths j)
-                   ~elem:(fun j k -> (Array.unsafe_get inners j) k)
+                   ~seg_len:(Array.unsafe_get lengths)
+                   ~elem:(Array.unsafe_get inners)
                    ~total ~bsize))
         end
       end)
@@ -662,9 +661,7 @@ let iteri f s =
   Profile.with_op "iter" (fun () ->
       let b = bid_of_seq s in
       let blocks = drive b in
-      apply_bid_blocks b (fun j ->
-          let lo, _ = block_bounds b j in
-          Stream.iteri (fun k v -> f (lo + k) v) (blocks j)))
+      apply_bid_blocks b (fun j -> Stream.iteri ~first:(j * b.b_size) f (blocks j)))
 
 let to_list s = Array.to_list (to_array s)
 
@@ -677,58 +674,20 @@ let equal eq s1 s2 =
 (* First rung of the int lane (ROADMAP "Extend the unboxed lane").
    OCaml ints are unboxed, so unlike [float_sum] there is no boxing to
    remove — the win is purely skipping the polymorphic combine-closure
-   dispatch per element: each block is one monomorphic [int] loop.  The
-   per-path split mirrors [float_sum]: RAD and memoised BIDs sum
-   straight over the index function / array; an unforced BID drives
-   [Stream.sum_ints] per block (monomorphic over a pure index function,
-   generic fold otherwise) with plain-int partials. *)
+   dispatch per element: each block drives [Stream.sum_ints], one
+   monomorphic [int] loop over an indexed block (a RAD block or a memo
+   slice), the generic fold otherwise, with plain-int partials. *)
 let int_sum s =
   Profile.with_op "int_sum" @@ fun () ->
-  match s with
-  | Rad { r_len; get } ->
-    if r_len = 0 then 0
-    else begin
-      let bsize = Block.size r_len in
-      let nb = Block.num_blocks ~block_size:bsize r_len in
-      let bounds j = (j * bsize, Int.min r_len ((j + 1) * bsize)) in
-      let partial = Array.make nb 0 in
-      Runtime.apply_blocks ~bounds ~nb (fun j ->
-          let lo, hi = bounds j in
-          let acc = ref 0 in
-          for i = lo to hi - 1 do
-            acc := !acc + get i
-          done;
-          partial.(j) <- !acc);
-      Array.fold_left ( + ) 0 partial
-    end
-  | Bid b -> (
-    match Atomic.get b.memo with
-    | Some a ->
-      let n = Array.length a in
-      if n = 0 then 0
-      else begin
-        let bsize = Block.size n in
-        let nb = Block.num_blocks ~block_size:bsize n in
-        let bounds j = (j * bsize, Int.min n ((j + 1) * bsize)) in
-        let partial = Array.make nb 0 in
-        Runtime.apply_blocks ~bounds ~nb (fun j ->
-            let lo, hi = bounds j in
-            let acc = ref 0 in
-            for i = lo to hi - 1 do
-              acc := !acc + Array.unsafe_get a i
-            done;
-            partial.(j) <- !acc);
-        Array.fold_left ( + ) 0 partial
-      end
-    | None ->
-      let nb = num_blocks_of b in
-      if nb = 0 then 0
-      else begin
-        let blocks = drive b in
-        let partial = Array.make nb 0 in
-        apply_bid_blocks b (fun j -> partial.(j) <- Stream.sum_ints (blocks j));
-        Array.fold_left ( + ) 0 partial
-      end)
+  let b = bid_of_seq s in
+  let nb = num_blocks_of b in
+  if nb = 0 then 0
+  else begin
+    let blocks = drive b in
+    let partial = Array.make nb 0 in
+    apply_bid_blocks b (fun j -> partial.(j) <- Stream.sum_ints (blocks j));
+    Array.fold_left ( + ) 0 partial
+  end
 
 let sum s = int_sum s
 
@@ -766,16 +725,20 @@ let float_sum s =
         !acc
       end)
 
-(* Own op label (bugfix: this carried [with_op "reduce"], so profiler
-   reports attributed max_by/min_by work to [reduce]). *)
+(* A block reduce that keeps the left operand on ties, so the leftmost
+   maximum wins: O(n/B) space, like [reduce], with no forced copy of the
+   input.  Own op label (bugfix: this carried [with_op "reduce"], so
+   profiler reports attributed max_by/min_by work to [reduce]). *)
 let max_by cmp s =
   if length s = 0 then invalid_arg "Seq.max_by: empty";
   Profile.with_op "max_by" (fun () ->
-      let a = to_array s in
-      Runtime.parallel_for_reduce 1 (Array.length a)
-        ~combine:(fun x y -> if cmp x y >= 0 then x else y)
-        ~init:a.(0)
-        (fun i -> a.(i)))
+      let pick x y = if cmp x y >= 0 then x else y in
+      let sums = block_sums_bid pick (bid_of_seq s) in
+      let acc = ref (unopt sums.(0)) in
+      for j = 1 to Array.length sums - 1 do
+        acc := pick !acc (unopt sums.(j))
+      done;
+      !acc)
 
 (* [with_op] is outermost-wins, so the inner [max_by] label does not
    override this one. *)

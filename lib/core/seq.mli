@@ -139,10 +139,13 @@ val int_sum : int t -> int
 val sum : int t -> int
 val float_sum : float t -> float
 
-(** Maximum element under [cmp] (forces). Raises on empty input. *)
+(** Maximum element under [cmp]; the leftmost one on ties.  A block
+    reduce: O(n/B) space, no forced copy of the input.  Raises on empty
+    input. *)
 val max_by : ('a -> 'a -> int) -> 'a t -> 'a
 
-(** Minimum element under [cmp] (forces). Raises on empty input. *)
+(** Minimum element under [cmp]; the leftmost one on ties.  Raises on
+    empty input. *)
 val min_by : ('a -> 'a -> int) -> 'a t -> 'a
 
 (** {1 Extended combinators} *)

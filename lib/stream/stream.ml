@@ -36,17 +36,22 @@ module Profile = Bds_runtime.Profile
 (* What a zip may use besides the fold: how the elements can be reached
    without running the stream.
 
-   - [Indexed f]: the stream is semantically [tabulate length f] with
-     [f] pure per position (sources, and stateless combinator chains
-     over them).  Lets [map]/[mapi]/[zip_with] fuse by *composing
-     element functions at construction time* instead of stacking a fold
-     wrapper per stage: without cross-module inlining (no flambda), each
-     wrapper level costs one extra 2-argument closure call per element,
-     which is exactly the dispatch this representation exists to avoid.
+   - [Indexed (base, f)]: element [k] is [f (base + k)], with [f] pure
+     per position (sources, and stateless combinator chains over them).
+     Carrying the base lets a block of a larger index space — a RAD
+     block, a memo slice — hand over the sequence's own index function
+     with no [fun k -> f (lo + k)] wrapper.  Lets [map]/[mapi]/[zip_with]
+     fuse by *composing element functions at construction time* instead
+     of stacking a fold wrapper per stage, and lets the consumers
+     ([reduce1], [iter], [iteri]) run a direct index loop that calls
+     [f] and the user function and nothing else: without cross-module
+     inlining (no flambda), each wrapper level costs one extra closure
+     call per element, which is exactly the dispatch this representation
+     exists to avoid.
    - [Masked]: the stream is a [masked_region] with these arguments, so
      a zip of two of them can walk both survivor masks in one loop.
    - [Opaque]: only the fold (stateful stages, the other regions). *)
-type 'a view = Indexed of (int -> 'a) | Masked of 'a masked | Opaque
+type 'a view = Indexed of int * (int -> 'a) | Masked of 'a masked | Opaque
 
 and 'a masked = {
   masks : Bytes.t array;
@@ -76,14 +81,16 @@ let fold s ~stop f z = s.fold ~stop f z
 (* ------------------------------------------------------------------ *)
 (* O(1) constructors                                                   *)
 
-let tabulate n f =
+(* [tabulate_slice f off len] streams [f off .. f (off + len - 1)]. *)
+let tabulate_slice f off len =
   {
-    length = n;
-    view = Indexed f;
+    length = len;
+    view = Indexed (off, f);
     fold =
       (fun ~stop g z ->
         let acc = ref z in
-        let i = ref 0 in
+        let i = ref off in
+        let stop = off + stop in
         while !i < stop do
           Cancel.poll ();
           let hi = Int.min stop (!i + poll_chunk) in
@@ -95,12 +102,14 @@ let tabulate n f =
         !acc);
   }
 
+let tabulate n f = tabulate_slice f 0 n
+
 let of_array_slice a off len =
   if off < 0 || len < 0 || off + len > Array.length a then
     invalid_arg "Stream.of_array_slice";
   {
     length = len;
-    view = Indexed (fun k -> Array.unsafe_get a (off + k));
+    view = Indexed (off, Array.unsafe_get a);
     fold =
       (fun ~stop g z ->
         let acc = ref z in
@@ -124,7 +133,7 @@ let of_array a = of_array_slice a 0 (Array.length a)
    adding a dispatch level. *)
 let map g s =
   match s.view with
-  | Indexed f -> tabulate s.length (fun i -> g (f i))
+  | Indexed (base, f) -> tabulate_slice (fun i -> g (f i)) base s.length
   | Masked _ | Opaque ->
     {
       length = s.length;
@@ -132,15 +141,19 @@ let map g s =
       view = Opaque;
     }
 
-let mapi g s =
+(* [first] is the index [g] sees for element 0, so a block of a larger
+   sequence passes its absolute position without wrapping [g]. *)
+let mapi ?(first = 0) g s =
   match s.view with
-  | Indexed f -> tabulate s.length (fun i -> g i (f i))
+  | Indexed (base, f) ->
+    let d = first - base in
+    tabulate_slice (fun i -> g (i + d) (f i)) base s.length
   | Masked _ | Opaque ->
   {
     length = s.length;
     fold =
       (fun ~stop h z ->
-        let i = ref 0 in
+        let i = ref first in
         s.fold ~stop
           (fun acc v ->
             let k = !i in
@@ -155,7 +168,7 @@ let mapi g s =
    output element, so block lengths are preserved. *)
 let scan f z s =
   match s.view with
-  | Indexed fi ->
+  | Indexed (base, fi) ->
     (* Native loop over the pure index function: the running state and
        the consumer accumulator advance in the same chunked [for] body,
        with no per-element wrapper call in between. *)
@@ -165,7 +178,8 @@ let scan f z s =
         (fun ~stop h z0 ->
           let st = ref z in
           let acc = ref z0 in
-          let i = ref 0 in
+          let i = ref base in
+          let stop = base + stop in
           while !i < stop do
             Cancel.poll ();
             let hi = Int.min stop (!i + poll_chunk) in
@@ -197,14 +211,15 @@ let scan f z s =
 (* Inclusive variant: element [i] is [f (... (f z x0) ...) xi]. *)
 let scan_incl f z s =
   match s.view with
-  | Indexed fi ->
+  | Indexed (base, fi) ->
     {
       length = s.length;
       fold =
         (fun ~stop h z0 ->
           let st = ref z in
           let acc = ref z0 in
-          let i = ref 0 in
+          let i = ref base in
+          let stop = base + stop in
           while !i < stop do
             Cancel.poll ();
             let hi = Int.min stop (!i + poll_chunk) in
@@ -245,8 +260,10 @@ let take n s =
    over segments and a native chunked inner loop per segment — the
    nested-push shape of "Fast Collection Operations from Indexed Stream
    Fusion" — with no per-element cursor tracking the current segment.
-   [seg_len]/[elem] must be pure per position; the caller guarantees at
-   least [length] elements exist from ([start_seg], [start_ofs]) on. *)
+   [elem s] is segment [s]'s index function, fetched once per segment
+   (not once per element).  [seg_len]/[elem] must be pure per position;
+   the caller guarantees at least [length] elements exist from
+   ([start_seg], [start_ofs]) on. *)
 let of_segments ~length ~seg_len ~elem ~start_seg ~start_ofs =
   if length < 0 || start_seg < 0 || start_ofs < 0 then
     invalid_arg "Stream.of_segments";
@@ -269,19 +286,20 @@ let of_segments ~length ~seg_len ~elem ~start_seg ~start_ofs =
             ofs := 0
           end
           else begin
-            let cur = !seg in
+            let get = elem !seg in
             let base = !ofs in
             let avail = Int.min (sl - base) (stop - !emitted) in
-            let i = ref 0 in
-            while !i < avail do
+            let i = ref base in
+            let hi_seg = base + avail in
+            while !i < hi_seg do
               Cancel.poll ();
-              let hi = Int.min avail (!i + poll_chunk) in
+              let hi = Int.min hi_seg (!i + poll_chunk) in
               for k = !i to hi - 1 do
-                acc := g !acc (elem cur (base + k))
+                acc := g !acc (get k)
               done;
               i := hi
             done;
-            ofs := base + avail;
+            ofs := hi_seg;
             emitted := !emitted + avail
           end
         done;
@@ -402,6 +420,33 @@ let mask_seek masks start_block skip =
   done;
   (!blk, !bi, !bits)
 
+(* The bit walk itself: push [left] survivors from the cursor
+   ([blk], [bi], [bits]) — a [mask_seek] result, possibly with its
+   lowest bits already consumed — through [g]. *)
+let masked_walk (r : 'a masked) (blk0, bi0, bits0) left g z =
+  let masks = r.masks and block_size = r.block_size and get = r.get in
+  let acc = ref z and left = ref left in
+  let blk = ref blk0 and m = ref masks.(blk0) and bi = ref bi0 and bits = ref bits0 in
+  while !left > 0 do
+    let b = !bits in
+    if b = 0 then begin
+      incr bi;
+      if !bi >= Bytes.length !m then begin
+        incr blk;
+        m := masks.(!blk);
+        bi := 0
+      end;
+      if !bi land 7 = 0 then Cancel.poll ();
+      bits := mask_byte !m !bi
+    end
+    else begin
+      bits := b land (b - 1);
+      acc := g !acc (get ((!blk * block_size) + (!bi lsl 3) + lowest_bit b));
+      decr left
+    end
+  done;
+  !acc
+
 (* Bit-walk filtered region over an indexed input: the block view behind
    [Seq.filter] when its input can be randomly accessed.  The survivors
    were decided once, into [masks]; emission walks the set bits from
@@ -415,37 +460,14 @@ let mask_seek masks start_block skip =
 let masked_region ~length ~masks ~block_size ~(get : int -> 'a) ~start_block ~skip =
   if length < 0 || start_block < 0 || skip < 0 || block_size <= 0 then
     invalid_arg "Stream.masked_region";
+  let r = { masks; block_size; get; start_block; skip } in
   {
     length;
-    view = Masked { masks; block_size; get; start_block; skip };
+    view = Masked r;
     fold =
       (fun ~stop g z ->
         let stop = Int.min stop length in
-        if stop <= 0 then z
-        else begin
-          let b0, i0, bits0 = mask_seek masks start_block skip in
-          let acc = ref z and left = ref stop in
-          let blk = ref b0 and m = ref masks.(b0) and bi = ref i0 and bits = ref bits0 in
-          while !left > 0 do
-            let b = !bits in
-            if b = 0 then begin
-              incr bi;
-              if !bi >= Bytes.length !m then begin
-                incr blk;
-                m := masks.(!blk);
-                bi := 0
-              end;
-              if !bi land 7 = 0 then Cancel.poll ();
-              bits := mask_byte !m !bi
-            end
-            else begin
-              bits := b land (b - 1);
-              acc := g !acc (get ((!blk * block_size) + (!bi lsl 3) + lowest_bit b));
-              decr left
-            end
-          done;
-          !acc
-        end);
+        if stop <= 0 then z else masked_walk r (mask_seek masks start_block skip) stop g z);
   }
 
 (* Zipping in push mode: a push driver owns its element loop, so only one
@@ -453,9 +475,9 @@ let masked_region ~length ~masks ~block_size ~(get : int -> 'a) ~start_block ~sk
 
    - Two indexed sides compose into one index function.
    - With exactly one indexed side, the *other* side's fold drives and
-     the indexed side is read by a lockstep counter, in either argument
-     order ([zip_indexed_side]: [combine d k] pairs the driver's element
-     [d] at position [k] with the indexed side's element [k]).
+     the indexed side is read by a lockstep counter from its base
+     ([zip_indexed_left] / [zip_indexed_right], one per argument order,
+     so each step calls [f] on [get k] with nothing in between).
    - Two masked regions (a zip of two filter outputs) are walked by one
      loop over both survivor masks ([zip_masked]): the co-iteration of
      indexed stream fusion, with no per-element closure call besides
@@ -465,17 +487,32 @@ let masked_region ~length ~masks ~block_size ~(get : int -> 'a) ~start_block ~sk
      paper's force option, on a cold path that no kernel reaches.
 
    Each side's elements are evaluated exactly once, left to right. *)
-let zip_indexed_side (driver : 'd t) (combine : 'd -> int -> 'c) =
+let zip_indexed_left f base (get : int -> 'a) (driver : 'b t) =
   {
     length = driver.length;
     fold =
       (fun ~stop h z ->
-        let i = ref 0 in
+        let i = ref base in
         driver.fold ~stop
           (fun acc d ->
             let k = !i in
             i := k + 1;
-            h acc (combine d k))
+            h acc (f (get k) d))
+          z);
+    view = Opaque;
+  }
+
+let zip_indexed_right f (driver : 'a t) base (get : int -> 'b) =
+  {
+    length = driver.length;
+    fold =
+      (fun ~stop h z ->
+        let i = ref base in
+        driver.fold ~stop
+          (fun acc d ->
+            let k = !i in
+            i := k + 1;
+            h acc (f d (get k)))
           z);
     view = Opaque;
   }
@@ -546,9 +583,11 @@ let prefix_array s n =
 let zip_with f s1 s2 =
   if s1.length <> s2.length then invalid_arg "Stream.zip_with: length mismatch";
   match (s1.view, s2.view) with
-  | Indexed f1, Indexed f2 -> tabulate s1.length (fun i -> f (f1 i) (f2 i))
-  | _, Indexed f2 -> zip_indexed_side s1 (fun a k -> f a (f2 k))
-  | Indexed f1, _ -> zip_indexed_side s2 (fun b k -> f (f1 k) b)
+  | Indexed (b1, f1), Indexed (b2, f2) ->
+    let d = b2 - b1 in
+    tabulate_slice (fun i -> f (f1 i) (f2 (i + d))) b1 s1.length
+  | _, Indexed (b2, f2) -> zip_indexed_right f s1 b2 f2
+  | Indexed (b1, f1), _ -> zip_indexed_left f b1 f1 s2
   | Masked r1, Masked r2 -> zip_masked f s1.length r1 r2
   | (Masked _ | Opaque), (Masked _ | Opaque) ->
     {
@@ -557,7 +596,7 @@ let zip_with f s1 s2 =
       fold =
         (fun ~stop h z ->
           let right = prefix_array s2 (Int.min stop s1.length) in
-          (zip_indexed_side s1 (fun a k -> f a (Array.unsafe_get right k))).fold ~stop h z);
+          (zip_indexed_right f s1 0 (Array.unsafe_get right)).fold ~stop h z);
     }
 
 let zip s1 s2 =
@@ -592,12 +631,12 @@ let reduce f z s =
 let sum_floats (s : float t) =
   Telemetry.incr_fused_folds ();
   match s.view with
-  | Indexed f ->
+  | Indexed (base, f) ->
     Telemetry.incr_float_fast_path ();
     profiled (fun () ->
-        let stop = s.length in
+        let stop = base + s.length in
         let s0 = ref 0.0 and s1 = ref 0.0 in
-        let i = ref 0 in
+        let i = ref base in
         while !i < stop do
           Cancel.poll ();
           let hi = Int.min stop (!i + poll_chunk) in
@@ -624,11 +663,11 @@ let sum_floats (s : float t) =
 let sum_ints (s : int t) =
   Telemetry.incr_fused_folds ();
   match s.view with
-  | Indexed f ->
+  | Indexed (base, f) ->
     profiled (fun () ->
-        let stop = s.length in
+        let stop = base + s.length in
         let acc = ref 0 in
-        let i = ref 0 in
+        let i = ref base in
         while !i < stop do
           Cancel.poll ();
           let hi = Int.min stop (!i + poll_chunk) in
@@ -642,31 +681,90 @@ let sum_ints (s : int t) =
         !acc)
   | Masked _ | Opaque -> profiled (fun () -> s.fold ~stop:s.length ( + ) 0)
 
+(* The consumers below run a direct loop when the view allows one, so
+   each element costs the calls the user wrote and nothing else:
+
+   - [Indexed (base, get)]: an index loop calling [get] and the user
+     function;
+   - [Masked] ([reduce1] only): the bit walk, folding [f] itself;
+   - otherwise the stream's fold, through a step closure.
+
+   The direct loops keep the fold's cadence: one cancellation poll per
+   64 elements (per 64 input positions for the bit walk). *)
+
 (* Fold of a non-empty stream seeded from its first element; lets parallel
-   callers combine a seed exactly once across blocks.  The fold starts
-   from [unset], a private block no stream element can be physically
-   equal to, and the first step replaces it with the element: no cell or
-   option per fold, and the accumulator stays in the fold's own local
-   (no [caml_modify] per element). *)
+   callers combine a seed exactly once across blocks.  An indexed stream
+   seeds from [get base]; a masked region from its first survivor, then
+   walks on from the next one.  An opaque fold starts from [unset], a
+   private block no stream element can be physically equal to, and the
+   first step replaces it with the element: no cell or option per fold,
+   and the accumulator stays in the fold's own local (no [caml_modify]
+   per element). *)
 let unset = Obj.repr (ref ())
 
 let reduce1 f s =
   if s.length = 0 then invalid_arg "Stream.reduce1: empty stream";
   Telemetry.incr_fused_folds ();
-  let seed = Obj.obj unset in
   profiled (fun () ->
-      s.fold ~stop:s.length (fun acc v -> if acc == seed then v else f acc v) seed)
+      match s.view with
+      | Indexed (base, get) ->
+        let acc = ref (get base) in
+        let i = ref (base + 1) in
+        let stop = base + s.length in
+        while !i < stop do
+          Cancel.poll ();
+          let hi = Int.min stop (!i + poll_chunk) in
+          for k = !i to hi - 1 do
+            acc := f !acc (get k)
+          done;
+          i := hi
+        done;
+        !acc
+      | Masked r ->
+        let blk, bi, bits = mask_seek r.masks r.start_block r.skip in
+        let seed = r.get ((blk * r.block_size) + (bi lsl 3) + lowest_bit bits) in
+        masked_walk r (blk, bi, bits land (bits - 1)) (s.length - 1) f seed
+      | Opaque ->
+        let seed = Obj.obj unset in
+        s.fold ~stop:s.length (fun acc v -> if acc == seed then v else f acc v) seed)
 
 let iter f s =
   Telemetry.incr_fused_folds ();
-  profiled (fun () -> s.fold ~stop:s.length (fun () v -> f v) ())
+  profiled (fun () ->
+      match s.view with
+      | Indexed (base, get) ->
+        let i = ref base in
+        let stop = base + s.length in
+        while !i < stop do
+          Cancel.poll ();
+          let hi = Int.min stop (!i + poll_chunk) in
+          for k = !i to hi - 1 do
+            f (get k)
+          done;
+          i := hi
+        done
+      | Masked _ | Opaque -> s.fold ~stop:s.length (fun () v -> f v) ())
 
-let iteri f s =
+(* [first] is the index [f] sees for element 0 (see [mapi]). *)
+let iteri ?(first = 0) f s =
   Telemetry.incr_fused_folds ();
-  let _ : int =
-    profiled (fun () -> s.fold ~stop:s.length (fun i v -> f i v; i + 1) 0)
-  in
-  ()
+  profiled (fun () ->
+      match s.view with
+      | Indexed (base, get) ->
+        let d = first - base in
+        let i = ref base in
+        let stop = base + s.length in
+        while !i < stop do
+          Cancel.poll ();
+          let hi = Int.min stop (!i + poll_chunk) in
+          for k = !i to hi - 1 do
+            f (k + d) (get k)
+          done;
+          i := hi
+        done
+      | Masked _ | Opaque ->
+        let _ : int = s.fold ~stop:s.length (fun i v -> f i v; i + 1) first in
+        ())
 
 let pack_to_array p s =
   Telemetry.incr_fused_folds ();

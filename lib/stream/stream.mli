@@ -32,19 +32,31 @@ val fold : 'a t -> stop:int -> ('acc -> 'a -> 'acc) -> 'acc -> 'acc
 (** {1 O(1) constructors} *)
 
 val tabulate : int -> (int -> 'a) -> 'a t
+
+(** [tabulate_slice f off len] streams [f off .. f (off + len - 1)]: a
+    block of a larger index space, carried as [f] and its base with no
+    per-element wrapper. *)
+val tabulate_slice : (int -> 'a) -> int -> int -> 'a t
+
 val of_array : 'a array -> 'a t
 
 (** [of_array_slice a off len] streams [a.(off) .. a.(off+len-1)]. *)
 val of_array_slice : 'a array -> int -> int -> 'a t
 
 val map : ('a -> 'b) -> 'a t -> 'b t
-val mapi : (int -> 'a -> 'b) -> 'a t -> 'b t
+
+(** [mapi ~first g s] passes [g] the index [first + k] for element [k]
+    ([first] defaults to 0), so a block of a larger sequence can use its
+    absolute positions without wrapping [g]. *)
+val mapi : ?first:int -> (int -> 'a -> 'b) -> 'a t -> 'b t
+
 val zip : 'a t -> 'b t -> ('a * 'b) t
 
 (** Element-wise combination.  Two indexed sides compose into one index
     function.  When exactly one side is indexed (a source or a stateless
     chain over one), the other side's fold drives and the indexed side
-    is read by a lockstep counter, in either argument order.  Two
+    is read by a lockstep counter, in either argument order, with no
+    closure between the driver's step and [f].  Two
     {!masked_region}s are walked by one loop over both survivor masks.
     Any other pair packs the right side's first [stop] elements into an
     exact-size array before the left fold drives.  Each side's elements
@@ -70,12 +82,15 @@ val take : int -> 'a t -> 'a t
     [start_seg, start_seg+1, ...] in order, beginning at offset
     [start_ofs] inside the first; element [i] of segment [s] is
     [elem s i] and segment [s] holds [seg_len s] elements (both must be
-    pure per position).  The fold is a native outer-loop/inner-loop pair
-    keeping the 64-element cancellation cadence.  The caller guarantees enough elements exist; O(1). *)
+    pure per position).  [elem s] is applied once per segment the fold
+    enters, and the index function it returns once per element.  The
+    fold is a native outer-loop/inner-loop pair keeping the 64-element
+    cancellation cadence.  The caller guarantees enough elements exist;
+    O(1). *)
 val of_segments :
   length:int ->
   seg_len:(int -> int) ->
-  elem:(int -> int -> 'a) ->
+  elem:(int -> (int -> 'a)) ->
   start_seg:int ->
   start_ofs:int ->
   'a t
@@ -130,8 +145,12 @@ val masked_region :
 
 (** {1 Linear consumers}
 
-    All of these drive the push path ({!fold}) and bump the
-    [fused_folds] telemetry counter once per call. *)
+    All of these bump the [fused_folds] telemetry counter once per call.
+    {!reduce1}, {!iter} and {!iteri} run a direct index loop over an
+    indexed stream (a source, or a stateless chain over one), and
+    {!reduce1} walks a {!masked_region}'s mask itself; every other case
+    drives the push path ({!fold}).  Either way the loop polls
+    cancellation once per 64 elements. *)
 
 val reduce : ('a -> 'b -> 'a) -> 'a -> 'b t -> 'a
 
@@ -155,16 +174,17 @@ val sum_floats : float t -> float
     design rule. *)
 val sum_ints : int t -> int
 
-(** Fold of a non-empty stream seeded from its first element.  Allocates
-    nothing per element: the fold starts from a private sentinel that the
-    first element replaces.  Raises [Invalid_argument] on an empty
-    stream. *)
+(** Fold of a non-empty stream seeded from its first element, which is
+    never passed to [f] as the right operand.  Allocates nothing per
+    element.  Raises [Invalid_argument] on an empty stream. *)
 val reduce1 : ('a -> 'a -> 'a) -> 'a t -> 'a
 
 (** The paper's [s.applyStream]. *)
 val iter : ('a -> unit) -> 'a t -> unit
 
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
+(** [iteri ~first f s] calls [f (first + k) v] on element [k]
+    ([first] defaults to 0). *)
+val iteri : ?first:int -> (int -> 'a -> unit) -> 'a t -> unit
 
 (** Sequential filter into a fresh array (the paper's [s.packToArray]).
     Survivors are collected in minor-heap chunks of at most 256 words,

@@ -620,6 +620,52 @@ let test_early_exit_parallel () =
       Alcotest.(check (option int)) "find on BID leftmost" (Some 21)
         (S.find_opt (fun x -> x > 19) b))
 
+(* max_by/min_by reduce over blocks: the leftmost extremum wins a tie,
+   on every block grid and representation, and a RAD input is never
+   copied (the reduce allocates O(n/B), where the old [to_array] put n
+   words in the major heap). *)
+let test_max_by_min_by () =
+  let n = 200 in
+  (* Keys repeat with period 7, so each extremum occurs many times,
+     across block boundaries; the second component names the position. *)
+  let key i = (i * 3) mod 7 in
+  let by_key (k1, _) (k2, _) = compare k1 k2 in
+  for_all_policies (fun name ->
+      let rad = S.tabulate n (fun i -> (key i, i)) in
+      let bid = S.filter (fun (_, i) -> i mod 3 <> 1) rad in
+      let first_with k l = List.find (fun (k', _) -> k' = k) l in
+      List.iter
+        (fun (rep, s) ->
+          let l = S.to_list s in
+          let hi = List.fold_left (fun m (k, _) -> max m k) min_int l in
+          let lo = List.fold_left (fun m (k, _) -> min m k) max_int l in
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "%s %s max_by leftmost" name rep)
+            (first_with hi l) (S.max_by by_key s);
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "%s %s min_by leftmost" name rep)
+            (first_with lo l) (S.min_by by_key s))
+        [ ("rad", rad); ("bid", bid) ]);
+  let n = 1 lsl 18 in
+  let s = S.tabulate n (fun i -> (i * 7919) land 0xffff) in
+  Bds_runtime.Runtime.set_num_domains 1;
+  Fun.protect
+    ~finally:(fun () -> Bds_runtime.Runtime.set_num_domains Bds_test_util.domains)
+    (fun () ->
+      let run () = ignore (Sys.opaque_identity (S.max_by Int.compare s)) in
+      run ();
+      Gc.full_major ();
+      let before = (Gc.quick_stat ()).major_words in
+      run ();
+      (* A direct major allocation is counted at the next major slice. *)
+      ignore (Gc.major_slice 0 : int);
+      let words = (Gc.quick_stat ()).major_words -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "max_by on a 2^18 RAD: %.0f major words <= n/64" words)
+        true
+        (words <= float_of_int (n / 64)));
+  Alcotest.(check int) "max value" 0xffff (S.max_by Int.compare s)
+
 let () =
   Alcotest.run "seq"
     [
@@ -647,5 +693,6 @@ let () =
           Alcotest.test_case "early-exit parallel" `Quick test_early_exit_parallel;
           Alcotest.test_case "early-exit exact counts" `Quick
             test_early_exit_exact_counts;
+          Alcotest.test_case "max_by/min_by ties and space" `Quick test_max_by_min_by;
         ] );
     ]

@@ -316,6 +316,56 @@ let filter_matrix_at d =
           Bds_runtime.Runtime.set_num_domains d;
           run ()) )
 
+(* The Seq consumers whose blocks take Stream's direct loops, against a
+   list model, over every kind of block: RAD blocks (indexed at their own
+   base), a memoised BID (memo slices), [take] of each, a filter output
+   (masked regions, starting mid-input-block under small grids), and a
+   zip of a RAD with a BID (one indexed side).  [reduce] with the
+   right projection checks that each block is seeded from its first
+   element and the blocks combine in order. *)
+let consumer_inputs a =
+  let n = Array.length a in
+  let memoised () =
+    let b = S.scan_incl (fun _ x -> x) 0 (S.of_array a) in
+    ignore (S.to_array b);
+    b
+  in
+  let l = Array.to_list a in
+  let half l = List.filteri (fun i _ -> i < (n + 1) / 2) l in
+  let p x = x land 1 = 0 in
+  [
+    ((fun () -> S.of_array a), l);
+    (memoised, l);
+    ((fun () -> S.take (S.of_array a) ((n + 1) / 2)), half l);
+    ((fun () -> S.take (memoised ()) ((n + 1) / 2)), half l);
+    ((fun () -> S.filter p (S.of_array a)), List.filter p l);
+    ( (fun () -> S.zip_with (fun x y -> (3 * x) - y) (S.of_array a) (memoised ())),
+      List.map (fun x -> 2 * x) l );
+  ]
+
+let prop_consumers (a, policy) =
+  with_policy policy (fun () ->
+      List.for_all
+        (fun (input, l) ->
+          let n = List.length l in
+          let stored = Array.make n min_int in
+          S.iteri (fun i v -> stored.(i) <- v) (input ());
+          let seen = Atomic.make 0 in
+          S.iter (fun v -> ignore (Atomic.fetch_and_add seen v : int)) (input ());
+          let rad = S.tabulate n (fun i -> 5 * i) in
+          let rad_l = List.init n (fun i -> 5 * i) in
+          let f x y = (3 * x) - y in
+          S.reduce ( + ) 0 (input ()) = List.fold_left ( + ) 0 l
+          && S.reduce (fun _ y -> y) min_int (input ()) = List.fold_left (fun _ y -> y) min_int l
+          && S.int_sum (input ()) = List.fold_left ( + ) 0 l
+          && Array.to_list stored = l
+          && Atomic.get seen = List.fold_left ( + ) 0 l
+          && S.to_list (S.mapi (fun i v -> (1000 * i) + v) (input ()))
+             = List.mapi (fun i v -> (1000 * i) + v) l
+          && S.to_list (S.zip_with f (input ()) rad) = List.map2 f l rad_l
+          && S.to_list (S.zip_with f rad (input ())) = List.map2 f rad_l l)
+        (consumer_inputs a))
+
 let tests =
   let open QCheck2 in
   [
@@ -339,6 +389,9 @@ let tests =
       prop_policy_invariance;
     Test.make ~name:"search = list model" ~count:300 (with_bsize small_int_array)
       prop_search_invariance;
+    Test.make ~name:"consumers over each block kind = list model" ~count:200
+      (Gen.pair small_int_array policy_gen)
+      prop_consumers;
   ]
 
 (* Deterministic worker-count sweep: the fused filter/flatten chains and

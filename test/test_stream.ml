@@ -234,7 +234,22 @@ let test_fold_poll_cadence () =
       ignore
         (Stream.reduce ( + ) 0 (Stream.map poison (Stream.tabulate 100_000 Fun.id))));
   poll_cadence_of (fun poison ->
-      ignore (Stream.reduce ( + ) 0 (Stream.map poison (unindexed 100_000))))
+      ignore (Stream.reduce ( + ) 0 (Stream.map poison (unindexed 100_000))));
+  (* The direct index loops of reduce1, iter and iteri, from base 0 and
+     from a memo slice's base. *)
+  let slice = Array.init 100_003 (fun i -> i - 3) in
+  poll_cadence_of (fun poison ->
+      ignore (Stream.reduce1 ( + ) (Stream.map poison (Stream.tabulate 100_000 Fun.id))));
+  poll_cadence_of (fun poison ->
+      ignore (Stream.reduce1 ( + ) (Stream.map poison (Stream.of_array_slice slice 3 100_000))));
+  poll_cadence_of (fun poison ->
+      Stream.iter
+        (fun v -> ignore (Sys.opaque_identity v))
+        (Stream.map poison (Stream.tabulate 100_000 Fun.id)));
+  poll_cadence_of (fun poison ->
+      Stream.iteri ~first:7
+        (fun _ v -> ignore (Sys.opaque_identity v))
+        (Stream.map poison (Stream.of_array_slice slice 3 100_000)))
 
 (* Nested-push segment concatenation: model = the flattened suffix of
    the segment table starting at (start_seg, start_ofs). *)
@@ -335,6 +350,8 @@ let test_region_poll_cadence () =
       ~block_size:1_000 ~get ~start_block:0 ~skip:0
   in
   poll_cadence_of (fun poison -> ignore (Stream.reduce ( + ) 0 (masked poison)));
+  (* reduce1's own walk over a masked region. *)
+  poll_cadence_of (fun poison -> ignore (Stream.reduce1 ( + ) (masked poison)));
   (* The co-walk of two masked regions polls on each side's walk. *)
   poll_cadence_of (fun poison ->
       ignore (Stream.reduce ( + ) 0 (Stream.zip_with ( + ) (masked poison) (masked Fun.id))));
@@ -686,6 +703,109 @@ let prop_zip_masked (side1, side2, r) =
     (List.init (length + 1) Fun.id)
   && Stream.to_list (Stream.zip_with f (mk1 length) (mk2 length)) = model
 
+(* The direct consumer loops ([reduce1], [iter], [iteri], and [mapi] with
+   a start index) and [zip_with] against a list model, over the sources
+   whose views they take: indexed blocks past position 0 (a RAD block
+   through [tabulate_slice], a memo slice through [of_array_slice]), zips
+   of two indexed sides at equal and unequal bases, masked regions that
+   start past a survivor ([skip > 0]) or hold one element, and [take] of
+   each.  Every source is non-empty. *)
+let direct_elem i = ((i * 7) mod 23) - 11
+
+type direct_src =
+  | D_rad of int * int  (** base, length *)
+  | D_memo of int * int
+  | D_zip of int * int * int  (** both bases, length *)
+  | D_masked of bool array * int * int * int * int
+      (** keep, block size, start block, skip, length *)
+  | D_take of int * direct_src
+
+let survivors_from keep bsize start_block =
+  List.filter (fun i -> keep.(i)) (List.init (Array.length keep) Fun.id)
+  |> List.filter (fun i -> i >= start_block * bsize)
+
+let rec direct_stream = function
+  | D_rad (b, n) -> Stream.tabulate_slice direct_elem b n
+  | D_memo (b, n) -> Stream.of_array_slice (Array.init (b + n + 3) direct_elem) b n
+  | D_zip (b1, b2, n) ->
+    Stream.zip_with
+      (fun x y -> (2 * x) - y)
+      (Stream.tabulate_slice direct_elem b1 n)
+      (Stream.of_array_slice (Array.init (b2 + n) direct_elem) b2 n)
+  | D_masked (keep, bsize, start_block, skip, length) ->
+    let masks = masks_of ~n:(Array.length keep) ~bsize (Array.get keep) in
+    Stream.masked_region ~length ~masks ~block_size:bsize ~get:direct_elem ~start_block
+      ~skip
+  | D_take (k, src) -> Stream.take k (direct_stream src)
+
+let rec direct_model = function
+  | D_rad (b, n) | D_memo (b, n) -> List.init n (fun k -> direct_elem (b + k))
+  | D_zip (b1, b2, n) ->
+    List.init n (fun k -> (2 * direct_elem (b1 + k)) - direct_elem (b2 + k))
+  | D_masked (keep, bsize, start_block, skip, length) ->
+    survivors_from keep bsize start_block
+    |> List.filteri (fun j _ -> j >= skip && j < skip + length)
+    |> List.map direct_elem
+  | D_take (k, src) -> List.filteri (fun j _ -> j < k) (direct_model src)
+
+let direct_src_gen =
+  let open QCheck2.Gen in
+  let masked =
+    let* n = int_range 1 300 in
+    let* bsize = int_range 1 40 in
+    let* keep = array_size (return n) (map (fun x -> x < 2) (int_bound 3)) in
+    (* The last position survives, so every start block has one. *)
+    keep.(n - 1) <- true;
+    let* start_block = int_bound (((n + bsize - 1) / bsize) - 1) in
+    let avail = List.length (survivors_from keep bsize start_block) in
+    let* skip = int_bound (avail - 1) in
+    let* length = oneof [ return 1; int_range 1 (avail - skip) ] in
+    return (D_masked (keep, bsize, start_block, skip, length))
+  in
+  let* src =
+    oneof
+      [
+        map2 (fun b n -> D_rad (b, n)) (int_range 1 200) (int_range 1 150);
+        map2 (fun b n -> D_memo (b, n)) (int_range 1 200) (int_range 1 150);
+        map3 (fun b d n -> D_zip (b, b + d, n)) (int_range 0 200) (int_range 0 20) (int_range 1 150);
+        masked;
+      ]
+  in
+  let len = List.length (direct_model src) in
+  let* first = int_bound 500 in
+  let* k = int_bound (2 * len) in
+  return ((if k < len then D_take (k + 1, src) else src), first)
+
+let prop_direct_consumers (src, first) =
+  let l = direct_model src in
+  let mk () = direct_stream src in
+  let f a b = (3 * a) - b in
+  let fold1 l = List.fold_left f (List.hd l) (List.tl l) in
+  let iter_l = ref [] and iteri_l = ref [] in
+  Stream.iter (fun v -> iter_l := v :: !iter_l) (mk ());
+  Stream.iteri ~first (fun i v -> iteri_l := (i, v) :: !iteri_l) (mk ());
+  let indexed = List.mapi (fun k v -> (first + k, v)) l in
+  let tag (i, v) = (1000 * i) + v in
+  let n = List.length l in
+  let other () = Stream.tabulate_slice (fun i -> 5 * i) 17 n in
+  let other_l = List.init n (fun k -> 5 * (17 + k)) in
+  Stream.reduce1 f (mk ()) = fold1 l
+  && List.rev !iter_l = l
+  && List.rev !iteri_l = indexed
+  && Stream.to_list (Stream.mapi ~first (fun i v -> tag (i, v)) (mk ()))
+     = List.map tag indexed
+  && Stream.reduce1 f (Stream.mapi ~first (fun i v -> tag (i, v)) (mk ()))
+     = fold1 (List.map tag indexed)
+  && Stream.to_list (Stream.zip_with f (mk ()) (other ())) = List.map2 f l other_l
+  && Stream.reduce1 f (Stream.zip_with f (other ()) (mk ()))
+     = fold1 (List.map2 f other_l l)
+
+let direct_tests =
+  [
+    QCheck2.Test.make ~name:"direct consumers = list model" ~count:1000 direct_src_gen
+      prop_direct_consumers;
+  ]
+
 let region_tests =
   let open QCheck2 in
   [
@@ -771,4 +891,5 @@ let () =
       ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests);
       ("chains", List.map (QCheck_alcotest.to_alcotest ~long:false) chain_tests);
       ("regions", List.map (QCheck_alcotest.to_alcotest ~long:false) region_tests);
+      ("direct", List.map (QCheck_alcotest.to_alcotest ~long:false) direct_tests);
     ]
