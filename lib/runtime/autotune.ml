@@ -101,9 +101,9 @@ type entry = {
    past the key's own size bucket (a grain above 2^(bucket+1) is just
    "one leaf", which the coarse rule can no longer distinguish). *)
 let clamp_grain ~bucket g =
-  let hi = min max_grain (1 lsl (min 61 (bucket + 1))) in
-  let hi = max hi min_grain in
-  max min_grain (min hi g)
+  let hi = Int.min max_grain (1 lsl (Int.min 61 (bucket + 1))) in
+  let hi = Int.max hi min_grain in
+  Int.max min_grain (Int.min hi g)
 
 let capacity = 512  (* power of two; open addressing masks into it *)
 
@@ -257,7 +257,7 @@ type obs = {
 let[@inline] now () = Unix.gettimeofday ()
 
 let leaf_init ~n ~workers =
-  max 1 (n / (Grain.chunks_per_worker * max 1 workers))
+  Int.max 1 (n / (Grain.chunks_per_worker * Int.max 1 workers))
 
 let make_obs e ~n ~used =
   { o_entry = e; o_n = n; o_used = used; o_t0 = now ();
@@ -276,7 +276,7 @@ let leaf_decision ~n ~workers =
       match lookup ~op ~n ~workers ~init:(leaf_init ~n ~workers) with
       | None -> None
       | Some e ->
-        let g = min n (pick e) in
+        let g = Int.min n (pick e) in
         Some (g, make_obs e ~n ~used:g))
 
 (* Block-size decision for BID construction / blocked reductions: the
@@ -291,7 +291,7 @@ let block_size ~workers n =
     | Some op -> (
       match lookup ~op ~n ~workers ~init:(Grain.block_size ~workers n) with
       | None -> None
-      | Some e -> Some (min n (pick e)))
+      | Some e -> Some (Int.min n (pick e)))
 
 (* Observation-only entry for regions whose granularity was fixed before
    the region started (block grids): attribute the region to the key it
@@ -458,8 +458,8 @@ let load_file path =
   !n
 
 let persist () =
-  match Sys.getenv_opt env_var with
-  | None | Some "" -> ()
+  match Env.get env_var with
+  | None -> ()
   | Some path -> (
     try save_file path
     with Sys_error e ->
@@ -470,8 +470,8 @@ let persist () =
    region consults the table) and rewrite at exit; [Pool.teardown] also
    calls [persist] so servers that recycle pools checkpoint each time. *)
 let () =
-  match Sys.getenv_opt env_var with
-  | None | Some "" -> ()
+  match Env.get env_var with
+  | None -> ()
   | Some path ->
     if Sys.file_exists path then ignore (load_file path : int);
     at_exit persist

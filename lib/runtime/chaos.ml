@@ -86,24 +86,19 @@ let parse s =
 (* ------------------------------------------------------------------ *)
 (* State *)
 
+(* [BDS_CHAOS] is read and parsed once: the startup config, or why it
+   was rejected. *)
+let env_config, env_error =
+  match Option.map parse (Env.get "BDS_CHAOS") with
+  | None -> (None, None)
+  | Some (Ok cfg) -> (cfg, None)
+  | Some (Error e) -> (None, Some e)
+
 (* (config, generation): bumping the generation forces every domain to
    re-seed its local stream on next use. *)
-let state : (config option * int) Atomic.t =
-  let init =
-    match Sys.getenv_opt "BDS_CHAOS" with
-    | None -> (None, None)
-    | Some s -> (
-      match parse s with
-      | Ok cfg -> (cfg, None)
-      | Error e -> (None, Some e))
-  in
-  Atomic.make (fst init, 0)
+let state : (config option * int) Atomic.t = Atomic.make (env_config, 0)
 
-let parse_error : string option ref =
-  ref
-    (match Sys.getenv_opt "BDS_CHAOS" with
-    | None -> None
-    | Some s -> ( match parse s with Ok _ -> None | Error e -> Some e))
+let parse_error : string option ref = ref env_error
 
 let config () = fst (Atomic.get state)
 

@@ -24,7 +24,7 @@
     per-site fault probability, in [0..1]) defaults to [0.01], and [kinds]
     defaults to [delay+starve] — the semantics-preserving kinds, so the
     full test suite can run under chaos and still check exact results.
-    The empty string is the explicit opt-out: [BDS_CHAOS=''] disables
+    The empty (or blank) string is the explicit opt-out: [BDS_CHAOS=''] disables
     chaos (handy for pinning chaos off in one command of a sweep whose
     environment sets it globally).  A malformed value disables chaos and
     is reported by {!describe}.

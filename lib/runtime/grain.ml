@@ -28,14 +28,10 @@ let merge_tile_state : int Atomic.t = Atomic.make default_merge_tile
 
 (* Adaptive-granularity opt-in (the controller itself lives in
    [Autotune]; this flag lives here so both Profile and the controller
-   can read it without a dependency cycle).  Parsed eagerly like
+   can read it without a dependency cycle).  Read eagerly like
    [BDS_PROFILE]/[BDS_TRACE] — it is boolean-ish, so there is no
    malformed-value failure mode to defer. *)
-let adaptive_state : bool Atomic.t =
-  Atomic.make
-    (match Sys.getenv_opt "BDS_ADAPT" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true)
+let adaptive_state : bool Atomic.t = Atomic.make (Env.flag "BDS_ADAPT")
 
 let[@inline] adaptive () = Atomic.get adaptive_state
 
@@ -43,25 +39,6 @@ let set_adaptive b = Atomic.set adaptive_state b
 
 (* ------------------------------------------------------------------ *)
 (* Environment overrides, validated at first use *)
-
-let parse_pos_int ~key s =
-  match String.trim s with
-  | "" -> Ok None
-  | t -> (
-    match int_of_string_opt t with
-    | Some v when v >= 1 -> Ok (Some v)
-    | _ ->
-      Error
-        (Printf.sprintf "%s: invalid value %S (expected an integer >= 1)" key
-           s))
-
-let read_env key =
-  match Sys.getenv_opt key with
-  | None -> None
-  | Some s -> (
-    match parse_pos_int ~key s with
-    | Ok v -> v
-    | Error msg -> failwith msg)
 
 (* The policy the environment requests (before any programmatic
    set_policy), remembered so reset_policy restores it. *)
@@ -81,12 +58,12 @@ let ensure_env () =
       ~finally:(fun () -> Mutex.unlock env_lock)
       (fun () ->
         if not (Atomic.get env_done) then begin
-          let g = read_env "BDS_GRAIN" in
+          let g = Env.pos_int "BDS_GRAIN" in
           let p =
-            match read_env "BDS_BLOCK_SIZE" with
+            match Env.pos_int "BDS_BLOCK_SIZE" with
             | Some b -> Some (Fixed b)
             | None -> (
-              match read_env "BDS_BLOCKS_PER_WORKER" with
+              match Env.pos_int "BDS_BLOCKS_PER_WORKER" with
               | Some k ->
                 Some
                   (Scaled

@@ -23,8 +23,9 @@
       with that many blocks per worker (ignored when [BDS_BLOCK_SIZE] is
       also set, which takes precedence).
 
-    An empty (or unset) variable means "use the default".  Programmatic
-    setters ({!set_policy}, {!set_leaf_grain}) override the environment.
+    An unset, empty or whitespace-only variable means "use the
+    default" (the rule of {!Env}).  Programmatic setters ({!set_policy},
+    {!set_leaf_grain}) override the environment.
 
     All policy state is {!Atomic}: the bench harness mutates it between
     sweep points while worker domains read it. *)
@@ -58,7 +59,7 @@ val policy_is_default : unit -> bool
 
     The opt-in flag for the online self-tuning controller ([Autotune];
     knobs and behaviour in docs/RUNTIME.md "Adaptive granularity").  Set
-    from [BDS_ADAPT] at startup (empty or ["0"] is the explicit
+    from [BDS_ADAPT] at startup (blank or ["0"] is the explicit
     opt-out, like [BDS_PROFILE]) or from {!set_adaptive}.  The flag
     lives here — not in [Autotune] — so [Profile] can turn its op-label
     tracking on for the controller without a dependency cycle. *)
@@ -126,12 +127,3 @@ val set_sort_cutoff : int -> unit
 val merge_tile : unit -> int
 
 val set_merge_tile : int -> unit
-
-(** {2 Environment parsing} *)
-
-(** [parse_pos_int ~key s]: [Ok None] for a blank string (use the
-    default), [Ok (Some v)] for an integer [v >= 1], [Error msg]
-    otherwise.  The grammar of [BDS_GRAIN], [BDS_BLOCK_SIZE],
-    [BDS_BLOCKS_PER_WORKER] and [Runtime]'s [BDS_NUM_DOMAINS]; exposed
-    so tests can pin it. *)
-val parse_pos_int : key:string -> string -> (int option, string) result

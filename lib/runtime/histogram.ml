@@ -1,99 +1,44 @@
 (* Per-domain log2-bucket latency histograms (see histogram.mli).
 
-   Same discipline as [Telemetry]: each recording domain owns a private
-   row of plain mutable ints reached through DLS, so [record] is a DLS
-   read plus three unsynchronized stores — no atomics, no shared cache
-   lines on the hot path.  [snapshot] reads every row racily from the
-   aggregating domain; counts are single-word ints (no tearing) and only
-   ever grow, so a snapshot is a monotone lower bound, exactly the
-   contract [Telemetry.snapshot] already established. *)
+   Same discipline as [Telemetry], over the same [Slots] storage: each
+   recording domain owns a private row of plain ints — counts, then
+   summed ns, then the maximum — so [record] is a DLS read plus three
+   unsynchronized stores: no atomics, no shared cache lines on the hot
+   path.  [snapshot] reads every row racily from the aggregating domain;
+   counts are single-word ints (no tearing) and only ever grow, so a
+   snapshot is a monotone lower bound, exactly the contract
+   [Telemetry.snapshot] already established. *)
 
 let buckets = 64
 
-type row = {
-  counts : int array;  (* samples per bucket *)
-  ns : int array;  (* summed duration per bucket *)
-  mutable max_ns : int;
-  (* Pad the record out past a cache line so two domains' rows never
-     share one even when allocated back to back.  The arrays are
-     separate blocks and padded by their own headers/lengths; only the
-     row record itself needs explicit pads. *)
-  mutable pad0 : int;
-  mutable pad1 : int;
-  mutable pad2 : int;
-  mutable pad3 : int;
-  mutable pad4 : int;
-  mutable pad5 : int;
-  mutable pad6 : int;
-  mutable pad7 : int;
-  mutable pad8 : int;
-  mutable pad9 : int;
-  mutable pad10 : int;
-  mutable pad11 : int;
-  mutable pad12 : int;
-}
+(* Row layout: [counts.(k)] at [k], [ns.(k)] at [buckets + k], max at
+   [max_slot]. *)
+let max_slot = 2 * buckets
 
-type t = {
-  key : row Domain.DLS.key;
-  registry_mutex : Mutex.t;
-  registry : row list ref;
-}
+type t = Slots.t
 
-let fresh_row () =
-  {
-    counts = Array.make buckets 0;
-    ns = Array.make buckets 0;
-    max_ns = 0;
-    pad0 = 0;
-    pad1 = 0;
-    pad2 = 0;
-    pad3 = 0;
-    pad4 = 0;
-    pad5 = 0;
-    pad6 = 0;
-    pad7 = 0;
-    pad8 = 0;
-    pad9 = 0;
-    pad10 = 0;
-    pad11 = 0;
-    pad12 = 0;
-  }
-
-let create () =
-  (* The key's init closure captures this histogram's registry, so a
-     domain touching several histograms gets one private row in each. *)
-  let registry_mutex = Mutex.create () in
-  let registry = ref [] in
-  let key =
-    Domain.DLS.new_key (fun () ->
-        let r = fresh_row () in
-        Mutex.lock registry_mutex;
-        registry := r :: !registry;
-        Mutex.unlock registry_mutex;
-        r)
-  in
-  { key; registry_mutex; registry }
+let create () = Slots.create (max_slot + 1)
 
 (* Bucket [k] holds durations in [2^k, 2^(k+1)) ns, except bucket 0
    which also absorbs 0.  OCaml ints are 63-bit, so max_int lands in
-   bucket 61 and the top slots are unreachable headroom; the [min] is
+   bucket 61 and the top slots are unreachable headroom; the [Int.min] is
    belt-and-braces. *)
 let[@inline] bucket_of_ns n =
   if n <= 1 then 0
   else
     let rec log2 acc n = if n <= 1 then acc else log2 (acc + 1) (n lsr 1) in
-    min (buckets - 1) (log2 0 n)
+    Int.min (buckets - 1) (log2 0 n)
 
 (* Inclusive upper bound of bucket [k]; the top bucket has none. *)
 let bucket_upper_ns k = if k >= buckets - 1 then max_int else (1 lsl (k + 1)) - 1
 
 let record t ~ns:n =
   let n = if n < 0 then 0 else n in
-  let r = Domain.DLS.get t.key in
+  let r = Slots.local t in
   let b = bucket_of_ns n in
-  r.counts.(b) <- r.counts.(b) + 1;
-  r.ns.(b) <- r.ns.(b) + n;
-  if n > r.max_ns then r.max_ns <- n
+  r.(b) <- r.(b) + 1;
+  r.(buckets + b) <- r.(buckets + b) + n;
+  if n > r.(max_slot) then r.(max_slot) <- n
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots *)
@@ -107,22 +52,19 @@ let merge a b =
   {
     s_counts = Array.init buckets (fun i -> a.s_counts.(i) + b.s_counts.(i));
     s_ns = Array.init buckets (fun i -> a.s_ns.(i) + b.s_ns.(i));
-    s_max_ns = max a.s_max_ns b.s_max_ns;
+    s_max_ns = Int.max a.s_max_ns b.s_max_ns;
   }
 
 let snapshot t =
-  Mutex.lock t.registry_mutex;
-  let rows = !(t.registry) in
-  Mutex.unlock t.registry_mutex;
   List.fold_left
     (fun acc r ->
       merge acc
         {
-          s_counts = Array.copy r.counts;
-          s_ns = Array.copy r.ns;
-          s_max_ns = r.max_ns;
+          s_counts = Array.sub r 0 buckets;
+          s_ns = Array.sub r buckets buckets;
+          s_max_ns = r.(max_slot);
         })
-    empty rows
+    empty (Slots.rows t)
 
 let total_count s = Array.fold_left ( + ) 0 s.s_counts
 
@@ -144,7 +86,7 @@ let percentile s p =
       if k >= buckets then s.s_max_ns
       else
         let seen = seen + s.s_counts.(k) in
-        if seen >= rank then min (bucket_upper_ns k) s.s_max_ns
+        if seen >= rank then Int.min (bucket_upper_ns k) s.s_max_ns
         else find (k + 1) seen
     in
     find 0 0

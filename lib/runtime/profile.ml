@@ -43,11 +43,7 @@
    clock; µs resolution is plenty for leaves that the grain policy
    already sizes in the tens of µs. *)
 
-let enabled_flag =
-  Atomic.make
-    (match Sys.getenv_opt "BDS_PROFILE" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true)
+let enabled_flag = Atomic.make (Env.flag "BDS_PROFILE")
 
 (* The adaptive controller ([Autotune]) needs op labels and leaf timings
    — exactly this module's instrumentation — so adaptive mode implies
@@ -153,7 +149,7 @@ let with_op name f =
       d.cur <- Some ctx;
       let finish () =
         (Domain.DLS.get dls_key).cur <- None;
-        let wall = max 1 (now_ns () - ctx.t0) in
+        let wall = Int.max 1 (now_ns () - ctx.t0) in
         Atomic.incr op.calls;
         ignore (Atomic.fetch_and_add op.wall_ns wall);
         let span = wall - ctx.prim_wall + ctx.prim_span in
@@ -226,8 +222,8 @@ let current_op_name () =
 let region_end = function
   | None -> ()
   | Some r ->
-    let w = max 0 (now_ns () - r.r_t0) in
-    let m = min (Atomic.get r.r_max_leaf) w in
+    let w = Int.max 0 (now_ns () - r.r_t0) in
+    let m = Int.min (Atomic.get r.r_max_leaf) w in
     r.r_ctx.prim_wall <- r.r_ctx.prim_wall + w;
     r.r_ctx.prim_span <- r.r_ctx.prim_span + m
 
@@ -253,7 +249,7 @@ let leaf (r : region) f =
     let t0 = now_ns () in
     let finish () =
       (Domain.DLS.get dls_key).in_leaf <- saved;
-      let dt = max 0 (now_ns () - t0) in
+      let dt = Int.max 0 (now_ns () - t0) in
       Histogram.record r.r_ctx.op.chunks ~ns:dt;
       Atomic.incr r.r_leaves;
       ignore (Atomic.fetch_and_add r.r_leaf_ns dt);
@@ -317,7 +313,7 @@ let rows () =
          else begin
            let h = Histogram.snapshot op.chunks in
            let work = Histogram.total_ns h in
-           let wall = max 1 (Atomic.get op.wall_ns) in
+           let wall = Int.max 1 (Atomic.get op.wall_ns) in
            let tiny =
              if work = 0 then 0.
              else
@@ -372,7 +368,7 @@ let render ~workers rows =
         (Printf.sprintf "%s %d %d %s %s %s %s %.1f %.2f\n" r.r_name r.r_calls
            r.r_chunks (pp_ns r.r_p50_ns) (pp_ns r.r_p99_ns) (pp_ns r.r_work_ns)
            (pp_ns r.r_span_ns) r.r_parallelism
-           (r.r_parallelism /. float_of_int (max 1 workers))))
+           (r.r_parallelism /. float_of_int (Int.max 1 workers))))
     rows;
   List.iter
     (fun r ->
@@ -395,7 +391,7 @@ let render_json ~workers rows =
            "{\"name\":\"%s\",\"calls\":%d,\"chunks\":%d,\"wall_ns\":%d,\"work_ns\":%d,\"span_ns\":%d,\"p50_ns\":%d,\"p99_ns\":%d,\"max_chunk_ns\":%d,\"parallelism\":%.3f,\"utilization\":%.3f,\"tiny_fraction\":%.3f}"
            r.r_name r.r_calls r.r_chunks r.r_wall_ns r.r_work_ns r.r_span_ns
            r.r_p50_ns r.r_p99_ns r.r_max_chunk_ns r.r_parallelism
-           (r.r_parallelism /. float_of_int (max 1 workers))
+           (r.r_parallelism /. float_of_int (Int.max 1 workers))
            r.r_tiny_fraction))
     rows;
   Buffer.add_string b "]}";

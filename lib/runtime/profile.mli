@@ -1,6 +1,6 @@
 (** Opt-in per-operation work/span profiler.
 
-    Set [BDS_PROFILE=1] (empty or ["0"] is the explicit opt-out, like
+    Set [BDS_PROFILE=1] (blank or ["0"] is the explicit opt-out, like
     [BDS_TRACE]/[BDS_CHAOS]) and every profiled operation — the [Seq]
     combinators, [Psort.sort], [Stream]'s linear folds — accumulates
     under its op name: call count, wall time, {e work} (summed duration

@@ -22,11 +22,9 @@ let global : Pool.t option Atomic.t = Atomic.make None
 (* A malformed or zero [BDS_NUM_DOMAINS] fails fast, like [BDS_GRAIN];
    unset or blank means the recommended count. *)
 let requested_domains () =
-  let key = "BDS_NUM_DOMAINS" in
-  match Grain.parse_pos_int ~key (Option.value ~default:"" (Sys.getenv_opt key)) with
-  | Ok (Some n) -> n
-  | Ok None -> Domain.recommended_domain_count ()
-  | Error msg -> failwith msg
+  match Env.pos_int "BDS_NUM_DOMAINS" with
+  | Some n -> n
+  | None -> Domain.recommended_domain_count ()
 
 let rec get_pool () =
   match Atomic.get global with

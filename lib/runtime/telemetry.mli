@@ -72,6 +72,12 @@ val diff_checked : before:snapshot -> after:snapshot -> snapshot * bool
     [bds_probe stats]. *)
 val to_assoc : snapshot -> (string * int) list
 
+(** The snapshot whose counter at slot [i] is [a.(i)], slots in
+    {!to_assoc} order.  Exposed so tests can check that each key reads
+    its own slot.  Raises [Invalid_argument] if [a] is shorter than the
+    counter list. *)
+val of_slots : int array -> snapshot
+
 (** One-line rendering of {!to_assoc}. *)
 val pp : snapshot -> string
 

@@ -39,11 +39,9 @@ type ring = {
 (* ------------------------------------------------------------------ *)
 (* State *)
 
-(* The empty string is the explicit opt-out (mirroring BDS_CHAOS=''), so
+(* A blank value is the explicit opt-out (mirroring BDS_CHAOS=''), so
    a tracing sweep can pin tracing off for one command. *)
-let output : string option Atomic.t =
-  Atomic.make
-    (match Sys.getenv_opt "BDS_TRACE" with Some "" -> None | v -> v)
+let output : string option Atomic.t = Atomic.make (Env.get "BDS_TRACE")
 
 let enabled_flag = Atomic.make (Atomic.get output <> None)
 

@@ -34,6 +34,9 @@ let covered_files =
     "lib/runtime/runtime.ml";
     "lib/runtime/grain.ml";
     "lib/runtime/ws_deque.ml";
+    "lib/runtime/histogram.ml";
+    "lib/runtime/profile.ml";
+    "lib/runtime/autotune.ml";
   ]
 
 let banned = function

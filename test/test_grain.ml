@@ -3,12 +3,22 @@
    policy").  These tests use explicit [~workers] so they are independent
    of the pool. *)
 
+module Env = Bds_runtime.Env
 module Grain = Bds_runtime.Grain
 open Bds_test_util
 
 let () = init ()
 
-let parse = Grain.parse_pos_int ~key:"BDS_TEST"
+(* [Env] reads the real environment, so each case sets a variable no
+   library module reads. *)
+let key = "BDS_TEST"
+
+let with_value s f =
+  Unix.putenv key s;
+  f key
+
+let parse s =
+  with_value s (fun k -> try Ok (Env.pos_int k) with Failure m -> Error m)
 
 let test_parse_ok () =
   Alcotest.(check bool) "empty is default" true (parse "" = Ok None);
@@ -21,17 +31,41 @@ let test_parse_bad () =
   let bad s =
     match parse s with
     | Error msg ->
-      Alcotest.(check bool)
-        (Printf.sprintf "error for %S names the key" s)
-        true
-        (String.length msg >= 8 && String.sub msg 0 8 = "BDS_TEST")
+      Alcotest.(check string)
+        (Printf.sprintf "error for %S names the key and the value" s)
+        (Printf.sprintf "BDS_TEST: invalid value %S (expected an integer >= 1)" s)
+        msg
     | Ok _ -> Alcotest.failf "expected an error for %S" s
   in
   bad "0";
   bad "-3";
   bad "banana";
   bad "1.5";
-  bad "1e3"
+  bad "1e3";
+  bad " 0 "
+
+(* One blank rule for every variable: unset, empty and whitespace-only
+   all read as unset, and a switch is also off at "0". *)
+let test_flag () =
+  let flag s = with_value s Env.flag in
+  Alcotest.(check bool) "unset" false (Env.flag "BDS_TEST_NEVER_SET");
+  Alcotest.(check bool) "empty" false (flag "");
+  Alcotest.(check bool) "blank" false (flag " ");
+  Alcotest.(check bool) "tab and newline" false (flag "\t\n");
+  Alcotest.(check bool) "zero" false (flag "0");
+  Alcotest.(check bool) "padded zero" false (flag " 0 ");
+  Alcotest.(check bool) "one" true (flag "1");
+  Alcotest.(check bool) "any word" true (flag "yes")
+
+let test_get () =
+  let get s = with_value s Env.get in
+  Alcotest.(check (option string)) "unset" None (Env.get "BDS_TEST_NEVER_SET");
+  Alcotest.(check (option string)) "empty" None (get "");
+  Alcotest.(check (option string)) "blank" None (get " ");
+  Alcotest.(check (option string)) "tabs" None (get "\t \t");
+  Alcotest.(check (option string))
+    "value as set" (Some " out.json") (get " out.json");
+  Alcotest.(check (option string)) "zero is a value" (Some "0") (get "0")
 
 let test_leaf_grain () =
   with_grain None (fun () ->
@@ -101,6 +135,8 @@ let () =
         [
           Alcotest.test_case "parse ok" `Quick test_parse_ok;
           Alcotest.test_case "parse bad" `Quick test_parse_bad;
+          Alcotest.test_case "env flag" `Quick test_flag;
+          Alcotest.test_case "env get" `Quick test_get;
           Alcotest.test_case "leaf grain" `Quick test_leaf_grain;
           Alcotest.test_case "grid" `Quick test_grid;
           Alcotest.test_case "scaled grid" `Quick test_scaled_grid;

@@ -75,6 +75,81 @@ let test_assoc_order () =
          has 0)
        keys)
 
+(* Each key reads its own slot: the declaration table and [of_slots]
+   agree on the order, which the compiler cannot check. *)
+let test_slot_order () =
+  let n = List.length (Telemetry.to_assoc (snap ())) in
+  List.iteri
+    (fun i (k, v) -> Alcotest.(check int) ("slot of " ^ k) i v)
+    (Telemetry.to_assoc (Telemetry.of_slots (Array.init n Fun.id)))
+
+let incrs =
+  Telemetry.
+    [
+      ("tasks_spawned", incr_tasks_spawned);
+      ("steal_attempts", incr_steal_attempts);
+      ("steals", incr_steals);
+      ("overflow_pushes", incr_overflow_pushes);
+      ("chunks_executed", incr_chunks_executed);
+      ("cancel_polls", incr_cancel_polls);
+      ("cancel_trips", incr_cancel_trips);
+      ("chaos_injections", incr_chaos_injections);
+      ("fused_folds", incr_fused_folds);
+      ("float_fast_path", incr_float_fast_path);
+      ("float_boxed_fallback", incr_float_boxed_fallback);
+      ("shared_forces", incr_shared_forces);
+      ("jobs_admitted", incr_jobs_admitted);
+      ("jobs_completed", incr_jobs_completed);
+      ("jobs_cancelled", incr_jobs_cancelled);
+      ("jobs_deadline_exceeded", incr_jobs_deadline_exceeded);
+      ("jobs_failed", incr_jobs_failed);
+      ("jobs_retried", incr_jobs_retried);
+      ("jobs_shed", incr_jobs_shed);
+      ("jobs_retries_shed", incr_jobs_retries_shed);
+      ("adapt_adjustments", incr_adapt_adjustments);
+      ("adapt_probes", incr_adapt_probes);
+    ]
+
+(* Keys that nothing in this process bumps behind the test's back (the
+   idle pool moves the scheduler counters). *)
+let quiet k =
+  List.exists
+    (fun prefix -> String.starts_with ~prefix k)
+    [ "jobs_"; "adapt_"; "float_"; "shared_forces" ]
+
+(* Each [incr_*] raises its own key, and only its own among the quiet
+   ones. *)
+let test_incr_own_key () =
+  init ();
+  let n = 1000 in
+  List.iter
+    (fun (key, incr) ->
+      let before = snap () in
+      for _ = 1 to n do incr () done;
+      let d = Telemetry.to_assoc (Telemetry.diff ~before ~after:(snap ())) in
+      Alcotest.(check bool) (key ^ " raised by n") true (List.assoc key d >= n);
+      List.iter
+        (fun (k, v) ->
+          if k <> key && quiet k then
+            Alcotest.(check int) (Printf.sprintf "%s leaves %s" key k) 0 v)
+        d)
+    incrs
+
+(* The hot path is one domain-local store: no allocation per call. *)
+let test_no_alloc () =
+  let h = Bds_runtime.Histogram.create () in
+  let words f =
+    f 0;
+    let w0 = Gc.minor_words () in
+    for i = 1 to 1_000_000 do f i done;
+    Gc.minor_words () -. w0
+  in
+  let incr = words (fun _ -> Telemetry.incr_fused_folds ()) in
+  let record = words (fun i -> Bds_runtime.Histogram.record h ~ns:i) in
+  Alcotest.(check bool) (Printf.sprintf "incr: %.0f minor words" incr) true (incr < 100.);
+  Alcotest.(check bool)
+    (Printf.sprintf "record: %.0f minor words" record) true (record < 100.)
+
 (* The exposed grain policy: ~32 leaf chunks per worker, floor 1. *)
 let test_auto_grain () =
   init ();
@@ -146,6 +221,9 @@ let () =
           Alcotest.test_case "monotone snapshots" `Quick test_monotone;
           Alcotest.test_case "diff clamps at zero" `Quick test_diff_clamps;
           Alcotest.test_case "to_assoc order is fixed" `Quick test_assoc_order;
+          Alcotest.test_case "each key reads its slot" `Quick test_slot_order;
+          Alcotest.test_case "each incr bumps its key" `Quick test_incr_own_key;
+          Alcotest.test_case "incr and record allocate nothing" `Quick test_no_alloc;
           Alcotest.test_case "auto_grain policy" `Quick test_auto_grain;
         ] );
       ( "trace",
