@@ -9,10 +9,15 @@
      protected overflow queue when called from outside the pool);
    - idle workers steal from victims in round-robin order, then block on a
      condition variable after a bounded spin;
+   - [fork_join] is work-first: it pushes the right branch's task, runs
+     the left branch, then pops the deque of the worker the fiber is on
+     now.  If that pop returns the task it pushed, nobody stole it, and
+     the right branch runs inline in the same fiber.  Otherwise (stolen,
+     the fiber migrated, or an orphaned task sits on top, which is put
+     back) the join falls to [await];
    - [await] suspends the current fiber with an effect when the promise is
      unresolved; the continuation is re-scheduled by whoever fulfills the
-     promise.  Work-first [par] means suspension is rare: the local pop
-     usually retrieves the task we just pushed.
+     promise.
 
    Failure semantics (docs/RUNTIME.md "Failure semantics"):
    - [async]/[run] on a torn-down pool raise [Shutdown] instead of
@@ -191,17 +196,19 @@ let get_task pool me =
 (* ------------------------------------------------------------------ *)
 (* Scheduling                                                          *)
 
+let push_overflow pool task =
+  Telemetry.incr_overflow_pushes ();
+  Mutex.lock pool.overflow_mutex;
+  Queue.push task pool.overflow;
+  Atomic.incr pool.overflow_size;
+  Mutex.unlock pool.overflow_mutex
+
 let push_task pool task =
   Telemetry.incr_tasks_spawned ();
   (match current_context () with
   | Some { ctx_pool; ctx_id } when ctx_pool == pool ->
     Ws_deque.push pool.deques.(ctx_id) task
-  | _ ->
-    Telemetry.incr_overflow_pushes ();
-    Mutex.lock pool.overflow_mutex;
-    Queue.push task pool.overflow;
-    Atomic.incr pool.overflow_size;
-    Mutex.unlock pool.overflow_mutex);
+  | _ -> push_overflow pool task);
   wake_idlers pool
 
 (* Run one task under the suspend handler.  The handler closes over the
@@ -515,11 +522,7 @@ let async_external pool f =
   check_alive pool;
   let p = promise () in
   Telemetry.incr_tasks_spawned ();
-  Telemetry.incr_overflow_pushes ();
-  Mutex.lock pool.overflow_mutex;
-  Queue.push (promise_task f p) pool.overflow;
-  Atomic.incr pool.overflow_size;
-  Mutex.unlock pool.overflow_mutex;
+  push_overflow pool (promise_task f p);
   wake_idlers pool;
   p
 
@@ -559,6 +562,35 @@ let await pool p =
   | Returned _ | Raised _ -> ());
   promise_result p
 
+(* Work-first fork-join (docs/RUNTIME.md "Inline join").  The join pops
+   the deque of the worker the fiber is on *now*: [left] may have
+   suspended and resumed elsewhere.  Only our own task back (physical
+   equality) proves nobody stole it; any other task (an orphan of [left],
+   or another fiber's) is put back where it was, and the join awaits. *)
+let fork_join pool left right =
+  check_alive pool;
+  let p = promise () in
+  let task = promise_task right p in
+  push_task pool task;
+  let a = left () in
+  let inline =
+    match current_context () with
+    | Some { ctx_pool; ctx_id } when ctx_pool == pool -> (
+        let dq = pool.deques.(ctx_id) in
+        match Ws_deque.pop dq with
+        | Some t when t == task -> true
+        | Some t ->
+          Ws_deque.push dq t;
+          false
+        | None -> false)
+    | _ -> false
+  in
+  if inline then begin
+    Chaos.point_task ();
+    (a, right ())
+  end
+  else (a, await pool p)
+
 let run pool f =
   check_alive pool;
   if in_context pool then
@@ -575,17 +607,7 @@ let run pool f =
         Mutex.unlock pool.runner_mutex)
       (fun () ->
         let p = promise () in
-        let task () =
-          match
-            Chaos.point_task ();
-            f ()
-          with
-          | v -> fulfill p (Returned v)
-          | exception e ->
-            let bt = Printexc.get_raw_backtrace () in
-            fulfill p (Raised (e, bt))
-        in
-        execute pool task;
+        execute pool (promise_task f p);
         (* Participate as worker 0 until the root promise resolves.  If a
            worker domain crashes while we wait, surface the poisoning as
            [Worker_crashed] instead of spinning on a promise that may

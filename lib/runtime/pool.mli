@@ -55,6 +55,16 @@ val async : t -> (unit -> 'a) -> 'a promise
     @raise Worker_crashed if the pool is poisoned while waiting. *)
 val await : t -> 'a promise -> 'a
 
+(** [fork_join pool left right] is [(left (), right ())], with [right]
+    open to theft while [left] runs.  If nobody stole [right] by then, it
+    runs inline in the caller's fiber (no suspension, no extra task);
+    a stolen [right] is joined as by {!await}.  An exception from either
+    branch propagates as itself; one from [left] leaves [right] queued.
+    Outside the pool's context this is {!async}, [left ()], {!await}.
+    @raise Shutdown on a torn-down pool.
+    @raise Worker_crashed on a poisoned pool. *)
+val fork_join : t -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
+
 (** Like {!async}, but always routes the task through the external
     overflow queue, never the calling worker's deque.  Required for
     sys-threads that may {e share a domain} with a pool member (e.g. the

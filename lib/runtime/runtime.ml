@@ -85,22 +85,31 @@ let scoped tok thunk =
     | Some (e0, bt0) -> Printexc.raise_with_backtrace e0 bt0
     | None -> Printexc.raise_with_backtrace e bt)
 
-(* Run one sequential chunk [lo, hi) of [body] under [tok]: ambient for
-   nested scopes and [Seq]'s block-boundary polls, token polled every
-   [poll_mask + 1] iterations, first failure recorded. *)
-let seq_chunk_body tok body lo hi =
+(* Run [f] inside [tok]'s scope: [tok] is the ambient token (for nested
+   scopes and [Seq]'s block-boundary polls), and any exception but
+   [Cancelled] is recorded as the scope's failure, then re-raised with
+   its backtrace. *)
+let in_scope tok f =
   Cancel.with_ambient tok (fun () ->
-      try
-        for i = lo to hi - 1 do
-          if (i - lo) land poll_mask = 0 then Cancel.check tok;
-          body i
-        done
-      with
-      | Cancel.Cancelled as e -> raise e
-      | e ->
+      try f ()
+      with e ->
         let bt = Printexc.get_raw_backtrace () in
         record tok e bt;
         Printexc.raise_with_backtrace e bt)
+
+(* Split [lo, hi) in half and fork [go] over both halves. *)
+let halves pool go lo hi =
+  let mid = lo + ((hi - lo) / 2) in
+  Pool.fork_join pool (fun () -> go lo mid) (fun () -> go mid hi)
+
+(* Run one sequential chunk [lo, hi) of [body] under [tok], polling the
+   token every [poll_mask + 1] iterations. *)
+let seq_chunk_body tok body lo hi =
+  in_scope tok (fun () ->
+      for i = lo to hi - 1 do
+        if (i - lo) land poll_mask = 0 then Cancel.check tok;
+        body i
+      done)
 
 (* [prof] is the enclosing primitive's profile region (free when
    profiling is off or no op is open): each chunk is one profiled leaf,
@@ -120,22 +129,11 @@ let par f g =
   let branch h () =
     (* Un-started branches of a cancelled scope become no-ops. *)
     Cancel.check tok;
-    Cancel.with_ambient tok (fun () ->
-        try h ()
-        with
-        | Cancel.Cancelled as e -> raise e
-        | e ->
-          let bt = Printexc.get_raw_backtrace () in
-          record tok e bt;
-          Printexc.raise_with_backtrace e bt)
+    in_scope tok h
   in
   Trace.with_span "par" (fun () ->
       Pool.run pool (fun () ->
-          scoped tok (fun () ->
-              let pg = Pool.async pool (branch g) in
-              let a = branch f () in
-              let b = Pool.await pool pg in
-              (a, b))))
+          scoped tok (fun () -> Pool.fork_join pool (branch f) (branch g))))
 
 (* Sequential base-case threshold: delegated to the unified granularity
    layer (Grain.leaf_grain — about 32 leaf chunks per worker, or the
@@ -188,12 +186,7 @@ let parallel_for ?grain lo hi (body : int -> unit) =
         let rec go lo hi =
           Cancel.check tok;
           if hi - lo <= grain then seq_chunk prof tok body lo hi
-          else begin
-            let mid = lo + ((hi - lo) / 2) in
-            let p = Pool.async pool (fun () -> go mid hi) in
-            go lo mid;
-            Pool.await pool p
-          end
+          else ignore (halves pool go lo hi : unit * unit)
         in
         Trace.with_span ~lo ~hi "parallel_for" (fun () ->
             Pool.run pool (fun () -> scoped tok (fun () -> go lo hi)));
@@ -231,16 +224,7 @@ let apply_blocks ?bounds ~nb (body : int -> unit) =
     Profile.with_region (fun prof ->
         let leaf j =
           Telemetry.incr_chunks_executed ();
-          let chunk () =
-            Cancel.with_ambient tok (fun () ->
-                try body j
-                with
-                | Cancel.Cancelled as e -> raise e
-                | e ->
-                  let bt = Printexc.get_raw_backtrace () in
-                  record tok e bt;
-                  Printexc.raise_with_backtrace e bt)
-          in
+          let chunk () = in_scope tok (fun () -> body j) in
           let traced () =
             if Trace.enabled () then begin
               let lo, hi =
@@ -255,12 +239,7 @@ let apply_blocks ?bounds ~nb (body : int -> unit) =
         let rec go lo hi =
           Cancel.check tok;
           if hi - lo <= 1 then leaf lo
-          else begin
-            let mid = lo + ((hi - lo) / 2) in
-            let p = Pool.async pool (fun () -> go mid hi) in
-            go lo mid;
-            Pool.await pool p
-          end
+          else ignore (halves pool go lo hi : unit * unit)
         in
         Trace.with_span ~lo:0 ~hi:nb "apply_blocks" (fun () ->
             Pool.run pool (fun () -> scoped tok (fun () -> go 0 nb)));
@@ -288,12 +267,8 @@ let parallel_for_lazy ?chunk lo hi (body : int -> unit) =
         let rec go lo hi =
           Cancel.check tok;
           if hi - lo <= chunk_size then seq_chunk prof tok body lo hi
-          else if Pool.local_deque_empty pool then begin
-            let mid = lo + ((hi - lo) / 2) in
-            let p = Pool.async pool (fun () -> go mid hi) in
-            go lo mid;
-            Pool.await pool p
-          end
+          else if Pool.local_deque_empty pool then
+            ignore (halves pool go lo hi : unit * unit)
           else begin
             let stop = Int.min hi (lo + chunk_size) in
             seq_chunk prof tok body lo stop;
@@ -324,20 +299,13 @@ let parallel_for_reduce ?grain lo hi ~combine ~init (body : int -> 'a) =
         let leaf lo hi =
           Telemetry.incr_chunks_executed ();
           let chunk () =
-            Cancel.with_ambient tok (fun () ->
-                try
-                  let acc = ref (body lo) in
-                  for i = lo + 1 to hi - 1 do
-                    if (i - lo) land poll_mask = 0 then Cancel.check tok;
-                    acc := combine !acc (body i)
-                  done;
-                  !acc
-                with
-                | Cancel.Cancelled as e -> raise e
-                | e ->
-                  let bt = Printexc.get_raw_backtrace () in
-                  record tok e bt;
-                  Printexc.raise_with_backtrace e bt)
+            in_scope tok (fun () ->
+                let acc = ref (body lo) in
+                for i = lo + 1 to hi - 1 do
+                  if (i - lo) land poll_mask = 0 then Cancel.check tok;
+                  acc := combine !acc (body i)
+                done;
+                !acc)
           in
           let traced () =
             if Trace.enabled () then
@@ -349,13 +317,9 @@ let parallel_for_reduce ?grain lo hi ~combine ~init (body : int -> 'a) =
         let rec go lo hi =
           Cancel.check tok;
           if hi - lo <= grain then leaf lo hi
-          else begin
-            let mid = lo + ((hi - lo) / 2) in
-            let p = Pool.async pool (fun () -> go mid hi) in
-            let a = go lo mid in
-            let b = Pool.await pool p in
+          else
+            let a, b = halves pool go lo hi in
             combine a b
-          end
         in
         let r =
           Trace.with_span ~lo ~hi "parallel_for_reduce" (fun () ->

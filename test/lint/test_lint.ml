@@ -37,6 +37,8 @@ let covered_files =
     "lib/runtime/histogram.ml";
     "lib/runtime/profile.ml";
     "lib/runtime/autotune.ml";
+    "lib/runtime/pool.ml";
+    "lib/runtime/cancel.ml";
   ]
 
 let banned = function

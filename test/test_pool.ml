@@ -117,6 +117,162 @@ let test_stats_and_teardown () =
       ignore (Pool.run pool (fun () -> 0)))
 
 (* ------------------------------------------------------------------ *)
+(* Inline join *)
+
+(* Run [f] on a fresh global pool of [d] domains, then restore the
+   suites' default pool. *)
+let with_domains d f =
+  Runtime.set_num_domains d;
+  Fun.protect
+    ~finally:(fun () -> Runtime.set_num_domains Bds_test_util.domains)
+    f
+
+let rec par_tree depth =
+  if depth > 0 then
+    ignore
+      (Runtime.par
+         (fun () -> par_tree (depth - 1))
+         (fun () -> par_tree (depth - 1)))
+
+let test_inline_join_counts () =
+  (* One domain: nobody steals, so every join pops its own child back
+     and runs it inline.  The whole call is the root task alone, and
+     each of the 63 forks pushes exactly one task (no resume pushes). *)
+  with_domains 1 (fun () ->
+      let pool = Runtime.get_pool () in
+      let counts f =
+        let ex0, _ = Pool.stats pool in
+        let t0 = Bds_runtime.Telemetry.snapshot () in
+        f ();
+        let ex1, _ = Pool.stats pool in
+        let t1 = Bds_runtime.Telemetry.snapshot () in
+        let d = Bds_runtime.Telemetry.diff ~before:t0 ~after:t1 in
+        (ex1 - ex0, d.Bds_runtime.Telemetry.s_tasks_spawned)
+      in
+      let check name f =
+        Alcotest.(check (pair int int)) name (1, 63) (counts f)
+      in
+      check "apply_blocks ~nb:64 (executed, spawned)" (fun () ->
+          Runtime.apply_blocks ~nb:64 ignore);
+      check "depth-6 par tree (executed, spawned)" (fun () -> par_tree 6))
+
+let test_orphan_push_back () =
+  (* [left] catches the exception of an inner fork whose [right] it
+     never joins: that [right]'s task is left on the deque above the
+     outer child, so the outer join pops a task that is not its own,
+     puts it back and waits.  One domain makes that schedule certain,
+     and the orphan then runs before the outer join returns. *)
+  let orphaning inner =
+    Runtime.par
+      (fun () ->
+        (try inner () with Boom 21 -> ());
+        2)
+      (fun () -> 3)
+  in
+  let via_par () =
+    ignore (Runtime.par (fun () -> raise (Boom 21)) (fun () -> 5))
+  in
+  let ran = Atomic.make 0 in
+  let via_fork_join () =
+    ignore
+      (Pool.fork_join (Runtime.get_pool ())
+         (fun () -> raise (Boom 21))
+         (fun () -> Atomic.incr ran))
+  in
+  with_domains 1 (fun () ->
+      for i = 1 to 5 do
+        Alcotest.(check (pair int int))
+          "both results, orphan of fork_join" (2, 3)
+          (orphaning via_fork_join);
+        Alcotest.(check int) "orphan ran, not dropped" i (Atomic.get ran)
+      done);
+  List.iter
+    (fun d ->
+      with_domains d (fun () ->
+          for _ = 1 to 20 do
+            Alcotest.(check (pair int int))
+              (Printf.sprintf "both results, %d domain(s)" d)
+              (2, 3) (orphaning via_par)
+          done;
+          Alcotest.(check int)
+            (Printf.sprintf "pool usable afterwards, %d domain(s)" d)
+            4950
+            (Runtime.parallel_for_reduce ~grain:1 0 100 ~combine:( + )
+               ~init:0 Fun.id)))
+    [ 1; Bds_test_util.domains ]
+
+let test_inline_right_raises () =
+  let right_raises () = Runtime.par (fun () -> 1) (fun () -> raise (Boom 22)) in
+  let both_raise () =
+    Runtime.par (fun () -> raise (Boom 23)) (fun () -> raise (Boom 24))
+  in
+  with_domains 1 (fun () ->
+      Alcotest.check_raises "inlined right's exception" (Boom 22) (fun () ->
+          ignore (right_raises ()));
+      Alcotest.check_raises "left's exception wins" (Boom 23) (fun () ->
+          ignore (both_raise ())));
+  (* With thieves, a stolen [right] may record its failure first; either
+     way the scope root raises one of the branches' own exceptions. *)
+  Alcotest.check_raises "right's exception, stolen or not" (Boom 22)
+    (fun () -> ignore (right_raises ()));
+  for _ = 1 to 20 do
+    match both_raise () with
+    | _ -> Alcotest.fail "both branches raised, par returned"
+    | exception (Boom (23 | 24)) -> ()
+  done
+
+(* Random nests of [par] and [parallel_for_reduce] against a sequential
+   model, on pools of 1, 2 and 4 domains. *)
+type nest =
+  | Val of int
+  | Par of nest * nest
+  | Reduce of int * int * nest (* range, grain, body *)
+
+let rec nest_gen depth =
+  let open QCheck2.Gen in
+  let leaf = map (fun v -> Val v) (int_range (-100) 100) in
+  if depth = 0 then leaf
+  else
+    let sub = nest_gen (depth - 1) in
+    frequency
+      [
+        (1, leaf);
+        (2, map2 (fun l r -> Par (l, r)) sub sub);
+        ( 2,
+          map3 (fun n g b -> Reduce (n, g, b)) (int_bound 12) (int_range 1 4)
+            sub );
+      ]
+
+let rec nest_seq = function
+  | Val v -> v
+  | Par (l, r) -> nest_seq l + (2 * nest_seq r)
+  | Reduce (n, _, b) ->
+    let v = nest_seq b in
+    List.fold_left ( + ) 1 (List.init n (fun i -> (3 * i) + v))
+
+let rec nest_par = function
+  | Val v -> v
+  | Par (l, r) ->
+    let a, b = Runtime.par (fun () -> nest_par l) (fun () -> nest_par r) in
+    a + (2 * b)
+  | Reduce (n, grain, b) ->
+    Runtime.parallel_for_reduce ~grain 0 n ~combine:( + ) ~init:1 (fun i ->
+        (3 * i) + nest_par b)
+
+let nest_tests =
+  List.map
+    (fun d ->
+      let name, speed, run =
+        QCheck_alcotest.to_alcotest ~long:false
+          (QCheck2.Test.make
+             ~name:(Printf.sprintf "par/reduce nests, %d domain(s)" d)
+             ~count:60 (nest_gen 4)
+             (fun t -> nest_par t = nest_seq t))
+      in
+      (name, speed, fun () -> with_domains d run))
+    [ 1; 2; 4 ]
+
+(* ------------------------------------------------------------------ *)
 (* Cancellation scopes *)
 
 let test_cancellation_bounds_wasted_work () =
@@ -392,7 +548,9 @@ let fuzz_tests =
 let () =
   Alcotest.run "pool"
     [
-      ("fuzz", List.map (QCheck_alcotest.to_alcotest ~long:false) fuzz_tests);
+      ( "fuzz",
+        List.map (QCheck_alcotest.to_alcotest ~long:false) fuzz_tests
+        @ nest_tests );
       ( "fork-join",
         [
           Alcotest.test_case "fib" `Quick test_fib;
@@ -408,6 +566,14 @@ let () =
         [
           Alcotest.test_case "await re-raises" `Quick test_exception_propagation;
           Alcotest.test_case "parallel_for body" `Quick test_exception_in_parallel_for;
+        ] );
+      ( "inline join",
+        [
+          Alcotest.test_case "1-domain task counts" `Quick
+            test_inline_join_counts;
+          Alcotest.test_case "orphan push-back" `Quick test_orphan_push_back;
+          Alcotest.test_case "inlined right raises" `Quick
+            test_inline_right_raises;
         ] );
       ( "cancellation",
         [
