@@ -515,9 +515,9 @@ let ablation cfg =
             [ "delay (map evaluated twice)"; Measure.pp_time td; Measure.pp_bytes ad ];
             [ "force (extra n-word array)"; Measure.pp_time tf; Measure.pp_bytes af ];
           ]);
-  (* 3b. Static grain vs lazy binary splitting on an imbalanced loop
-     (iteration i costs ~i work: a triangular load). *)
-  Printf.eprintf "  ablation: lazy binary splitting...\n%!" ;
+  (* 3b. Static grain on an imbalanced loop (iteration i costs ~i work:
+     a triangular load): the auto grain against one coarse fixed grain. *)
+  Printf.eprintf "  ablation: triangular load...\n%!" ;
   let nl = scaled cfg 30_000 in
   let body i =
     let acc = ref 0 in
@@ -533,21 +533,12 @@ let ablation cfg =
           [
             ("static grain (auto)", fun () -> Runtime.parallel_for 0 nl body);
             ("static grain 4096", fun () -> Runtime.parallel_for ~grain:4096 0 nl body);
-            ( "lazy binary splitting",
-              (* Chunk comes from the unified knob (BDS-equivalent of
-                 setting it via Grain), not a local magic number. *)
-              fun () ->
-                let old = Grain.lazy_chunk () in
-                Grain.set_lazy_chunk 64;
-                Fun.protect
-                  ~finally:(fun () -> Grain.set_lazy_chunk old)
-                  (fun () -> Runtime.parallel_for_lazy 0 nl body) );
           ]
       in
       Tables.print
         ~title:
           (Printf.sprintf
-             "Ablation: static grain vs lazy binary splitting, triangular load (n=%d, P=%d)"
+             "Ablation: static grain, triangular load (n=%d, P=%d)"
              nl cfg.procs)
         ~headers:[ "strategy"; "time" ] ~rows)
 

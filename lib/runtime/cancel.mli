@@ -1,7 +1,7 @@
 (** Structured cancellation tokens for fork-join scopes.
 
-    Each parallel scope ([Runtime.par] / [parallel_for] /
-    [parallel_for_reduce] / [parallel_for_lazy]) owns a token.  The first
+    Each parallel scope ([Runtime.par] / [parallel_for] / [apply_blocks]
+    / [parallel_for_reduce]) owns a token.  The first
     exception raised in any branch of the scope is recorded in the token
     and flips it to cancelled; sibling branches observe the token at grain
     boundaries and stop doing work, and subtasks that have not started yet

@@ -55,7 +55,7 @@ let record ?(extra = []) t ~reason =
 
 let snapshots t =
   Mutex.lock t.mutex;
-  let stored = min t.count t.cap in
+  let stored = Int.min t.count t.cap in
   let first = t.count - stored in
   let out =
     List.init stored (fun i ->

@@ -13,8 +13,7 @@ let default_policy =
   Scaled { per_worker_blocks = 8; min_size = 2048; max_size = 65536 }
 
 let chunks_per_worker = 32
-let default_lazy_chunk = 64
-let default_sort_cutoff = 4096
+let sort_cutoff = 4096
 let default_merge_tile = 4096
 
 (* All mutable policy state is Atomic: the bench harness (and tests)
@@ -22,8 +21,6 @@ let default_merge_tile = 4096
    ref here would be a data race under the OCaml memory model. *)
 let policy_state : policy Atomic.t = Atomic.make default_policy
 let leaf_override : int option Atomic.t = Atomic.make None
-let lazy_chunk_state : int Atomic.t = Atomic.make default_lazy_chunk
-let sort_cutoff_state : int Atomic.t = Atomic.make default_sort_cutoff
 let merge_tile_state : int Atomic.t = Atomic.make default_merge_tile
 
 (* Adaptive-granularity opt-in (the controller itself lives in
@@ -164,18 +161,6 @@ let leaf_grain_override () =
 
 (* ------------------------------------------------------------------ *)
 (* Other knobs *)
-
-let lazy_chunk () = Atomic.get lazy_chunk_state
-
-let set_lazy_chunk c =
-  if c < 1 then invalid_arg "Grain.set_lazy_chunk: chunk must be >= 1";
-  Atomic.set lazy_chunk_state c
-
-let sort_cutoff () = Atomic.get sort_cutoff_state
-
-let set_sort_cutoff c =
-  if c < 1 then invalid_arg "Grain.set_sort_cutoff: cutoff must be >= 1";
-  Atomic.set sort_cutoff_state c
 
 let merge_tile () = Atomic.get merge_tile_state
 

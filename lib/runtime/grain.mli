@@ -109,16 +109,9 @@ val leaf_grain_override : unit -> int option
 
 (** {2 Other granularity knobs} *)
 
-(** Chunk size processed between split checks by
-    [Runtime.parallel_for_lazy] (default 64). *)
-val lazy_chunk : unit -> int
-
-val set_lazy_chunk : int -> unit
-
-(** Sequential cutoff for the sorting substrate [Psort] (default 4096). *)
-val sort_cutoff : unit -> int
-
-val set_sort_cutoff : int -> unit
+(** Sequential cutoff for the sorting substrate [Psort] (4096); a
+    per-call [?grain] overrides it. *)
+val sort_cutoff : int
 
 (** Output-tile size for [Psort]'s cache-blocked parallel merge
     ([Psort.sort_floats]): each tile of the merged output is located by

@@ -138,7 +138,7 @@ let set f ~labels v =
 let observe_ns f ~labels ns =
   if f.f_kind <> Histogram then
     invalid_arg (Printf.sprintf "Metrics: %s is not a histogram" f.f_name);
-  let ns = max 0 ns in
+  let ns = Int.max 0 ns in
   with_lock (fun () ->
       match series f labels with
       | None -> ()
@@ -233,7 +233,7 @@ let render_family b f =
         let with_le le =
           List.sort (fun (a, _) (b, _) -> compare a b) (("le", le) :: s.s_labels)
         in
-        for k = 0 to min !hi (Histogram.buckets - 2) do
+        for k = 0 to Int.min !hi (Histogram.buckets - 2) do
           cum := !cum + s.s_counts.(k);
           render_sample b (f.f_name ^ "_bucket")
             (with_le (le_string (Histogram.bucket_upper_ns k)))

@@ -487,15 +487,6 @@ let in_context pool =
   | Some { ctx_pool; _ } -> ctx_pool == pool
   | None -> false
 
-(* True when the calling worker's own deque has no pending tasks (racy
-   snapshot). Used by lazy binary splitting: split only when thieves
-   could actually take the other half. Returns true for non-members. *)
-let local_deque_empty pool =
-  match current_context () with
-  | Some { ctx_pool; ctx_id } when ctx_pool == pool ->
-    Ws_deque.is_empty pool.deques.(ctx_id)
-  | _ -> true
-
 let promise_task f p () =
   match
     Chaos.point_task ();

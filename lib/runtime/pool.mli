@@ -105,10 +105,6 @@ val stats : t -> int * int
 (** True when the calling domain is currently a worker of [pool]. *)
 val in_context : t -> bool
 
-(** True when the calling worker's own deque is empty (racy snapshot;
-    true for non-members). Basis for lazy binary splitting. *)
-val local_deque_empty : t -> bool
-
 (** Test backdoors — not part of the public contract. *)
 module For_testing : sig
   (** Push a raw task that bypasses the promise wrapper: if it raises, the

@@ -97,32 +97,6 @@ let in_scope tok f =
         record tok e bt;
         Printexc.raise_with_backtrace e bt)
 
-(* Split [lo, hi) in half and fork [go] over both halves. *)
-let halves pool go lo hi =
-  let mid = lo + ((hi - lo) / 2) in
-  Pool.fork_join pool (fun () -> go lo mid) (fun () -> go mid hi)
-
-(* Run one sequential chunk [lo, hi) of [body] under [tok], polling the
-   token every [poll_mask + 1] iterations. *)
-let seq_chunk_body tok body lo hi =
-  in_scope tok (fun () ->
-      for i = lo to hi - 1 do
-        if (i - lo) land poll_mask = 0 then Cancel.check tok;
-        body i
-      done)
-
-(* [prof] is the enclosing primitive's profile region (free when
-   profiling is off or no op is open): each chunk is one profiled leaf,
-   so leaf latency lands in the op's histogram and the region's
-   longest-leaf span estimate. *)
-let seq_chunk prof tok body lo hi =
-  Telemetry.incr_chunks_executed ();
-  Profile.leaf prof (fun () ->
-      if Trace.enabled () then
-        Trace.with_span ~cat:"chunk" ~lo ~hi "chunk" (fun () ->
-            seq_chunk_body tok body lo hi)
-      else seq_chunk_body tok body lo hi)
-
 let par f g =
   let pool = get_pool () in
   let tok = scope_token () in
@@ -153,44 +127,76 @@ let block_grid n =
     { Grain.n; block_size = bs; num_blocks = Grain.num_blocks ~block_size:bs n }
   | None -> Grain.grid ~workers n
 
-(* Adaptive prologue/epilogue for an auto-grained element loop: consult
-   the controller only when the caller left the grain to us (an explicit
+(* The leaf grain of an [n]-iteration element loop, with the adaptive
+   controller's observation token when it chose the grain.  An explicit
    [?grain] — like an explicit BDS_GRAIN — always wins and is never even
-   observed), and report the region's leaf stats back at the join.  The
-   epilogue runs inside [with_region]'s success path only: failed or
-   cancelled regions teach the controller nothing. *)
-let tune_decision grain n =
+   observed. *)
+let loop_grain grain n =
   match grain with
-  | Some _ -> None
-  | None -> Autotune.leaf_decision ~n ~workers:(num_workers ())
+  | Some g -> (Int.max 1 g, None)
+  | None -> (
+    match Autotune.leaf_decision ~n ~workers:(num_workers ()) with
+    | Some (g, o) -> (Int.max 1 g, Some o)
+    | None -> (Int.max 1 (auto_grain n), None))
 
-let tune_observe tune prof =
-  match tune with
-  | Some (_, o) -> Autotune.obs_end o (Profile.region_stats prof)
-  | None -> ()
+(* The one divide-and-conquer driver under every range primitive: split
+   the non-empty range [lo, hi) in halves down to [grain], fork each
+   split with [Pool.fork_join], and fold the halves' results with
+   [combine].  The call is one cancellation scope, one [span] trace span
+   and one profile region; each leaf [leaf tok lo hi] counts one
+   executed chunk, is one profiled leaf with a [leaf_span] trace span
+   (category "chunk", over [bounds lo] when given, else [lo, hi)), and
+   runs under [tok], which it polls every [poll_mask + 1] iterations.
+   [obs] is the controller's observation, closed with the region's leaf
+   stats on success only: failed or cancelled regions teach the
+   controller nothing. *)
+let drive ~span ~leaf_span ?bounds ~grain ~obs ~combine leaf lo hi =
+  let pool = get_pool () in
+  let tok = scope_token () in
+  Profile.with_region (fun prof ->
+      let run_leaf lo hi =
+        Telemetry.incr_chunks_executed ();
+        let chunk () = in_scope tok (fun () -> leaf tok lo hi) in
+        Profile.leaf prof (fun () ->
+            if Trace.enabled () then begin
+              let lo, hi = match bounds with Some f -> f lo | None -> (lo, hi) in
+              Trace.with_span ~cat:"chunk" ~lo ~hi leaf_span chunk
+            end
+            else chunk ())
+      in
+      let rec go lo hi =
+        Cancel.check tok;
+        if hi - lo <= grain then run_leaf lo hi
+        else begin
+          let mid = lo + ((hi - lo) / 2) in
+          let a, b =
+            Pool.fork_join pool (fun () -> go lo mid) (fun () -> go mid hi)
+          in
+          combine a b
+        end
+      in
+      let r =
+        Trace.with_span ~lo ~hi span (fun () ->
+            Pool.run pool (fun () -> scoped tok (fun () -> go lo hi)))
+      in
+      (match obs with
+      | Some o -> Autotune.obs_end o (Profile.region_stats prof)
+      | None -> ());
+      r)
+
+let ignore2 () () = ()
 
 let parallel_for ?grain lo hi (body : int -> unit) =
   let n = hi - lo in
-  if n <= 0 then ()
-  else begin
-    let pool = get_pool () in
-    let tok = scope_token () in
-    let tune = tune_decision grain n in
-    let grain =
-      match (grain, tune) with
-      | Some g, _ -> Int.max 1 g
-      | None, Some (g, _) -> Int.max 1 g
-      | None, None -> Int.max 1 (auto_grain n)
-    in
-    Profile.with_region (fun prof ->
-        let rec go lo hi =
-          Cancel.check tok;
-          if hi - lo <= grain then seq_chunk prof tok body lo hi
-          else ignore (halves pool go lo hi : unit * unit)
-        in
-        Trace.with_span ~lo ~hi "parallel_for" (fun () ->
-            Pool.run pool (fun () -> scoped tok (fun () -> go lo hi)));
-        tune_observe tune prof)
+  if n > 0 then begin
+    let grain, obs = loop_grain grain n in
+    drive ~span:"parallel_for" ~leaf_span:"chunk" ~grain ~obs ~combine:ignore2
+      (fun tok lo hi ->
+        for i = lo to hi - 1 do
+          if (i - lo) land poll_mask = 0 then Cancel.check tok;
+          body i
+        done)
+      lo hi
   end
 
 (* The paper's [apply : int -> (int -> unit) -> unit]. *)
@@ -205,10 +211,7 @@ let apply n f = parallel_for 0 n f
    (category "chunk") whose lo/hi arguments are the block's element
    range when [bounds] is given (block indices otherwise). *)
 let apply_blocks ?bounds ~nb (body : int -> unit) =
-  if nb <= 0 then ()
-  else begin
-    let pool = get_pool () in
-    let tok = scope_token () in
+  if nb > 0 then begin
     (* Block bodies are this region's leaves; their size was fixed when
        the block grid was built ([Block.size] / [block_grid], possibly
        by the controller), so this is observation only: the element
@@ -221,111 +224,28 @@ let apply_blocks ?bounds ~nb (body : int -> unit) =
           ~workers:(num_workers ())
       end
     in
-    Profile.with_region (fun prof ->
-        let leaf j =
-          Telemetry.incr_chunks_executed ();
-          let chunk () = in_scope tok (fun () -> body j) in
-          let traced () =
-            if Trace.enabled () then begin
-              let lo, hi =
-                match bounds with Some f -> f j | None -> (j, j + 1)
-              in
-              Trace.with_span ~cat:"chunk" ~lo ~hi "block" chunk
-            end
-            else chunk ()
-          in
-          Profile.leaf prof traced
-        in
-        let rec go lo hi =
-          Cancel.check tok;
-          if hi - lo <= 1 then leaf lo
-          else ignore (halves pool go lo hi : unit * unit)
-        in
-        Trace.with_span ~lo:0 ~hi:nb "apply_blocks" (fun () ->
-            Pool.run pool (fun () -> scoped tok (fun () -> go 0 nb)));
-        match obs with
-        | Some o -> Autotune.obs_end o (Profile.region_stats prof)
-        | None -> ())
+    drive ~span:"apply_blocks" ~leaf_span:"block" ?bounds ~grain:1 ~obs
+      ~combine:ignore2
+      (fun _ j _ -> body j)
+      0 nb
   end
 
-(* Lazy binary splitting (Tzannes, Caragea, Barua & Vishkin, PPoPP 2010):
-   instead of eagerly splitting to a fixed grain, process a small chunk
-   at a time and split off the remainder only when the local deque is
-   empty — i.e. only when a thief could actually take it.  Adapts
-   automatically to imbalanced iteration costs (see the harness's grain
-   ablation). *)
-let parallel_for_lazy ?chunk lo hi (body : int -> unit) =
-  let n = hi - lo in
-  if n <= 0 then ()
-  else begin
-    let chunk_size =
-      match chunk with Some c -> Int.max 1 c | None -> Grain.lazy_chunk ()
-    in
-    let pool = get_pool () in
-    let tok = scope_token () in
-    Profile.with_region (fun prof ->
-        let rec go lo hi =
-          Cancel.check tok;
-          if hi - lo <= chunk_size then seq_chunk prof tok body lo hi
-          else if Pool.local_deque_empty pool then
-            ignore (halves pool go lo hi : unit * unit)
-          else begin
-            let stop = Int.min hi (lo + chunk_size) in
-            seq_chunk prof tok body lo stop;
-            go stop hi
-          end
-        in
-        Trace.with_span ~lo ~hi "parallel_for_lazy" (fun () ->
-            Pool.run pool (fun () -> scoped tok (fun () -> go lo hi))))
-  end
-
+(* [init] is combined exactly once, at the top: each leaf folds its
+   non-empty range seeded from its first element, so this is correct for
+   any associative [combine], with no identity requirement on [init]. *)
 let parallel_for_reduce ?grain lo hi ~combine ~init (body : int -> 'a) =
   let n = hi - lo in
   if n <= 0 then init
   else begin
-    let pool = get_pool () in
-    let tok = scope_token () in
-    let tune = tune_decision grain n in
-    let grain =
-      match (grain, tune) with
-      | Some g, _ -> Int.max 1 g
-      | None, Some (g, _) -> Int.max 1 g
-      | None, None -> Int.max 1 (auto_grain n)
-    in
-    (* [go lo hi] folds the non-empty range seeded from its first element,
-       so [init] is combined exactly once at the top: correct for any
-       associative [combine], with no identity requirement on [init]. *)
-    Profile.with_region (fun prof ->
-        let leaf lo hi =
-          Telemetry.incr_chunks_executed ();
-          let chunk () =
-            in_scope tok (fun () ->
-                let acc = ref (body lo) in
-                for i = lo + 1 to hi - 1 do
-                  if (i - lo) land poll_mask = 0 then Cancel.check tok;
-                  acc := combine !acc (body i)
-                done;
-                !acc)
-          in
-          let traced () =
-            if Trace.enabled () then
-              Trace.with_span ~cat:"chunk" ~lo ~hi "chunk" chunk
-            else chunk ()
-          in
-          Profile.leaf prof traced
-        in
-        let rec go lo hi =
-          Cancel.check tok;
-          if hi - lo <= grain then leaf lo hi
-          else
-            let a, b = halves pool go lo hi in
-            combine a b
-        in
-        let r =
-          Trace.with_span ~lo ~hi "parallel_for_reduce" (fun () ->
-              Pool.run pool (fun () ->
-                  scoped tok (fun () -> combine init (go lo hi))))
-        in
-        tune_observe tune prof;
-        r)
+    let grain, obs = loop_grain grain n in
+    combine init
+      (drive ~span:"parallel_for_reduce" ~leaf_span:"chunk" ~grain ~obs ~combine
+         (fun tok lo hi ->
+           let acc = ref (body lo) in
+           for i = lo + 1 to hi - 1 do
+             if (i - lo) land poll_mask = 0 then Cancel.check tok;
+             acc := combine !acc (body i)
+           done;
+           !acc)
+         lo hi)
   end

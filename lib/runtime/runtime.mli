@@ -64,12 +64,6 @@ val apply : int -> (int -> unit) -> unit
     [hi] arguments (defaults to the block index range [(j, j+1)]). *)
 val apply_blocks : ?bounds:(int -> int * int) -> nb:int -> (int -> unit) -> unit
 
-(** Lazy-binary-splitting parallel for: processes [chunk] iterations at a
-    time (default {!Grain.lazy_chunk}, 64) and splits off the remaining
-    range only when the local deque is empty. Adapts to imbalanced
-    per-iteration costs without tuning a grain. *)
-val parallel_for_lazy : ?chunk:int -> int -> int -> (int -> unit) -> unit
-
 (** Parallel for with a sequential accumulator per chunk and an associative
     [combine] across chunks. [init] is combined exactly once (on the left
     of the whole fold), so it need not be an identity of [combine]. *)

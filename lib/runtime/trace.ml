@@ -175,7 +175,7 @@ let write_events oc =
   let total_dropped = ref 0 in
   List.iter
     (fun r ->
-      let dropped = max 0 (r.count - capacity) in
+      let dropped = Int.max 0 (r.count - capacity) in
       total_dropped := !total_dropped + dropped;
       let label =
         if dropped = 0 then Printf.sprintf "domain %d" r.dom
@@ -190,7 +190,7 @@ let write_events oc =
       emit
         {|{"name":"bds_dropped_events","ph":"M","pid":%d,"tid":%d,"args":{"dropped_events":%d}}|}
         pid r.dom dropped;
-      let stored = min r.count capacity in
+      let stored = Int.min r.count capacity in
       for i = 0 to stored - 1 do
         incr total;
         let args =
@@ -223,16 +223,21 @@ let write_events oc =
     rings;
   (!total, !total_dropped)
 
+(* An unwritable path warns instead of raising: flush runs in pool
+   teardown and at exit, where an exception would abort the program's
+   own shutdown. *)
 let flush () =
   match Atomic.get output with
   | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc "{\"traceEvents\":[\n";
-    let _n, dropped = write_events oc in
-    Printf.fprintf oc "\n],\"bdsDroppedEvents\":%d,\"displayTimeUnit\":\"ms\"}\n"
-      dropped;
-    close_out oc
+  | Some path -> (
+    try
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc "{\"traceEvents\":[\n";
+          let _n, dropped = write_events oc in
+          Printf.fprintf oc
+            "\n],\"bdsDroppedEvents\":%d,\"displayTimeUnit\":\"ms\"}\n" dropped)
+    with Sys_error e ->
+      Printf.eprintf "warning: BDS_TRACE: could not write trace: %s\n%!" e)
 
 (* Programs that exit without tearing the pool down still get their
    trace.  Registered only when BDS_TRACE was set at startup; tests that
@@ -243,68 +248,60 @@ let () = if enabled () then at_exit flush
 (* Trace-JSON validation (used by `bds_probe trace-check` and the unit
    tests), on the shared dependency-free parser [Tiny_json]. *)
 
-let validate_string s =
+(* The "traceEvents" array of a trace document: the one reader under
+   every checker below. *)
+let events_of_string s =
   match Tiny_json.parse s with
   | exception Tiny_json.Bad e -> Error ("not valid JSON: " ^ e)
   | Tiny_json.Obj fields -> (
     match List.assoc_opt "traceEvents" fields with
-    | None -> Error "missing \"traceEvents\" key"
-    | Some (Tiny_json.Arr events) ->
-      let check_event = function
-        | Tiny_json.Obj ev ->
-          let has k = List.mem_assoc k ev in
-          if has "name" && has "ph" && has "pid" && has "tid" then Ok ()
-          else Error "event missing one of name/ph/pid/tid"
-        | _ -> Error "event is not an object"
-      in
-      let rec go n = function
-        | [] -> Ok n
-        | ev :: tl -> (
-          match check_event ev with
-          | Ok () ->
-            (* Complete events additionally carry a timestamp/duration. *)
-            let ok_x =
-              match ev with
-              | Tiny_json.Obj fields
-                when List.assoc_opt "ph" fields = Some (Tiny_json.Str "X") ->
-                List.mem_assoc "ts" fields && List.mem_assoc "dur" fields
-              | _ -> true
-            in
-            if ok_x then go (n + 1) tl else Error "X event missing ts/dur"
-          | Error _ as e -> e)
-      in
-      go 0 events
-    | Some _ -> Error "\"traceEvents\" is not an array")
-  | _ -> Error "top level is not an object"
-
-let validate_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | s -> validate_string s
-
-let count_events_string s ~name =
-  match Tiny_json.parse s with
-  | exception Tiny_json.Bad e -> Error ("not valid JSON: " ^ e)
-  | Tiny_json.Obj fields -> (
-    match List.assoc_opt "traceEvents" fields with
-    | Some (Tiny_json.Arr events) ->
-      Ok
-        (List.fold_left
-           (fun n ev ->
-             match ev with
-             | Tiny_json.Obj fields
-               when List.assoc_opt "name" fields = Some (Tiny_json.Str name) ->
-               n + 1
-             | _ -> n)
-           0 events)
+    | Some (Tiny_json.Arr events) -> Ok events
     | Some _ -> Error "\"traceEvents\" is not an array"
     | None -> Error "missing \"traceEvents\" key")
   | _ -> Error "top level is not an object"
 
-let count_events_file path ~name =
+(* [of_string] over the contents of [path]; an unreadable file is an
+   [Error] with the system's message. *)
+let of_file of_string path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
-  | s -> count_events_string s ~name
+  | s -> of_string s
+
+let validate_string s =
+  let check_event = function
+    | Tiny_json.Obj ev ->
+      let has k = List.mem_assoc k ev in
+      if not (has "name" && has "ph" && has "pid" && has "tid") then
+        Error "event missing one of name/ph/pid/tid"
+      (* Complete events additionally carry a timestamp/duration. *)
+      else if
+        List.assoc_opt "ph" ev = Some (Tiny_json.Str "X")
+        && not (has "ts" && has "dur")
+      then Error "X event missing ts/dur"
+      else Ok ()
+    | _ -> Error "event is not an object"
+  in
+  let rec go n = function
+    | [] -> Ok n
+    | ev :: tl -> ( match check_event ev with Ok () -> go (n + 1) tl | Error _ as e -> e)
+  in
+  Result.bind (events_of_string s) (go 0)
+
+let validate_file = of_file validate_string
+
+let count_events_string s ~name =
+  Result.map
+    (List.fold_left
+       (fun n ev ->
+         match ev with
+         | Tiny_json.Obj fields
+           when List.assoc_opt "name" fields = Some (Tiny_json.Str name) ->
+           n + 1
+         | _ -> n)
+       0)
+    (events_of_string s)
+
+let count_events_file path ~name = of_file (count_events_string ~name) path
 
 (* Total events dropped to ring wrap-around, from the top-level
    "bdsDroppedEvents" key the flusher writes.  Traces from before that
@@ -319,10 +316,7 @@ let dropped_of_string s =
     | Some _ -> Error "\"bdsDroppedEvents\" is not a number"
     | None -> ( match v with Tiny_json.Obj _ -> Ok 0 | _ -> Error "top level is not an object"))
 
-let dropped_of_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | s -> dropped_of_string s
+let dropped_of_file = of_file dropped_of_string
 
 (* Flow connectivity: group the 's'/'t'/'f' events by "id" and report
    which flows are missing their start or end anchor.  A connected flow
@@ -330,19 +324,14 @@ let dropped_of_file path =
    optional.  Backs `bds_probe trace-check`'s job-flow check and the
    service round-trip test. *)
 let flows_of_string s =
-  match Tiny_json.parse s with
-  | exception Tiny_json.Bad e -> Error ("not valid JSON: " ^ e)
-  | Tiny_json.Obj fields -> (
-    match List.assoc_opt "traceEvents" fields with
-    | Some (Tiny_json.Arr events) ->
+  Result.map
+    (fun events ->
       let tbl : (int, bool * bool) Hashtbl.t = Hashtbl.create 64 in
       List.iter
         (fun ev ->
           match ev with
           | Tiny_json.Obj fields -> (
-            match
-              (List.assoc_opt "ph" fields, List.assoc_opt "id" fields)
-            with
+            match (List.assoc_opt "ph" fields, List.assoc_opt "id" fields) with
             | Some (Tiny_json.Str ph), Some (Tiny_json.Num id)
               when ph = "s" || ph = "t" || ph = "f" ->
               let id = int_of_float id in
@@ -357,15 +346,10 @@ let flows_of_string s =
         Hashtbl.fold (fun id (s, f) acc -> if s && f then acc else id :: acc) tbl []
         |> List.sort compare
       in
-      Ok (Hashtbl.length tbl, disconnected)
-    | Some _ -> Error "\"traceEvents\" is not an array"
-    | None -> Error "missing \"traceEvents\" key")
-  | _ -> Error "top level is not an object"
+      (Hashtbl.length tbl, disconnected))
+    (events_of_string s)
 
-let flows_of_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | s -> flows_of_string s
+let flows_of_file = of_file flows_of_string
 
 (* ------------------------------------------------------------------ *)
 (* Test backdoors *)
@@ -377,7 +361,7 @@ module For_testing = struct
     Mutex.unlock registry_mutex;
     List.concat_map
       (fun r ->
-        let stored = min r.count capacity in
+        let stored = Int.min r.count capacity in
         List.init stored (fun i -> (r.names.(i), r.cats.(i))))
       rings
 end

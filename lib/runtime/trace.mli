@@ -58,7 +58,8 @@ val reset : unit -> unit
 
 (** Write every buffered event to the configured output file as Chrome
     trace JSON.  A no-op when no output is configured.  Called by
-    [Pool.teardown]. *)
+    [Pool.teardown].  An unwritable file is reported on stderr
+    ([warning: BDS_TRACE: could not write trace: ...]), never raised. *)
 val flush : unit -> unit
 
 (** [validate_file path] checks that [path] parses as JSON and is shaped

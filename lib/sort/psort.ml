@@ -13,11 +13,6 @@ module Runtime = Bds_runtime.Runtime
 module Grain = Bds_runtime.Grain
 module Profile = Bds_runtime.Profile
 
-(* Sequential cutoff for both the sort recursion and the merge, from the
-   unified granularity layer (ablatable via [Grain.set_sort_cutoff]); an
-   explicit [?grain] argument still overrides it per call. *)
-let default_grain () = Grain.sort_cutoff ()
-
 (* First index in [lo, hi) of [a] whose element is >= pivot (lower bound)
    or > pivot (upper bound), under [cmp]. *)
 let search ~upper cmp a lo hi pivot =
@@ -109,7 +104,7 @@ let sort_in_place ?grain cmp a =
   if n > 1 then
     Profile.with_op "sort" (fun () ->
         let grain =
-          Int.max 16 (match grain with Some g -> g | None -> default_grain ())
+          Int.max 16 (Option.value grain ~default:Grain.sort_cutoff)
         in
         let scratch = Array.copy a in
         (* One region for the whole fork-join recursion: the span
@@ -133,10 +128,9 @@ let merge cmp a b =
     Profile.with_op "sort" (fun () ->
         let src = Array.append a b in
         let dst = Array.make (la + lb) a.(0) in
-        let grain = Int.max 16 (default_grain ()) in
         Profile.with_region (fun prof ->
             Runtime.run (fun () ->
-                par_merge cmp grain prof src 0 la la (la + lb) dst 0));
+                par_merge cmp Grain.sort_cutoff prof src 0 la la (la + lb) dst 0));
         dst)
 
 (* ------------------------------------------------------------------ *)
@@ -284,7 +278,7 @@ let sort_floats_in_place ?grain (a : float array) =
   if n > 1 then
     Profile.with_op "sort_floats" (fun () ->
         let grain =
-          Int.max 16 (match grain with Some g -> g | None -> default_grain ())
+          Int.max 16 (Option.value grain ~default:Grain.sort_cutoff)
         in
         let scratch = Array.copy a in
         Profile.with_region (fun prof ->
@@ -305,10 +299,9 @@ let merge_floats (a : float array) (b : float array) =
     Profile.with_op "sort_floats" (fun () ->
         let src = Array.append a b in
         let dst = Array.make (la + lb) 0.0 in
-        let grain = Int.max 16 (default_grain ()) in
         Profile.with_region (fun prof ->
             Runtime.run (fun () ->
-                par_merge_floats grain prof src 0 la la (la + lb) dst 0));
+                par_merge_floats Grain.sort_cutoff prof src 0 la la (la + lb) dst 0));
         dst)
 
 let is_sorted cmp a =

@@ -6,8 +6,7 @@
 
 (** [sort cmp a] returns a new, stably sorted array. [grain] is the
     sequential base-case size (defaults to the unified granularity
-    layer's sort cutoff, {!Bds_runtime.Grain.sort_cutoff}, itself 4096
-    unless ablated via [set_sort_cutoff]). *)
+    layer's sort cutoff, {!Bds_runtime.Grain.sort_cutoff}, 4096). *)
 val sort : ?grain:int -> ('a -> 'a -> int) -> 'a array -> 'a array
 
 (** In-place variant (uses an internal scratch buffer of equal size). *)

@@ -39,6 +39,9 @@ let covered_files =
     "lib/runtime/autotune.ml";
     "lib/runtime/pool.ml";
     "lib/runtime/cancel.ml";
+    "lib/runtime/trace.ml";
+    "lib/runtime/flight.ml";
+    "lib/runtime/metrics.ml";
   ]
 
 let banned = function

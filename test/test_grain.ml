@@ -112,22 +112,6 @@ let test_scaled_grid () =
       Alcotest.(check int) "more workers, smaller blocks" 500
         (Grain.block_size ~workers:4 8000))
 
-let test_other_knobs () =
-  let old = Grain.lazy_chunk () in
-  Grain.set_lazy_chunk 128;
-  Alcotest.(check int) "lazy chunk set" 128 (Grain.lazy_chunk ());
-  Grain.set_lazy_chunk old;
-  let old = Grain.sort_cutoff () in
-  Grain.set_sort_cutoff 512;
-  Alcotest.(check int) "sort cutoff set" 512 (Grain.sort_cutoff ());
-  Grain.set_sort_cutoff old;
-  Alcotest.check_raises "lazy chunk must be positive"
-    (Invalid_argument "Grain.set_lazy_chunk: chunk must be >= 1") (fun () ->
-      Grain.set_lazy_chunk 0);
-  Alcotest.check_raises "sort cutoff must be positive"
-    (Invalid_argument "Grain.set_sort_cutoff: cutoff must be >= 1") (fun () ->
-      Grain.set_sort_cutoff (-1))
-
 let () =
   Alcotest.run "grain"
     [
@@ -140,6 +124,5 @@ let () =
           Alcotest.test_case "leaf grain" `Quick test_leaf_grain;
           Alcotest.test_case "grid" `Quick test_grid;
           Alcotest.test_case "scaled grid" `Quick test_scaled_grid;
-          Alcotest.test_case "other knobs" `Quick test_other_knobs;
         ] );
     ]

@@ -475,29 +475,69 @@ let test_spawn_degradation () =
   Alcotest.(check int) "degraded pool computes" 42 r;
   Pool.teardown pool
 
-let test_parallel_for_lazy () =
-  List.iter
-    (fun (n, chunk) ->
-      let hits = Array.init n (fun _ -> Atomic.make 0) in
-      Runtime.parallel_for_lazy ~chunk 0 n (fun i -> Atomic.incr hits.(i));
-      let bad = ref 0 in
-      Array.iter (fun a -> if Atomic.get a <> 1 then incr bad) hits;
-      Alcotest.(check int)
-        (Printf.sprintf "lbs n=%d chunk=%d" n chunk)
-        0 !bad)
-    [ (0, 64); (1, 64); (63, 64); (64, 64); (65, 64); (100_000, 1); (100_000, 64); (5000, 100_000) ];
-  (* Imbalanced body still covers everything exactly once. *)
-  let n = 10_000 in
-  let sum = Atomic.make 0 in
-  Runtime.parallel_for_lazy ~chunk:16 0 n (fun i ->
-      let work = i mod 64 in
-      let acc = ref 0 in
-      for k = 1 to work * 10 do
-        acc := !acc + k
-      done;
-      ignore (Sys.opaque_identity !acc);
-      ignore (Atomic.fetch_and_add sum i));
-  Alcotest.(check int) "imbalanced sum" (n * (n - 1) / 2) (Atomic.get sum)
+(* Every range primitive runs on one divide-and-conquer driver.  On one
+   domain, at edge sizes and grains, each primitive must run every index
+   exactly once, count exactly the leaves of the halving split in
+   [chunks_executed], and re-raise a leaf's exception as itself. *)
+exception Leaf_raise of int
+
+let rec halving_leaves ~grain n =
+  if n <= grain then 1
+  else halving_leaves ~grain (n / 2) + halving_leaves ~grain (n - (n / 2))
+
+let test_driver_table () =
+  with_domains 1 (fun () ->
+      let chunks f =
+        let t0 = Bds_runtime.Telemetry.snapshot () in
+        f ();
+        let t1 = Bds_runtime.Telemetry.snapshot () in
+        (Bds_runtime.Telemetry.diff ~before:t0 ~after:t1)
+          .Bds_runtime.Telemetry.s_chunks_executed
+      in
+      List.iter
+        (fun n ->
+          List.iter
+            (fun grain ->
+              let sum = n * (n - 1) / 2 in
+              let reduce body =
+                Runtime.parallel_for_reduce ~grain 0 n ~combine:( + ) ~init:0
+                  (fun i -> body i; i)
+              in
+              let primitives =
+                [
+                  ( "parallel_for",
+                    (if n = 0 then 0 else halving_leaves ~grain n),
+                    fun body -> Runtime.parallel_for ~grain 0 n body );
+                  ( "parallel_for_reduce",
+                    (if n = 0 then 0 else halving_leaves ~grain n),
+                    fun body ->
+                      Alcotest.(check int) "reduce sum" sum (reduce body) );
+                  ("apply_blocks", n, fun body -> Runtime.apply_blocks ~nb:n body);
+                ]
+              in
+              List.iter
+                (fun (prim, leaves, run) ->
+                  let name what =
+                    Printf.sprintf "%s n=%d grain=%d: %s" prim n grain what
+                  in
+                  let hits = Array.make n 0 in
+                  let executed =
+                    chunks (fun () -> run (fun i -> hits.(i) <- hits.(i) + 1))
+                  in
+                  Alcotest.(check int) (name "leaves") leaves executed;
+                  Alcotest.(check bool) (name "each index once") true
+                    (Array.for_all (( = ) 1) hits);
+                  List.iter
+                    (fun k ->
+                      Alcotest.check_raises
+                        (name (Printf.sprintf "raise at %d" k))
+                        (Leaf_raise k)
+                        (fun () ->
+                          run (fun i -> if i = k then raise (Leaf_raise k))))
+                    (if n = 0 then [] else [ 0; n / 2; n - 1 ]))
+                primitives)
+            [ 1; 64; 100_000 ])
+        [ 0; 1; 63; 64; 65; 1000; 100_000 ])
 
 let test_grain_extremes () =
   let n = 1000 in
@@ -560,7 +600,7 @@ let () =
           Alcotest.test_case "nested" `Quick test_nested_parallelism;
           Alcotest.test_case "many asyncs" `Quick test_many_asyncs;
           Alcotest.test_case "grain extremes" `Quick test_grain_extremes;
-          Alcotest.test_case "parallel_for_lazy" `Quick test_parallel_for_lazy;
+          Alcotest.test_case "driver leaves, coverage, raise" `Quick test_driver_table;
         ] );
       ( "exceptions",
         [

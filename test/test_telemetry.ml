@@ -174,7 +174,6 @@ let test_trace_roundtrip () =
       let a, b = Runtime.par (fun () -> 1) (fun () -> 2) in
       Alcotest.(check int) "par" 3 (a + b);
       Runtime.parallel_for ~grain:100 0 1_000 (fun _ -> ());
-      Runtime.parallel_for_lazy ~chunk:64 0 1_000 (fun _ -> ());
       let s = Runtime.parallel_for_reduce ~grain:100 0 1_000 ~combine:( + ) ~init:0 Fun.id in
       Alcotest.(check int) "reduce" 499_500 s;
       Trace.flush ();
@@ -185,7 +184,20 @@ let test_trace_roundtrip () =
       List.iter
         (fun expected ->
           Alcotest.(check bool) ("span " ^ expected) true (List.mem expected names))
-        [ "par"; "parallel_for"; "parallel_for_lazy"; "parallel_for_reduce"; "chunk" ])
+        [ "par"; "parallel_for"; "parallel_for_reduce"; "chunk" ])
+
+(* An unwritable trace path warns on stderr instead of raising out of
+   pool teardown. *)
+let test_unwritable_trace () =
+  init ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.set_output None;
+      Runtime.set_num_domains Bds_test_util.domains)
+    (fun () ->
+      Trace.set_output (Some "/nonexistent-dir/x.json");
+      Runtime.apply 64 ignore;
+      Runtime.shutdown ())
 
 (* The validator rejects malformed traces (it guards the cram test and
    `make trace-smoke`, so it must actually discriminate). *)
@@ -229,6 +241,7 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "roundtrip through validator" `Quick test_trace_roundtrip;
+          Alcotest.test_case "unwritable output never raises" `Quick test_unwritable_trace;
           Alcotest.test_case "validator rejects malformed" `Quick test_validator_rejects;
           Alcotest.test_case "disabled is a passthrough" `Quick test_disabled_passthrough;
         ] );
