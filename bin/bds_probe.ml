@@ -11,7 +11,7 @@
      bds_probe floats      — float-lane execution-path counters per
                              pipeline (fast path vs boxed fallback)
      bds_probe alloc       — major-heap words of filter_op, partition,
-                             flatten and a BID reduce against the
+                             flatten, a BID reduce and BFS against the
                              Cost_model prediction, with a 2x verdict
      bds_probe calls       — user-function calls per element of the
                              five BID kernels in A, R and Ours
@@ -185,7 +185,10 @@ let floats () =
    within twice the model and [over] beyond it.  flatten's inners are
    prebuilt, so the line isolates the spine: the inner index functions,
    their lengths and the offsets scan, which the model charges as |X|
-   alone. *)
+   alone.  bfs runs Ours on the graph [calls] uses (R-MAT scale 12, 2^16
+   edges) against the section 5.1 bound: [Cost_model.bfs_total_alloc]
+   over the rounds the reference distances trace, plus the parent
+   array's n words. *)
 let alloc () =
   let module CM = Bds.Cost_model in
   let module S = Bds.Seq in
@@ -207,6 +210,22 @@ let alloc () =
   in
   let keep f () = ignore (Sys.opaque_identity (f ())) in
   let inners = Array.init (n / 2) (fun i -> S.tabulate 2 (fun j -> i + j)) in
+  let g = Bds_graph.Rmat.generate ~scale:12 ~num_edges:(1 lsl 16) () in
+  (* Round d: the vertices at depth d, their out-edges, and the vertices
+     at depth d+1. *)
+  let bfs_rounds =
+    let dist = Bds_graph.Csr.bfs_distances g 0 in
+    let depth = Array.fold_left Int.max 0 dist in
+    let size = Array.make (depth + 2) 0 and edges = Array.make (depth + 1) 0 in
+    Array.iteri
+      (fun v d ->
+        if d >= 0 then begin
+          size.(d) <- size.(d) + 1;
+          edges.(d) <- edges.(d) + Bds_graph.Csr.degree g v
+        end)
+      dist;
+    List.init (depth + 1) (fun d -> (size.(d), edges.(d), size.(d + 1)))
+  in
   let ops =
     [
       ( "filter_op",
@@ -226,6 +245,9 @@ let alloc () =
         keep (fun () -> S.reduce ( + ) 0 (S.scan_incl ( + ) 0 (S.iota n))),
         let scanned, c = CM.scan ~block_size input in
         c.CM.alloc + (CM.reduce ~block_size scanned).CM.alloc );
+      ( "bfs",
+        keep (fun () -> Bds_graph.Bfs.Delay_version.bfs g 0),
+        CM.bfs_total_alloc ~block_size bfs_rounds + Bds_graph.Csr.num_vertices g );
     ]
   in
   Printf.printf "alloc: n=%d block_size=%d domains=%d budget=2x\n" n block_size

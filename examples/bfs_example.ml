@@ -1,6 +1,8 @@
 (* Graph analytics: parallel BFS over an R-MAT power-law graph, exactly
-   the paper's Figure 6 — flatten + filterOp with a compare-and-swap,
-   with the flattened edge sequence never materialised.
+   the paper's Figure 6 — flatten + filterOp, with the flattened edge
+   sequence never materialised.  Each edge reads its child's slot in one
+   flat parents array and runs a compare-and-swap only while the slot
+   is unclaimed; the array the search fills is the result.
 
    Run with:  dune exec examples/bfs_example.exe *)
 

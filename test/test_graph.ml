@@ -125,6 +125,20 @@ let test_bfs_small_blocks () =
       let g = Rmat.generate ~seed:5 ~scale:7 ~num_edges:600 () in
       check_bfs "delay small blocks" Bfs.Delay_version.bfs g 0)
 
+(* The oracle itself: a parent with the right depth but no edge to its
+   child is rejected, and so is an array of the wrong length. *)
+let test_valid_parents_oracle () =
+  let g = Csr.of_edges ~num_vertices:4 [| (0, 1); (0, 2); (1, 3) |] in
+  Alcotest.(check bool) "the BFS tree" true (Bfs.valid_parents g 0 [| 0; 0; 0; 1 |]);
+  Alcotest.(check bool) "parent 2 of 3: no edge 2->3" false
+    (Bfs.valid_parents g 0 [| 0; 0; 0; 2 |]);
+  Alcotest.(check bool) "parent out of range" false
+    (Bfs.valid_parents g 0 [| 0; 0; 0; 7 |]);
+  Alcotest.(check bool) "reachable vertex left unset" false
+    (Bfs.valid_parents g 0 [| 0; 0; 0; -1 |]);
+  Alcotest.(check bool) "too short" false (Bfs.valid_parents g 0 [| 0; 0 |]);
+  Alcotest.(check bool) "too long" false (Bfs.valid_parents g 0 [| 0; 0; 0; 1; -1 |])
+
 let () =
   Alcotest.run "graph"
     [
@@ -141,5 +155,6 @@ let () =
           Alcotest.test_case "seed matrix" `Quick test_bfs_seed_matrix;
           Alcotest.test_case "forest invariant" `Quick test_bfs_forest_invariant;
           Alcotest.test_case "small blocks" `Quick test_bfs_small_blocks;
+          Alcotest.test_case "oracle rejects non-edges" `Quick test_valid_parents_oracle;
         ] );
     ]

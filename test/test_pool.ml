@@ -585,6 +585,52 @@ let fuzz_tests =
         = List.fold_left ( + ) k (List.init n (fun i -> (i * i) mod 7)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Int_cas: compare-and-set on an int array slot *)
+
+module Int_cas = Bds_runtime.Int_cas
+
+let test_int_cas_semantics () =
+  let a = [| 10; 20; 30 |] in
+  Alcotest.(check bool) "match: true" true (Int_cas.compare_and_set a 1 20 7);
+  Alcotest.(check (array int)) "match: written" [| 10; 7; 30 |] a;
+  Alcotest.(check bool) "mismatch: false" false (Int_cas.compare_and_set a 1 20 8);
+  Alcotest.(check (array int)) "mismatch: unchanged" [| 10; 7; 30 |] a;
+  Alcotest.(check bool) "negative values" true (Int_cas.compare_and_set a 2 30 (-1));
+  Alcotest.(check bool) "max_int" true (Int_cas.compare_and_set a 0 10 max_int);
+  Alcotest.(check (array int)) "both written" [| max_int; 7; -1 |] a
+
+let test_int_cas_bounds () =
+  let a = [| 1; 2; 3 |] in
+  List.iter
+    (fun i ->
+      Alcotest.check_raises
+        (Printf.sprintf "index %d" i)
+        (Invalid_argument "Int_cas.compare_and_set")
+        (fun () -> ignore (Int_cas.compare_and_set a i 1 9));
+      Alcotest.(check (array int)) (Printf.sprintf "index %d: unchanged" i) [| 1; 2; 3 |] a)
+    [ -1; Array.length a ];
+  Alcotest.check_raises "empty array" (Invalid_argument "Int_cas.compare_and_set")
+    (fun () -> ignore (Int_cas.compare_and_set [||] 0 0 1))
+
+(* 100 000 read-then-CAS claims of slot [i mod 1024], as BFS's
+   [try_visit] makes them: each slot is claimed exactly once.  On one
+   domain the runtime's CAS takes its non-atomic path; on two it runs
+   the hardware CAS. *)
+let int_cas_race d () =
+  with_domains d (fun () ->
+      let slots = 1024 and n = 100_000 in
+      let a = Array.make slots (-1) in
+      let wins = Atomic.make 0 in
+      Runtime.parallel_for ~grain:256 0 n (fun i ->
+          let s = i mod slots in
+          if a.(s) = -1 && Int_cas.compare_and_set a s (-1) i then Atomic.incr wins);
+      Alcotest.(check int) "one win per slot" slots (Atomic.get wins);
+      Array.iteri
+        (fun s v ->
+          if v < 0 || v mod slots <> s then Alcotest.failf "slot %d holds %d" s v)
+        a)
+
 let () =
   Alcotest.run "pool"
     [
@@ -614,6 +660,13 @@ let () =
           Alcotest.test_case "orphan push-back" `Quick test_orphan_push_back;
           Alcotest.test_case "inlined right raises" `Quick
             test_inline_right_raises;
+        ] );
+      ( "int cas",
+        [
+          Alcotest.test_case "semantics" `Quick test_int_cas_semantics;
+          Alcotest.test_case "bounds" `Quick test_int_cas_bounds;
+          Alcotest.test_case "race, 1 domain" `Quick (int_cas_race 1);
+          Alcotest.test_case "race, 2 domains" `Quick (int_cas_race 2);
         ] );
       ( "cancellation",
         [
