@@ -122,8 +122,8 @@ let streams () =
   let kept = Bds.Seq.filter (fun x -> x land 1 = 0) input in
   let sum2 = Bds.Seq.reduce ( + ) 0 kept in
   report "filter-reduce" b1 sum2;
-  (* Flatten chain: flat_map materialises the inner sequences once,
-     then reduce drives each output block as an of_segments region —
+  (* Flatten chain: flat_map measures the inner sequences once, then
+     each output block re-derives its inners as a nested region —
      nested push, no trickle.  A filter after the flatten re-enters the
      skip-push path on region blocks. *)
   let b2 = Telemetry.snapshot () in
@@ -183,9 +183,8 @@ let floats () =
    Figure 11 allocation [Cost_model] predicts for it, user functions
    taken as "simple" (no allocation of their own).  The verdict is [ok]
    within twice the model and [over] beyond it.  flatten's inners are
-   prebuilt, so the line isolates the spine: the inner index functions,
-   their lengths and the offsets scan, which the model charges as |X|
-   alone.  bfs runs Ours on the graph [calls] uses (R-MAT scale 12, 2^16
+   prebuilt, so the line isolates the spine: one offsets array of |X| + 1
+   words, as the model charges.  bfs runs Ours on the graph [calls] uses (R-MAT scale 12, 2^16
    edges) against the section 5.1 bound: [Cost_model.bfs_total_alloc]
    over the rounds the reference distances trace, plus the parent
    array's n words. *)

@@ -130,7 +130,10 @@ let filter ~block_size ~out_len (p : fn_cost) x =
   (make_seq out_len `Bid delayed_unit, cost)
 
 (* flatten X (inner sequences RAD): eager cost proportional to the outer
-   length; delayed per-index costs carry through from the inners. *)
+   length; delayed per-index costs carry through from the inners.  The
+   spine is one offsets array of |X| + 1 words, and no inner is kept:
+   the emission evaluates the outer a second time to re-derive them,
+   which [work] charges here. *)
 let flatten ~block_size (outer : seq) (inners : seq array) =
   assert (Array.length inners = outer.len);
   Array.iter (fun s -> assert (s.repr = `Rad)) inners;
@@ -151,9 +154,9 @@ let flatten ~block_size (outer : seq) (inners : seq array) =
   in
   let cost =
     {
-      work = sum_over outer.len outer.dwork;
+      work = 2 * sum_over outer.len outer.dwork;
       span = log2_ceil outer.len + bmax ~block_size outer.len outer.dspan;
-      alloc = outer.len + sum_over outer.len outer.dalloc;
+      alloc = outer.len + 1 + sum_over outer.len outer.dalloc;
     }
   in
   ( make_seq total `Bid

@@ -49,7 +49,9 @@ val zip : seq -> seq -> seq * cost
 val filter : block_size:int -> out_len:int -> fn_cost -> seq -> seq * cost
 
 (** [flatten outer inners] (inners must be RAD, as in the paper): the
-    output's delayed costs are carried through from the inners. *)
+    output's delayed costs are carried through from the inners.  [work]
+    counts the outer twice (the spine pass, then the emission that
+    re-derives the inners) and [alloc] charges the |X| + 1 offsets. *)
 val flatten : block_size:int -> seq -> seq array -> seq * cost
 
 (** scan with a simple function: phases 1-2 eager, phase 3 delayed. *)

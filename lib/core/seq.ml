@@ -398,35 +398,43 @@ let offset_search (offsets : int array) pos =
   in
   search 0 (Array.length offsets - 1)
 
-(* getRegion (Figure 10 lines 41-43) as a nested-push stream: the block
-   of the output starting at position [pos] walks left-to-right across
-   adjacent subsequences, with the boundary located by binary search on
-   [offsets] only once per block (the parallel split point) — inside the
-   block a native outer/inner loop pair does the walking, so consumers
-   of region blocks are fused instead of trickle fallbacks. *)
-let region_block ~offsets ~seg_len ~elem ~total ~bsize i =
-  let pos = i * bsize in
-  let len = Int.min bsize (total - pos) in
-  let j0 = offset_search offsets pos in
-  Stream.of_segments ~length:len ~seg_len ~elem ~start_seg:j0
-    ~start_ofs:(pos - offsets.(j0))
+(* getRegion (Figure 10 lines 41-43) as a nested-push stream: a BID of
+   [total] elements concatenating segments whose boundaries are
+   [offsets] ([offsets.(j)] is where segment [j] starts, the last entry
+   is [total]).  Output block [i] starts at position [pos = i * bsize],
+   in the segment located by one binary search on [offsets] (the
+   parallel split point); from there a [Stream.nested] walk pushes
+   across adjacent segments, so consumers of region blocks are fused
+   instead of trickle fallbacks.  [outer ()] is called once per drive
+   and gives the segments blockwise, [block_size] per block. *)
+let region_bid ~offsets ~total ~block_size ~outer ~seg_len ~seg_get =
+  let bsize = Block.size total in
+  Bid
+    (fresh_bid ~b_len:total ~b_size:bsize (fun () ->
+         let blocks = outer () in
+         fun i ->
+           let pos = i * bsize in
+           let j0 = offset_search offsets pos in
+           Stream.nested ~length:(Int.min bsize (total - pos)) ~block_size ~blocks
+             ~seg_len ~seg_get ~start_seg:j0 ~start_ofs:(pos - offsets.(j0))))
 
 (* Two-level packed results ([filter_op], [partition]): expose [packed]
    — one compact array per input block — as a BID of nested-push region
-   blocks without copying into one contiguous array. *)
+   blocks without copying into one contiguous array.  The rows are the
+   segments, read as one indexed outer block. *)
 let packed_bid (packed : 'a array array) =
-  let lengths = Array.map Array.length packed in
-  let offsets, total = Parray.scan_seq ( + ) 0 lengths in
+  let m = Array.length packed in
+  let offsets = Array.make (m + 1) 0 in
+  for j = 0 to m - 1 do
+    offsets.(j + 1) <- offsets.(j) + Array.length packed.(j)
+  done;
+  let total = offsets.(m) in
   if total = 0 then empty
-  else begin
-    let bsize = Block.size total in
-    Bid
-      (fresh_bid ~b_len:total ~b_size:bsize (fun () ->
-           region_block ~offsets
-             ~seg_len:(fun j -> Array.length packed.(j))
-             ~elem:(fun j -> Array.unsafe_get (Array.unsafe_get packed j))
-             ~total ~bsize))
-  end
+  else
+    region_bid ~offsets ~total ~block_size:m
+      ~outer:(fun () b -> Stream.of_array (if b = 0 then packed else [||]))
+      ~seg_len:(fun _ row -> Array.length row)
+      ~seg_get:(fun _ row -> Array.unsafe_get row)
 
 (* Skip-based delayed filter (replacing the eager per-block pack of
    Figure 10 lines 48-53): phase 1 runs the predicate exactly once per
@@ -557,46 +565,73 @@ let filter_op select s =
       end)
 
 (* Flatten (Figure 10 lines 44-47): block the *output* index space; each
-   output block walks across adjacent inner sequences (Figure 3).  Inner
-   sequences must be random access, so BID inners are forced (line 45);
-   the output blocks are nested-push region streams, so flatten /
-   flat_map / concat chains fuse with their consumers end-to-end. *)
+   output block walks across adjacent inner sequences (Figure 3).  The
+   spine is one [int array] of offsets, one word per inner as Figure 11
+   charges: ONE parallel pass drives the outer — which in the flat_map
+   idiom is itself a delayed map — and writes each inner's O(1) length
+   into slot [i + 1], forcing nothing, while each outer block sums its
+   lengths; the block sums are scanned, then each block scans its slots
+   in place (the three phases of [Parray.scan], phase 1 fused into the
+   spine pass).
+
+   No inner is kept.  Each output block re-derives its inners at
+   emission: the output plan [replan]s the outer once per drive (a map
+   over a BID outer shared-forces that BID there, so the seek below is
+   O(1)), and [Stream.nested] re-drives the outer from the block holding
+   the block's first segment.  Each re-derived inner the walk reaches
+   must have the length the spine measured, or the walk would read past
+   it (an empty run skipped by the binary search is not reached, and
+   emits nothing either way); an inner the walk emits from goes through
+   [rad_of_seq] — a BID inner is forced here, line 45 — into the walk's
+   native loop.  So the outer is evaluated twice, the trade
+   [Cost_model.flatten] prices: callers whose outer elements are costly
+   or effectful force the outer first. *)
 let flatten (s : 'a t t) =
   Profile.with_op "flatten" (fun () ->
       let n_out = length s in
       if n_out = 0 then empty
       else begin
-        (* Lazy outer spine: ONE parallel pass drives the outer — which
-           in the flat_map idiom is itself a delayed map — evaluating
-           each outer element once, forcing it to random access and
-           measuring it in place.  The spine keeps each inner's index
-           function, not its [Seq.t] record: the spine arrays live in the
-           major heap, so a stored record would be promoted at the next
-           minor collection, while this way the records die young and
-           [elem] is one indirect call with no per-element [match]. *)
-        let inners = Array.make n_out (fun _ -> invalid_arg "Seq.flatten") in
-        let lengths = Array.make n_out 0 in
         let ob = bid_of_seq s in
         let oblocks = drive ob in
+        let nb = num_blocks_of ob in
+        let offsets = Array.make (n_out + 1) 0 in
+        let sums = Array.make nb 0 in
         apply_bid_blocks ob (fun j ->
-            Stream.iteri ~first:(j * ob.b_size)
+            let sum = ref 0 in
+            Stream.iteri ~first:((j * ob.b_size) + 1)
               (fun i inner ->
-                match rad_of_seq inner with
-                | Rad { r_len; get } ->
-                  Array.unsafe_set inners i get;
-                  Array.unsafe_set lengths i r_len
-                | Bid _ -> assert false)
-              (oblocks j));
-        let offsets, total = Parray.scan ( + ) 0 lengths in
+                let l = length inner in
+                Array.unsafe_set offsets i l;
+                sum := !sum + l)
+              (oblocks j);
+            sums.(j) <- !sum);
+        let total = ref 0 in
+        for j = 0 to nb - 1 do
+          let sum = sums.(j) in
+          sums.(j) <- !total;
+          total := !total + sum
+        done;
+        let total = !total in
         if total = 0 then empty
         else begin
-          let bsize = Block.size total in
-          Bid
-            (fresh_bid ~b_len:total ~b_size:bsize (fun () ->
-                 region_block ~offsets
-                   ~seg_len:(Array.unsafe_get lengths)
-                   ~elem:(Array.unsafe_get inners)
-                   ~total ~bsize))
+          apply_bid_blocks ob (fun j ->
+              let lo, hi = block_bounds ob j in
+              let acc = ref sums.(j) in
+              for i = lo + 1 to hi do
+                acc := !acc + Array.unsafe_get offsets i;
+                Array.unsafe_set offsets i !acc
+              done);
+          region_bid ~offsets ~total ~block_size:ob.b_size
+            ~outer:(fun () -> replan ob)
+            ~seg_len:(fun j inner ->
+              let l = length inner in
+              if l <> offsets.(j + 1) - offsets.(j) then
+                invalid_arg
+                  "Seq.flatten: an inner sequence's length changed between evaluations of \
+                   the outer";
+              l)
+            ~seg_get:(fun _ inner ->
+              match rad_of_seq inner with Rad { get; _ } -> get | Bid _ -> assert false)
         end
       end)
 

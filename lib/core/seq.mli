@@ -89,11 +89,23 @@ val filter : ('a -> bool) -> 'a t -> 'a t
 val filter_op : ('a -> 'b option) -> 'a t -> 'b t
 
 (** [flatten s] concatenates the inner sequences, blocking the output index
-    space (Figure 3). Eager cost proportional to the outer length (+ the
-    cost of forcing any BID inner sequences); element copies are delayed.
-    Output blocks are nested-push segment views ([Stream.of_segments]),
-    so downstream stages — including a later {!filter} — fuse
-    end-to-end (docs/STREAMS.md "Nested-push flatten"). *)
+    space (Figure 3).  Eager cost proportional to the outer length: one
+    pass over the outer keeps each inner's length in an offsets array
+    (one word per inner) and keeps no inner.  Element copies are
+    delayed: each output block re-derives its inners at emission, so the
+    outer is evaluated twice (an element whose inner spans k output
+    blocks, k + 1 times), and a BID inner is forced at emission (a
+    fresh BID that an outer function builds and that spans k output
+    blocks is forced k times).  A
+    {!map} over a BID outer shared-forces that BID once, at the first
+    emission (one word per outer element; [shared_forces] +1).  Force
+    the outer first when its elements are costly or effectful: a
+    {!flat_map} whose function builds a {!filter_op} would run [select]
+    twice.  Raises [Invalid_argument] at emission if a re-derived inner's
+    length differs from the one measured.  Output blocks are nested-push
+    segment views ([Stream.nested]), so downstream stages — including a
+    later {!filter} — fuse end-to-end (docs/STREAMS.md "Nested-push
+    flatten"). *)
 val flatten : 'a t t -> 'a t
 
 (** {1 Forcing and consuming} *)
@@ -187,7 +199,9 @@ val find_index : ('a -> bool) -> 'a t -> int option
 (** Concatenate a list of sequences ({!flatten} of the list). *)
 val concat : 'a t list -> 'a t
 
-(** [flat_map f s] = {!flatten} ({!map} [f s]). *)
+(** [flat_map f s] = {!flatten} ({!map} [f s]): [f] runs twice per
+    element of [s], or more often for an element whose inner spans
+    several output blocks (see {!flatten}). *)
 val flat_map : ('a -> 'b t) -> 'a t -> 'b t
 
 (** (elements satisfying [p], the rest). One pass: the input is driven

@@ -254,57 +254,116 @@ let take n s =
   if n < 0 then invalid_arg "Stream.take";
   { s with length = Int.min n s.length }
 
-(* Nested-push concatenation of indexed segments, starting
-   mid-subsequence: the region view behind [Seq.flatten] and the packed
-   two-level results ([Seq.partition]).  The fold runs an outer loop
-   over segments and a native chunked inner loop per segment — the
+(* Push the elements [lo, hi) of one segment through [g]: the inner loop
+   of [nested].  The accumulator is a local of this function, not a
+   cell captured by a closure, so each step is a register update with no
+   write barrier. *)
+let push_range g get lo hi z =
+  let acc = ref z in
+  let i = ref lo in
+  while !i < hi do
+    Cancel.poll ();
+    let h = Int.min hi (!i + poll_chunk) in
+    for k = !i to h - 1 do
+      acc := g !acc (get k)
+    done;
+    i := h
+  done;
+  !acc
+
+(* Nested-push concatenation of segments, starting mid-segment: the
+   region view behind [Seq.flatten] and the packed two-level results
+   ([Seq.filter_op], [Seq.partition]).  The segments are the elements of
+   an outer sequence given blockwise: segment [j] is element
+   [j mod block_size] of [blocks (j / block_size)].  The fold walks the
+   outer blocks from the one holding [start_seg]: an [Indexed] outer
+   block is entered at [start_seg] directly, any other is folded from
+   its start and pushes nothing for the segments before [start_seg].
+   Each segment the walk reaches is measured by [seg_len j s], and one
+   it emits from hands over its index function [seg_get j s] once; a
+   native chunked loop ([push_range]) then pushes its elements — the
    nested-push shape of "Fast Collection Operations from Indexed Stream
-   Fusion" — with no per-element cursor tracking the current segment.
-   [elem s] is segment [s]'s index function, fetched once per segment
-   (not once per element).  [seg_len]/[elem] must be pure per position;
-   the caller guarantees at least [length] elements exist from
-   ([start_seg], [start_ofs]) on. *)
-let of_segments ~length ~seg_len ~elem ~start_seg ~start_ofs =
-  if length < 0 || start_seg < 0 || start_ofs < 0 then
-    invalid_arg "Stream.of_segments";
+   Fusion", with no per-element cursor tracking the current segment.
+   The fold stops the outer walk, by a per-invocation exception (see
+   [selected_region]), once [stop] elements are out.  The caller
+   guarantees [start_ofs + length] elements exist from [start_seg] on;
+   an empty outer block, met before that, raises. *)
+let nested ~length ~block_size ~(blocks : int -> 's t) ~seg_len ~seg_get ~start_seg
+    ~start_ofs =
+  if length < 0 || block_size <= 0 || start_seg < 0 || start_ofs < 0 then
+    invalid_arg "Stream.nested";
   {
     length;
     view = Opaque;
     fold =
-      (fun ~stop g z ->
-        let acc = ref z in
-        let emitted = ref 0 in
-        let seg = ref start_seg in
-        let ofs = ref start_ofs in
-        while !emitted < stop do
-          let sl = seg_len !seg in
-          if !ofs >= sl then begin
-            (* Empty (or exhausted) segment: skipping costs one loop
-               iteration, so keep polling even across a run of empties. *)
-            Cancel.poll ();
-            incr seg;
-            ofs := 0
-          end
-          else begin
-            let get = elem !seg in
-            let base = !ofs in
-            let avail = Int.min (sl - base) (stop - !emitted) in
-            let i = ref base in
-            let hi_seg = base + avail in
-            while !i < hi_seg do
+      (fun (type acc) ~stop (g : acc -> 'a -> acc) (z : acc) ->
+        let stop = Int.min stop length in
+        if stop <= 0 then z
+        else begin
+          let exception Filled of acc in
+          let left = ref stop in
+          let ofs = ref start_ofs in
+          (* Segment [j], outer element [s]: emit from [!ofs] on, at most
+             [!left] elements. *)
+          let segment j s acc =
+            let lo = !ofs in
+            let hi = Int.min (seg_len j s) (lo + !left) in
+            ofs := 0;
+            if lo >= hi then begin
+              (* Skipping costs one iteration: keep polling across a run
+                 of empty segments. *)
               Cancel.poll ();
-              let hi = Int.min hi_seg (!i + poll_chunk) in
-              for k = !i to hi - 1 do
-                acc := g !acc (get k)
-              done;
-              i := hi
+              acc
+            end
+            else begin
+              let acc = push_range g (seg_get j s) lo hi acc in
+              left := !left - (hi - lo);
+              if !left = 0 then raise_notrace (Filled acc);
+              acc
+            end
+          in
+          let acc = ref z in
+          let b = ref (start_seg / block_size) in
+          try
+            while true do
+              let st = blocks !b in
+              (* Past the last outer block: the caller's guarantee is
+                 broken, and walking on would never fill the region. *)
+              if st.length <= 0 then invalid_arg "Stream.nested: too few elements";
+              let first = !b * block_size in
+              let k0 = Int.max 0 (start_seg - first) in
+              (match st.view with
+               | Indexed (base, f) ->
+                 for k = k0 to st.length - 1 do
+                   acc := segment (first + k) (f (base + k)) !acc
+                 done
+               | Masked _ | Opaque ->
+                 let k = ref 0 in
+                 acc :=
+                   st.fold ~stop:st.length
+                     (fun acc s ->
+                       let i = !k in
+                       k := i + 1;
+                       if i < k0 then acc else segment (first + i) s acc)
+                     !acc);
+              incr b
             done;
-            ofs := hi_seg;
-            emitted := !emitted + avail
-          end
-        done;
-        !acc);
+            !acc
+          with Filled acc -> acc
+        end);
   }
+
+(* The index-function form: segment [s] has [seg_len s] elements, element
+   [i] being [elem s i].  One unbounded indexed outer block of segment
+   numbers. *)
+let of_segments ~length ~seg_len ~elem ~start_seg ~start_ofs =
+  if length < 0 || start_seg < 0 || start_ofs < 0 then
+    invalid_arg "Stream.of_segments";
+  nested ~length ~block_size:max_int
+    ~blocks:(fun _ -> tabulate max_int Fun.id)
+    ~seg_len:(fun s _ -> seg_len s)
+    ~seg_get:(fun s _ -> elem s)
+    ~start_seg ~start_ofs
 
 (* [selected_region]'s step function stops the inner block fold early
    (once the region has emitted [stop] survivors) by raising.  The

@@ -75,18 +75,39 @@ val scan_incl : ('a -> 'b -> 'a) -> 'a -> 'b t -> 'a t
 (** [take n s]: the first [min n (length s)] elements; O(1). *)
 val take : int -> 'a t -> 'a t
 
-(** Nested-push concatenation of indexed segments, starting
-    mid-subsequence — the region view behind [Seq.flatten] and the
-    packed two-level results.  [of_segments ~length ~seg_len ~elem
-    ~start_seg ~start_ofs] yields [length] elements by walking segments
+(** Nested-push concatenation of segments, starting mid-segment — the
+    region view behind [Seq.flatten] and the packed two-level results.
+    [nested ~length ~block_size ~blocks ~seg_len ~seg_get ~start_seg
+    ~start_ofs] yields [length] elements by walking segments
     [start_seg, start_seg+1, ...] in order, beginning at offset
-    [start_ofs] inside the first; element [i] of segment [s] is
-    [elem s i] and segment [s] holds [seg_len s] elements (both must be
-    pure per position).  [elem s] is applied once per segment the fold
-    enters, and the index function it returns once per element.  The
-    fold is a native outer-loop/inner-loop pair keeping the 64-element
-    cancellation cadence.  The caller guarantees enough elements exist;
-    O(1). *)
+    [start_ofs] inside the first.  The segments are the elements of an
+    outer sequence given blockwise: segment [j] is element
+    [j mod block_size] of [blocks (j / block_size)].  An outer block
+    with a pure index function is entered at [start_seg] directly; any
+    other is folded from its start, pushing nothing for the segments
+    before [start_seg].  Segment [j] with outer element [s] holds
+    [seg_len j s] elements (asked of every segment the walk reaches, so
+    a caller can check it there) and element [i] is [seg_get j s i];
+    [seg_get j s] is applied once per segment the fold emits from, and
+    the index function it returns once per element, inside a native
+    loop keeping the 64-element cancellation cadence.  The walk stops
+    as soon as [stop] elements are out.  The caller guarantees enough
+    elements exist (the fold raises [Invalid_argument] if it meets an
+    empty outer block first); O(1). *)
+val nested :
+  length:int ->
+  block_size:int ->
+  blocks:(int -> 's t) ->
+  seg_len:(int -> 's -> int) ->
+  seg_get:(int -> 's -> (int -> 'a)) ->
+  start_seg:int ->
+  start_ofs:int ->
+  'a t
+
+(** [of_segments ~length ~seg_len ~elem ~start_seg ~start_ofs] is
+    {!nested} over the segment numbers themselves: segment [s] holds
+    [seg_len s] elements, element [i] being [elem s i] (both pure per
+    position). *)
 val of_segments :
   length:int ->
   seg_len:(int -> int) ->

@@ -217,6 +217,47 @@ let test_edge_cases () =
            (S.flatten
               (S.of_list [ S.empty; S.iota 1; S.empty; S.empty; S.iota 2; S.empty ]))))
 
+(* flatten measures each inner in its spine pass and re-derives it at
+   emission; an outer whose function returns a different length the
+   second time must raise, not walk past a segment.  Inner 17 changes:
+   longer, shorter and emptied, reached from a block boundary (B=1) and
+   mid-block (B=7).  An inner the spine measured empty is checked where
+   a walk passes it: at B=7 inner 17 sits at output position 16, inside
+   block 2, so the case that makes it non-empty raises too. *)
+let test_flatten_length_guard () =
+  let guard =
+    Invalid_argument
+      "Seq.flatten: an inner sequence's length changed between evaluations of the outer"
+  in
+  List.iter
+    (fun (name, bsize, first_len, later_len) ->
+      with_policy (Bds.Block.Fixed bsize) (fun () ->
+          let n = 40 in
+          let seen = Array.make n false in
+          let outer =
+            S.map
+              (fun i ->
+                let len =
+                  if i <> 17 then i mod 3
+                  else if seen.(i) then later_len
+                  else first_len
+                in
+                seen.(i) <- true;
+                S.tabulate len (fun j -> i + j))
+              (S.iota n)
+          in
+          let out = S.flatten outer in
+          Alcotest.check_raises
+            (Printf.sprintf "%s B=%d" name bsize)
+            guard
+            (fun () -> ignore (S.to_array out))))
+    [
+      ("longer", 1, 2, 3); ("longer", 7, 2, 3);
+      ("shorter", 1, 3, 1); ("shorter", 7, 3, 1);
+      ("empty to non-empty", 7, 0, 2);
+      ("non-empty to empty", 1, 2, 0); ("non-empty to empty", 7, 2, 0);
+    ]
+
 let test_iteration () =
   with_policy (Bds.Block.Fixed 7) (fun () ->
       let hits = Array.init 500 (fun _ -> Atomic.make 0) in
@@ -681,6 +722,7 @@ let () =
           Alcotest.test_case "zip mixed block sizes" `Quick test_zip_mixed_block_sizes;
           Alcotest.test_case "policy change mid-life" `Quick test_policy_change_mid_life;
           Alcotest.test_case "edge cases" `Quick test_edge_cases;
+          Alcotest.test_case "flatten length guard" `Quick test_flatten_length_guard;
           Alcotest.test_case "iteration" `Quick test_iteration;
           Alcotest.test_case "derived ops" `Quick test_derived;
           Alcotest.test_case "extended combinators" `Quick test_extended_combinators;

@@ -274,6 +274,55 @@ let test_of_segments () =
   check_ilist "across empty segment" [ 2; 3; 4 ]
     (Stream.to_list (mk ~length:3 ~start_seg:0 ~start_ofs:2))
 
+(* [nested] over a blockwise outer of segment tables, 2 per outer block:
+   every start segment and offset against the flattened suffix, with an
+   indexed outer (entered at the start segment) and an opaque one (a
+   scan, folded from its block's start).  [seg_len] is asked of each
+   segment the walk reaches, so it sees every segment between the start
+   and the last one emitted from, empty ones included, in order; and a
+   walk that runs out of outer blocks raises instead of spinning. *)
+let test_nested () =
+  let segs = [| [| 0; 1; 2 |]; [||]; [| 3 |]; [||]; [| 4; 5; 6; 7 |]; [| 8 |] |] in
+  let flat = Array.concat (Array.to_list segs) in
+  let total = Array.length flat in
+  let indexed b = Stream.tabulate_slice (Array.get segs) (2 * b) (Int.max 0 (Int.min 2 (6 - (2 * b)))) in
+  let opaque b = Stream.scan_incl (fun _ s -> s) [||] (indexed b) in
+  let starts = [ (0, 0, 0); (0, 2, 2); (2, 0, 3); (3, 0, 4); (4, 0, 4); (4, 3, 7); (5, 0, 8) ] in
+  List.iter
+    (fun (name, blocks) ->
+      List.iter
+        (fun (start_seg, start_ofs, pos) ->
+          for length = 0 to total - pos do
+            let seen = ref [] in
+            let st =
+              Stream.nested ~length ~block_size:2 ~blocks
+                ~seg_len:(fun j s ->
+                  seen := j :: !seen;
+                  Array.length s)
+                ~seg_get:(fun _ s -> Array.get s)
+                ~start_seg ~start_ofs
+            in
+            let tag = Printf.sprintf "%s seg=%d ofs=%d len=%d" name start_seg start_ofs length in
+            check_ilist tag (Array.to_list (Array.sub flat pos length)) (Stream.to_list st);
+            let reached = List.rev !seen in
+            if length > 0 then
+              Alcotest.(check (list int))
+                (tag ^ " segments reached")
+                (List.init (List.length reached) (fun k -> start_seg + k))
+                reached
+          done)
+        starts;
+      Alcotest.check_raises (name ^ " too few elements")
+        (Invalid_argument "Stream.nested: too few elements")
+        (fun () ->
+          ignore
+            (Stream.to_list
+               (Stream.nested ~length:3 ~block_size:2 ~blocks
+                  ~seg_len:(fun _ s -> Array.length s)
+                  ~seg_get:(fun _ s -> Array.get s)
+                  ~start_seg:4 ~start_ofs:3))))
+    [ ("indexed", indexed); ("opaque", opaque) ]
+
 (* Skip-push filtered region over option-stream blocks. *)
 let test_selected_region () =
   (* blocks j holds the multiples of 3 in [10j, 10j+10). *)
@@ -882,6 +931,7 @@ let () =
           Alcotest.test_case "fold with stop" `Quick test_fold_stop;
           Alcotest.test_case "fold poll cadence" `Quick test_fold_poll_cadence;
           Alcotest.test_case "of_segments" `Quick test_of_segments;
+          Alcotest.test_case "nested" `Quick test_nested;
           Alcotest.test_case "selected_region" `Quick test_selected_region;
           Alcotest.test_case "masked_region" `Quick test_masked_region;
           Alcotest.test_case "region poll cadence" `Quick test_region_poll_cadence;
