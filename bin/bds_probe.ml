@@ -15,6 +15,9 @@
                              Cost_model prediction, with a 2x verdict
      bds_probe calls       — user-function calls per element of the
                              five BID kernels in A, R and Ours
+     bds_probe idle        — steal latency after idle gaps (host-
+                             dependent) and the worker's words per idle
+                             gap against a 64-word bound
      bds_probe report [--json] [--large] — run a map|scan|reduce pipeline
                              under the profiler and print the per-op
                              work/span report
@@ -571,6 +574,57 @@ let trace_count file name =
     Printf.eprintf "trace invalid: %s\n" e;
     1
 
+(* The pool's idle/wake cost (docs/RUNTIME.md "Idle protocol").  The
+   `#` lines depend on the host: the p50 over [samples] steals of the
+   time from a push by the runner, whose root task then spins, to the
+   worker of a private 2-domain pool running the stolen task, after an
+   idle gap of 0, 0.1, 1 and 10 ms.  The last line pins a verdict: the
+   minor words the worker allocates per idle gap
+   ([Measure.idle_worker_words]) stay within [idle_words_bound] at
+   every gap, so a long idle spin allocates nothing. *)
+let idle_words_bound = 64.
+
+let idle () =
+  let module Pool = Bds_runtime.Pool in
+  let samples = 21 in
+  let pool = Pool.create ~num_additional_domains:1 () in
+  Printf.printf "# idle: %d-domain pool, %d recommended domains\n" (Pool.size pool)
+    (Domain.recommended_domain_count ());
+  let steal_us () =
+    Pool.run pool (fun () ->
+        let stolen_at = Atomic.make Float.nan in
+        let t0 = Unix.gettimeofday () in
+        let p = Pool.async pool (fun () -> Atomic.set stolen_at (Unix.gettimeofday ())) in
+        while Float.is_nan (Atomic.get stolen_at) do
+          Domain.cpu_relax ()
+        done;
+        Pool.await pool p;
+        (Atomic.get stolen_at -. t0) *. 1e6)
+  in
+  if Pool.size pool = 2 then
+    List.iter
+      (fun gap_ms ->
+        let us =
+          Array.init samples (fun _ ->
+              Unix.sleepf (gap_ms /. 1e3);
+              steal_us ())
+        in
+        Array.sort Float.compare us;
+        Printf.printf "# steal after %g ms idle: p50 %.1f us (%d samples)\n" gap_ms
+          us.(samples / 2) samples)
+      [ 0.; 0.1; 1.; 10. ];
+  Pool.teardown pool;
+  let gaps_ms = [ 0.; 0.2; 0.5; 5. ] in
+  let words =
+    Bds_harness.Measure.idle_worker_words (List.map (fun g -> g /. 1e3) gaps_ms)
+  in
+  Printf.printf "# worker words per gap: %s\n"
+    (String.concat " " (List.map2 (Printf.sprintf "%gms=%.0f") gaps_ms words));
+  Printf.printf "idle: worker words per gap of %s ms, bound %.0f: %s\n"
+    (String.concat "/" (List.map (Printf.sprintf "%g") gaps_ms))
+    idle_words_bound
+    (if List.for_all (fun w -> w <= idle_words_bound) words then "ok" else "over")
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let flags, pos =
@@ -585,6 +639,7 @@ let () =
   | [ "floats" ] when flags = [] -> floats ()
   | [ "alloc" ] when flags = [] -> alloc ()
   | [ "calls" ] when flags = [] -> calls ()
+  | [ "idle" ] when flags = [] -> idle ()
   | [ "report" ] -> report ~json:(flag "--json") ~large:(flag "--large")
   | [ "trace-check"; file ] -> exit (trace_check ~strict:(flag "--strict") file)
   | [ "trace-count"; file; name ] when flags = [] -> exit (trace_count file name)
@@ -601,8 +656,8 @@ let () =
       exit 2)
   | _ ->
     prerr_endline
-      "usage: bds_probe [stats [--json] | blocks | streams | floats | alloc | calls | report \
-       [--json] [--large] | trace-check [--strict] FILE | trace-count FILE \
+      "usage: bds_probe [stats [--json] | blocks | streams | floats | alloc | calls | idle \
+       | report [--json] [--large] | trace-check [--strict] FILE | trace-count FILE \
        NAME | jobs | grain | metrics | metrics-check FILE | flight-check \
        FILE [MIN]]";
     exit 2

@@ -42,6 +42,7 @@ type snapshot = {
   s_jobs_retries_shed : int;
   s_adapt_adjustments : int;
   s_adapt_probes : int;
+  s_idle_parks : int;
 }
 
 (* Slot order: the key order of [to_assoc], pinned by bds_probe's STATS
@@ -71,6 +72,7 @@ let fields =
     ("jobs_retries_shed", fun s -> s.s_jobs_retries_shed);
     ("adapt_adjustments", fun s -> s.s_adapt_adjustments);
     ("adapt_probes", fun s -> s.s_adapt_probes);
+    ("idle_parks", fun s -> s.s_idle_parks);
   |]
 
 let of_slots a =
@@ -98,6 +100,7 @@ let of_slots a =
     s_jobs_retries_shed = a.(20);
     s_adapt_adjustments = a.(21);
     s_adapt_probes = a.(22);
+    s_idle_parks = a.(23);
   }
 
 let n = Array.length fields
@@ -132,6 +135,7 @@ let[@inline] incr_jobs_shed () = bump 19
 let[@inline] incr_jobs_retries_shed () = bump 20
 let[@inline] incr_adapt_adjustments () = bump 21
 let[@inline] incr_adapt_probes () = bump 22
+let[@inline] incr_idle_parks () = bump 23
 
 (* Process start time, captured at module initialisation (the runtime
    library links into every entry point, so this is as early as any

@@ -53,6 +53,9 @@ type snapshot = {
   s_adapt_probes : int;
       (** regions the controller ran at a non-incumbent grain to
           re-explore the neighbourhood (probe steps) *)
+  s_idle_parks : int;
+      (** idle workers that blocked on the pool's condition variable
+          after their spin found no work *)
 }
 
 (** Sum of every domain's counters (racy lower bound; monotone). *)
@@ -139,3 +142,8 @@ val incr_jobs_retries_shed : unit -> unit
 
 val incr_adapt_adjustments : unit -> unit
 val incr_adapt_probes : unit -> unit
+
+(** Bumped by [Pool]'s idle path just before a worker blocks on the
+    pool's condition variable.  See docs/RUNTIME.md "Idle protocol". *)
+
+val incr_idle_parks : unit -> unit

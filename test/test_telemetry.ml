@@ -60,7 +60,7 @@ let test_assoc_order () =
       "float_boxed_fallback"; "shared_forces"; "jobs_admitted"; "jobs_completed";
       "jobs_cancelled"; "jobs_deadline_exceeded"; "jobs_failed";
       "jobs_retried"; "jobs_shed"; "jobs_retries_shed"; "adapt_adjustments";
-      "adapt_probes";
+      "adapt_probes"; "idle_parks";
     ]
     keys;
   let s = Telemetry.pp (snap ()) in
@@ -108,6 +108,7 @@ let incrs =
       ("jobs_retries_shed", incr_jobs_retries_shed);
       ("adapt_adjustments", incr_adapt_adjustments);
       ("adapt_probes", incr_adapt_probes);
+      ("idle_parks", incr_idle_parks);
     ]
 
 (* Keys that nothing in this process bumps behind the test's back (the
