@@ -446,6 +446,81 @@ let ablation cfg =
       Tables.print
         ~title:(Printf.sprintf "Ablation: BID block size B on bestcut/delay (n=%d, P=%d)" n cfg.procs)
         ~headers:[ "B"; "time" ] ~rows);
+  (* 1b. The default policy's floor at small n, where it (not P) sets
+     the block count: n / (8P) is below the floor whenever n < 8P x
+     floor.  Each repeat times every floor once, in turn, so host drift
+     hits every column alike; a sample is a batch of about 200k elements
+     of calls. *)
+  Printf.eprintf "  ablation: block-size floor at small n...\n%!" ;
+  let floors = [ 256; 512; 1024; 2048 ] in
+  let kernels =
+    [
+      ( "bestcut",
+        fun n ->
+          let a = K.Bestcut.generate n in
+          fun () -> ignore (Sys.opaque_identity (K.Bestcut.Delay_version.best_cut a)) );
+      ( "grep",
+        fun n ->
+          let text = K.Grep.generate n in
+          fun () -> ignore (Sys.opaque_identity (K.Grep.Delay_version.grep text "needle")) );
+      ( "bfs",
+        fun n ->
+          let scale = Int.max 8 (int_of_float (Float.log2 (float_of_int (Int.max 1024 (n / 8))))) in
+          let g = Bds_graph.Rmat.generate ~scale ~num_edges:n () in
+          fun () -> ignore (Sys.opaque_identity (Bds_graph.Bfs.Delay_version.bfs g 0)) );
+    ]
+  in
+  let rows =
+    List.concat_map
+      (fun (name, make) ->
+        List.concat_map
+          (fun n ->
+            let call = make n in
+            let batch = Int.max 1 (200_000 / n) in
+            List.map
+              (fun p ->
+                let best = Array.make (List.length floors) infinity in
+                Measure.with_domains p (fun () ->
+                    for _ = 0 to cfg.repeat * 3 do
+                      List.iteri
+                        (fun k floor ->
+                          Bds.Block.set_policy
+                            (Bds.Block.Scaled
+                               { per_worker_blocks = 8; min_size = floor; max_size = 65536 });
+                          let t =
+                            Fun.protect ~finally:Bds.Block.reset_policy (fun () ->
+                                Measure.time_once (fun () ->
+                                    for _ = 1 to batch do
+                                      call ()
+                                    done))
+                          in
+                          best.(k) <- Float.min best.(k) (t /. float_of_int batch))
+                        floors
+                    done);
+                List.iteri
+                  (fun k floor ->
+                    record ~section:"ablation-floor" ~bench:(Printf.sprintf "%s-%d" name n)
+                      ~version:(string_of_int floor) ~procs:p ~metric:"time_s" best.(k))
+                  floors;
+                let last = List.length floors - 1 in
+                (name :: string_of_int n :: string_of_int p
+                 :: List.map (fun t -> Printf.sprintf "%.1f" (t *. 1e6)) (Array.to_list best))
+                @ List.filteri (fun k _ -> k < last)
+                    (List.map
+                       (fun t -> Printf.sprintf "%.3f" (t /. best.(last)))
+                       (Array.to_list best)))
+              [ 1; 2 ])
+          [ 2_000; 10_000; 25_000 ])
+      kernels
+  in
+  Tables.print
+    ~title:"Ablation: Scaled block-size floor at small n (us per call, min of runs; then / floor 2048)"
+    ~headers:
+      ([ "kernel"; "n"; "P" ]
+      @ List.map (Printf.sprintf "%d") floors
+      @ List.filteri (fun k _ -> k < List.length floors - 1)
+          (List.map (Printf.sprintf "/%d") floors))
+    ~rows;
   (* 2. Leaf grain, swept through the unified granularity layer: the
      override steers every auto-grained parallel_for, exactly what
      BDS_GRAIN does from the environment. *)

@@ -574,18 +574,25 @@ let filter_op select s =
    in place (the three phases of [Parray.scan], phase 1 fused into the
    spine pass).
 
-   No inner is kept.  Each output block re-derives its inners at
-   emission: the output plan [replan]s the outer once per drive (a map
-   over a BID outer shared-forces that BID there, so the seek below is
-   O(1)), and [Stream.nested] re-drives the outer from the block holding
-   the block's first segment.  Each re-derived inner the walk reaches
-   must have the length the spine measured, or the walk would read past
-   it (an empty run skipped by the binary search is not reached, and
-   emits nothing either way); an inner the walk emits from goes through
-   [rad_of_seq] — a BID inner is forced here, line 45 — into the walk's
-   native loop.  So the outer is evaluated twice, the trade
-   [Cost_model.flatten] prices: callers whose outer elements are costly
-   or effectful force the outer first. *)
+   While every inner is a RAD, no inner is kept.  Each output block
+   re-derives its inners at emission: the output plan [replan]s the
+   outer once per drive (a map over a BID outer shared-forces that BID
+   there, so the seek below is O(1)), and [Stream.nested] re-drives the
+   outer from the block holding the block's first segment.  Each
+   re-derived inner the walk reaches must have the length the spine
+   measured, or the walk would read past it (an empty run skipped by
+   the binary search is not reached, and emits nothing either way).  So
+   the outer is evaluated twice, the trade [Cost_model.flatten] prices:
+   callers whose outer elements are costly or effectful force the outer
+   first.
+
+   A BID inner (a [scan_incl], a [filter]) is different: re-deriving it
+   would re-run its construction and force it again in every output
+   block it spans.  So once the spine pass meets one, the call keeps
+   its inners, one word per inner: the pass forces each BID inner
+   (line 45) and stores every inner from then on, a block that passed
+   RAD inners before that re-derives just those, and emission walks the
+   kept inners without touching the outer again. *)
 let flatten (s : 'a t t) =
   Profile.with_op "flatten" (fun () ->
       let n_out = length s in
@@ -596,15 +603,52 @@ let flatten (s : 'a t t) =
         let nb = num_blocks_of ob in
         let offsets = Array.make (n_out + 1) 0 in
         let sums = Array.make nb 0 in
+        (* The kept inners, installed by the first BID inner the pass
+           meets; [empty] marks a slot not stored. *)
+        let kept = Atomic.make None in
+        let keep i inner =
+          (match (Atomic.get kept, inner) with
+           | None, Bid _ ->
+             ignore (Atomic.compare_and_set kept None (Some (Array.make n_out empty)))
+           | _ -> ());
+          match Atomic.get kept with Some k -> k.(i) <- rad_of_seq inner | None -> ()
+        in
         apply_bid_blocks ob (fun j ->
             let sum = ref 0 in
-            Stream.iteri ~first:((j * ob.b_size) + 1)
+            Stream.iteri ~first:(j * ob.b_size)
               (fun i inner ->
                 let l = length inner in
-                Array.unsafe_set offsets i l;
-                sum := !sum + l)
+                Array.unsafe_set offsets (i + 1) l;
+                sum := !sum + l;
+                keep i inner)
               (oblocks j);
             sums.(j) <- !sum);
+        let check_length inner l =
+          if length inner <> l then
+            invalid_arg
+              "Seq.flatten: an inner sequence's length changed between evaluations of the \
+               outer"
+        in
+        (match Atomic.get kept with
+         | None -> ()
+         | Some k ->
+           let missing i = k.(i) == empty && offsets.(i + 1) > 0 in
+           let rec any i hi = i < hi && (missing i || any (i + 1) hi) in
+           (* Replanning a derived outer drives its parent: only when
+              some block needs it. *)
+           if any 0 n_out then begin
+             let p = replan ob in
+             apply_bid_blocks ob (fun j ->
+                 let lo, hi = block_bounds ob j in
+                 if any lo hi then
+                   Stream.iteri ~first:lo
+                     (fun i inner ->
+                       if missing i then begin
+                         check_length inner offsets.(i + 1);
+                         k.(i) <- rad_of_seq inner
+                       end)
+                     (p j))
+           end);
         let total = ref 0 in
         for j = 0 to nb - 1 do
           let sum = sums.(j) in
@@ -621,17 +665,23 @@ let flatten (s : 'a t t) =
                 acc := !acc + Array.unsafe_get offsets i;
                 Array.unsafe_set offsets i !acc
               done);
-          region_bid ~offsets ~total ~block_size:ob.b_size
-            ~outer:(fun () -> replan ob)
-            ~seg_len:(fun j inner ->
-              let l = length inner in
-              if l <> offsets.(j + 1) - offsets.(j) then
-                invalid_arg
-                  "Seq.flatten: an inner sequence's length changed between evaluations of \
-                   the outer";
-              l)
-            ~seg_get:(fun _ inner ->
-              match rad_of_seq inner with Rad { get; _ } -> get | Bid _ -> assert false)
+          let seg_get _ inner =
+            match rad_of_seq inner with Rad { get; _ } -> get | Bid _ -> assert false
+          in
+          match Atomic.get kept with
+          | Some k ->
+            region_bid ~offsets ~total ~block_size:n_out
+              ~outer:(fun () b -> Stream.of_array (if b = 0 then k else [||]))
+              ~seg_len:(fun _ inner -> length inner)
+              ~seg_get
+          | None ->
+            region_bid ~offsets ~total ~block_size:ob.b_size
+              ~outer:(fun () -> replan ob)
+              ~seg_len:(fun i inner ->
+                let l = offsets.(i + 1) - offsets.(i) in
+                check_length inner l;
+                l)
+              ~seg_get
         end
       end)
 

@@ -91,17 +91,19 @@ val filter_op : ('a -> 'b option) -> 'a t -> 'b t
 (** [flatten s] concatenates the inner sequences, blocking the output index
     space (Figure 3).  Eager cost proportional to the outer length: one
     pass over the outer keeps each inner's length in an offsets array
-    (one word per inner) and keeps no inner.  Element copies are
-    delayed: each output block re-derives its inners at emission, so the
-    outer is evaluated twice (an element whose inner spans k output
-    blocks, k + 1 times), and a BID inner is forced at emission (a
-    fresh BID that an outer function builds and that spans k output
-    blocks is forced k times).  A
-    {!map} over a BID outer shared-forces that BID once, at the first
-    emission (one word per outer element; [shared_forces] +1).  Force
+    (one word per inner) and, while every inner is a RAD, keeps no
+    inner.  Element copies are delayed: each output block re-derives its
+    inners at emission, so the outer is evaluated twice (an element
+    whose inner spans k output blocks, k + 1 times).  A {!map} over a
+    BID outer shared-forces that BID once, at the first emission (one
+    word per outer element; [shared_forces] +1).  Once the pass meets a
+    BID inner, it forces it and the call keeps its inners (one more
+    word per inner): emission walks the kept inners without evaluating
+    the outer again, so a BID that an outer function builds is built
+    and forced once per call.  Force
     the outer first when its elements are costly or effectful: a
     {!flat_map} whose function builds a {!filter_op} would run [select]
-    twice.  Raises [Invalid_argument] at emission if a re-derived inner's
+    twice.  Raises [Invalid_argument] if a re-derived inner's
     length differs from the one measured.  Output blocks are nested-push
     segment views ([Stream.nested]), so downstream stages — including a
     later {!filter} — fuse end-to-end (docs/STREAMS.md "Nested-push

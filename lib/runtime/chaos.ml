@@ -125,29 +125,35 @@ let faults_injected () = Atomic.get faults
 (* ------------------------------------------------------------------ *)
 (* Per-domain splitmix64 streams *)
 
-type rng = { mutable gen : int; mutable s : int64 }
+(* The splitmix64 state lives in 8 bytes, read and written with
+   [Bytes.get_int64_le]/[set_int64_le], not in an [int64] field: storing
+   an [int64] into a mutable field boxes it, and [starve_steal] draws on
+   every steal attempt of an idle worker's spin.  The draw functions are
+   inlined so their [int64] and [float] results stay unboxed too. *)
+type rng = { mutable gen : int; s : Bytes.t }
 
 let rng_key : rng Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { gen = -1; s = 0L })
+  Domain.DLS.new_key (fun () -> { gen = -1; s = Bytes.make 8 '\000' })
 
 let golden = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let next_int64 r =
-  r.s <- Int64.add r.s golden;
-  mix r.s
+let[@inline] next_int64 r =
+  let s = Int64.add (Bytes.get_int64_le r.s 0) golden in
+  Bytes.set_int64_le r.s 0 s;
+  mix s
 
 (* Non-negative draw for [Int64.rem]-based bounded picks.  Masking the
    sign bit, not [Int64.abs]: [abs Int64.min_int] is still negative, and
    a negative remainder would turn into an out-of-range [List.nth]. *)
-let next_nonneg r = Int64.logand (next_int64 r) 0x7FFFFFFFFFFFFFFFL
+let[@inline] next_nonneg r = Int64.logand (next_int64 r) 0x7FFFFFFFFFFFFFFFL
 
 (* Uniform in [0, 1): take the top 53 bits. *)
-let next_float r =
+let[@inline] next_float r =
   let bits = Int64.shift_right_logical (next_int64 r) 11 in
   Int64.to_float bits /. 9007199254740992.0
 
@@ -156,7 +162,8 @@ let local_rng seed gen =
   if r.gen <> gen then begin
     r.gen <- gen;
     let id = (Domain.self () :> int) in
-    r.s <- mix (Int64.add (Int64.of_int seed) (Int64.mul (Int64.of_int (id + 1)) golden))
+    Bytes.set_int64_le r.s 0
+      (mix (Int64.add (Int64.of_int seed) (Int64.mul (Int64.of_int (id + 1)) golden)))
   end;
   r
 

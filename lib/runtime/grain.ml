@@ -10,7 +10,7 @@ type policy =
   | Scaled of { per_worker_blocks : int; min_size : int; max_size : int }
 
 let default_policy =
-  Scaled { per_worker_blocks = 8; min_size = 2048; max_size = 65536 }
+  Scaled { per_worker_blocks = 8; min_size = 512; max_size = 65536 }
 
 let chunks_per_worker = 32
 let sort_cutoff = 4096
@@ -119,9 +119,10 @@ let block_size ~workers n =
     match get_policy () with
     | Fixed b -> b
     | Scaled { per_worker_blocks; min_size; max_size } ->
-      let p = Int.max 1 workers in
-      let b = n / (per_worker_blocks * p) in
-      Int.max min_size (Int.min max_size (Int.max 1 b))
+      (* Rounded up, so the last block is never a sliver. *)
+      let k = per_worker_blocks * Int.max 1 workers in
+      let b = (n + k - 1) / k in
+      Int.max min_size (Int.min max_size b)
 
 let num_blocks ~block_size n =
   if n = 0 then 0 else (n + block_size - 1) / block_size

@@ -35,10 +35,14 @@ type policy =
   | Fixed of int
       (** Every sequence uses this block size, regardless of length. *)
   | Scaled of { per_worker_blocks : int; min_size : int; max_size : int }
-      (** B(n) = clamp(n / (per_worker_blocks * P), min_size, max_size),
+      (** B(n) = clamp(⌈n / (per_worker_blocks * P)⌉, min_size, max_size),
           with P the worker count. *)
 
-(** [Scaled { per_worker_blocks = 8; min_size = 2048; max_size = 65536 }]. *)
+(** [Scaled { per_worker_blocks = 8; min_size = 512; max_size = 65536 }]:
+    8 blocks per worker from [8P * 512] elements up to [8P * 65536].
+    Below that the floor sets the block count; 512 is what a sweep of
+    floors 256-2048 at 2k-25k elements picked (docs/COST.md "Block
+    size"). *)
 val default_policy : policy
 
 (** Raises [Invalid_argument] on non-positive sizes. *)

@@ -112,6 +112,58 @@ let test_scaled_grid () =
       Alcotest.(check int) "more workers, smaller blocks" 500
         (Grain.block_size ~workers:4 8000))
 
+(* The default policy's grid, pinned: (n, workers, block_size,
+   num_blocks).  B(n) = clamp(⌈n / 8P⌉, 512, 65536): up to 512 elements
+   the whole input is one block; below 8P x 512 the floor sets the block
+   count; from there up to 8P x 65536 every worker gets 8 blocks and the
+   last is never a sliver (25,000 at P = 2: 16 blocks of 1563, the last
+   holding 1555); above, blocks stay at the 65536 cap. *)
+let default_grids =
+  [
+    (1, 1, 512, 1); (1, 2, 512, 1); (1, 4, 512, 1);
+    (50, 1, 512, 1); (50, 2, 512, 1); (50, 4, 512, 1);
+    (511, 1, 512, 1); (511, 2, 512, 1); (511, 4, 512, 1);
+    (512, 1, 512, 1); (512, 2, 512, 1); (512, 4, 512, 1);
+    (862, 1, 512, 2); (862, 2, 512, 2); (862, 4, 512, 2);
+    (1000, 1, 512, 2); (1000, 2, 512, 2); (1000, 4, 512, 2);
+    (10_000, 1, 1250, 8); (10_000, 2, 625, 16); (10_000, 4, 512, 20);
+    (25_000, 1, 3125, 8); (25_000, 2, 1563, 16); (25_000, 4, 782, 32);
+    (32_768, 1, 4096, 8); (32_768, 2, 2048, 16); (32_768, 4, 1024, 32);
+    (100_000, 1, 12_500, 8); (100_000, 2, 6250, 16); (100_000, 4, 3125, 32);
+    (2_000_000, 1, 65_536, 31); (2_000_000, 2, 65_536, 31); (2_000_000, 4, 62_500, 32);
+  ]
+
+let test_default_grids () =
+  with_policy Grain.default_policy (fun () ->
+      List.iter
+        (fun (n, workers, bs, nb) ->
+          let g = Grain.grid ~workers n in
+          let name what = Printf.sprintf "n=%d P=%d %s" n workers what in
+          Alcotest.(check int) (name "block_size") bs g.Grain.block_size;
+          Alcotest.(check int) (name "num_blocks") nb g.Grain.num_blocks)
+        default_grids)
+
+(* Under the default policy the blocks partition [0, n) — contiguous,
+   non-empty, in order — and, up to 8P x 65536 elements, number at
+   most 8P. *)
+let prop_default_grid =
+  QCheck2.Test.make ~name:"default grid covers [0, n) in at most 8P blocks" ~count:500
+    QCheck2.Gen.(
+      pair
+        (oneof [ int_bound 5000; int_bound 100_000; int_bound 3_000_000 ])
+        (int_range 1 8))
+    (fun (n, workers) ->
+      with_policy Grain.default_policy (fun () ->
+          let g = Grain.grid ~workers n in
+          let prev = ref 0 and ok = ref true in
+          for j = 0 to g.Grain.num_blocks - 1 do
+            let lo, hi = Grain.bounds g j in
+            if lo <> !prev || hi <= lo then ok := false;
+            prev := hi
+          done;
+          !ok && !prev = n
+          && (n > 8 * workers * 65_536 || g.Grain.num_blocks <= 8 * workers)))
+
 let () =
   Alcotest.run "grain"
     [
@@ -124,5 +176,7 @@ let () =
           Alcotest.test_case "leaf grain" `Quick test_leaf_grain;
           Alcotest.test_case "grid" `Quick test_grid;
           Alcotest.test_case "scaled grid" `Quick test_scaled_grid;
+          Alcotest.test_case "default grids" `Quick test_default_grids;
+          QCheck_alcotest.to_alcotest ~long:false prop_default_grid;
         ] );
     ]

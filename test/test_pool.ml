@@ -648,28 +648,6 @@ let rec wait_peek p =
   | Some (Ok v) -> v
   | Some (Error (e, _)) -> raise e
 
-(* The idle spin allocates nothing: the worker's minor words per idle gap
-   stay at the fixed cost of running a task, whatever the gap.  Fault
-   injection (BDS_CHAOS under make stress) draws its random numbers in
-   boxed int64 cells, so it is off while this test measures. *)
-let test_idle_allocation_free () =
-  let saved = Bds_runtime.Chaos.config () in
-  Bds_runtime.Chaos.set_config None;
-  Fun.protect
-    ~finally:(fun () -> Bds_runtime.Chaos.set_config saved)
-    (fun () ->
-      let gaps = [ 0.; 0.0002; 0.0005; 0.005 ] in
-      let words = Bds_harness.Measure.idle_worker_words gaps in
-      List.iter2
-        (fun gap w ->
-          if w > 64. then
-            Alcotest.failf "%g ms gap: worker allocated %.0f words (bound 64)"
-              (gap *. 1e3) w)
-        gaps words;
-      let w0 = List.hd words and wn = List.nth words (List.length gaps - 1) in
-      if wn > w0 +. 8. then
-        Alcotest.failf "words grow with the gap: %.0f at 0 ms, %.0f at 5 ms" w0 wn)
-
 (* A pool with no more domains than cores spins for a bounded time, then
    parks.  The first check comes 20 ms after the task resolved; the
    poll after it only gives a descheduled worker time to run. *)
@@ -791,7 +769,6 @@ let () =
         ] );
       ( "idle",
         [
-          Alcotest.test_case "spin allocates nothing" `Quick test_idle_allocation_free;
           Alcotest.test_case "idle pool parks" `Quick test_idle_pool_parks;
           Alcotest.test_case "sparse work parks fast" `Quick
             (parks_fast ~num_additional_domains:1);

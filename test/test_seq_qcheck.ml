@@ -317,7 +317,7 @@ let filter_matrix_at d =
     (QCheck2.Test.make ~name:"filter inputs x policies = List.filter" ~count:80
        filter_input_gen prop_filter_inputs)
 
-(* flatten re-derives its inners at emission by re-driving the outer,
+(* flatten re-derives RAD inners at emission by re-driving the outer,
    so each outer shape takes its own path to the first segment of an
    output block, checked against the list model:
    - a RAD outer: the walk enters its indexed blocks at that segment;
@@ -327,9 +327,14 @@ let filter_matrix_at d =
    - an opaque outer, a scan output whose elements are the inners: the
      walk folds the outer block from its start and skips the segments
      before its own.
-   Inners are RADs, BIDs (a scan_incl output, forced at emission) or
-   both; the lengths put empty inners at the front, at the back and in
-   runs; grids of 1, 3 and 7 make output blocks straddle outer blocks.
+   Inners are RADs, BIDs (a scan_incl output) or both.  Once the spine
+   pass meets a BID inner, the call keeps its inners and emission walks
+   them without the outer: with only BID inners the BFS shape's
+   filter_op output is never re-driven, and with both kinds it is
+   re-driven (and shared-forced) at most once, when a block passed RAD
+   inners before the first BID.  The lengths put empty inners at the
+   front, at the back and in runs; grids of 1, 3 and 7 make output
+   blocks straddle outer blocks.
    Each consumer gets a fresh output, so none reads another's memo: a
    full force, a reduce, a take (a walk stopped mid-block) and a filter
    (whose emission re-drives the flatten output a second time). *)
@@ -368,7 +373,12 @@ let prop_flatten_outers (front, body, back) =
                   let forced = S.to_list (out ()) in
                   let forces = (T.diff ~before ~after:(T.snapshot ())).T.s_shared_forces in
                   forced = l
-                  && (shape <> "bfs" || forces = if n > 0 then 1 else 0)
+                  && (shape <> "bfs"
+                     ||
+                     match mode with
+                     | `Rad -> forces = if n > 0 then 1 else 0
+                     | `Bid -> forces = 0
+                     | `Mixed -> forces <= 1)
                   && S.reduce ( + ) 0 (out ()) = List.fold_left ( + ) 0 l
                   && S.to_list (S.take (out ()) (n / 2)) = List.filteri (fun i _ -> i < n / 2) l
                   && S.to_list (S.filter even (out ())) = List.filter even l)
