@@ -428,7 +428,7 @@ let trace_check ~strict file =
       if rc_dropped > 0 || rc_flows > 0 then 1 else 0)
 
 (* Drive one deterministic scenario through the job service and print
-   the jobs_* counters: a single runner and capacity 2, so a busy job
+   the jobs_* counters: a single slot and capacity 2, so a busy job
    with a short deadline (-> deadline_exceeded) plus a queued sum
    (-> completed) fill the service, a third submission is shed with a
    typed Overloaded, and a fail-twice job exercises the retry path

@@ -214,9 +214,9 @@ let point_task () =
    retryable) or a pre-start delay of 1..20ms (pushing jobs toward
    their deadline, exercising the deadline path).  The draws come from
    the same per-domain splitmix streams as the task faults, so a fixed
-   seed gives a reproducible fault plan per domain (service runner
-   threads share their domain's stream; the plan is deterministic up to
-   their interleaving). *)
+   seed gives a reproducible fault plan per domain (the service draws
+   on whichever domain starts the attempt, so the plan is deterministic
+   up to that interleaving). *)
 let point_job () =
   match Atomic.get state with
   | None, _ -> `None

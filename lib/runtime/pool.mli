@@ -68,7 +68,7 @@ val fork_join : t -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 (** Like {!async}, but always routes the task through the external
     overflow queue, never the calling worker's deque.  Required for
     sys-threads that may {e share a domain} with a pool member (e.g. the
-    job service's runner threads on the main domain): the worker context
+    job service's callers on the main domain): the worker context
     is domain-local, so such a thread could otherwise push to a deque it
     does not own concurrently with the owner.
     @raise Shutdown on a torn-down pool.
@@ -83,9 +83,9 @@ val peek : 'a promise -> ('a, exn * Printexc.raw_backtrace) result option
 (** [on_resolve p w] runs [w] as soon as [p] resolves — immediately (in
     the calling thread) if it already has, otherwise on whichever domain
     fulfills it, synchronously inside the fulfill path.  [w] must be
-    cheap and must not raise.  This is how the job service's runner
-    threads get woken by a condition variable instead of spinning in
-    {!await}'s outside-pool help loop. *)
+    cheap and must not raise.  This is how the job service acts on an
+    attempt's result, on the fulfilling domain, with no thread waiting
+    for it. *)
 val on_resolve : 'a promise -> (unit -> unit) -> unit
 
 (** [run pool f] executes [f] with the calling domain acting as worker 0

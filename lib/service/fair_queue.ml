@@ -6,7 +6,7 @@
    the ring), it is simply skipped.
 
    Every element is stamped with its enqueue time so queue wait is
-   measured where it happens — [take] hands the wait back with the
+   measured where it happens — [try_take] hands the wait back with the
    element — and each tenant tracks its high-water depth for the
    per-tenant max-queue-depth gauge. *)
 
@@ -17,7 +17,6 @@ type 'a sub = {
 
 type 'a t = {
   m : Mutex.t;
-  cv : Condition.t;
   tenants : (string, 'a sub) Hashtbl.t;
   mutable order : string array;  (* ring of known tenants *)
   mutable cursor : int;
@@ -28,7 +27,6 @@ type 'a t = {
 let create () =
   {
     m = Mutex.create ();
-    cv = Condition.create ();
     tenants = Hashtbl.create 8;
     order = [||];
     cursor = 0;
@@ -58,7 +56,6 @@ let push t ~tenant v =
         let depth = Queue.length s.q in
         if depth > s.max_depth then s.max_depth <- depth;
         t.size <- t.size + 1;
-        Condition.signal t.cv;
         true
       end)
 
@@ -85,19 +82,7 @@ let pick t =
     go 0
   end
 
-let take t =
-  locked t (fun () ->
-      let rec wait () =
-        match pick t with
-        | Some _ as r -> r
-        | None ->
-          if t.closed then None
-          else begin
-            Condition.wait t.cv t.m;
-            wait ()
-          end
-      in
-      wait ())
+let try_take t = locked t (fun () -> pick t)
 
 let length t = locked t (fun () -> t.size)
 
@@ -108,10 +93,7 @@ let depths t =
              let s = Hashtbl.find t.tenants tenant in
              (tenant, Queue.length s.q, s.max_depth)))
 
-let close t =
-  locked t (fun () ->
-      t.closed <- true;
-      Condition.broadcast t.cv)
+let close t = locked t (fun () -> t.closed <- true)
 
 let drain t =
   locked t (fun () ->
