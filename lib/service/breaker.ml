@@ -111,6 +111,11 @@ let allow_retry t ~now =
           true
         end)
 
+let reset t =
+  locked t (fun () ->
+      t.phase <- Closed;
+      clear_window t)
+
 let state t ~now =
   locked t (fun () ->
       advance t ~now;

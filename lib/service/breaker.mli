@@ -35,6 +35,10 @@ val allow_retry : t -> now:float -> bool
     then the breaker turns half-open and this returns true exactly once
     per probe (concurrent callers race for the single probe slot). *)
 
+val reset : t -> unit
+(** Close the breaker and clear its window, as a successful half-open
+    probe does. *)
+
 val state : t -> now:float -> [ `Closed | `Open | `Half_open ]
 (** Current state (advancing open -> half-open if the cooldown has
     elapsed at [now]). *)
