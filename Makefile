@@ -1,6 +1,6 @@
 # Convenience targets (cf. the paper artifact's makefiles).
 
-.PHONY: all build test stress trace-smoke profile-smoke serve-smoke metrics-smoke adapt-smoke benchmark-smoke bench bench-quick bench-compare examples clean
+.PHONY: all build test stress trace-smoke profile-smoke serve-smoke metrics-smoke benchmark-smoke bench bench-quick bench-compare examples clean
 
 # Fixed-seed chaos specification used by `make stress` (see
 # docs/RUNTIME.md for the BDS_CHAOS format).  delay+starve perturb
@@ -24,8 +24,8 @@ test:
 
 # Chaos stress: the dedicated @stress alias, then the full suite under
 # fault injection across 1, 2 and 4 domains, after the trace, profiler,
-# job-service and adaptive-granularity round-trips.
-stress: trace-smoke profile-smoke serve-smoke metrics-smoke adapt-smoke
+# job-service and observability round-trips.
+stress: trace-smoke profile-smoke serve-smoke metrics-smoke
 	dune build @stress --force
 	for d in $(STRESS_DOMAINS); do \
 	  echo "== stress: BDS_NUM_DOMAINS=$$d BDS_CHAOS=$(CHAOS_SPEC) =="; \
@@ -59,23 +59,10 @@ serve-smoke:
 
 # Observability round-trip: bds_serve with the flight recorder and a
 # periodic metrics file, a multi-tenant workload, a METRICS scrape
-# validated as OpenMetrics, a SIGQUIT flight dump consistent with the
-# final STATS, and BDS_ADAPT_TABLE persistence incl. the fail-fast
-# malformed-table path (see docs/OBSERVABILITY.md "Service
-# observability").
+# validated as OpenMetrics and a SIGQUIT flight dump consistent with the
+# final STATS (see docs/OBSERVABILITY.md "Service observability").
 metrics-smoke:
 	scripts/metrics_smoke
-
-# Adaptive-granularity round-trip: a short fixed-grain sweep plus one
-# run under the online self-tuning controller; the gate fails the
-# target if the adaptive run lands below half the best fixed point (a
-# loose livelock/catastrophe floor — the precision claim lives in
-# BENCH_10.json behind bench_compare, not here, because a --quick
-# 1-repeat run on a shared host is noisy).
-adapt-smoke:
-	dune build bench/main.exe
-	dune exec bench/main.exe -- --quick --procs 2 --only sweep \
-	  --sweep-grain 512,8192,131072 --adaptive --adapt-gate 0.5
 
 # Benchmark smoke: every workload of the end-to-end benchmark
 # (BENCHMARK.json, benchmark/README.md) at about 1% of its work, each in

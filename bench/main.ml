@@ -13,7 +13,6 @@ module Registry = Bds_harness.Registry
 module Tables = Bds_harness.Tables
 module Runtime = Bds_runtime.Runtime
 module Grain = Bds_runtime.Grain
-module Autotune = Bds_runtime.Autotune
 module Telemetry = Bds_runtime.Telemetry
 module Profile = Bds_runtime.Profile
 module S = Bds.Seq
@@ -33,13 +32,6 @@ type config = {
       (** leaf-grain values to sweep the bestcut pipeline over (--sweep-grain) *)
   sweep_block : int list;
       (** fixed block sizes to sweep the bestcut pipeline over (--sweep-block) *)
-  adaptive : bool;
-      (** after the fixed-grain sweep, run the same pipeline under the
-          online self-tuning controller and report
-          adaptive_vs_best_fixed (--adaptive) *)
-  adapt_gate : float option;
-      (** exit non-zero if adaptive_vs_best_fixed falls below this
-          floor (--adapt-gate) *)
   profile : bool;
       (** run everything under the work/span profiler and append per-op
           rows to the CSV (--profile) *)
@@ -54,11 +46,6 @@ let csv_rows : (string * string * string * int * string * float) list ref = ref 
 
 let record ~section ~bench ~version ~procs ~metric value =
   csv_rows := (section, bench, version, procs, metric, value) :: !csv_rows
-
-(* A failed --adapt-gate check is deferred to the end of the run so the
-   CSV (and every other section's output) still lands before the
-   non-zero exit. *)
-let gate_failure : string option ref = ref None
 
 let write_csv path =
   let oc = open_out path in
@@ -670,48 +657,18 @@ let sweeps cfg =
                 (fun () -> Grain.set_leaf_grain None))
             cfg.sweep_grain
         in
-        let rows = List.map fst points in
-        let rows =
-          if not cfg.adaptive then rows
-          else begin
-            (* The headline measurement of the self-tuning controller:
-               the same pipeline, no fixed grain, controller live.  A
-               warm-up phase lets it converge (decisions are memoized
-               per op/size/worker key), then the timed runs measure the
-               converged grains plus the residual probe overhead.  The
-               ratio best-fixed/adaptive lands in the CSV; ~1.0 means
-               the controller found the sweep optimum on its own. *)
-            Printf.eprintf "  sweep: adaptive controller...\n%!";
-            let row, t_adapt =
-              run_point ~section:"sweep-grain" ~version:"adaptive"
-                (fun () ->
-                  Grain.set_adaptive true;
-                  Autotune.reset ();
-                  for _ = 1 to 40 do
-                    ignore
-                      (Sys.opaque_identity (K.Bestcut.Delay_version.best_cut a))
-                  done)
-                (fun () -> Grain.set_adaptive false)
-            in
-            let t_best =
-              List.fold_left (fun m (_, t) -> min m t) infinity points
-            in
-            let ratio = if t_adapt > 0.0 then t_best /. t_adapt else 0.0 in
-            record ~section:"sweep-grain" ~bench:"bestcut-delay"
-              ~version:"adaptive" ~procs:cfg.procs
-              ~metric:"adaptive_vs_best_fixed" ratio;
-            Printf.eprintf "  adaptive_vs_best_fixed = %.3f\n%!" ratio;
-            (match cfg.adapt_gate with
-            | Some floor when ratio < floor ->
-              gate_failure :=
-                Some
-                  (Printf.sprintf
-                     "FAIL: adaptive_vs_best_fixed %.3f below gate %.3f"
-                     ratio floor)
-            | _ -> ());
-            rows @ [ row ]
-          end
+        (* The shipped default (no override) against the best fixed
+           grain of the same run: ~1.0 means the static policy already
+           sits at the sweep optimum. *)
+        let row, t_default =
+          run_point ~section:"sweep-grain" ~version:"default" ignore ignore
         in
+        let t_best = List.fold_left (fun m (_, t) -> min m t) infinity points in
+        let ratio = if t_default > 0.0 then t_best /. t_default else 0.0 in
+        record ~section:"sweep-grain" ~bench:"bestcut-delay" ~version:"default"
+          ~procs:cfg.procs ~metric:"default_vs_best_fixed" ratio;
+        Printf.eprintf "  default_vs_best_fixed = %.3f\n%!" ratio;
+        let rows = List.map fst points @ [ row ] in
         Tables.print
           ~title:
             (Printf.sprintf "Sweep: leaf grain (BDS_GRAIN) on bestcut/delay (n=%d, P=%d)"
@@ -1095,11 +1052,6 @@ let service_bench cfg =
   let module Service = Bds_service.Service in
   let module Job = Bds_service.Job in
   let module Histogram = Bds_runtime.Histogram in
-  (* The service path runs with the adaptive controller live: a
-     long-running multi-tenant server is exactly the workload that
-     cannot be hand-tuned per request shape, so the load generator
-     doubles as the controller's always-on soak test. *)
-  Grain.set_adaptive true;
   let total = scaled cfg 400 in
   let rate = 2000.0 (* jobs/s offered *) in
   let config =
@@ -1435,12 +1387,7 @@ let run cfg =
     service_bench cfg;
     Option.iter write_csv cfg.csv
   end
-  else run_sections cfg;
-  match !gate_failure with
-  | Some msg ->
-    prerr_endline msg;
-    exit 1
-  | None -> ()
+  else run_sections cfg
 
 (* ------------------------------------------------------------------ *)
 (* CLI                                                                 *)
@@ -1484,8 +1431,11 @@ let sweep_grain_arg =
        & info [ "sweep-grain" ]
            ~doc:"Leaf-grain values (comma-separated) to sweep the bestcut \
                  delayed pipeline over via the unified granularity layer \
-                 (equivalent to BDS_GRAIN).  Emits time, steals/s and \
-                 tasks/s per point; rows land in --csv under sweep-grain.")
+                 (equivalent to BDS_GRAIN), then once more at the shipped \
+                 default grain (version default), recording best-fixed \
+                 over default as default_vs_best_fixed.  Emits time, \
+                 steals/s and tasks/s per point; rows land in --csv under \
+                 sweep-grain.")
 
 let sweep_block_arg =
   Arg.(value & opt (list int) []
@@ -1494,21 +1444,6 @@ let sweep_block_arg =
                  delayed pipeline over (equivalent to BDS_BLOCK_SIZE).  \
                  Emits time, steals/s and tasks/s per point; rows land in \
                  --csv under sweep-block.")
-
-let adaptive_arg =
-  Arg.(value & flag
-       & info [ "adaptive" ]
-           ~doc:"After the --sweep-grain fixed points, run the bestcut \
-                 pipeline once more under the online self-tuning \
-                 controller (BDS_ADAPT) and record the ratio \
-                 best-fixed/adaptive as adaptive_vs_best_fixed in the \
-                 sweep-grain section.")
-
-let adapt_gate_arg =
-  Arg.(value & opt (some float) None
-       & info [ "adapt-gate" ]
-           ~doc:"Exit non-zero if adaptive_vs_best_fixed falls below \
-                 this floor (requires --adaptive).")
 
 let profile_arg =
   Arg.(value & flag
@@ -1528,7 +1463,7 @@ let service_arg =
                  --procs the runner count.")
 
 let main scale quick procs proc_list repeat sections micro_filter csv plots
-    sweep_grain sweep_block adaptive adapt_gate profile service =
+    sweep_grain sweep_block profile service =
   let cfg =
     {
       scale = (if quick then scale /. 10.0 else scale);
@@ -1541,8 +1476,6 @@ let main scale quick procs proc_list repeat sections micro_filter csv plots
       plots;
       sweep_grain;
       sweep_block;
-      adaptive;
-      adapt_gate;
       profile;
       service;
     }
@@ -1559,7 +1492,6 @@ let cmd =
     Term.(
       const main $ scale_arg $ quick_arg $ procs_arg $ proc_list_arg $ repeat_arg
       $ only_arg $ micro_filter_arg $ csv_arg $ plots_arg $ sweep_grain_arg
-      $ sweep_block_arg $ adaptive_arg $ adapt_gate_arg $ profile_arg
-      $ service_arg)
+      $ sweep_block_arg $ profile_arg $ service_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -27,9 +27,6 @@
      bds_probe trace-count F NAME — count NAME events in a trace file
      bds_probe jobs        — run a fixed job-service scenario and dump
                              the per-outcome jobs_* telemetry counters
-     bds_probe grain       — force-enable adaptive granularity, run a
-                             fixed leaf-loop + blocked-reduce workload
-                             and dump the controller's decision table
      bds_probe metrics     — run a fixed job-service scenario and print
                              its validated OpenMetrics exposition
      bds_probe metrics-check F — validate an OpenMetrics exposition file
@@ -477,46 +474,6 @@ let jobs () =
   |> List.iter (fun (k, v) -> Printf.printf "  %s=%d\n" k v);
   Runtime.shutdown ()
 
-(* Force-enable the adaptive-granularity controller, drive one labeled
-   element loop plus one blocked reduce enough times for the table to
-   fill in, and dump the decision table (docs/RUNTIME.md "Adaptive
-   granularity").  The key set is deterministic — (op, log2-size bucket,
-   worker count) — while grains and counts depend on timing, so the cram
-   test normalises every numeric value to N.  With BDS_GRAIN set the
-   element loop runs at the override and never reaches the controller:
-   its row disappears from the table, which is how the cram test pins
-   "explicit overrides win". *)
-let grain_cmd () =
-  let module Autotune = Bds_runtime.Autotune in
-  Grain.set_adaptive true;
-  let n = 60_000 in
-  let loop_sum () =
-    Profile.with_op "probe-loop" (fun () ->
-        Runtime.parallel_for_reduce 0 n ~combine:( + ) ~init:0 (fun i ->
-            i land 7))
-  in
-  let input = Bds.Seq.iota n in
-  let blocked_sum () =
-    Bds.Seq.reduce ( + ) 0 (Bds.Seq.map (fun x -> (x * 3) land 1023) input)
-  in
-  for _ = 1 to 25 do
-    ignore (Sys.opaque_identity (loop_sum ()));
-    ignore (Sys.opaque_identity (blocked_sum ()))
-  done;
-  Printf.printf "adaptive=%s leaf_override=%s\n"
-    (if Grain.adaptive () then "on" else "off")
-    (match Grain.leaf_grain_override () with
-    | None -> "none"
-    | Some g -> string_of_int g);
-  List.iter
-    (fun i ->
-      Printf.printf "op=%s bucket=%d workers=%d grain=%d obs=%d adj=%d probes=%d\n"
-        i.Autotune.i_op i.Autotune.i_bucket i.Autotune.i_workers
-        i.Autotune.i_grain i.Autotune.i_obs i.Autotune.i_adjustments
-        i.Autotune.i_probes)
-    (Autotune.dump ());
-  Runtime.shutdown ()
-
 (* Run a fixed multi-tenant scenario through the job service, then
    print the full OpenMetrics exposition — validated first, so the
    command doubles as an end-to-end check of the renderer.  The counter
@@ -663,7 +620,6 @@ let () =
   | [ "trace-check"; file ] -> exit (trace_check ~strict:(flag "--strict") file)
   | [ "trace-count"; file; name ] when flags = [] -> exit (trace_count file name)
   | [ "jobs" ] when flags = [] -> jobs ()
-  | [ "grain" ] when flags = [] -> grain_cmd ()
   | [ "metrics" ] when flags = [] -> metrics_cmd ()
   | [ "metrics-check"; file ] when flags = [] -> exit (metrics_check file)
   | [ "flight-check"; file ] when flags = [] -> exit (flight_check file 2)
@@ -677,6 +633,6 @@ let () =
     prerr_endline
       "usage: bds_probe [stats [--json] | blocks | streams | floats | alloc | calls | idle \
        | report [--json] [--large] | trace-check [--strict] FILE | trace-count FILE \
-       NAME | jobs | grain | metrics | metrics-check FILE | flight-check \
+       NAME | jobs | metrics | metrics-check FILE | flight-check \
        FILE [MIN]]";
     exit 2

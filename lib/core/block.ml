@@ -18,14 +18,6 @@ let set_policy = Grain.set_policy
 let get_policy = Grain.get_policy
 let reset_policy = Grain.reset_policy
 
-(* With adaptation on ([Grain.adaptive]) the controller's per-(op, size,
-   workers) block size wins over the static policy; an explicit policy
-   (env override or programmatic [set_policy]) still beats both —
-   [Autotune.block_size] returns [None] then. *)
-let size n =
-  let workers = Bds_runtime.Runtime.num_workers () in
-  match Bds_runtime.Autotune.block_size ~workers n with
-  | Some b -> b
-  | None -> Grain.block_size ~workers n
+let size n = (Bds_runtime.Runtime.block_grid n).block_size
 
 let num_blocks = Grain.num_blocks

@@ -33,10 +33,7 @@ val get_policy : unit -> policy
 val reset_policy : unit -> unit
 
 (** Block size for a sequence of length [n] under the current policy
-    (always >= 1).  With adaptive granularity on
-    ([Bds_runtime.Grain.adaptive]) and no explicit policy, the
-    self-tuning controller's per-op decision wins instead
-    (docs/RUNTIME.md "Adaptive granularity"). *)
+    (always >= 1): the [block_size] of [Bds_runtime.Runtime.block_grid n]. *)
 val size : int -> int
 
 (** [num_blocks ~block_size n] = ⌈n / block_size⌉ (0 for empty). *)

@@ -1,7 +1,7 @@
 (* Flight recorder (see flight.mli for the contract).
 
    A mutex-guarded ring of immutable snapshot records.  Recording is a
-   telemetry snapshot plus a table walk — service-interval cadence, so
+   telemetry snapshot — service-interval cadence, so
    the mutex discipline of [Metrics] applies: simple beats clever. *)
 
 type snap = {
@@ -10,9 +10,6 @@ type snap = {
   f_uptime_ns : int;
   f_reason : string;
   f_counters : (string * int) list;
-  f_adapt_entries : int;
-  f_adapt_obs : int;
-  f_adapt_adjustments : int;
   f_extra : (string * float) list;
 }
 
@@ -34,7 +31,6 @@ let recorded t = t.count
 
 let record ?(extra = []) t ~reason =
   let counters = Telemetry.to_assoc (Telemetry.snapshot ()) in
-  let entries, obs, adjustments = Autotune.table_stats () in
   Mutex.lock t.mutex;
   let s =
     {
@@ -43,9 +39,6 @@ let record ?(extra = []) t ~reason =
       f_uptime_ns = Telemetry.uptime_ns ();
       f_reason = reason;
       f_counters = counters;
-      f_adapt_entries = entries;
-      f_adapt_obs = obs;
-      f_adapt_adjustments = adjustments;
       f_extra = extra;
     }
   in
@@ -69,9 +62,8 @@ let snapshots t =
 let render_snap b s =
   Buffer.add_string b
     (Printf.sprintf
-       {|{"seq":%d,"ts":%.6f,"uptime_ns":%d,"reason":"%s","adapt":{"entries":%d,"observations":%d,"adjustments":%d},"counters":{|}
-       s.f_seq s.f_ts s.f_uptime_ns (Trace.escape_json s.f_reason)
-       s.f_adapt_entries s.f_adapt_obs s.f_adapt_adjustments);
+       {|{"seq":%d,"ts":%.6f,"uptime_ns":%d,"reason":"%s","counters":{|}
+       s.f_seq s.f_ts s.f_uptime_ns (Trace.escape_json s.f_reason));
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';

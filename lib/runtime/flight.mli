@@ -1,11 +1,11 @@
 (** Always-on flight recorder: a fixed-size ring of periodic runtime
     snapshots, dumped as JSON when something goes wrong.
 
-    Each {!record} captures the cumulative {!Telemetry} counters, the
-    {!Autotune} decision-table summary, a reason tag and any extra
-    caller-supplied gauges, into a ring that overwrites its oldest
-    snapshot when full — so memory is bounded no matter how long the
-    process runs, and a dump always holds the {e most recent} window.
+    Each {!record} captures the cumulative {!Telemetry} counters, a
+    reason tag and any extra caller-supplied gauges, into a ring that
+    overwrites its oldest snapshot when full — so memory is bounded no
+    matter how long the process runs, and a dump always holds the
+    {e most recent} window.
 
     The module is passive: it owns no thread and installs no handlers.
     The server samples it on an interval and dumps on SIGQUIT, on pool
@@ -40,9 +40,6 @@ type snap = {
   f_uptime_ns : int;
   f_reason : string;
   f_counters : (string * int) list;  (** [Telemetry.to_assoc] order *)
-  f_adapt_entries : int;
-  f_adapt_obs : int;
-  f_adapt_adjustments : int;
   f_extra : (string * float) list;
 }
 

@@ -23,17 +23,6 @@ let policy_state : policy Atomic.t = Atomic.make default_policy
 let leaf_override : int option Atomic.t = Atomic.make None
 let merge_tile_state : int Atomic.t = Atomic.make default_merge_tile
 
-(* Adaptive-granularity opt-in (the controller itself lives in
-   [Autotune]; this flag lives here so both Profile and the controller
-   can read it without a dependency cycle).  Read eagerly like
-   [BDS_PROFILE]/[BDS_TRACE] — it is boolean-ish, so there is no
-   malformed-value failure mode to defer. *)
-let adaptive_state : bool Atomic.t = Atomic.make (Env.flag "BDS_ADAPT")
-
-let[@inline] adaptive () = Atomic.get adaptive_state
-
-let set_adaptive b = Atomic.set adaptive_state b
-
 (* ------------------------------------------------------------------ *)
 (* Environment overrides, validated at first use *)
 
@@ -100,16 +89,6 @@ let reset_policy () =
   Atomic.set policy_state
     (match Atomic.get env_policy with Some p -> p | None -> default_policy)
 
-(* True when nothing pinned the block policy: no BDS_BLOCK_SIZE /
-   BDS_BLOCKS_PER_WORKER in the environment and no programmatic
-   [set_policy] away from the default.  The adaptive controller only
-   sizes blocks itself in this state — an explicit policy (a bench sweep
-   point, a user's Fixed pin) always wins, mirroring the BDS_GRAIN rule
-   for leaf grains. *)
-let policy_is_default () =
-  ensure_env ();
-  Atomic.get env_policy = None && Atomic.get policy_state = default_policy
-
 (* ------------------------------------------------------------------ *)
 (* Block grids *)
 
@@ -168,3 +147,5 @@ let merge_tile () = Atomic.get merge_tile_state
 let set_merge_tile c =
   if c < 1 then invalid_arg "Grain.set_merge_tile: tile must be >= 1";
   Atomic.set merge_tile_state c
+
+let set_adaptive (_ : bool) = ()

@@ -54,24 +54,6 @@ val get_policy : unit -> policy
     [BDS_BLOCKS_PER_WORKER] override, if one is set). *)
 val reset_policy : unit -> unit
 
-(** No environment override and no programmatic {!set_policy} away from
-    {!default_policy}.  The adaptive controller ([Autotune]) only sizes
-    blocks itself while this holds — explicit policies always win. *)
-val policy_is_default : unit -> bool
-
-(** {2 Adaptive granularity}
-
-    The opt-in flag for the online self-tuning controller ([Autotune];
-    knobs and behaviour in docs/RUNTIME.md "Adaptive granularity").  Set
-    from [BDS_ADAPT] at startup (blank or ["0"] is the explicit
-    opt-out, like [BDS_PROFILE]) or from {!set_adaptive}.  The flag
-    lives here — not in [Autotune] — so [Profile] can turn its op-label
-    tracking on for the controller without a dependency cycle. *)
-
-val adaptive : unit -> bool
-
-val set_adaptive : bool -> unit
-
 (** {2 Block grids} *)
 
 (** Block size for a sequence of length [n] under the current policy
@@ -124,3 +106,10 @@ val sort_cutoff : int
 val merge_tile : unit -> int
 
 val set_merge_tile : int -> unit
+
+(** Does nothing: granularity is static (B(n) and the leaf grain above,
+    or an explicit override).  Kept only because the end-to-end
+    benchmark ([benchmark/main.ml]) calls it; EXPERIMENTS.md "Retiring
+    the grain controller" measured why no online controller sits
+    behind it. *)
+val set_adaptive : bool -> unit

@@ -507,10 +507,8 @@ let teardown pool =
     drain ();
     Atomic.set pool.terminated true;
     (* Torn-down pools are the natural trace boundary: workers have
-       joined, so every ring buffer is quiescent.  Same for the adaptive
-       decision table — checkpoint it while no region is mid-flight. *)
+       joined, so every ring buffer is quiescent. *)
     Trace.flush ();
-    Autotune.persist ();
     Log.debug (fun m ->
         m "pool torn down: %d tasks executed, %d steals"
           (Atomic.get pool.executed) (Atomic.get pool.steals))

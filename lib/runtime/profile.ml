@@ -2,11 +2,9 @@
 
    Activation mirrors [Trace]: one atomic bool, read once per
    instrumentation point, set from [BDS_PROFILE] at startup (empty or
-   "0" is the explicit opt-out) or from [set_enabled] in tests — OR'd
-   with [Grain.adaptive], since the adaptive controller consumes this
-   module's labels and leaf timings.  With both off every hook is two
-   atomic loads and nothing else, so the hooks stay compiled into the
-   library unconditionally.
+   "0" is the explicit opt-out) or from [set_enabled] in tests.  Off,
+   every hook is one atomic load and nothing else, so the hooks stay
+   compiled into the library unconditionally.
 
    Attribution model (a Cilkview-flavoured estimate, not an exact DAG
    measurement):
@@ -45,11 +43,7 @@
 
 let enabled_flag = Atomic.make (Env.flag "BDS_PROFILE")
 
-(* The adaptive controller ([Autotune]) needs op labels and leaf timings
-   — exactly this module's instrumentation — so adaptive mode implies
-   profiling: with both off a hook is two atomic loads, still cheap
-   enough to stay compiled in unconditionally. *)
-let[@inline] enabled () = Atomic.get enabled_flag || Grain.adaptive ()
+let[@inline] enabled () = Atomic.get enabled_flag
 
 let set_enabled b = Atomic.set enabled_flag b
 
@@ -172,17 +166,9 @@ type region_data = {
   r_ctx : ctx;
   r_t0 : int;
   r_max_leaf : int Atomic.t;
-  (* Per-region leaf accounting for the adaptive controller: how many
-     leaves this region ran and their summed duration (the region's
-     work).  Fetch-and-add from worker domains; read once at region end
-     by [region_stats]. *)
-  r_leaves : int Atomic.t;
-  r_leaf_ns : int Atomic.t;
 }
 
 type region = region_data option
-
-type region_stats = { leaves : int; leaf_ns : int; max_leaf_ns : int }
 
 let region_begin () =
   if not (enabled ()) then None
@@ -191,33 +177,7 @@ let region_begin () =
     match d.cur with
     | None -> None
     | Some ctx ->
-      Some
-        {
-          r_ctx = ctx;
-          r_t0 = now_ns ();
-          r_max_leaf = Atomic.make 0;
-          r_leaves = Atomic.make 0;
-          r_leaf_ns = Atomic.make 0;
-        }
-
-let region_stats : region -> region_stats option = function
-  | None -> None
-  | Some r ->
-    Some
-      {
-        leaves = Atomic.get r.r_leaves;
-        leaf_ns = Atomic.get r.r_leaf_ns;
-        max_leaf_ns = Atomic.get r.r_max_leaf;
-      }
-
-(* The op open on this fiber, if any: how the adaptive controller keys
-   its decision table without threading labels through every call
-   site. *)
-let current_op_name () =
-  if not (enabled ()) then None
-  else
-    let d = Domain.DLS.get dls_key in
-    match d.cur with Some ctx -> Some ctx.op.name | None -> None
+      Some { r_ctx = ctx; r_t0 = now_ns (); r_max_leaf = Atomic.make 0 }
 
 let region_end = function
   | None -> ()
@@ -251,8 +211,6 @@ let leaf (r : region) f =
       (Domain.DLS.get dls_key).in_leaf <- saved;
       let dt = Int.max 0 (now_ns () - t0) in
       Histogram.record r.r_ctx.op.chunks ~ns:dt;
-      Atomic.incr r.r_leaves;
-      ignore (Atomic.fetch_and_add r.r_leaf_ns dt);
       let rec bump () =
         let cur = Atomic.get r.r_max_leaf in
         if dt > cur && not (Atomic.compare_and_set r.r_max_leaf cur dt) then

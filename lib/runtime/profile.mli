@@ -11,16 +11,13 @@
     utilization, and a Cilkview-style grain diagnostic ("chunks too
     small: 41% of chunk time < 5µs").
 
-    Disabled, every instrumentation point costs two atomic loads.  The
+    Disabled, every instrumentation point costs one atomic load.  The
     ambient op context is fiber-local exactly like [Cancel.ambient]:
     [Pool]'s suspend handler carries it across fiber migration via
     {!ambient}/{!set_ambient}. *)
 
 val enabled : unit -> bool
-(** [BDS_PROFILE] / {!set_enabled}, OR'd with [Grain.adaptive]: the
-    adaptive controller ([Autotune]) consumes this module's op labels
-    and leaf timings, so turning adaptation on turns instrumentation
-    on. *)
+(** [BDS_PROFILE] / {!set_enabled}. *)
 
 val set_enabled : bool -> unit
 (** Override [BDS_PROFILE] at runtime (tests, [bds_probe report]). *)
@@ -45,19 +42,6 @@ val region_end : region -> unit
 val with_region : (region -> 'a) -> 'a
 (** [with_region f] brackets [f] with {!region_begin}/{!region_end}
     (also on exception) and hands it the region for its leaves. *)
-
-(** What one region's leaves amounted to; the adaptive controller's
-    end-of-region observation ([Autotune.obs_end]). *)
-type region_stats = { leaves : int; leaf_ns : int; max_leaf_ns : int }
-
-val region_stats : region -> region_stats option
-(** Leaf count / summed leaf duration / longest leaf of a live or
-    finished region ([None] when the region is the free placeholder).
-    Complete once the region's parallel phase has joined. *)
-
-val current_op_name : unit -> string option
-(** The op open on the calling fiber, if any — how [Autotune] keys its
-    decision table without threading labels through call sites. *)
 
 val leaf : region -> (unit -> 'a) -> 'a
 (** [leaf r f] times [f] as one sequential leaf of [r]'s op: the

@@ -115,29 +115,13 @@ let par f g =
    "Granularity policy". *)
 let auto_grain n = Grain.leaf_grain ~workers:(num_workers ()) n
 
-(* The block grid the block-based layers (Parray, Rad, Seq) use for an
-   [n]-element input: the worker count is supplied here so Grain stays a
-   pure policy module.  With adaptation on, the controller's per-(op,
-   size, workers) block size wins over the static policy (but never over
-   an explicit policy — [Autotune.block_size] defers then). *)
-let block_grid n =
-  let workers = num_workers () in
-  match Autotune.block_size ~workers n with
-  | Some bs ->
-    { Grain.n; block_size = bs; num_blocks = Grain.num_blocks ~block_size:bs n }
-  | None -> Grain.grid ~workers n
+(* The block grid the block-based layers (Parray, Rad, Seq, and
+   [Block.size]) use for an [n]-element input: the worker count is
+   supplied here so Grain stays a pure policy module. *)
+let block_grid n = Grain.grid ~workers:(num_workers ()) n
 
-(* The leaf grain of an [n]-iteration element loop, with the adaptive
-   controller's observation token when it chose the grain.  An explicit
-   [?grain] — like an explicit BDS_GRAIN — always wins and is never even
-   observed. *)
 let loop_grain grain n =
-  match grain with
-  | Some g -> (Int.max 1 g, None)
-  | None -> (
-    match Autotune.leaf_decision ~n ~workers:(num_workers ()) with
-    | Some (g, o) -> (Int.max 1 g, Some o)
-    | None -> (Int.max 1 (auto_grain n), None))
+  match grain with Some g -> Int.max 1 g | None -> Int.max 1 (auto_grain n)
 
 (* The one divide-and-conquer driver under every range primitive: split
    the non-empty range [lo, hi) in halves down to [grain], fork each
@@ -146,11 +130,8 @@ let loop_grain grain n =
    and one profile region; each leaf [leaf tok lo hi] counts one
    executed chunk, is one profiled leaf with a [leaf_span] trace span
    (category "chunk", over [bounds lo] when given, else [lo, hi)), and
-   runs under [tok], which it polls every [poll_mask + 1] iterations.
-   [obs] is the controller's observation, closed with the region's leaf
-   stats on success only: failed or cancelled regions teach the
-   controller nothing. *)
-let drive ~span ~leaf_span ?bounds ~grain ~obs ~combine leaf lo hi =
+   runs under [tok], which it polls every [poll_mask + 1] iterations. *)
+let drive ~span ~leaf_span ?bounds ~grain ~combine leaf lo hi =
   let pool = get_pool () in
   let tok = scope_token () in
   Profile.with_region (fun prof ->
@@ -175,22 +156,16 @@ let drive ~span ~leaf_span ?bounds ~grain ~obs ~combine leaf lo hi =
           combine a b
         end
       in
-      let r =
-        Trace.with_span ~lo ~hi span (fun () ->
-            Pool.run pool (fun () -> scoped tok (fun () -> go lo hi)))
-      in
-      (match obs with
-      | Some o -> Autotune.obs_end o (Profile.region_stats prof)
-      | None -> ());
-      r)
+      Trace.with_span ~lo ~hi span (fun () ->
+          Pool.run pool (fun () -> scoped tok (fun () -> go lo hi))))
 
 let ignore2 () () = ()
 
 let parallel_for ?grain lo hi (body : int -> unit) =
   let n = hi - lo in
   if n > 0 then begin
-    let grain, obs = loop_grain grain n in
-    drive ~span:"parallel_for" ~leaf_span:"chunk" ~grain ~obs ~combine:ignore2
+    let grain = loop_grain grain n in
+    drive ~span:"parallel_for" ~leaf_span:"chunk" ~grain ~combine:ignore2
       (fun tok lo hi ->
         for i = lo to hi - 1 do
           if (i - lo) land poll_mask = 0 then Cancel.check tok;
@@ -211,24 +186,11 @@ let apply n f = parallel_for 0 n f
    (category "chunk") whose lo/hi arguments are the block's element
    range when [bounds] is given (block indices otherwise). *)
 let apply_blocks ?bounds ~nb (body : int -> unit) =
-  if nb > 0 then begin
-    (* Block bodies are this region's leaves; their size was fixed when
-       the block grid was built ([Block.size] / [block_grid], possibly
-       by the controller), so this is observation only: the element
-       count comes from the last block's upper bound. *)
-    let obs =
-      if not (Autotune.enabled ()) then None
-      else begin
-        let n = match bounds with Some f -> snd (f (nb - 1)) | None -> nb in
-        Autotune.region_enter ~n ~used:((n + nb - 1) / nb)
-          ~workers:(num_workers ())
-      end
-    in
-    drive ~span:"apply_blocks" ~leaf_span:"block" ?bounds ~grain:1 ~obs
+  if nb > 0 then
+    drive ~span:"apply_blocks" ~leaf_span:"block" ?bounds ~grain:1
       ~combine:ignore2
       (fun _ j _ -> body j)
       0 nb
-  end
 
 (* [init] is combined exactly once, at the top: each leaf folds its
    non-empty range seeded from its first element, so this is correct for
@@ -237,9 +199,9 @@ let parallel_for_reduce ?grain lo hi ~combine ~init (body : int -> 'a) =
   let n = hi - lo in
   if n <= 0 then init
   else begin
-    let grain, obs = loop_grain grain n in
+    let grain = loop_grain grain n in
     combine init
-      (drive ~span:"parallel_for_reduce" ~leaf_span:"chunk" ~grain ~obs ~combine
+      (drive ~span:"parallel_for_reduce" ~leaf_span:"chunk" ~grain ~combine
          (fun tok lo hi ->
            let acc = ref (body lo) in
            for i = lo + 1 to hi - 1 do

@@ -40,7 +40,7 @@ val auto_grain : int -> int
 
 (** The {!Grain} block grid for an [n]-element input under the current
     policy and worker count — the single grid every block-based layer
-    (Parray, Rad, Seq) uses. *)
+    (Parray, Rad, Seq, [Bds.Block.size]) uses. *)
 val block_grid : int -> Grain.grid
 
 (** Binary fork-join: evaluate both closures, potentially in parallel. *)

@@ -40,8 +40,6 @@ type snapshot = {
   s_jobs_retried : int;
   s_jobs_shed : int;
   s_jobs_retries_shed : int;
-  s_adapt_adjustments : int;
-  s_adapt_probes : int;
   s_idle_parks : int;
 }
 
@@ -70,8 +68,6 @@ let fields =
     ("jobs_retried", fun s -> s.s_jobs_retried);
     ("jobs_shed", fun s -> s.s_jobs_shed);
     ("jobs_retries_shed", fun s -> s.s_jobs_retries_shed);
-    ("adapt_adjustments", fun s -> s.s_adapt_adjustments);
-    ("adapt_probes", fun s -> s.s_adapt_probes);
     ("idle_parks", fun s -> s.s_idle_parks);
   |]
 
@@ -98,9 +94,7 @@ let of_slots a =
     s_jobs_retried = a.(18);
     s_jobs_shed = a.(19);
     s_jobs_retries_shed = a.(20);
-    s_adapt_adjustments = a.(21);
-    s_adapt_probes = a.(22);
-    s_idle_parks = a.(23);
+    s_idle_parks = a.(21);
   }
 
 let n = Array.length fields
@@ -133,9 +127,7 @@ let[@inline] incr_jobs_failed () = bump 17
 let[@inline] incr_jobs_retried () = bump 18
 let[@inline] incr_jobs_shed () = bump 19
 let[@inline] incr_jobs_retries_shed () = bump 20
-let[@inline] incr_adapt_adjustments () = bump 21
-let[@inline] incr_adapt_probes () = bump 22
-let[@inline] incr_idle_parks () = bump 23
+let[@inline] incr_idle_parks () = bump 21
 
 (* Process start time, captured at module initialisation (the runtime
    library links into every entry point, so this is as early as any

@@ -47,12 +47,6 @@ type snapshot = {
   s_jobs_shed : int;  (** submissions rejected at admission (overload) *)
   s_jobs_retries_shed : int;
       (** retries suppressed by an open circuit breaker *)
-  s_adapt_adjustments : int;
-      (** grain adjustments committed by the adaptive controller
-          ([Autotune]): hysteresis moves plus adopted probes *)
-  s_adapt_probes : int;
-      (** regions the controller ran at a non-incumbent grain to
-          re-explore the neighbourhood (probe steps) *)
   s_idle_parks : int;
       (** idle workers that blocked on the pool's condition variable
           after their spin found no work *)
@@ -134,14 +128,6 @@ val incr_jobs_failed : unit -> unit
 val incr_jobs_retried : unit -> unit
 val incr_jobs_shed : unit -> unit
 val incr_jobs_retries_shed : unit -> unit
-
-(** Bumped by the adaptive-granularity controller ([Autotune]): one
-    [adapt_adjustments] per committed grain change (hysteresis move or
-    adopted probe), one [adapt_probes] per region observed at a
-    non-incumbent grain.  See docs/RUNTIME.md "Adaptive granularity". *)
-
-val incr_adapt_adjustments : unit -> unit
-val incr_adapt_probes : unit -> unit
 
 (** Bumped by [Pool]'s idle path just before a worker blocks on the
     pool's condition variable.  See docs/RUNTIME.md "Idle protocol". *)

@@ -36,7 +36,6 @@ let covered_files =
     "lib/runtime/ws_deque.ml";
     "lib/runtime/histogram.ml";
     "lib/runtime/profile.ml";
-    "lib/runtime/autotune.ml";
     "lib/runtime/pool.ml";
     "lib/runtime/cancel.ml";
     "lib/runtime/trace.ml";

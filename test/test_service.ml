@@ -23,7 +23,18 @@ open Bds_test_util
 (* The shared small oversubscribed pool, unless BDS_NUM_DOMAINS sets the
    size: under BDS_NUM_DOMAINS=1 every test runs on a pool with no
    spawned worker domain. *)
-let () = if Bds_runtime.Env.get "BDS_NUM_DOMAINS" = None then init ()
+let () = init ()
+
+(* [init] leaves the pool size to BDS_NUM_DOMAINS when it is set, so the
+   1-domain runtest rule and `make stress`'s sweep really run the suite
+   at those counts. *)
+let test_init_honours_num_domains () =
+  let expected =
+    match Bds_runtime.Env.pos_int "BDS_NUM_DOMAINS" with
+    | Some d -> d
+    | None -> domains
+  in
+  Alcotest.(check int) "workers" expected (Runtime.num_workers ())
 
 (* Generous bound for "this job must resolve": catches hangs without
    flaking on slow hosts. *)
@@ -824,6 +835,8 @@ let () =
         ] );
       ( "service",
         [
+          Alcotest.test_case "init honours BDS_NUM_DOMAINS" `Quick
+            test_init_honours_num_domains;
           Alcotest.test_case "submit completes" `Quick test_submit_completes;
           Alcotest.test_case "bad request" `Quick test_bad_request;
           Alcotest.test_case "terminal failure" `Quick test_terminal_failure;

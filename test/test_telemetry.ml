@@ -59,8 +59,7 @@ let test_assoc_order () =
       "fused_folds"; "trickle_fallbacks"; "float_fast_path";
       "float_boxed_fallback"; "shared_forces"; "jobs_admitted"; "jobs_completed";
       "jobs_cancelled"; "jobs_deadline_exceeded"; "jobs_failed";
-      "jobs_retried"; "jobs_shed"; "jobs_retries_shed"; "adapt_adjustments";
-      "adapt_probes"; "idle_parks";
+      "jobs_retried"; "jobs_shed"; "jobs_retries_shed"; "idle_parks";
     ]
     keys;
   let s = Telemetry.pp (snap ()) in
@@ -106,8 +105,6 @@ let incrs =
       ("jobs_retried", incr_jobs_retried);
       ("jobs_shed", incr_jobs_shed);
       ("jobs_retries_shed", incr_jobs_retries_shed);
-      ("adapt_adjustments", incr_adapt_adjustments);
-      ("adapt_probes", incr_adapt_probes);
       ("idle_parks", incr_idle_parks);
     ]
 
@@ -116,7 +113,7 @@ let incrs =
 let quiet k =
   List.exists
     (fun prefix -> String.starts_with ~prefix k)
-    [ "jobs_"; "adapt_"; "float_"; "shared_forces" ]
+    [ "jobs_"; "float_"; "shared_forces" ]
 
 (* Each [incr_*] raises its own key, and only its own among the quiet
    ones. *)

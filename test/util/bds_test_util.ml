@@ -3,12 +3,15 @@
 let domains = 3
 
 (* Idempotent: every suite runs on a small oversubscribed pool so that the
-   work-stealing paths are exercised even on a single-core machine. *)
+   work-stealing paths are exercised even on a single-core machine —
+   unless BDS_NUM_DOMAINS sets the size, as `make stress` does when it
+   sweeps the suites over 1, 2 and 4 domains. *)
 let init =
   let done_ = ref false in
   fun () ->
     if not !done_ then begin
-      Bds_runtime.Runtime.set_num_domains domains;
+      if Bds_runtime.Env.get "BDS_NUM_DOMAINS" = None then
+        Bds_runtime.Runtime.set_num_domains domains;
       done_ := true
     end
 
