@@ -44,6 +44,31 @@ let test_reset_and_get () =
   Block.reset_policy ();
   Alcotest.(check bool) "reset" true (Block.get_policy () = Block.default_policy)
 
+let sizes = [ 0; 1; 3; 511; 512; 862; 25_000; 100_000; 2_000_000 ]
+
+(* Block.size is the block size of the one grid every block-based layer
+   cuts, under every policy. *)
+let test_size_is_grid_block_size () =
+  for_all_policies (fun name ->
+      List.iter
+        (fun n ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s n=%d" name n)
+            (Bds_runtime.Runtime.block_grid n).Bds_runtime.Grain.block_size
+            (Block.size n))
+        sizes)
+
+(* ...and cutting [n] by Block.size gives that grid's block count. *)
+let test_size_gives_grid_blocks () =
+  for_all_policies (fun name ->
+      List.iter
+        (fun n ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s n=%d" name n)
+            (Bds_runtime.Runtime.block_grid n).Bds_runtime.Grain.num_blocks
+            (Block.num_blocks ~block_size:(Block.size n) n))
+        sizes)
+
 let () =
   Alcotest.run "block"
     [
@@ -54,5 +79,9 @@ let () =
           Alcotest.test_case "invalid" `Quick test_invalid_policies;
           Alcotest.test_case "num_blocks" `Quick test_num_blocks;
           Alcotest.test_case "reset/get" `Quick test_reset_and_get;
+          Alcotest.test_case "size is the grid's block size" `Quick
+            test_size_is_grid_block_size;
+          Alcotest.test_case "size gives the grid's blocks" `Quick
+            test_size_gives_grid_blocks;
         ] );
     ]

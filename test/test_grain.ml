@@ -5,6 +5,8 @@
 
 module Env = Bds_runtime.Env
 module Grain = Bds_runtime.Grain
+module Runtime = Bds_runtime.Runtime
+module Telemetry = Bds_runtime.Telemetry
 open Bds_test_util
 
 let () = init ()
@@ -164,6 +166,140 @@ let prop_default_grid =
           !ok && !prev = n
           && (n > 8 * workers * 65_536 || g.Grain.num_blocks <= 8 * workers)))
 
+(* Granularity is static: [set_adaptive] (kept for the end-to-end
+   benchmark) moves no grain, grid, policy or override. *)
+let test_set_adaptive_noop () =
+  let observe () =
+    ( List.map (fun n -> Grain.leaf_grain ~workers:4 n) [ 0; 7; 4096; 1_000_000 ],
+      List.map (fun n -> Grain.grid ~workers:2 n) [ 0; 50; 25_000; 2_000_000 ],
+      Grain.get_policy (),
+      Grain.leaf_grain_override () )
+  in
+  let before = observe () in
+  Fun.protect
+    ~finally:(fun () -> Grain.set_adaptive false)
+    (fun () ->
+      Grain.set_adaptive true;
+      Alcotest.(check bool) "on: nothing moves" true (observe () = before);
+      Grain.set_adaptive false;
+      Alcotest.(check bool) "off: nothing moves" true (observe () = before))
+
+let sizes = [ 0; 1; 511; 512; 862; 10_000; 100_000; 2_000_000 ]
+
+(* The Runtime views are the Grain policy at the pool's worker count. *)
+let test_auto_grain_is_leaf_grain () =
+  let w = Runtime.num_workers () in
+  let check what =
+    List.iter
+      (fun n ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s n=%d" what n)
+          (Grain.leaf_grain ~workers:w n) (Runtime.auto_grain n))
+      sizes
+  in
+  with_grain None (fun () -> check "heuristic");
+  with_grain (Some 77) (fun () -> check "override")
+
+let test_block_grid_is_grid () =
+  let w = Runtime.num_workers () in
+  for_all_policies (fun name ->
+      List.iter
+        (fun n ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s n=%d" name n)
+            true
+            (Runtime.block_grid n = Grain.grid ~workers:w n))
+        sizes)
+
+(* Leaves of the loop driver: halve [n] until a half fits in [grain]. *)
+let rec leaves ~grain n =
+  if n <= grain then 1 else leaves ~grain (n / 2) + leaves ~grain (n - (n / 2))
+
+(* Chunks executed by [f]; nothing else in this suite runs a loop while
+   it does, and the join orders every leaf's count before the read. *)
+let chunks f =
+  let before = Telemetry.snapshot () in
+  f ();
+  (Telemetry.diff ~before ~after:(Telemetry.snapshot ())).Telemetry.s_chunks_executed
+
+let loop ?grain n () = Runtime.parallel_for ?grain 0 n (fun _ -> ())
+
+let test_explicit_grain_chunks () =
+  let n = 10_000 in
+  with_grain None (fun () ->
+      List.iter
+        (fun g ->
+          Alcotest.(check int)
+            (Printf.sprintf "grain %d" g)
+            (leaves ~grain:g n)
+            (chunks (loop ~grain:g n)))
+        [ 1; 100; 512; 8192; n ]);
+  with_grain (Some 50) (fun () ->
+      Alcotest.(check int) "explicit grain beats the override"
+        (leaves ~grain:1000 n)
+        (chunks (loop ~grain:1000 n)));
+  Alcotest.(check int) "non-positive grain runs single elements" 37
+    (chunks (loop ~grain:0 37))
+
+let test_default_grain_chunks () =
+  let n = 100_000 in
+  with_grain None (fun () ->
+      Alcotest.(check int) "heuristic"
+        (leaves ~grain:(Runtime.auto_grain n) n)
+        (chunks (loop n)));
+  with_grain (Some 3000) (fun () ->
+      Alcotest.(check int) "override" (leaves ~grain:3000 n) (chunks (loop n)))
+
+(* Block bodies are never re-chunked: one leaf per block, each body
+   once, whatever the leaf grain says. *)
+let test_apply_blocks_one_leaf_per_block () =
+  let nb = 37 in
+  with_grain (Some 1000) (fun () ->
+      let hits = Array.make nb 0 in
+      let c =
+        chunks (fun () -> Runtime.apply_blocks ~nb (fun j -> hits.(j) <- hits.(j) + 1))
+      in
+      Alcotest.(check int) "one leaf per block" nb c;
+      Alcotest.(check (array int)) "each block once" (Array.make nb 1) hits)
+
+let test_reduce_across_grains () =
+  let n = 200_003 in
+  let body i = (3 * (i land 1023)) + 1 in
+  let expected = ref 7 in
+  for i = 0 to n - 1 do
+    expected := !expected + body i
+  done;
+  let reduce ?grain () =
+    Runtime.parallel_for_reduce ?grain 0 n ~combine:( + ) ~init:7 body
+  in
+  List.iter
+    (fun g ->
+      Alcotest.(check int) (Printf.sprintf "grain %d" g) !expected (reduce ~grain:g ()))
+    [ 1; 512; 8192; 131_072 ];
+  with_grain None (fun () -> Alcotest.(check int) "heuristic" !expected (reduce ()));
+  with_grain (Some 4096) (fun () ->
+      Alcotest.(check int) "override" !expected (reduce ()))
+
+(* The map-reduce pipeline the grain measurement timed, at every block
+   size it swept. *)
+let test_pipeline_across_block_sizes () =
+  let n = 300_000 in
+  let expected = ref 0 in
+  for i = 0 to n - 1 do
+    expected := !expected + (3 * (i land 1023)) + 1
+  done;
+  let run () =
+    Bds.Seq.reduce ( + ) 0
+      (Bds.Seq.map (fun x -> (3 * x) + 1) (Bds.Seq.tabulate n (fun i -> i land 1023)))
+  in
+  List.iter
+    (fun b ->
+      with_policy (Grain.Fixed b) (fun () ->
+          Alcotest.(check int) (Printf.sprintf "B=%d" b) !expected (run ())))
+    [ 512; 2048; 8192; 65_536 ];
+  with_policy Grain.default_policy (fun () ->
+      Alcotest.(check int) "default B(n)" !expected (run ()))
+
 let () =
   Alcotest.run "grain"
     [
@@ -178,5 +314,19 @@ let () =
           Alcotest.test_case "scaled grid" `Quick test_scaled_grid;
           Alcotest.test_case "default grids" `Quick test_default_grids;
           QCheck_alcotest.to_alcotest ~long:false prop_default_grid;
+        ] );
+      ( "static",
+        [
+          Alcotest.test_case "set_adaptive is a no-op" `Quick test_set_adaptive_noop;
+          Alcotest.test_case "auto_grain is leaf_grain" `Quick
+            test_auto_grain_is_leaf_grain;
+          Alcotest.test_case "block_grid is grid" `Quick test_block_grid_is_grid;
+          Alcotest.test_case "explicit grain chunks" `Quick test_explicit_grain_chunks;
+          Alcotest.test_case "default grain chunks" `Quick test_default_grain_chunks;
+          Alcotest.test_case "apply_blocks one leaf per block" `Quick
+            test_apply_blocks_one_leaf_per_block;
+          Alcotest.test_case "reduce across grains" `Quick test_reduce_across_grains;
+          Alcotest.test_case "pipeline across block sizes" `Quick
+            test_pipeline_across_block_sizes;
         ] );
     ]

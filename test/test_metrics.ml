@@ -223,6 +223,22 @@ let test_flight_guards () =
       (Printf.sprintf "error mentions seq (%s)" e)
       true (contains e "seq")
 
+(* A snapshot carries exactly the Telemetry counters, in their order,
+   and the dump holds nothing beyond them and the embedder's gauges. *)
+let test_flight_counters_are_telemetry () =
+  let t = Flight.create ~capacity:4 () in
+  Flight.record t ~reason:"probe";
+  let keys =
+    match Flight.snapshots t with
+    | [ s ] -> List.map fst s.Flight.f_counters
+    | l -> Alcotest.failf "expected 1 snapshot, got %d" (List.length l)
+  in
+  Alcotest.(check (list string)) "telemetry keys"
+    (List.map fst (Telemetry.to_assoc (Telemetry.snapshot ())))
+    keys;
+  Alcotest.(check bool) "no adapt object" false
+    (contains (Flight.dump_json t) "adapt")
+
 let test_uptime_monotone () =
   let u1 = Telemetry.uptime_ns () in
   let u2 = Telemetry.uptime_ns () in
@@ -252,6 +268,8 @@ let () =
           Alcotest.test_case "ring wrap" `Quick test_flight_ring_wrap;
           Alcotest.test_case "dump file" `Quick test_flight_dump_file;
           Alcotest.test_case "guards" `Quick test_flight_guards;
+          Alcotest.test_case "counters are telemetry" `Quick
+            test_flight_counters_are_telemetry;
           Alcotest.test_case "uptime monotone" `Quick test_uptime_monotone;
         ] );
     ]

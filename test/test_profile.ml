@@ -111,6 +111,26 @@ let test_disabled_passthrough () =
   Alcotest.(check (list string)) "no rows" []
     (List.map (fun r -> r.Profile.r_name) (Profile.rows ()))
 
+(* Profiling is switched by BDS_PROFILE / set_enabled alone: the
+   benchmark's [Grain.set_adaptive true] neither enables it nor makes
+   labeled pipelines record rows. *)
+let test_adaptive_leaves_profiling_off () =
+  init ();
+  Profile.reset ();
+  Profile.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Bds_runtime.Grain.set_adaptive false)
+    (fun () ->
+      Bds_runtime.Grain.set_adaptive true;
+      Alcotest.(check bool) "still disabled" false (Profile.enabled ());
+      let sum =
+        Profile.with_op "labeled" (fun () ->
+            Bds.Seq.reduce ( + ) 0 (Bds.Seq.iota 100_000))
+      in
+      Alcotest.(check int) "pipeline runs" (100_000 * 99_999 / 2) sum;
+      Alcotest.(check (list string)) "no rows" []
+        (List.map (fun r -> r.Profile.r_name) (Profile.rows ())))
+
 (* The grain diagnostic trips on the documented threshold. *)
 let test_grain_warning () =
   let row ~tiny =
@@ -190,6 +210,8 @@ let () =
         ] );
       ( "reporting",
         [
+          Alcotest.test_case "set_adaptive leaves profiling off" `Quick
+            test_adaptive_leaves_profiling_off;
           Alcotest.test_case "grain warning threshold" `Quick test_grain_warning;
           Alcotest.test_case "render human and JSON" `Quick test_render;
         ] );
