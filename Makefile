@@ -1,6 +1,6 @@
 # Convenience targets (cf. the paper artifact's makefiles).
 
-.PHONY: all build test stress trace-smoke profile-smoke serve-smoke metrics-smoke benchmark-smoke bench bench-quick bench-compare examples clean
+.PHONY: all build test check-profile stress trace-smoke profile-smoke serve-smoke metrics-smoke benchmark-smoke bench bench-quick bench-compare examples clean
 
 # Fixed-seed chaos specification used by `make stress` (see
 # docs/RUNTIME.md for the BDS_CHAOS format).  delay+starve perturb
@@ -21,6 +21,25 @@ build:
 
 test:
 	dune runtest --force
+
+# Build-profile guard: the default build is dune-workspace's `opt`
+# profile, which compiles without dune dev's -opaque (so small helpers
+# inline across modules) and keeps dev's fatal warnings.  Fails if the
+# compile rule of a library module shows -opaque or lacks one of those
+# flags, i.e. if the default build fell back to `dev` or lost its
+# warnings (see docs/RUNTIME.md "Build profile").
+PROFILE_PROBE ?= _build/default/lib/core/.bds.objs/native/bds__Seq.cmx
+PROFILE_FLAGS = @1..3@5..28@30..39@43@46..47@49..57@61..62-40 -strict-sequence -strict-formats
+check-profile:
+	@rule=$$(dune rules $(PROFILE_PROBE) | sed 's/^ *//') || exit 1; \
+	if printf '%s\n' "$$rule" | grep -qxF -- -opaque; then \
+	  echo "check-profile: $(PROFILE_PROBE) is compiled with -opaque"; exit 1; \
+	fi; \
+	for f in $(PROFILE_FLAGS); do \
+	  printf '%s\n' "$$rule" | grep -qxF -- "$$f" || { \
+	    echo "check-profile: $(PROFILE_PROBE) is compiled without $$f"; exit 1; }; \
+	done; \
+	echo "check-profile: ok ($(PROFILE_PROBE): no -opaque, fatal warnings on)"
 
 # Chaos stress: the dedicated @stress alias, then the full suite under
 # fault injection across 1, 2 and 4 domains, after the trace, profiler,

@@ -609,66 +609,96 @@ let ablation cfg =
    delayed pipeline at each knob setting and report time plus scheduler
    pressure, so a Figure 16-style curve can be drawn for either knob of
    the unified granularity layer.  Rows also land in --csv under the
-   sections "sweep-grain" and "sweep-block". *)
+   sections "sweep-grain" and "sweep-block".
+
+   The points of one sweep are timed in the same rounds: one untimed
+   call per point first (the first call after [Measure.with_domains]
+   can take 3x a later one), then [--repeat] rounds of one call per
+   point.  Host drift between rounds then slows every point alike
+   instead of one point's block of calls.  A point reports its best
+   call, and rates over the counters and time of all its calls. *)
+
+type sweep_point = {
+  version : string;
+  setup : unit -> unit;
+  teardown : unit -> unit;
+  mutable best_s : float;
+  mutable total_s : float;
+  mutable steals : int;
+  mutable tasks : int;
+  mutable clamped : bool;
+}
+
+let sweep_point version setup teardown =
+  { version; setup; teardown; best_s = infinity; total_s = 0.0; steals = 0;
+    tasks = 0; clamped = false }
 
 let sweeps cfg =
   let n = scaled cfg 2_000_000 in
   let a = K.Bestcut.generate n in
-  let run_point ~section ~version setup teardown =
-    setup ();
-    Fun.protect ~finally:teardown (fun () ->
-        let m =
-          Measure.time_counters ~repeat:cfg.repeat (fun () ->
-              ignore (K.Bestcut.Delay_version.best_cut a))
-        in
-        let c = m.Measure.counters in
+  let at pt f =
+    pt.setup ();
+    Fun.protect ~finally:pt.teardown f
+  in
+  let run () = ignore (K.Bestcut.Delay_version.best_cut a) in
+  let timed_call pt =
+    at pt (fun () ->
+        let before = Telemetry.snapshot () in
+        let t = Measure.time_once run in
+        let c, clamped = Telemetry.diff_checked ~before ~after:(Telemetry.snapshot ()) in
+        pt.best_s <- Float.min pt.best_s t;
+        pt.total_s <- pt.total_s +. t;
+        pt.steals <- pt.steals + c.Telemetry.s_steals;
+        pt.tasks <- pt.tasks + c.Telemetry.s_tasks_spawned;
+        pt.clamped <- pt.clamped || clamped)
+  in
+  (* Time [points] in shared rounds, record each, return their table rows. *)
+  let run_points ~section points =
+    List.iter (fun pt -> at pt run) points;
+    for _ = 1 to cfg.repeat do
+      List.iter timed_call points
+    done;
+    List.map
+      (fun pt ->
         let per_s count =
-          if m.Measure.best_s > 0.0 then float_of_int count /. m.Measure.best_s
-          else 0.0
+          if pt.total_s > 0.0 then float_of_int count /. pt.total_s else 0.0
         in
-        let steals_per_s = per_s c.Telemetry.s_steals in
-        let tasks_per_s = per_s c.Telemetry.s_tasks_spawned in
-        record ~section ~bench:"bestcut-delay" ~version ~procs:cfg.procs
-          ~metric:"time_s" m.Measure.best_s;
-        record ~section ~bench:"bestcut-delay" ~version ~procs:cfg.procs
-          ~metric:"steals_per_s" steals_per_s;
-        record ~section ~bench:"bestcut-delay" ~version ~procs:cfg.procs
-          ~metric:"tasks_per_s" tasks_per_s;
-        record ~section ~bench:"bestcut-delay" ~version ~procs:cfg.procs
-          ~metric:"counters_clamped" (if m.Measure.clamped then 1.0 else 0.0);
-        ( [
-            version;
-            Measure.pp_time m.Measure.best_s;
-            Printf.sprintf "%.3e" steals_per_s;
-            Printf.sprintf "%.3e" tasks_per_s;
-          ],
-          m.Measure.best_s ))
+        let steals_per_s = per_s pt.steals and tasks_per_s = per_s pt.tasks in
+        let put = record ~section ~bench:"bestcut-delay" ~version:pt.version ~procs:cfg.procs in
+        put ~metric:"time_s" pt.best_s;
+        put ~metric:"steals_per_s" steals_per_s;
+        put ~metric:"tasks_per_s" tasks_per_s;
+        put ~metric:"counters_clamped" (if pt.clamped then 1.0 else 0.0);
+        [
+          pt.version;
+          Measure.pp_time pt.best_s;
+          Printf.sprintf "%.3e" steals_per_s;
+          Printf.sprintf "%.3e" tasks_per_s;
+        ])
+      points
   in
   let headers = [ "setting"; "time"; "steals/s"; "tasks/s" ] in
   Measure.with_domains cfg.procs (fun () ->
       if cfg.sweep_grain <> [] then begin
         Printf.eprintf "  sweep: leaf grain...\n%!";
-        let points =
+        let fixed =
           List.map
             (fun g ->
-              run_point ~section:"sweep-grain"
-                ~version:(Printf.sprintf "grain=%d" g)
+              sweep_point (Printf.sprintf "grain=%d" g)
                 (fun () -> Grain.set_leaf_grain (Some g))
                 (fun () -> Grain.set_leaf_grain None))
             cfg.sweep_grain
         in
         (* The shipped default (no override) against the best fixed
-           grain of the same run: ~1.0 means the static policy already
-           sits at the sweep optimum. *)
-        let row, t_default =
-          run_point ~section:"sweep-grain" ~version:"default" ignore ignore
-        in
-        let t_best = List.fold_left (fun m (_, t) -> min m t) infinity points in
-        let ratio = if t_default > 0.0 then t_best /. t_default else 0.0 in
+           grain of the same rounds: ~1.0 means the static policy
+           already sits at the sweep optimum. *)
+        let default = sweep_point "default" ignore ignore in
+        let rows = run_points ~section:"sweep-grain" (fixed @ [ default ]) in
+        let t_best = List.fold_left (fun m pt -> Float.min m pt.best_s) infinity fixed in
+        let ratio = if default.best_s > 0.0 then t_best /. default.best_s else 0.0 in
         record ~section:"sweep-grain" ~bench:"bestcut-delay" ~version:"default"
           ~procs:cfg.procs ~metric:"default_vs_best_fixed" ratio;
         Printf.eprintf "  default_vs_best_fixed = %.3f\n%!" ratio;
-        let rows = List.map fst points @ [ row ] in
         Tables.print
           ~title:
             (Printf.sprintf "Sweep: leaf grain (BDS_GRAIN) on bestcut/delay (n=%d, P=%d)"
@@ -678,14 +708,13 @@ let sweeps cfg =
       if cfg.sweep_block <> [] then begin
         Printf.eprintf "  sweep: block size...\n%!";
         let rows =
-          List.map
-            (fun bs ->
-              fst
-                (run_point ~section:"sweep-block"
-                   ~version:(Printf.sprintf "B=%d" bs)
+          run_points ~section:"sweep-block"
+            (List.map
+               (fun bs ->
+                 sweep_point (Printf.sprintf "B=%d" bs)
                    (fun () -> Bds.Block.set_policy (Bds.Block.Fixed bs))
-                   (fun () -> Bds.Block.reset_policy ())))
-            cfg.sweep_block
+                   Bds.Block.reset_policy)
+               cfg.sweep_block)
         in
         Tables.print
           ~title:

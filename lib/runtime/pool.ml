@@ -87,8 +87,10 @@ let log_src = Logs.Src.create "bds.runtime" ~doc:"Block-delayed sequences task p
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
 (* Worker context: which pool and which deque slot the current domain is
-   operating, if any. *)
-type context = { ctx_pool : t; ctx_id : int }
+   operating, if any, and which of the domain's sys-threads operates it.
+   DLS is shared by every thread of a domain, but only that thread runs
+   under the pool's suspend handler. *)
+type context = { ctx_pool : t; ctx_id : int; ctx_thread : int }
 
 let context_key : context option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
@@ -98,6 +100,8 @@ let current_context () = !(Domain.DLS.get context_key)
 let set_context c = Domain.DLS.get context_key := c
 
 let size pool = pool.live
+
+let self_id () = Thread.id (Thread.self ())
 
 (* ------------------------------------------------------------------ *)
 (* Poisoning and liveness                                              *)
@@ -209,7 +213,7 @@ let push_overflow pool task =
 let push_task pool task =
   Telemetry.incr_tasks_spawned ();
   (match current_context () with
-  | Some { ctx_pool; ctx_id } when ctx_pool == pool ->
+  | Some { ctx_pool; ctx_id; _ } when ctx_pool == pool ->
     Ws_deque.push pool.deques.(ctx_id) task
   | _ -> push_overflow pool task);
   wake_idlers pool
@@ -418,7 +422,7 @@ let rec worker_loop pool me =
     end
 
 let worker_main pool me () =
-  set_context (Some { ctx_pool = pool; ctx_id = me });
+  set_context (Some { ctx_pool = pool; ctx_id = me; ctx_thread = self_id () });
   (try worker_loop pool me
    with exn ->
      let bt = Printexc.get_raw_backtrace () in
@@ -519,6 +523,14 @@ let in_context pool =
   | Some { ctx_pool; _ } -> ctx_pool == pool
   | None -> false
 
+(* The calling thread operates a worker slot of [pool]: it is inside the
+   pool's suspend handler, where [await] may suspend. *)
+let owns pool =
+  match current_context () with
+  | Some { ctx_pool; ctx_thread; _ } ->
+    ctx_pool == pool && ctx_thread = self_id ()
+  | None -> false
+
 let promise_task f p () =
   match
     Chaos.point_task ();
@@ -552,19 +564,24 @@ let async_external pool f =
 let await pool p =
   (match Atomic.get p with
   | Pending _ ->
-    if in_context pool then
+    if owns pool then
       Effect.perform (Suspend (fun resume -> add_waiter p resume))
     else
       (* Called from outside the pool (no handler installed): help by
          draining the overflow queue and stealing, so progress is
          guaranteed even on a pool with no spawned workers and no active
-         [run].  Fail fast instead of spinning forever when the pool can
-         no longer resolve the promise: poisoned, or fully terminated
-         with no work left to run.  Each fail-fast raise re-checks the
-         promise one final time first: teardown's drain (or a concurrent
-         worker) may have resolved it after we observed it pending, and
-         the documented guarantee is that a resolved promise's result is
-         always returned. *)
+         [run].  While another thread of this domain operates a worker
+         slot (it is inside [run]), only wait, yielding the domain lock
+         to it: a task run here could push to that slot's deque from a
+         second thread.  That thread executes the pool's tasks, and
+         helping resumes once it leaves [run].  Fail fast instead of
+         spinning forever when the pool can no longer resolve the
+         promise: poisoned, or fully terminated with no work left to
+         run.  Each fail-fast raise re-checks the promise one final time
+         first: teardown's drain (or a concurrent worker) may have
+         resolved it after we observed it pending, and the documented
+         guarantee is that a resolved promise's result is always
+         returned. *)
       while
         match Atomic.get p with
         | Pending _ ->
@@ -572,11 +589,14 @@ let await pool p =
           | Some (exn, _) when still_pending p ->
             raise (Worker_crashed (crash_diagnostic exn))
           | _ -> ());
-          (match steal_or_overflow pool with
-          | Some task -> execute_contained pool task
-          | None ->
-            if Atomic.get pool.terminated && still_pending p then raise Shutdown
-            else Domain.cpu_relax ());
+          (if in_context pool then Thread.yield ()
+           else
+             match steal_or_overflow pool with
+             | Some task -> execute_contained pool task
+             | None ->
+               if Atomic.get pool.terminated && still_pending p then
+                 raise Shutdown
+               else Domain.cpu_relax ());
           true
         | _ -> false
       do
@@ -598,7 +618,7 @@ let fork_join pool left right =
   let a = left () in
   let inline =
     match current_context () with
-    | Some { ctx_pool; ctx_id } when ctx_pool == pool -> (
+    | Some { ctx_pool; ctx_id; _ } when ctx_pool == pool -> (
         let dq = pool.deques.(ctx_id) in
         match Ws_deque.pop dq with
         | Some t when t == task -> true
@@ -616,14 +636,14 @@ let fork_join pool left right =
 
 let run pool f =
   check_alive pool;
-  if in_context pool then
+  if owns pool then
     (* Already inside the pool: just run inline under the existing
        handler. *)
     f ()
   else begin
     Mutex.lock pool.runner_mutex;
     let saved = current_context () in
-    set_context (Some { ctx_pool = pool; ctx_id = 0 });
+    set_context (Some { ctx_pool = pool; ctx_id = 0; ctx_thread = self_id () });
     Fun.protect
       ~finally:(fun () ->
         set_context saved;

@@ -50,7 +50,9 @@ val async : t -> (unit -> 'a) -> 'a promise
 
 (** [await pool p] returns the result of [p], re-raising any exception with
     its original backtrace. Inside the pool this suspends the fiber without
-    blocking the worker; outside it helps execute tasks.
+    blocking the worker; outside it helps execute tasks.  A sys-thread
+    whose domain has another thread inside {!run} executes nothing: it
+    yields to that thread until the promise resolves or the run returns.
     @raise Shutdown if the pool terminated with [p] unresolvable.
     @raise Worker_crashed if the pool is poisoned while waiting. *)
 val await : t -> 'a promise -> 'a

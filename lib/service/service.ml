@@ -450,19 +450,12 @@ and launch t job number tok =
     if Pool.size pool <= 1 then begin
       (* No spawned worker domain (single-core host, BDS_NUM_DOMAINS=1)
          pops the overflow queue, so a helper thread [Pool.await]s the
-         attempt: that executes it, and fails fast once the pool dies
-         (the monitor then abandons the attempt).  While a [Pool.run] on
-         this domain shares its worker context, [await] cannot suspend
-         here: retry at the cadence. *)
-      let rec help () =
-        match Pool.await pool p with
-        | _ -> ()
-        | exception Effect.Unhandled _ ->
-          Thread.delay t.cfg.poll_cadence_s;
-          help ()
-        | exception _ -> ()
-      in
-      ignore (Thread.create help ())
+         attempt: that executes it (or, while a [Pool.run] on this
+         domain is in progress, waits for that run's thread to), and
+         fails fast once the pool dies (the monitor then abandons the
+         attempt). *)
+      ignore
+        (Thread.create (fun () -> try ignore (Pool.await pool p) with _ -> ()) ())
     end;
     (* Registered last: nothing after it may raise, or [step] would
        release the slot that the thunk releases too.  The thunk itself

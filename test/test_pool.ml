@@ -100,6 +100,39 @@ let test_run_inline_when_nested () =
   let r = Pool.run pool (fun () -> Pool.run pool (fun () -> 11)) in
   Alcotest.(check int) "nested run" 11 r
 
+(* Worker context is domain-local, so a sys-thread that awaits while
+   another thread of its domain sits inside [run] sees that thread's
+   context but not its suspend handler.  It must wait (the run's thread
+   owns worker 0) and get the value, not raise [Effect.Unhandled]. *)
+let test_await_beside_run () =
+  let pool = Pool.create ~num_additional_domains:0 () in
+  let beside_run = Atomic.make false and awaiting = Atomic.make false in
+  let got = ref (Error "no result") in
+  let waiter = ref None in
+  Pool.run pool (fun () ->
+      waiter :=
+        Some
+          (Thread.create
+             (fun () ->
+               let p = Pool.async_external pool (fun () -> 42) in
+               Atomic.set beside_run (Pool.in_context pool);
+               Atomic.set awaiting true;
+               got :=
+                 match Pool.await pool p with
+                 | v -> Ok v
+                 | exception e -> Error (Printexc.to_string e))
+             ());
+      (* Stay inside [run] until the waiter is about to await, then
+         long enough for it to wait. *)
+      while not (Atomic.get awaiting) do
+        Thread.yield ()
+      done;
+      Thread.delay 0.02);
+  Option.iter Thread.join !waiter;
+  Pool.teardown pool;
+  Alcotest.(check bool) "awaited while run was in progress" true (Atomic.get beside_run);
+  Alcotest.(check (result int string)) "await beside run" (Ok 42) !got
+
 let test_stats_and_teardown () =
   (* Use a private pool so the global one keeps running. *)
   let pool = Pool.create ~num_additional_domains:2 () in
@@ -760,6 +793,7 @@ let () =
         [
           Alcotest.test_case "async outside run" `Quick test_async_from_outside;
           Alcotest.test_case "run inline nested" `Quick test_run_inline_when_nested;
+          Alcotest.test_case "await beside run" `Quick test_await_beside_run;
           Alcotest.test_case "stats and teardown" `Quick test_stats_and_teardown;
           Alcotest.test_case "async after teardown" `Quick test_async_after_teardown;
           Alcotest.test_case "teardown drains queued" `Quick test_teardown_drains_queued;
