@@ -25,21 +25,25 @@ test:
 # Build-profile guard: the default build is dune-workspace's `opt`
 # profile, which compiles without dune dev's -opaque (so small helpers
 # inline across modules) and keeps dev's fatal warnings.  Fails if the
-# compile rule of a library module shows -opaque or lacks one of those
-# flags, i.e. if the default build fell back to `dev` or lost its
-# warnings (see docs/RUNTIME.md "Build profile").
-PROFILE_PROBE ?= _build/default/lib/core/.bds.objs/native/bds__Seq.cmx
-PROFILE_FLAGS = @1..3@5..28@30..39@43@46..47@49..57@61..62-40 -strict-sequence -strict-formats
+# compile rule of a library module shows -opaque, if dune-workspace's
+# `opt` flags carry no fatal warning set, or if the rule lacks one of
+# those flags, i.e. if the default build fell back to `dev` or lost its
+# warnings (see docs/RUNTIME.md "Build profile").  The flag list is read
+# from dune-workspace, so it is written in one place.
 check-profile:
-	@rule=$$(dune rules $(PROFILE_PROBE) | sed 's/^ *//') || exit 1; \
+	@probe=_build/default/lib/core/.bds.objs/native/bds__Seq.cmx; \
+	flags=$$(sed -n '/(flags/,$$p' dune-workspace | tr -s ' ()' '\n' | grep -vx -e '' -e flags); \
+	printf '%s\n' "$$flags" | grep -q @ || { \
+	  echo "check-profile: dune-workspace's opt flags have no fatal warning set"; exit 1; }; \
+	rule=$$(dune rules $$probe | sed 's/^ *//') || exit 1; \
 	if printf '%s\n' "$$rule" | grep -qxF -- -opaque; then \
-	  echo "check-profile: $(PROFILE_PROBE) is compiled with -opaque"; exit 1; \
+	  echo "check-profile: $$probe is compiled with -opaque"; exit 1; \
 	fi; \
-	for f in $(PROFILE_FLAGS); do \
+	for f in $$flags; do \
 	  printf '%s\n' "$$rule" | grep -qxF -- "$$f" || { \
-	    echo "check-profile: $(PROFILE_PROBE) is compiled without $$f"; exit 1; }; \
+	    echo "check-profile: $$probe is compiled without $$f"; exit 1; }; \
 	done; \
-	echo "check-profile: ok ($(PROFILE_PROBE): no -opaque, fatal warnings on)"
+	echo "check-profile: ok ($$probe: no -opaque, fatal warnings on)"
 
 # Chaos stress: the dedicated @stress alias, then the full suite under
 # fault injection across 1, 2 and 4 domains, after the trace, profiler,

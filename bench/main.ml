@@ -612,10 +612,12 @@ let ablation cfg =
    sections "sweep-grain" and "sweep-block".
 
    The points of one sweep are timed in the same rounds: one untimed
-   call per point first (the first call after [Measure.with_domains]
-   can take 3x a later one), then [--repeat] rounds of one call per
-   point.  Host drift between rounds then slows every point alike
-   instead of one point's block of calls.  A point reports its best
+   call per point first, then [--repeat] rounds of one call per point.
+   Host drift between rounds then slows every point alike instead of
+   one point's block of calls.  So does a slow spell right after
+   [Measure.with_domains]: on a 2-core host the calls of about the
+   first 0.6 s sometimes each take 3x a later one (cause unknown), and
+   in separate blocks that put all of one point's calls inside it.  A point reports its best
    call, and rates over the counters and time of all its calls. *)
 
 type sweep_point = {

@@ -561,6 +561,11 @@ let async_external pool f =
   wake_idlers pool;
   p
 
+(* [await] beside another thread's [run] yields the domain lock this
+   many times, then sleeps this long per round. *)
+let beside_run_yields = 64
+let beside_run_delay_s = 0.001
+
 let await pool p =
   (match Atomic.get p with
   | Pending _ ->
@@ -574,14 +579,18 @@ let await pool p =
          slot (it is inside [run]), only wait, yielding the domain lock
          to it: a task run here could push to that slot's deque from a
          second thread.  That thread executes the pool's tasks, and
-         helping resumes once it leaves [run].  Fail fast instead of
-         spinning forever when the pool can no longer resolve the
-         promise: poisoned, or fully terminated with no work left to
+         helping resumes once it leaves [run].  A run that keeps the
+         domain without wanting the lock (blocked in a sleep or a
+         syscall) makes [Thread.yield] return at once, so the wait
+         backs off to short sleeps instead of spinning a core.  Fail
+         fast instead of spinning forever when the pool can no longer
+         resolve the promise: poisoned, or fully terminated with no work left to
          run.  Each fail-fast raise re-checks the promise one final time
          first: teardown's drain (or a concurrent worker) may have
          resolved it after we observed it pending, and the documented
          guarantee is that a resolved promise's result is always
          returned. *)
+      let yields = ref 0 in
       while
         match Atomic.get p with
         | Pending _ ->
@@ -589,7 +598,12 @@ let await pool p =
           | Some (exn, _) when still_pending p ->
             raise (Worker_crashed (crash_diagnostic exn))
           | _ -> ());
-          (if in_context pool then Thread.yield ()
+          (if in_context pool then
+             if !yields < beside_run_yields then begin
+               incr yields;
+               Thread.yield ()
+             end
+             else Thread.delay beside_run_delay_s
            else
              match steal_or_overflow pool with
              | Some task -> execute_contained pool task
