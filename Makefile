@@ -107,7 +107,7 @@ bench-quick:
 	dune exec bench/main.exe -- --quick
 
 # Perf-regression gate: stream-overhead + float-kernels + sweep-grain
-# bench vs the ratio gates BENCH_10.json declares (see
+# bench vs the ratio gates BENCH_11.json declares (see
 # scripts/bench_compare).
 bench-compare:
 	scripts/bench_compare

@@ -6,7 +6,14 @@
    select sections: `dune exec bench/main.exe -- --only fig13,fig16`.
    Results are wall-clock on whatever machine this runs on; the claims
    being reproduced are the *ratios* between library versions (see
-   EXPERIMENTS.md). *)
+   EXPERIMENTS.md).
+
+   Every time is taken by [Measure.rounds]: the versions or sides one
+   table compares are timed in the same rounds (one untimed call each,
+   then --repeat rounds of one call each), so host drift lands on every
+   side of a ratio alike.  A time is the best call; counter columns are
+   means per timed call, and rates divide summed counts by summed
+   time. *)
 
 module Measure = Bds_harness.Measure
 module Registry = Bds_harness.Registry
@@ -94,13 +101,33 @@ let fig5 cfg =
 (* ------------------------------------------------------------------ *)
 (* Figures 13 and 14: the benchmark tables                             *)
 
+(* [count] over the total time of [m]'s timed calls. *)
+let per_s (m : Measure.timed) count =
+  if m.total_s > 0.0 then float_of_int count /. m.total_s else 0.0
+
+let get vname l = List.assoc vname l
+let best_s name timed = (get name timed : Measure.timed).best_s
+
+(* Time [versions] in shared rounds on a [p]-domain pool and record each
+   one's best call. *)
+let time_versions cfg ~section ~bench p versions =
+  let timed =
+    Measure.with_domains p (fun () ->
+        Measure.rounds ~repeat:cfg.repeat
+          (List.map (fun v -> Measure.point v.Registry.vname v.Registry.run) versions))
+  in
+  List.iter
+    (fun (version, (m : Measure.timed)) ->
+      record ~section ~bench ~version ~procs:p ~metric:"time_s" m.best_s)
+    timed;
+  timed
+
 type row_result = {
   bench : Registry.bench;
   size : int;
   times_p1 : (string * float) list;
   times_pn : (string * float) list;
-  sched_pn : (string * Measure.timed) list;
-      (** P=max scheduler-telemetry deltas, one per version (best run) *)
+  sched_pn : (string * Measure.timed) list;  (** P=max rounds, one per version *)
   allocs : (string * float) list;
 }
 
@@ -111,40 +138,20 @@ let run_bench cfg (b : Registry.bench) =
     match b.category with `Bid -> "fig13" | `Rad -> "fig14" | `Ext -> "ext"
   in
   let versions = b.prepare size in
-  let times p =
-    Measure.with_domains p (fun () ->
-        List.map
-          (fun v ->
-            let m = Measure.time_counters ~repeat:cfg.repeat v.Registry.run in
-            record ~section ~bench:b.name ~version:v.Registry.vname ~procs:p
-              ~metric:"time_s" m.Measure.best_s;
-            (v.Registry.vname, m))
-          versions)
-  in
-  let times_p1 = List.map (fun (v, m) -> (v, m.Measure.best_s)) (times 1) in
+  let times p = time_versions cfg ~section ~bench:b.name p versions in
+  let best = List.map (fun (v, (m : Measure.timed)) -> (v, m.best_s)) in
+  let times_p1 = best (times 1) in
   let sched_pn = times cfg.procs in
-  let times_pn = List.map (fun (v, m) -> (v, m.Measure.best_s)) sched_pn in
   List.iter
     (fun (vname, (m : Measure.timed)) ->
-      let c = m.Measure.counters in
-      record ~section ~bench:b.name ~version:vname ~procs:cfg.procs
-        ~metric:"steals" (float_of_int c.Telemetry.s_steals);
-      record ~section ~bench:b.name ~version:vname ~procs:cfg.procs
-        ~metric:"steals_per_s"
-        (if m.Measure.best_s > 0.0 then
-           float_of_int c.Telemetry.s_steals /. m.Measure.best_s
-         else 0.0);
-      record ~section ~bench:b.name ~version:vname ~procs:cfg.procs
-        ~metric:"tasks_per_s"
-        (if m.Measure.best_s > 0.0 then
-           float_of_int c.Telemetry.s_tasks_spawned /. m.Measure.best_s
-         else 0.0);
-      (* Both rates above divide one coherent snapshot pair (the timed
-         record's delta, taken around the best run) by that same run's
-         time; flag the rare clamped delta so downstream tooling can
-         discard the point instead of trusting a skewed rate. *)
-      record ~section ~bench:b.name ~version:vname ~procs:cfg.procs
-        ~metric:"counters_clamped" (if m.Measure.clamped then 1.0 else 0.0))
+      let c = m.counters in
+      let put = record ~section ~bench:b.name ~version:vname ~procs:cfg.procs in
+      put ~metric:"steals" (float_of_int c.Telemetry.s_steals /. float_of_int m.calls);
+      put ~metric:"steals_per_s" (per_s m c.Telemetry.s_steals);
+      put ~metric:"tasks_per_s" (per_s m c.Telemetry.s_tasks_spawned);
+      (* Flag a clamped delta so downstream tooling can discard the
+         point instead of trusting a skewed rate. *)
+      put ~metric:"counters_clamped" (if m.clamped then 1.0 else 0.0))
     sched_pn;
   let allocs =
     List.map
@@ -155,16 +162,14 @@ let run_bench cfg (b : Registry.bench) =
         (v.Registry.vname, a))
       versions
   in
-  { bench = b; size; times_p1; times_pn; sched_pn; allocs }
+  { bench = b; size; times_p1; times_pn = best sched_pn; sched_pn; allocs }
 
-let get vname l = List.assoc vname l
-
-(* Scheduler pressure at P=max, from the same (best) runs the time table
-   reports: how many tasks the version spawned, how often thieves
-   succeeded, and task throughput.  High steal counts with low task
-   counts indicate imbalance; the delayed versions should spawn strictly
-   fewer tasks than the eager array versions (fewer intermediate
-   loops). *)
+(* Scheduler pressure at P=max, from the same rounds the time table
+   reports, per timed call: how many tasks the version spawned, how
+   often thieves succeeded, and task throughput.  High steal counts with
+   low task counts indicate imbalance; the delayed versions should spawn
+   strictly fewer tasks than the eager array versions (fewer
+   intermediate loops). *)
 let print_sched ~title results =
   let pct num den =
     if den = 0 then "-" else Printf.sprintf "%.0f%%" (100.0 *. float_of_int num /. float_of_int den)
@@ -174,18 +179,16 @@ let print_sched ~title results =
       (fun r ->
         List.map
           (fun (v, (m : Measure.timed)) ->
-            let c = m.Measure.counters in
+            let c = m.counters in
+            let mean count = Printf.sprintf "%.0f" (float_of_int count /. float_of_int m.calls) in
             [
               r.bench.Registry.name;
               Registry.describe_version v;
-              string_of_int c.Telemetry.s_tasks_spawned;
-              string_of_int c.Telemetry.s_chunks_executed;
-              string_of_int c.Telemetry.s_steals;
+              mean c.Telemetry.s_tasks_spawned;
+              mean c.Telemetry.s_chunks_executed;
+              mean c.Telemetry.s_steals;
               pct c.Telemetry.s_steals c.Telemetry.s_steal_attempts;
-              (if m.Measure.best_s > 0.0 then
-                 Printf.sprintf "%.2e"
-                   (float_of_int c.Telemetry.s_tasks_spawned /. m.Measure.best_s)
-               else "-");
+              Printf.sprintf "%.2e" (per_s m c.Telemetry.s_tasks_spawned);
             ])
           r.sched_pn)
       results
@@ -248,6 +251,8 @@ let print_fig14 results =
 (* Figure 15: speedup curves                                           *)
 
 let fig15 cfg =
+  (* P=1 is always timed: it is the baseline. *)
+  let procs = List.sort_uniq Int.compare (1 :: cfg.proc_list) in
   let benches =
     List.filter (fun b -> List.mem b.Registry.name [ "bfs"; "primes" ]) Registry.all
   in
@@ -256,26 +261,17 @@ let fig15 cfg =
       let size = scaled cfg b.default_size in
       Printf.eprintf "  fig15 %s...\n%!" b.name;
       let versions = b.prepare size in
-      (* Baseline: 1-processor delay time. *)
-      let t1_delay =
-        Measure.with_domains 1 (fun () ->
-            Measure.time ~repeat:cfg.repeat (get "delay" (List.map (fun v -> (v.Registry.vname, v.Registry.run)) versions)))
+      let times =
+        List.map (fun p -> (p, time_versions cfg ~section:"fig15" ~bench:b.name p versions)) procs
       in
+      (* Baseline: the 1-processor delay time of the P=1 rounds, so the
+         P=1 delay row reads 1.00. *)
+      let t1_delay = best_s "delay" (get 1 times) in
       let data =
         List.map
-          (fun p ->
-            let ts =
-              Measure.with_domains p (fun () ->
-                  List.map
-                    (fun v ->
-                      let t = Measure.time ~repeat:cfg.repeat v.Registry.run in
-                      record ~section:"fig15" ~bench:b.name
-                        ~version:v.Registry.vname ~procs:p ~metric:"time_s" t;
-                      (v.Registry.vname, t))
-                    versions)
-            in
-            (p, List.map (fun (v, t) -> (v, t1_delay /. t)) ts))
-          cfg.proc_list
+          (fun (p, timed) ->
+            (p, List.map (fun (v, (m : Measure.timed)) -> (v, t1_delay /. m.best_s)) timed))
+          times
       in
       let rows =
         List.map
@@ -288,7 +284,7 @@ let fig15 cfg =
       Tables.print
         ~title:
           (Printf.sprintf
-             "Figure 15: %s speedups vs 1-proc delay (%s). NOTE: flat on a 1-core host."
+             "Figure 15: %s speedups vs 1-proc delay (%s)"
              b.name (b.describe size))
         ~headers:[ "P"; "delay"; "array"; "rad" ]
         ~rows;
@@ -321,21 +317,23 @@ let fig16 cfg =
   let n = scaled cfg 2_000_000 in
   Printf.eprintf "  fig16 (n=%d)...\n%!" n;
   let a = K.Bestcut.generate n in
+  let block_sizes = List.filter (fun bs -> bs <= n) [ 1_000; 10_000; 100_000; 1_000_000 ] in
+  let sob bs = Printf.sprintf "B=%d" bs in
   Measure.with_domains cfg.procs (fun () ->
-      let t_array = Measure.time ~repeat:cfg.repeat (fun () -> ignore (K.Bestcut.Array_version.best_cut a)) in
-      let t_delay = Measure.time ~repeat:cfg.repeat (fun () -> ignore (K.Bestcut.Delay_version.best_cut a)) in
-      let block_sizes =
-        List.filter (fun bs -> bs <= n) [ 1_000; 10_000; 100_000; 1_000_000 ]
+      let timed =
+        Measure.rounds ~repeat:cfg.repeat
+          (Measure.point "array" (fun () -> K.Bestcut.Array_version.best_cut a)
+          :: Measure.point "delay" (fun () -> K.Bestcut.Delay_version.best_cut a)
+          :: List.map
+               (fun bs -> Measure.point (sob bs) (fun () -> K.Bestcut.best_cut_sob ~block_size:bs a))
+               block_sizes)
       in
+      let t_array = best_s "array" timed and t_delay = best_s "delay" timed in
       let data =
         List.map
           (fun bs ->
-            let t =
-              Measure.time ~repeat:cfg.repeat (fun () ->
-                  ignore (K.Bestcut.best_cut_sob ~block_size:bs a))
-            in
-            record ~section:"fig16" ~bench:"bestcut-sob"
-              ~version:(Printf.sprintf "B=%d" bs) ~procs:cfg.procs
+            let t = best_s (sob bs) timed in
+            record ~section:"fig16" ~bench:"bestcut-sob" ~version:(sob bs) ~procs:cfg.procs
               ~metric:"time_s" t;
             (bs, t))
           block_sizes
@@ -420,24 +418,23 @@ let ablation cfg =
   Measure.with_domains cfg.procs (fun () ->
       let rows =
         List.map
-          (fun bs ->
-            Bds.Block.set_policy (Bds.Block.Fixed bs);
-            let t =
-              Measure.time ~repeat:cfg.repeat (fun () ->
-                  ignore (K.Bestcut.Delay_version.best_cut a))
-            in
-            Bds.Block.reset_policy ();
-            [ string_of_int bs; Measure.pp_time t ])
-          [ 512; 2048; 8192; 32768; 131072; 524288 ]
+          (fun (bs, (m : Measure.timed)) -> [ bs; Measure.pp_time m.best_s ])
+          (Measure.rounds ~repeat:cfg.repeat
+             (List.map
+                (fun bs ->
+                  Measure.point (string_of_int bs)
+                    ~setup:(fun () -> Bds.Block.set_policy (Bds.Block.Fixed bs))
+                    ~teardown:Bds.Block.reset_policy
+                    (fun () -> K.Bestcut.Delay_version.best_cut a))
+                [ 512; 2048; 8192; 32768; 131072; 524288 ]))
       in
       Tables.print
         ~title:(Printf.sprintf "Ablation: BID block size B on bestcut/delay (n=%d, P=%d)" n cfg.procs)
         ~headers:[ "B"; "time" ] ~rows);
   (* 1b. The default policy's floor at small n, where it (not P) sets
      the block count: n / (8P) is below the floor whenever n < 8P x
-     floor.  Each repeat times every floor once, in turn, so host drift
-     hits every column alike; a sample is a batch of about 200k elements
-     of calls. *)
+     floor.  Every floor is timed in the same rounds; a call is a batch
+     of about 200k elements of kernel calls. *)
   Printf.eprintf "  ablation: block-size floor at small n...\n%!" ;
   let floors = [ 256; 512; 1024; 2048 ] in
   let kernels =
@@ -466,42 +463,42 @@ let ablation cfg =
             let batch = Int.max 1 (200_000 / n) in
             List.map
               (fun p ->
-                let best = Array.make (List.length floors) infinity in
-                Measure.with_domains p (fun () ->
-                    for _ = 0 to cfg.repeat * 3 do
-                      List.iteri
-                        (fun k floor ->
-                          Bds.Block.set_policy
-                            (Bds.Block.Scaled
-                               { per_worker_blocks = 8; min_size = floor; max_size = 65536 });
-                          let t =
-                            Fun.protect ~finally:Bds.Block.reset_policy (fun () ->
-                                Measure.time_once (fun () ->
-                                    for _ = 1 to batch do
-                                      call ()
-                                    done))
-                          in
-                          best.(k) <- Float.min best.(k) (t /. float_of_int batch))
-                        floors
-                    done);
-                List.iteri
-                  (fun k floor ->
+                let timed =
+                  Measure.with_domains p (fun () ->
+                      Measure.rounds ~repeat:(cfg.repeat * 3)
+                        (List.map
+                           (fun floor ->
+                             Measure.point (string_of_int floor)
+                               ~setup:(fun () ->
+                                 Bds.Block.set_policy
+                                   (Bds.Block.Scaled
+                                      { per_worker_blocks = 8; min_size = floor; max_size = 65536 }))
+                               ~teardown:Bds.Block.reset_policy
+                               (fun () ->
+                                 for _ = 1 to batch do
+                                   call ()
+                                 done))
+                           floors))
+                in
+                let best =
+                  List.map (fun (_, (m : Measure.timed)) -> m.best_s /. float_of_int batch) timed
+                in
+                List.iter2
+                  (fun (floor, _) t ->
                     record ~section:"ablation-floor" ~bench:(Printf.sprintf "%s-%d" name n)
-                      ~version:(string_of_int floor) ~procs:p ~metric:"time_s" best.(k))
-                  floors;
-                let last = List.length floors - 1 in
+                      ~version:floor ~procs:p ~metric:"time_s" t)
+                  timed best;
+                let last = List.nth best (List.length floors - 1) in
                 (name :: string_of_int n :: string_of_int p
-                 :: List.map (fun t -> Printf.sprintf "%.1f" (t *. 1e6)) (Array.to_list best))
-                @ List.filteri (fun k _ -> k < last)
-                    (List.map
-                       (fun t -> Printf.sprintf "%.3f" (t /. best.(last)))
-                       (Array.to_list best)))
+                 :: List.map (fun t -> Printf.sprintf "%.1f" (t *. 1e6)) best)
+                @ List.filteri (fun k _ -> k < List.length floors - 1)
+                    (List.map (fun t -> Printf.sprintf "%.3f" (t /. last)) best))
               [ 1; 2 ])
           [ 2_000; 10_000; 25_000 ])
       kernels
   in
   Tables.print
-    ~title:"Ablation: Scaled block-size floor at small n (us per call, min of runs; then / floor 2048)"
+    ~title:"Ablation: Scaled block-size floor at small n (us per call, best of rounds; then / floor 2048)"
     ~headers:
       ([ "kernel"; "n"; "P" ]
       @ List.map (Printf.sprintf "%d") floors
@@ -516,18 +513,15 @@ let ablation cfg =
   Measure.with_domains cfg.procs (fun () ->
       let rows =
         List.map
-          (fun g ->
-            Grain.set_leaf_grain (Some g);
-            let t =
-              Fun.protect
-                ~finally:(fun () -> Grain.set_leaf_grain None)
-                (fun () ->
-                  Measure.time ~repeat:cfg.repeat (fun () ->
-                      Runtime.parallel_for 0 n (fun i ->
-                          Array.unsafe_set out i (i * 3))))
-            in
-            [ string_of_int g; Measure.pp_time t ])
-          [ 16; 256; 4096; 65536; 1048576 ]
+          (fun (g, (m : Measure.timed)) -> [ g; Measure.pp_time m.best_s ])
+          (Measure.rounds ~repeat:cfg.repeat
+             (List.map
+                (fun g ->
+                  Measure.point (string_of_int g)
+                    ~setup:(fun () -> Grain.set_leaf_grain (Some g))
+                    ~teardown:(fun () -> Grain.set_leaf_grain None)
+                    (fun () -> Runtime.parallel_for 0 n (fun i -> Array.unsafe_set out i (i * 3))))
+                [ 16; 256; 4096; 65536; 1048576 ]))
       in
       Tables.print
         ~title:(Printf.sprintf "Ablation: leaf grain via Grain.set_leaf_grain (n=%d, P=%d)" n cfg.procs)
@@ -565,8 +559,11 @@ let ablation cfg =
     S.reduce Float.min infinity costs
   in
   Measure.with_domains cfg.procs (fun () ->
-      let td = Measure.time ~repeat:cfg.repeat (fun () -> ignore (delayed ())) in
-      let tf = Measure.time ~repeat:cfg.repeat (fun () -> ignore (forced ())) in
+      let timed =
+        Measure.rounds ~repeat:cfg.repeat
+          [ Measure.point "delay" delayed; Measure.point "force" forced ]
+      in
+      let td = best_s "delay" timed and tf = best_s "force" timed in
       let ad = Measure.alloc_single_domain (fun () -> ignore (delayed ())) in
       let af = Measure.alloc_single_domain (fun () -> ignore (forced ())) in
       Tables.print
@@ -591,11 +588,13 @@ let ablation cfg =
   Measure.with_domains cfg.procs (fun () ->
       let rows =
         List.map
-          (fun (name, f) -> [ name; Measure.pp_time (Measure.time ~repeat:cfg.repeat f) ])
-          [
-            ("static grain (auto)", fun () -> Runtime.parallel_for 0 nl body);
-            ("static grain 4096", fun () -> Runtime.parallel_for ~grain:4096 0 nl body);
-          ]
+          (fun (name, (m : Measure.timed)) -> [ name; Measure.pp_time m.best_s ])
+          (Measure.rounds ~repeat:cfg.repeat
+             [
+               Measure.point "static grain (auto)" (fun () -> Runtime.parallel_for 0 nl body);
+               Measure.point "static grain 4096" (fun () ->
+                   Runtime.parallel_for ~grain:4096 0 nl body);
+             ])
       in
       Tables.print
         ~title:
@@ -609,75 +608,38 @@ let ablation cfg =
    delayed pipeline at each knob setting and report time plus scheduler
    pressure, so a Figure 16-style curve can be drawn for either knob of
    the unified granularity layer.  Rows also land in --csv under the
-   sections "sweep-grain" and "sweep-block".
-
-   The points of one sweep are timed in the same rounds: one untimed
-   call per point first, then [--repeat] rounds of one call per point.
-   Host drift between rounds then slows every point alike instead of
-   one point's block of calls.  So does a slow spell right after
-   [Measure.with_domains]: on a 2-core host the calls of about the
-   first 0.6 s sometimes each take 3x a later one (cause unknown), and
-   in separate blocks that put all of one point's calls inside it.  A point reports its best
-   call, and rates over the counters and time of all its calls. *)
-
-type sweep_point = {
-  version : string;
-  setup : unit -> unit;
-  teardown : unit -> unit;
-  mutable best_s : float;
-  mutable total_s : float;
-  mutable steals : int;
-  mutable tasks : int;
-  mutable clamped : bool;
-}
-
-let sweep_point version setup teardown =
-  { version; setup; teardown; best_s = infinity; total_s = 0.0; steals = 0;
-    tasks = 0; clamped = false }
+   sections "sweep-grain" and "sweep-block".  The points of one sweep
+   share rounds, each switching its knob in its setup. *)
 
 let sweeps cfg =
   let n = scaled cfg 2_000_000 in
   let a = K.Bestcut.generate n in
-  let at pt f =
-    pt.setup ();
-    Fun.protect ~finally:pt.teardown f
+  let point version setup teardown =
+    Measure.point version ~setup ~teardown (fun () -> K.Bestcut.Delay_version.best_cut a)
   in
-  let run () = ignore (K.Bestcut.Delay_version.best_cut a) in
-  let timed_call pt =
-    at pt (fun () ->
-        let before = Telemetry.snapshot () in
-        let t = Measure.time_once run in
-        let c, clamped = Telemetry.diff_checked ~before ~after:(Telemetry.snapshot ()) in
-        pt.best_s <- Float.min pt.best_s t;
-        pt.total_s <- pt.total_s +. t;
-        pt.steals <- pt.steals + c.Telemetry.s_steals;
-        pt.tasks <- pt.tasks + c.Telemetry.s_tasks_spawned;
-        pt.clamped <- pt.clamped || clamped)
-  in
-  (* Time [points] in shared rounds, record each, return their table rows. *)
+  (* Time [points] in shared rounds, record each, return the times and
+     the table rows. *)
   let run_points ~section points =
-    List.iter (fun pt -> at pt run) points;
-    for _ = 1 to cfg.repeat do
-      List.iter timed_call points
-    done;
-    List.map
-      (fun pt ->
-        let per_s count =
-          if pt.total_s > 0.0 then float_of_int count /. pt.total_s else 0.0
-        in
-        let steals_per_s = per_s pt.steals and tasks_per_s = per_s pt.tasks in
-        let put = record ~section ~bench:"bestcut-delay" ~version:pt.version ~procs:cfg.procs in
-        put ~metric:"time_s" pt.best_s;
-        put ~metric:"steals_per_s" steals_per_s;
-        put ~metric:"tasks_per_s" tasks_per_s;
-        put ~metric:"counters_clamped" (if pt.clamped then 1.0 else 0.0);
-        [
-          pt.version;
-          Measure.pp_time pt.best_s;
-          Printf.sprintf "%.3e" steals_per_s;
-          Printf.sprintf "%.3e" tasks_per_s;
-        ])
-      points
+    let timed = Measure.rounds ~repeat:cfg.repeat points in
+    let rows =
+      List.map
+        (fun (version, (m : Measure.timed)) ->
+          let steals_per_s = per_s m m.counters.Telemetry.s_steals in
+          let tasks_per_s = per_s m m.counters.Telemetry.s_tasks_spawned in
+          let put = record ~section ~bench:"bestcut-delay" ~version ~procs:cfg.procs in
+          put ~metric:"time_s" m.best_s;
+          put ~metric:"steals_per_s" steals_per_s;
+          put ~metric:"tasks_per_s" tasks_per_s;
+          put ~metric:"counters_clamped" (if m.clamped then 1.0 else 0.0);
+          [
+            version;
+            Measure.pp_time m.best_s;
+            Printf.sprintf "%.3e" steals_per_s;
+            Printf.sprintf "%.3e" tasks_per_s;
+          ])
+        timed
+    in
+    (timed, rows)
   in
   let headers = [ "setting"; "time"; "steals/s"; "tasks/s" ] in
   Measure.with_domains cfg.procs (fun () ->
@@ -686,7 +648,7 @@ let sweeps cfg =
         let fixed =
           List.map
             (fun g ->
-              sweep_point (Printf.sprintf "grain=%d" g)
+              point (Printf.sprintf "grain=%d" g)
                 (fun () -> Grain.set_leaf_grain (Some g))
                 (fun () -> Grain.set_leaf_grain None))
             cfg.sweep_grain
@@ -694,10 +656,16 @@ let sweeps cfg =
         (* The shipped default (no override) against the best fixed
            grain of the same rounds: ~1.0 means the static policy
            already sits at the sweep optimum. *)
-        let default = sweep_point "default" ignore ignore in
-        let rows = run_points ~section:"sweep-grain" (fixed @ [ default ]) in
-        let t_best = List.fold_left (fun m pt -> Float.min m pt.best_s) infinity fixed in
-        let ratio = if default.best_s > 0.0 then t_best /. default.best_s else 0.0 in
+        let timed, rows =
+          run_points ~section:"sweep-grain" (fixed @ [ point "default" ignore ignore ])
+        in
+        let t_default = best_s "default" timed in
+        let t_best =
+          List.fold_left
+            (fun t (v, (m : Measure.timed)) -> if v = "default" then t else Float.min t m.best_s)
+            infinity timed
+        in
+        let ratio = if t_default > 0.0 then t_best /. t_default else 0.0 in
         record ~section:"sweep-grain" ~bench:"bestcut-delay" ~version:"default"
           ~procs:cfg.procs ~metric:"default_vs_best_fixed" ratio;
         Printf.eprintf "  default_vs_best_fixed = %.3f\n%!" ratio;
@@ -709,11 +677,11 @@ let sweeps cfg =
       end;
       if cfg.sweep_block <> [] then begin
         Printf.eprintf "  sweep: block size...\n%!";
-        let rows =
+        let _, rows =
           run_points ~section:"sweep-block"
             (List.map
                (fun bs ->
-                 sweep_point (Printf.sprintf "B=%d" bs)
+                 point (Printf.sprintf "B=%d" bs)
                    (fun () -> Bds.Block.set_policy (Bds.Block.Fixed bs))
                    Bds.Block.reset_policy)
                cfg.sweep_block)
@@ -782,8 +750,10 @@ let stream_overhead cfg =
   let push () = Bds_stream.Stream.reduce ( + ) 0 (mk ()) in
   assert (pull () = push ());
   Measure.with_domains cfg.procs (fun () ->
-      let t_pull = Measure.time ~repeat:cfg.repeat (fun () -> ignore (pull ())) in
-      let t_push = Measure.time ~repeat:cfg.repeat (fun () -> ignore (push ())) in
+      let timed =
+        Measure.rounds ~repeat:cfg.repeat [ Measure.point "pull" pull; Measure.point "push" push ]
+      in
+      let t_pull = best_s "pull" timed and t_push = best_s "push" timed in
       let per_elem t = t /. float_of_int m *. 1e9 in
       List.iter
         (fun (version, t) ->
@@ -816,12 +786,11 @@ let stream_overhead cfg =
   let chain_bench name ~materialized ~fused =
     assert (materialized () = fused ());
     Measure.with_domains cfg.procs (fun () ->
-        let t_mat =
-          Measure.time ~repeat:cfg.repeat (fun () -> ignore (materialized ()))
+        let timed =
+          Measure.rounds ~repeat:cfg.repeat
+            [ Measure.point "materialized" materialized; Measure.point "fused" fused ]
         in
-        let t_fused =
-          Measure.time ~repeat:cfg.repeat (fun () -> ignore (fused ()))
-        in
+        let t_mat = best_s "materialized" timed and t_fused = best_s "fused" timed in
         List.iter
           (fun (version, t) ->
             record ~section:"stream-overhead" ~bench:name ~version
@@ -867,8 +836,10 @@ let stream_overhead cfg =
   iteri ();
   assert (reduce () = Array.fold_left ( + ) 0 out);
   Measure.with_domains cfg.procs (fun () ->
-      let t_reduce = Measure.time ~repeat:cfg.repeat reduce in
-      let t_iteri = Measure.time ~repeat:cfg.repeat iteri in
+      let timed =
+        Measure.rounds ~repeat:cfg.repeat [ Measure.point "reduce" reduce; Measure.point "iteri" iteri ]
+      in
+      let t_reduce = best_s "reduce" timed and t_iteri = best_s "iteri" timed in
       let per_elem t = t /. float_of_int m *. 1e9 in
       List.iter
         (fun (version, t) ->
@@ -898,15 +869,15 @@ let stream_overhead cfg =
    the generic polymorphic pipeline (polymorphic reads, boxed closure
    crossings, an allocation per element); and "unboxed", the float lane
    (Float_seq / Stream.sum_floats / Psort.sort_floats).  The gated
-   quantity is ref/unboxed (BENCH_10.json, bench_compare): the yardstick
+   quantity is ref/unboxed (BENCH_11.json, bench_compare): the yardstick
    is fixed code, so the ratio moves only when the lane moves.
    boxed/unboxed is printed but not gated, since a faster boxed
    pipeline would read as a slower lane.
 
-   The unboxed runs are wrapped in a telemetry snapshot pair: the
-   float_boxed_fallback delta is recorded per bench and must be zero on
-   these fused chains — a nonzero count means a pipeline silently fell
-   off the lane. *)
+   The unboxed point's float_boxed_fallback count, summed over its
+   timed calls, is recorded per bench and must be zero on these fused
+   chains — a nonzero count means a pipeline silently fell off the
+   lane. *)
 
 let float_kernels cfg =
   let n = scaled cfg 2_000_000 in
@@ -925,15 +896,17 @@ let float_kernels cfg =
         let u = unboxed () in
         if not (agree (reference ()) u && agree (boxed ()) u) then
           failwith (Printf.sprintf "float-kernels/%s: versions disagree" name);
-        let time f = Measure.time ~repeat:cfg.repeat (fun () -> ignore (f ())) in
-        let t_ref = time reference in
-        let t_boxed = time boxed in
-        let before = Telemetry.snapshot () in
-        let t_unboxed = time unboxed in
-        let after = Telemetry.snapshot () in
-        let fallbacks =
-          (Telemetry.diff ~before ~after).Telemetry.s_float_boxed_fallback
+        let timed =
+          Measure.rounds ~repeat:cfg.repeat
+            [
+              Measure.point "ref" reference;
+              Measure.point "boxed" boxed;
+              Measure.point "unboxed" unboxed;
+            ]
         in
+        let t_ref = best_s "ref" timed and t_boxed = best_s "boxed" timed in
+        let t_unboxed = best_s "unboxed" timed in
+        let fallbacks = (get "unboxed" timed).Measure.counters.Telemetry.s_float_boxed_fallback in
         List.iter
           (fun (version, t) ->
             record ~section:"float-kernels" ~bench:name ~version
@@ -1006,62 +979,6 @@ let float_kernels cfg =
                  Tables.ratio tb tu;
                  string_of_int fb;
                ])
-             !results))
-
-(* ------------------------------------------------------------------ *)
-(* Int kernels: generic polymorphic reduce vs the monomorphic int lane
-   (--only int-kernels).  Same shape as float-kernels, but unlike
-   floats nothing is boxed here — OCaml ints are immediate — so the
-   within-run speedup ratio isolates exactly what Seq.int_sum removes:
-   the polymorphic combine-closure dispatch per element of the generic
-   reduce (each block becomes one native int loop). *)
-
-let int_kernels cfg =
-  let n = scaled cfg 2_000_000 in
-  Printf.eprintf "  int-kernels (n=%d)...\n%!" n;
-  let a = Array.init n (fun i -> (i * 7) land 1023) in
-  Measure.with_domains cfg.procs (fun () ->
-      let results = ref [] in
-      let bench name ~generic ~mono =
-        if generic () <> mono () then
-          failwith
-            (Printf.sprintf "int-kernels/%s: generic and monomorphic disagree"
-               name);
-        let t_generic =
-          Measure.time ~repeat:cfg.repeat (fun () -> ignore (generic ()))
-        in
-        let t_mono =
-          Measure.time ~repeat:cfg.repeat (fun () -> ignore (mono ()))
-        in
-        List.iter
-          (fun (version, t) ->
-            record ~section:"int-kernels" ~bench:name ~version
-              ~procs:cfg.procs ~metric:"time_s" t)
-          [ ("generic", t_generic); ("monomorphic", t_mono) ];
-        results := (name, t_generic, t_mono) :: !results
-      in
-      bench "sum-array"
-        ~generic:(fun () -> S.reduce ( + ) 0 (S.of_array a))
-        ~mono:(fun () -> S.int_sum (S.of_array a));
-      bench "sum-map"
-        ~generic:(fun () ->
-          S.reduce ( + ) 0 (S.map (fun x -> (x * 7) land 1023) (S.iota n)))
-        ~mono:(fun () ->
-          S.int_sum (S.map (fun x -> (x * 7) land 1023) (S.iota n)));
-      bench "sum-scan"
-        ~generic:(fun () -> S.reduce ( + ) 0 (S.scan_incl ( + ) 0 (S.iota n)))
-        ~mono:(fun () -> S.int_sum (S.scan_incl ( + ) 0 (S.iota n)));
-      Tables.print
-        ~title:
-          (Printf.sprintf
-             "Int kernels: generic reduce vs monomorphic int lane (n=%d, P=%d)"
-             n cfg.procs)
-        ~headers:[ "bench"; "generic"; "monomorphic"; "speedup" ]
-        ~rows:
-          (List.rev_map
-             (fun (name, tg, tm) ->
-               [ name; Measure.pp_time tg; Measure.pp_time tm;
-                 Tables.ratio tg tm ])
              !results))
 
 (* ------------------------------------------------------------------ *)
@@ -1383,7 +1300,7 @@ let run_sections cfg =
     let results = fig13_rows cfg in
     print_fig13 results;
     print_sched
-      ~title:(Printf.sprintf "Figure 13 scheduler pressure (P=%d, best run)" cfg.procs)
+      ~title:(Printf.sprintf "Figure 13 scheduler pressure (P=%d, per call)" cfg.procs)
       results
   end;
   if enabled cfg "fig14" then begin
@@ -1391,7 +1308,7 @@ let run_sections cfg =
     let results = fig14_rows cfg in
     print_fig14 results;
     print_sched
-      ~title:(Printf.sprintf "Figure 14 scheduler pressure (P=%d, best run)" cfg.procs)
+      ~title:(Printf.sprintf "Figure 14 scheduler pressure (P=%d, per call)" cfg.procs)
       results
   end;
   if enabled cfg "fig15" then fig15 cfg;
@@ -1403,7 +1320,6 @@ let run_sections cfg =
   if enabled cfg "ablation" then ablation cfg;
   if enabled cfg "stream-overhead" then stream_overhead cfg;
   if enabled cfg "float-kernels" then float_kernels cfg;
-  if enabled cfg "int-kernels" then int_kernels cfg;
   if cfg.sweep_grain <> [] || cfg.sweep_block <> [] then sweeps cfg;
   if enabled cfg "micro" then micro cfg;
   if cfg.profile then profile_report cfg;
@@ -1438,11 +1354,11 @@ let proc_list_arg =
   Arg.(value & opt (list int) [ 1; 2; 4 ] & info [ "proc-list" ] ~doc:"Processor counts for the figure-15 sweep.")
 
 let repeat_arg =
-  Arg.(value & opt int 3 & info [ "repeat" ] ~doc:"Timed repetitions per measurement (minimum is reported).")
+  Arg.(value & opt int 3 & info [ "repeat" ] ~doc:"Timed rounds per measurement, one call of each compared version per round (the best call is reported).")
 
 let only_arg =
   Arg.(value & opt (list string) []
-       & info [ "only" ] ~doc:"Sections to run: fig5, fig13, fig14, fig15, fig16, ext, ablation, stream-overhead, float-kernels, int-kernels, micro. Default: all.")
+       & info [ "only" ] ~doc:"Sections to run: fig5, fig13, fig14, fig15, fig16, ext, ablation, stream-overhead, float-kernels, micro. Default: all.")
 
 let micro_filter_arg =
   Arg.(value & opt (some string) None

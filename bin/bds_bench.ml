@@ -28,10 +28,10 @@ let procs_arg =
   Arg.(value & opt int 1 & info [ "procs" ] ~doc:"Number of worker domains.")
 
 let repeat_arg =
-  Arg.(value & opt int 5 & info [ "repeat" ] ~doc:"Timed repetitions (minimum reported).")
+  Arg.(value & opt int 5 & info [ "repeat" ] ~doc:"Timed rounds, one call of each version per round (best call reported).")
 
 let warmup_arg =
-  Arg.(value & opt int 1 & info [ "warmup" ] ~doc:"Warmup runs before timing.")
+  Arg.(value & opt int 1 & info [ "warmup" ] ~doc:"Untimed rounds before timing.")
 
 let space_arg =
   Arg.(value & flag & info [ "space" ] ~doc:"Also measure major-heap allocation (on 1 domain).")
@@ -56,17 +56,19 @@ let main bench version size procs repeat warmup space =
             exit 1
           | l -> l)
     in
-    Measure.with_domains procs (fun () ->
-        List.iter
-          (fun v ->
-            let t = Measure.time ~warmup ~repeat v.Registry.run in
-            Printf.printf "  %-6s time %s%!" v.Registry.vname (Measure.pp_time t);
-            if space then begin
-              let a = Measure.alloc_single_domain v.Registry.run in
-              Printf.printf "  major-heap alloc %s" (Measure.pp_bytes a)
-            end;
-            print_newline ())
-          versions);
+    let timed =
+      Measure.with_domains procs (fun () ->
+          Measure.rounds ~warmup ~repeat
+            (List.map (fun v -> Measure.point v.Registry.vname v.Registry.run) versions))
+    in
+    List.iter2
+      (fun v (vname, (m : Measure.timed)) ->
+        Printf.printf "  %-6s time %s%!" vname (Measure.pp_time m.best_s);
+        if space then
+          Printf.printf "  major-heap alloc %s"
+            (Measure.pp_bytes (Measure.alloc_single_domain v.Registry.run));
+        print_newline ())
+      versions timed;
     Bds_runtime.Runtime.shutdown ()
 
 let cmd =

@@ -13,14 +13,23 @@ let () =
   let boxes = K.generate n in
   Printf.printf "best-cut over %d bounding-box events\n\n" n;
 
-  let time name f =
-    let t = Measure.time ~repeat:3 (fun () -> ignore (f boxes)) in
-    Printf.printf "  %-22s %s\n%!" name (Measure.pp_time t);
-    t
+  let timed =
+    Measure.rounds ~repeat:3
+      [
+        Measure.point "array (no fusion)" (fun () -> K.Array_version.best_cut boxes);
+        Measure.point "rad (index fusion)" (fun () -> K.Rad_version.best_cut boxes);
+        Measure.point "delay (RAD+BID fusion)" (fun () -> K.Delay_version.best_cut boxes);
+      ]
   in
-  let ta = time "array (no fusion)" K.Array_version.best_cut in
-  let tr = time "rad (index fusion)" K.Rad_version.best_cut in
-  let td = time "delay (RAD+BID fusion)" K.Delay_version.best_cut in
+  List.iter
+    (fun (name, (m : Measure.timed)) ->
+      Printf.printf "  %-22s %s\n%!" name (Measure.pp_time m.best_s))
+    timed;
+  let ta, tr, td =
+    match List.map (fun (_, (m : Measure.timed)) -> m.best_s) timed with
+    | [ ta; tr; td ] -> (ta, tr, td)
+    | _ -> assert false
+  in
   Printf.printf "\n  speedup vs array: rad %.2fx, delay %.2fx\n" (ta /. tr) (ta /. td);
 
   (* All three compute the same cut cost. *)

@@ -13,13 +13,15 @@ let () =
   let n = 1_000_000 in
   let text = K.generate n in
   Printf.printf "indexing %d chars of documents\n\n" n;
-  let time name f =
-    let t = Measure.time ~repeat:3 (fun () -> ignore (Sys.opaque_identity (f text))) in
-    Printf.printf "  %-8s %s\n%!" name (Measure.pp_time t)
-  in
-  time "array" K.Array_version.index;
-  time "rad" K.Rad_version.index;
-  time "delay" K.Delay_version.index;
+  List.iter
+    (fun (name, (m : Measure.timed)) ->
+      Printf.printf "  %-8s %s\n%!" name (Measure.pp_time m.best_s))
+    (Measure.rounds ~repeat:3
+       [
+         Measure.point "array" (fun () -> K.Array_version.index text);
+         Measure.point "rad" (fun () -> K.Rad_version.index text);
+         Measure.point "delay" (fun () -> K.Delay_version.index text);
+       ]);
   let words, postings = K.Delay_version.index text in
   Printf.printf "\n  %d distinct words, %d postings (%.1f docs/word avg)\n" words
     postings

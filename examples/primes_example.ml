@@ -10,13 +10,15 @@ let () =
   Bds_runtime.Runtime.set_num_domains 4;
   let n = 2_000_000 in
   Printf.printf "primes below %d\n\n" n;
-  let time name f =
-    let t = Measure.time ~repeat:3 (fun () -> ignore (Sys.opaque_identity (f n))) in
-    Printf.printf "  %-8s %s\n%!" name (Measure.pp_time t)
-  in
-  time "array" K.Array_version.primes;
-  time "rad" K.Rad_version.primes;
-  time "delay" K.Delay_version.primes;
+  List.iter
+    (fun (name, (m : Measure.timed)) ->
+      Printf.printf "  %-8s %s\n%!" name (Measure.pp_time m.best_s))
+    (Measure.rounds ~repeat:3
+       [
+         Measure.point "array" (fun () -> K.Array_version.primes n);
+         Measure.point "rad" (fun () -> K.Rad_version.primes n);
+         Measure.point "delay" (fun () -> K.Delay_version.primes n);
+       ]);
 
   let ps = K.Delay_version.primes n in
   Printf.printf "\n  %d primes; largest below %d is %d\n" (Array.length ps) n

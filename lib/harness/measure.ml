@@ -1,7 +1,10 @@
 (* Timing and allocation measurement for the benchmark harness.
 
-   Times: wall clock over [repeat] runs after [warmup] runs; we report the
-   minimum (least-noise estimator for single-machine runs).
+   Times: [rounds] is the one timing loop.  It times the points a table
+   compares in shared rounds, one call of each per round, so host drift
+   between rounds slows every point alike instead of one point's block
+   of calls; each point reports its best call (least-noise estimator for
+   single-machine runs), its total, and the counters of its timed calls.
 
    Space: the paper reports maximum residency; the closest portable OCaml
    analogue is words allocated, which is exactly what the cost semantics
@@ -11,59 +14,72 @@
    essentially independent of P, so the harness reports one allocation
    figure per benchmark version. *)
 
-type sample = { time_s : float; alloc_bytes : float }
+module Telemetry = Bds_runtime.Telemetry
 
 let time_once f =
   let t0 = Unix.gettimeofday () in
-  ignore (Sys.opaque_identity (f ()));
+  f ();
   Unix.gettimeofday () -. t0
 
-let time ?(warmup = 1) ?(repeat = 3) f =
-  for _ = 1 to warmup do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  let best = ref infinity in
-  for _ = 1 to repeat do
-    let t = time_once f in
-    if t < !best then best := t
-  done;
-  !best
+type point = {
+  name : string;
+  call : unit -> unit;
+  setup : unit -> unit;
+  teardown : unit -> unit;
+}
+
+let point ?(setup = ignore) ?(teardown = ignore) name f =
+  { name; call = (fun () -> ignore (Sys.opaque_identity (f ()))); setup; teardown }
 
 type timed = {
   best_s : float;
-  counters : Bds_runtime.Telemetry.snapshot;
+  total_s : float;
+  calls : int;
+  counters : Telemetry.snapshot;
   clamped : bool;
 }
 
-(* Like [time], but also report the scheduler-telemetry delta of the
-   *best* run (the run whose time we report), so counter rows line up
-   with timing rows.  Counters are process-global, so the delta also
-   includes whatever the benchmark body spawns internally — which is the
-   point: it is the scheduler pressure of one run.  [clamped] records
-   whether any counter in the reported delta hit the racy-snapshot clamp
-   (a late-registered domain row can make [after] read lower than
-   [before]); derived rates from a clamped delta are suspect. *)
-let time_counters ?(warmup = 1) ?(repeat = 3) f =
-  let module T = Bds_runtime.Telemetry in
+(* Counters are process-global, so a call's delta also includes whatever
+   the body spawns internally, which is the point: it is the scheduler
+   pressure of that call.  A delta is clamped when a late-registered
+   domain row makes [after] read lower than [before]; rates over a
+   clamped sum are suspect. *)
+let rounds ?(warmup = 1) ~repeat points =
+  if repeat < 1 then invalid_arg "Measure.rounds: repeat < 1";
+  let at p f =
+    p.setup ();
+    Fun.protect ~finally:p.teardown f
+  in
   for _ = 1 to warmup do
-    ignore (Sys.opaque_identity (f ()))
+    List.iter (fun p -> at p p.call) points
   done;
-  let best = ref infinity in
-  let empty, _ = T.diff_checked ~before:(T.snapshot ()) ~after:(T.snapshot ()) in
-  let best_counters = ref empty in
-  let best_clamped = ref false in
+  (* Each point's timed calls, newest first: (time, counter delta, clamped). *)
+  let samples = Array.make (List.length points) [] in
   for _ = 1 to repeat do
-    let before = T.snapshot () in
-    let t = time_once f in
-    let after = T.snapshot () in
-    if t < !best then begin
-      best := t;
-      let d, clamped = T.diff_checked ~before ~after in
-      best_counters := d;
-      best_clamped := clamped
-    end
+    List.iteri
+      (fun k p ->
+        at p (fun () ->
+            let before = Telemetry.snapshot () in
+            let t = time_once p.call in
+            let d, clamped = Telemetry.diff_checked ~before ~after:(Telemetry.snapshot ()) in
+            samples.(k) <- (t, d, clamped) :: samples.(k)))
+      points
   done;
-  { best_s = !best; counters = !best_counters; clamped = !best_clamped }
+  let slots d = Array.of_list (List.map snd (Telemetry.to_assoc d)) in
+  let zero = Array.map (fun _ -> 0) (slots (Telemetry.snapshot ())) in
+  List.mapi
+    (fun k p ->
+      let calls = samples.(k) in
+      let fold f init = List.fold_left f init calls in
+      ( p.name,
+        {
+          best_s = fold (fun m (t, _, _) -> Float.min m t) infinity;
+          total_s = fold (fun sum (t, _, _) -> sum +. t) 0.0;
+          calls = repeat;
+          counters = Telemetry.of_slots (fold (fun sum (_, d, _) -> Array.map2 ( + ) sum (slots d)) zero);
+          clamped = List.exists (fun (_, _, c) -> c) calls;
+        } ))
+    points
 
 (* Space of one run of [f], measured on a 1-worker pool. Restores the
    previous worker count.
@@ -88,18 +104,6 @@ let alloc_single_domain f =
       ignore (Sys.opaque_identity (f ()));
       let after = (Gc.quick_stat ()).major_words in
       8.0 *. (after -. before))
-
-(* Total allocated bytes (minor + major) of one run, same discipline. *)
-let total_alloc_single_domain f =
-  let prev = Bds_runtime.Runtime.num_workers () in
-  Bds_runtime.Runtime.set_num_domains 1;
-  Fun.protect
-    ~finally:(fun () -> Bds_runtime.Runtime.set_num_domains prev)
-    (fun () ->
-      ignore (Sys.opaque_identity (f ()));
-      let before = Gc.allocated_bytes () in
-      ignore (Sys.opaque_identity (f ()));
-      Gc.allocated_bytes () -. before)
 
 let with_domains p f =
   let prev = Bds_runtime.Runtime.num_workers () in

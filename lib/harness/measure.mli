@@ -1,33 +1,40 @@
 (** Timing and space measurement for the benchmark harness. *)
 
-type sample = { time_s : float; alloc_bytes : float }
+(** One thing to time: a named call, with an optional [setup] and
+    [teardown] run around each of its calls, outside the timed window
+    (to switch a policy per point, say). *)
+type point
 
-(** Wall-clock of a single run. *)
-val time_once : (unit -> 'a) -> float
-
-(** Minimum wall-clock over [repeat] runs after [warmup] runs. *)
-val time : ?warmup:int -> ?repeat:int -> (unit -> 'a) -> float
+val point :
+  ?setup:(unit -> unit) -> ?teardown:(unit -> unit) -> string -> (unit -> 'a) -> point
 
 type timed = {
-  best_s : float;
+  best_s : float;  (** fastest timed call *)
+  total_s : float;  (** sum over the timed calls *)
+  calls : int;  (** number of timed calls *)
   counters : Bds_runtime.Telemetry.snapshot;
-  clamped : bool;  (** the reported delta hit the racy-snapshot clamp *)
+      (** {!Bds_runtime.Telemetry.diff_checked} deltas summed over the
+          timed calls *)
+  clamped : bool;  (** some summed delta hit the racy-snapshot clamp *)
 }
 
-(** Like {!time}, but additionally returns the scheduler-telemetry delta
-    ({!Bds_runtime.Telemetry.diff_checked}) observed during the best
-    (reported) run, so benchmark tables can show steals / tasks alongside
-    times — plus whether that delta was clamped (and hence suspect). *)
-val time_counters : ?warmup:int -> ?repeat:int -> (unit -> 'a) -> timed
+(** [rounds ~repeat points] times [points] in shared rounds: first
+    [warmup] (default 1) untimed rounds, then [repeat] timed rounds,
+    each round one call of every point, in order.  Host drift between
+    rounds then slows every point alike instead of one point's block of
+    calls.  So does a slow spell right after {!with_domains}: on a
+    2-core host the calls of about the first 0.6 s sometimes each take
+    3x a later one (cause unknown).  Returns each point's name and
+    times, in order.  Rates should divide the summed counters by
+    [total_s].
+    @raise Invalid_argument if [repeat < 1]. *)
+val rounds : ?warmup:int -> repeat:int -> point list -> (string * timed) list
 
 (** Major-heap bytes allocated by one run of [f], measured on a
     single-domain pool (exact; see the implementation notes: this is the
     portable analogue of the paper's max-residency metric). Restores the
     previous worker count. *)
 val alloc_single_domain : (unit -> 'a) -> float
-
-(** Total allocated bytes (minor + major) of one run, same discipline. *)
-val total_alloc_single_domain : (unit -> 'a) -> float
 
 (** Run [f] with a global pool of [p] workers, restoring the previous
     pool afterwards. *)

@@ -104,9 +104,6 @@ val health : t -> [ `Ok | `Shutdown | `Poisoned of string ]
 (** [(executed, steals)] counters, for observability and tests. *)
 val stats : t -> int * int
 
-(** True when the calling domain is currently a worker of [pool]. *)
-val in_context : t -> bool
-
 (** Test backdoors — not part of the public contract. *)
 module For_testing : sig
   (** Push a raw task that bypasses the promise wrapper: if it raises, the

@@ -81,9 +81,6 @@ let test_registry () =
   Alcotest.(check bool) "unknown" true (H.Registry.find "no-such-bench" = None)
 
 let test_measure () =
-  let t = H.Measure.time ~warmup:0 ~repeat:2 (fun () -> Unix.sleepf 0.01) in
-  Alcotest.(check bool) "time >= sleep" true (t >= 0.009);
-  Alcotest.(check bool) "time sane" true (t < 1.0);
   let a =
     H.Measure.alloc_single_domain (fun () ->
         Sys.opaque_identity (Array.make 200_000 0))
@@ -95,6 +92,99 @@ let test_measure () =
     (a >= 1_500_000.0 && a < 10_000_000.0);
   Alcotest.(check string) "pp_time ms" "12.00ms" (H.Measure.pp_time 0.012);
   Alcotest.(check string) "pp_bytes" "1.5KB" (H.Measure.pp_bytes 1536.0)
+
+let test_rounds_order () =
+  let log = ref [] in
+  let point name = H.Measure.point name (fun () -> log := name :: !log) in
+  let timed = H.Measure.rounds ~repeat:3 [ point "a"; point "b" ] in
+  Alcotest.(check (list string)) "one warm-up call per point, then a b a b"
+    [ "a"; "b"; "a"; "b"; "a"; "b"; "a"; "b" ]
+    (List.rev !log);
+  Alcotest.(check (list string)) "names in order" [ "a"; "b" ] (List.map fst timed);
+  List.iter
+    (fun (name, (m : H.Measure.timed)) ->
+      Alcotest.(check int) (name ^ " timed calls") 3 m.calls)
+    timed
+
+let test_rounds_calls () =
+  let calls = ref 0 in
+  let timed =
+    H.Measure.rounds ~warmup:2 ~repeat:5 [ H.Measure.point "p" (fun () -> incr calls) ]
+  in
+  Alcotest.(check int) "warmup + repeat calls" 7 !calls;
+  Alcotest.(check int) "timed calls" 5 (snd (List.hd timed)).H.Measure.calls
+
+(* The timed calls sleep 2, 20 and 20 ms: the best is the short one, not
+   a mean, and no timed call is faster than it. *)
+let test_rounds_best () =
+  let sleeps = ref [ 0.0; 0.002; 0.02; 0.02 ] in
+  let nap () =
+    match !sleeps with
+    | d :: rest ->
+      sleeps := rest;
+      Unix.sleepf d
+    | [] -> Alcotest.fail "more calls than planned"
+  in
+  match H.Measure.rounds ~repeat:3 [ H.Measure.point "nap" nap ] with
+  | [ (_, m) ] ->
+    Alcotest.(check bool) (Printf.sprintf "best %.4f >= 2 ms" m.best_s) true (m.best_s >= 0.002);
+    Alcotest.(check bool) (Printf.sprintf "best %.4f < 20 ms" m.best_s) true (m.best_s < 0.02);
+    Alcotest.(check bool)
+      (Printf.sprintf "total %.4f covers the three calls" m.total_s)
+      true (m.total_s >= 0.042);
+    Alcotest.(check bool) "best <= every call" true
+      (m.best_s *. float_of_int m.calls <= m.total_s)
+  | _ -> Alcotest.fail "one point, one result"
+
+(* Counters cover the timed calls only, not the warm-up: a point that
+   spawns [k] tasks per call on a private pool reads [repeat] times what
+   one call spawns.  One call spawns its [k] tasks plus the resume of
+   its suspended await, the same count every call on a pool with no
+   other domain.  The rounds run inside [Pool.run], whose own root task
+   is then spawned outside them. *)
+let test_rounds_counters () =
+  let module Pool = Bds_runtime.Pool in
+  let module T = Bds_runtime.Telemetry in
+  let pool = Pool.create ~num_additional_domains:0 () in
+  let k = 7 and repeat = 4 in
+  let spawn () = List.iter (Pool.await pool) (List.init k (fun _ -> Pool.async pool ignore)) in
+  let per_call, timed =
+    Fun.protect
+      ~finally:(fun () -> Pool.teardown pool)
+      (fun () ->
+        Pool.run pool (fun () ->
+            let before = T.snapshot () in
+            spawn ();
+            let one = (T.diff ~before ~after:(T.snapshot ())).T.s_tasks_spawned in
+            (one, H.Measure.rounds ~warmup:2 ~repeat [ H.Measure.point "spawn" spawn ])))
+  in
+  Alcotest.(check bool) (Printf.sprintf "one call spawns %d >= k" per_call) true (per_call >= k);
+  let m = snd (List.hd timed) in
+  Alcotest.(check int) "tasks spawned" (per_call * repeat)
+    m.H.Measure.counters.T.s_tasks_spawned;
+  Alcotest.(check bool) "not clamped" false m.H.Measure.clamped
+
+(* Setup and teardown run around every call, outside the timed window. *)
+let test_rounds_setup () =
+  let inside = ref false and calls_inside = ref 0 in
+  let timed =
+    H.Measure.rounds ~repeat:3
+      [
+        H.Measure.point "slow setup"
+          ~setup:(fun () ->
+            Unix.sleepf 0.02;
+            inside := true)
+          ~teardown:(fun () ->
+            inside := false;
+            Unix.sleepf 0.02)
+          (fun () -> if !inside then incr calls_inside);
+      ]
+  in
+  let m = snd (List.hd timed) in
+  Alcotest.(check int) "every call between setup and teardown" 4 !calls_inside;
+  Alcotest.(check bool) "teardown ran" false !inside;
+  Alcotest.(check bool) (Printf.sprintf "best %.4f < 20 ms" m.H.Measure.best_s) true
+    (m.H.Measure.best_s < 0.02)
 
 let () =
   Alcotest.run "harness"
@@ -110,5 +200,13 @@ let () =
           Alcotest.test_case "degenerate" `Quick test_svg_degenerate;
         ] );
       ("registry", [ Alcotest.test_case "all benches" `Quick test_registry ]);
-      ("measure", [ Alcotest.test_case "time and alloc" `Quick test_measure ]);
+      ( "measure",
+        [
+          Alcotest.test_case "alloc and printing" `Quick test_measure;
+          Alcotest.test_case "rounds are round-robin" `Quick test_rounds_order;
+          Alcotest.test_case "rounds call count" `Quick test_rounds_calls;
+          Alcotest.test_case "rounds best call" `Quick test_rounds_best;
+          Alcotest.test_case "rounds count timed calls only" `Quick test_rounds_counters;
+          Alcotest.test_case "rounds setup untimed" `Quick test_rounds_setup;
+        ] );
     ]

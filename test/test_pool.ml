@@ -106,16 +106,18 @@ let test_run_inline_when_nested () =
    owns worker 0) and get the value, not raise [Effect.Unhandled]. *)
 let test_await_beside_run () =
   let pool = Pool.create ~num_additional_domains:0 () in
-  let beside_run = Atomic.make false and awaiting = Atomic.make false in
+  let inside_run = Atomic.make false and beside_run = Atomic.make false in
+  let awaiting = Atomic.make false in
   let got = ref (Error "no result") in
   let waiter = ref None in
   Pool.run pool (fun () ->
+      Atomic.set inside_run true;
       waiter :=
         Some
           (Thread.create
              (fun () ->
                let p = Pool.async_external pool (fun () -> 42) in
-               Atomic.set beside_run (Pool.in_context pool);
+               Atomic.set beside_run (Atomic.get inside_run);
                Atomic.set awaiting true;
                got :=
                  match Pool.await pool p with
@@ -127,7 +129,8 @@ let test_await_beside_run () =
       while not (Atomic.get awaiting) do
         Thread.yield ()
       done;
-      Thread.delay 0.02);
+      Thread.delay 0.02;
+      Atomic.set inside_run false);
   Option.iter Thread.join !waiter;
   Pool.teardown pool;
   Alcotest.(check bool) "awaited while run was in progress" true (Atomic.get beside_run);
