@@ -1,12 +1,31 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§3 Figure 5, §6 Figures 13-16), plus ablations of the
-   design choices called out in DESIGN.md and Bechamel microbenchmarks.
+(* Benchmark harness: regenerates the tables and figures of the paper's
+   evaluation and the ratios the perf gate (scripts/bench_compare)
+   checks against BENCH_11.json.  Each section, by --only name:
 
-   Run `dune exec bench/main.exe` for everything at the default scale, or
-   select sections: `dune exec bench/main.exe -- --only fig13,fig16`.
-   Results are wall-clock on whatever machine this runs on; the claims
-   being reproduced are the *ratios* between library versions (see
-   EXPERIMENTS.md).
+   - fig5: Figure 5, best-cut reads and writes, normal vs fused
+     (Cost_model counts, no timing).
+   - fig13, fig14: Figures 13 and 14, time at P=1 and P=max and
+     major-heap allocation of the BID (A | R | Ours) and RAD (A | Ours)
+     benchmarks, plus their scheduler pressure.
+   - fig15: Figure 15, bfs and primes speedups over --proc-list (SVG
+     with --plots).
+   - fig16: Figure 16, stream-of-blocks bestcut across block sizes
+     (SVG with --plots).
+   - ablation: §3 force-vs-recompute on bestcut; the block-size and
+     small-n floor tables that docs/COST.md cites; the leaf-grain and
+     triangular-load tables of DESIGN.md §6.
+   - stream-overhead: gates chain3 pull/push, filter-chain and
+     flatten-chain materialized/fused, consumers reduce/iteri.
+   - float-kernels: gates ref/unboxed of sum, dot, integrate, linefit,
+     mcss-float and sort-floats.
+   - --sweep-grain (not an --only section; runs whenever given): gate
+     default/best-fixed.
+
+   Run `dune exec bench/main.exe` for every section at the default
+   scale, or select some: `dune exec bench/main.exe -- --only
+   fig13,fig16`.  Results are wall-clock on whatever machine this runs
+   on; the claims being reproduced are the *ratios* between library
+   versions (see EXPERIMENTS.md).
 
    Every time is taken by [Measure.rounds]: the versions or sides one
    table compares are timed in the same rounds (one untimed call each,
@@ -21,7 +40,6 @@ module Tables = Bds_harness.Tables
 module Runtime = Bds_runtime.Runtime
 module Grain = Bds_runtime.Grain
 module Telemetry = Bds_runtime.Telemetry
-module Profile = Bds_runtime.Profile
 module S = Bds.Seq
 module K = Bds_kernels
 
@@ -31,20 +49,10 @@ type config = {
   proc_list : int list;
   repeat : int;
   sections : string list;
-  micro_filter : string option;
-      (** substring filter on microbenchmark names (--micro-filter) *)
   csv : string option;
   plots : string option;  (** directory for SVG versions of the figures *)
   sweep_grain : int list;
       (** leaf-grain values to sweep the bestcut pipeline over (--sweep-grain) *)
-  sweep_block : int list;
-      (** fixed block sizes to sweep the bestcut pipeline over (--sweep-block) *)
-  profile : bool;
-      (** run everything under the work/span profiler and append per-op
-          rows to the CSV (--profile) *)
-  service : bool;
-      (** run the job-service open-loop load generator instead of the
-          paper sections (--service) *)
 }
 
 (* Raw results accumulated for --csv: section, bench, version, procs,
@@ -131,12 +139,9 @@ type row_result = {
   allocs : (string * float) list;
 }
 
-let run_bench cfg (b : Registry.bench) =
+let run_bench cfg ~section (b : Registry.bench) =
   let size = scaled cfg b.default_size in
   Printf.eprintf "  %-12s (%s)...\n%!" b.name (b.describe size);
-  let section =
-    match b.category with `Bid -> "fig13" | `Rad -> "fig14" | `Ext -> "ext"
-  in
   let versions = b.prepare size in
   let times p = time_versions cfg ~section ~bench:b.name p versions in
   let best = List.map (fun (v, (m : Measure.timed)) -> (v, m.best_s)) in
@@ -197,8 +202,6 @@ let print_sched ~title results =
     ~headers:[ "bench"; "version"; "tasks"; "chunks"; "steals"; "steal hit"; "tasks/s" ]
     ~rows
 
-let fig13_rows cfg = List.map (run_bench cfg) Registry.bid_benches
-
 let print_fig13 results =
   let time_row r =
     let a1 = get "array" r.times_p1 and r1 = get "rad" r.times_p1 and d1 = get "delay" r.times_p1 in
@@ -223,8 +226,6 @@ let print_fig13 results =
   Tables.print ~title:"Figure 13 (space): allocations — A | R | Ours"
     ~headers:[ "bench"; "A"; "R"; "Ours"; "A/Ours"; "R/Ours" ]
     ~rows:(List.map space_row results)
-
-let fig14_rows cfg = List.map (run_bench cfg) Registry.rad_benches
 
 let print_fig14 results =
   let time_row r =
@@ -376,35 +377,6 @@ let fig16 cfg =
             ~xlabel:"log10(block size)" ~ylabel:"time (s)" series;
           Printf.eprintf "  wrote %s\n%!" path)
         cfg.plots)
-
-(* ------------------------------------------------------------------ *)
-(* Extension applications (PBBS-style, mentioned in §1)                *)
-
-let ext cfg =
-  let results = List.map (run_bench cfg) Registry.ext_benches in
-  let time_row r =
-    let vs = List.map fst r.times_p1 in
-    let cells l = List.concat_map (fun v -> [ Measure.pp_time (get v l) ]) vs in
-    (r.bench.Registry.name :: cells r.times_p1) @ cells r.times_pn
-  in
-  (* Versions differ per bench; print a table per bench. *)
-  List.iter
-    (fun r ->
-      let vs = List.map fst r.times_p1 in
-      Tables.print
-        ~title:(Printf.sprintf "Extension: %s (%s)" r.bench.Registry.name
-                  (r.bench.Registry.describe r.size))
-        ~headers:("bench" :: List.map (fun v -> v ^ "(1)") vs
-                  @ List.map (fun v -> v ^ "(P)") vs)
-        ~rows:[ time_row r ];
-      Tables.print ~title:"  space (major-heap alloc)"
-        ~headers:("bench" :: vs)
-        ~rows:
-          [
-            r.bench.Registry.name
-            :: List.map (fun v -> Measure.pp_bytes (get v r.allocs)) vs;
-          ])
-    results
 
 (* ------------------------------------------------------------------ *)
 (* Ablations of DESIGN.md's called-out choices                         *)
@@ -604,95 +576,67 @@ let ablation cfg =
         ~headers:[ "strategy"; "time" ] ~rows)
 
 (* ------------------------------------------------------------------ *)
-(* Granularity sweeps (--sweep-grain / --sweep-block): run the bestcut
-   delayed pipeline at each knob setting and report time plus scheduler
-   pressure, so a Figure 16-style curve can be drawn for either knob of
-   the unified granularity layer.  Rows also land in --csv under the
-   sections "sweep-grain" and "sweep-block".  The points of one sweep
-   share rounds, each switching its knob in its setup. *)
+(* Leaf-grain sweep (--sweep-grain): the bestcut delayed pipeline at each
+   fixed grain, then once more at the shipped default, all in shared
+   rounds with the grain switched in each point's setup.  Reports time
+   plus scheduler pressure per point, and the best fixed grain's time
+   over the default's (gate default/best-fixed: ~1.0 means the static
+   policy already sits at the sweep optimum).  Rows land in --csv under
+   section "sweep-grain". *)
 
-let sweeps cfg =
+let sweep_grain cfg =
   let n = scaled cfg 2_000_000 in
   let a = K.Bestcut.generate n in
-  let point version setup teardown =
-    Measure.point version ~setup ~teardown (fun () -> K.Bestcut.Delay_version.best_cut a)
-  in
-  (* Time [points] in shared rounds, record each, return the times and
-     the table rows. *)
-  let run_points ~section points =
-    let timed = Measure.rounds ~repeat:cfg.repeat points in
-    let rows =
-      List.map
-        (fun (version, (m : Measure.timed)) ->
-          let steals_per_s = per_s m m.counters.Telemetry.s_steals in
-          let tasks_per_s = per_s m m.counters.Telemetry.s_tasks_spawned in
-          let put = record ~section ~bench:"bestcut-delay" ~version ~procs:cfg.procs in
-          put ~metric:"time_s" m.best_s;
-          put ~metric:"steals_per_s" steals_per_s;
-          put ~metric:"tasks_per_s" tasks_per_s;
-          put ~metric:"counters_clamped" (if m.clamped then 1.0 else 0.0);
-          [
-            version;
-            Measure.pp_time m.best_s;
-            Printf.sprintf "%.3e" steals_per_s;
-            Printf.sprintf "%.3e" tasks_per_s;
-          ])
-        timed
-    in
-    (timed, rows)
-  in
-  let headers = [ "setting"; "time"; "steals/s"; "tasks/s" ] in
+  let bestcut () = K.Bestcut.Delay_version.best_cut a in
+  Printf.eprintf "  sweep: leaf grain...\n%!";
   Measure.with_domains cfg.procs (fun () ->
-      if cfg.sweep_grain <> [] then begin
-        Printf.eprintf "  sweep: leaf grain...\n%!";
-        let fixed =
-          List.map
-            (fun g ->
-              point (Printf.sprintf "grain=%d" g)
-                (fun () -> Grain.set_leaf_grain (Some g))
-                (fun () -> Grain.set_leaf_grain None))
-            cfg.sweep_grain
-        in
-        (* The shipped default (no override) against the best fixed
-           grain of the same rounds: ~1.0 means the static policy
-           already sits at the sweep optimum. *)
-        let timed, rows =
-          run_points ~section:"sweep-grain" (fixed @ [ point "default" ignore ignore ])
-        in
-        let t_default = best_s "default" timed in
-        let t_best =
-          List.fold_left
-            (fun t (v, (m : Measure.timed)) -> if v = "default" then t else Float.min t m.best_s)
-            infinity timed
-        in
-        let ratio = if t_default > 0.0 then t_best /. t_default else 0.0 in
-        record ~section:"sweep-grain" ~bench:"bestcut-delay" ~version:"default"
-          ~procs:cfg.procs ~metric:"default_vs_best_fixed" ratio;
-        Printf.eprintf "  default_vs_best_fixed = %.3f\n%!" ratio;
-        Tables.print
-          ~title:
-            (Printf.sprintf "Sweep: leaf grain (BDS_GRAIN) on bestcut/delay (n=%d, P=%d)"
-               n cfg.procs)
-          ~headers ~rows
-      end;
-      if cfg.sweep_block <> [] then begin
-        Printf.eprintf "  sweep: block size...\n%!";
-        let _, rows =
-          run_points ~section:"sweep-block"
-            (List.map
-               (fun bs ->
-                 point (Printf.sprintf "B=%d" bs)
-                   (fun () -> Bds.Block.set_policy (Bds.Block.Fixed bs))
-                   Bds.Block.reset_policy)
-               cfg.sweep_block)
-        in
-        Tables.print
-          ~title:
-            (Printf.sprintf
-               "Sweep: block size (BDS_BLOCK_SIZE) on bestcut/delay (n=%d, P=%d)"
-               n cfg.procs)
-          ~headers ~rows
-      end)
+      let timed =
+        Measure.rounds ~repeat:cfg.repeat
+          (List.map
+             (fun g ->
+               Measure.point (Printf.sprintf "grain=%d" g)
+                 ~setup:(fun () -> Grain.set_leaf_grain (Some g))
+                 ~teardown:(fun () -> Grain.set_leaf_grain None)
+                 bestcut)
+             cfg.sweep_grain
+          @ [ Measure.point "default" bestcut ])
+      in
+      let rows =
+        List.map
+          (fun (version, (m : Measure.timed)) ->
+            let steals_per_s = per_s m m.counters.Telemetry.s_steals in
+            let tasks_per_s = per_s m m.counters.Telemetry.s_tasks_spawned in
+            let put =
+              record ~section:"sweep-grain" ~bench:"bestcut-delay" ~version ~procs:cfg.procs
+            in
+            put ~metric:"time_s" m.best_s;
+            put ~metric:"steals_per_s" steals_per_s;
+            put ~metric:"tasks_per_s" tasks_per_s;
+            put ~metric:"counters_clamped" (if m.clamped then 1.0 else 0.0);
+            [
+              version;
+              Measure.pp_time m.best_s;
+              Printf.sprintf "%.3e" steals_per_s;
+              Printf.sprintf "%.3e" tasks_per_s;
+            ])
+          timed
+      in
+      let t_default = best_s "default" timed in
+      let t_best =
+        List.fold_left
+          (fun t (v, (m : Measure.timed)) -> if v = "default" then t else Float.min t m.best_s)
+          infinity timed
+      in
+      let ratio = if t_default > 0.0 then t_best /. t_default else 0.0 in
+      record ~section:"sweep-grain" ~bench:"bestcut-delay" ~version:"default"
+        ~procs:cfg.procs ~metric:"default_vs_best_fixed" ratio;
+      Printf.eprintf "  default_vs_best_fixed = %.3f\n%!" ratio;
+      Tables.print
+        ~title:
+          (Printf.sprintf "Sweep: leaf grain (BDS_GRAIN) on bestcut/delay (n=%d, P=%d)"
+             n cfg.procs)
+        ~headers:[ "setting"; "time"; "steals/s"; "tasks/s" ]
+        ~rows)
 
 (* ------------------------------------------------------------------ *)
 (* Stream execution: fused push fold vs trickle pull (--only
@@ -982,359 +926,41 @@ let float_kernels cfg =
              !results))
 
 (* ------------------------------------------------------------------ *)
-(* --service: open-loop load generator against the job service          *)
-
-(* Drive the in-process Service with an open-loop arrival process: jobs
-   are submitted on a fixed cadence regardless of completions, so when
-   offered load exceeds what [runners] can drain, the outstanding-job
-   bound fills and admission control sheds with typed Overloaded — the
-   backpressure behaviour under test, not an error.  The mix is
-   deterministic by index: mostly short busy jobs (predictable service
-   time), some Seq pipelines, a slice of fail-once jobs (retry path) and
-   a slice of tight-deadline jobs (deadline path), spread over four
-   tenants.  Reports p50/p99 job latency (admission to terminal outcome,
-   via Histogram), rejection rate and retries, and checks the zero-lost-
-   jobs invariant: admitted = completed + failed + cancelled +
-   deadline_exceeded.  Exits non-zero if any job is lost. *)
-let service_bench cfg =
-  let module Service = Bds_service.Service in
-  let module Job = Bds_service.Job in
-  let module Histogram = Bds_runtime.Histogram in
-  let total = scaled cfg 400 in
-  let rate = 2000.0 (* jobs/s offered *) in
-  let config =
-    {
-      Service.default_config with
-      Service.capacity = 32;
-      runners = cfg.procs;
-    }
-  in
-  Printf.printf
-    "Job-service load generator: %d jobs open-loop at %.0f/s (capacity=%d, \
-     runners=%d)\n\
-     chaos: %s\n%!"
-    total rate config.Service.capacity config.Service.runners
-    (Bds_runtime.Chaos.describe ());
-  let before = Telemetry.snapshot () in
-  let svc = Service.create ~config () in
-  let lat = Histogram.create () in
-  let request i =
-    let tenant = Printf.sprintf "t%d" (i mod 4) in
-    if i mod 10 = 7 then
-      (* Tight deadline against a longer busy loop: deadline path. *)
-      Job.request ~tenant ~params:[ ("ms", "20") ] ~deadline_ms:2 "busy"
-    else if i mod 10 = 3 then
-      (* Fails once, then a small pipeline: retry path. *)
-      Job.request ~tenant ~params:[ ("k", "1"); ("n", "1000") ] "fail"
-    else if i mod 5 = 1 then
-      Job.request ~tenant ~params:[ ("n", "20000") ] "sum"
-    else
-      (* 3ms busy at 2000/s across [runners] pool workers oversubscribes
-         the service, so the paced phase itself reaches saturation. *)
-      Job.request ~tenant ~params:[ ("ms", "3") ] "busy"
-  in
-  let t0 = Unix.gettimeofday () in
-  let rejected = ref 0 in
-  for i = 0 to total - 1 do
-    (* Open loop: wait for the arrival time, not for the service. *)
-    let due = t0 +. (float_of_int i /. rate) in
-    let rec pace () =
-      let d = due -. Unix.gettimeofday () in
-      if d > 0.0 then begin
-        Thread.delay d;
-        pace ()
-      end
-    in
-    pace ();
-    let submitted = Unix.gettimeofday () in
-    match
-      Service.submit svc
-        ~on_complete:(fun _ ->
-          Histogram.record lat
-            ~ns:
-              (int_of_float
-                 ((Unix.gettimeofday () -. submitted) *. 1e9)))
-        (request i)
-    with
-    | Ok _ -> ()
-    | Error (`Rejected _) -> incr rejected
-    | Error (`Bad_request msg) -> failwith ("service bench: bad request: " ^ msg)
-  done;
-  Service.shutdown svc;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let d = Telemetry.diff ~before ~after:(Telemetry.snapshot ()) in
-  let admitted = d.Telemetry.s_jobs_admitted in
-  let resolved =
-    d.Telemetry.s_jobs_completed + d.Telemetry.s_jobs_failed
-    + d.Telemetry.s_jobs_cancelled + d.Telemetry.s_jobs_deadline_exceeded
-  in
-  let lost = admitted - resolved in
-  let s = Histogram.snapshot lat in
-  let ms ns = float_of_int ns /. 1e6 in
-  let rejection_rate = float_of_int !rejected /. float_of_int total in
-  Tables.print ~title:"Job-service load generator"
-    ~headers:[ "metric"; "value" ]
-    ~rows:
-      [
-        [ "offered jobs"; string_of_int total ];
-        [ "admitted"; string_of_int admitted ];
-        [ "rejected (Overloaded)"; string_of_int !rejected ];
-        [ "rejection rate"; Printf.sprintf "%.1f%%" (100.0 *. rejection_rate) ];
-        [ "completed"; string_of_int d.Telemetry.s_jobs_completed ];
-        [ "failed"; string_of_int d.Telemetry.s_jobs_failed ];
-        [ "cancelled"; string_of_int d.Telemetry.s_jobs_cancelled ];
-        [ "deadline exceeded"; string_of_int d.Telemetry.s_jobs_deadline_exceeded ];
-        [ "retries"; string_of_int d.Telemetry.s_jobs_retried ];
-        [ "retries shed (breaker)"; string_of_int d.Telemetry.s_jobs_retries_shed ];
-        [ "latency p50"; Printf.sprintf "%.2f ms" (ms (Histogram.p50 s)) ];
-        [ "latency p99"; Printf.sprintf "%.2f ms" (ms (Histogram.p99 s)) ];
-        [ "latency max"; Printf.sprintf "%.2f ms" (ms (Histogram.max_ns s)) ];
-        [ "wall time"; Printf.sprintf "%.2f s" elapsed ];
-        [ "lost jobs"; string_of_int lost ];
-      ];
-  List.iter
-    (fun (metric, v) ->
-      record ~section:"service" ~bench:"loadgen" ~version:"service"
-        ~procs:cfg.procs ~metric v)
-    [
-      ("p50_ns", float_of_int (Histogram.p50 s));
-      ("p99_ns", float_of_int (Histogram.p99 s));
-      ("rejection_rate", rejection_rate);
-      ("retries", float_of_int d.Telemetry.s_jobs_retried);
-      ("lost_jobs", float_of_int lost);
-    ];
-  if lost <> 0 then begin
-    Printf.eprintf "FAIL: %d admitted job(s) never reached a terminal outcome\n" lost;
-    exit 1
-  end;
-  if Histogram.total_count s <> admitted then begin
-    (* Every admitted job's on_complete fired exactly once. *)
-    Printf.eprintf "FAIL: %d admitted but %d completion callbacks\n" admitted
-      (Histogram.total_count s);
-    exit 1
-  end;
-  print_endline "\nzero lost jobs: every admitted job reached exactly one terminal outcome";
-  (* Latency breakdown: where resolved jobs spent their wall time.
-     Components are measured where they happen (fair-queue wait at
-     dequeue, run around each attempt, backoff around each delay); the
-     residue is scheduling overhead (condvar wakeups, monitor cadence).
-     The accounting must cohere: components can never exceed wall by
-     more than measurement noise, and without chaos the three
-     components plus a sane overhead must explain most of the wall —
-     a breakdown that doesn't sum is worse than none. *)
-  let bk = Service.latency_breakdown svc in
-  let sec ns = float_of_int ns /. 1e9 in
-  let wall_s = sec bk.Service.bk_wall_ns in
-  let accounted_ns =
-    bk.Service.bk_queue_ns + bk.Service.bk_run_ns + bk.Service.bk_backoff_ns
-  in
-  let frac = if wall_s > 0.0 then sec accounted_ns /. wall_s else 1.0 in
-  let pct ns =
-    if bk.Service.bk_wall_ns > 0 then
-      100.0 *. float_of_int ns /. float_of_int bk.Service.bk_wall_ns
-    else 0.0
-  in
-  Tables.print ~title:"Latency breakdown (cumulative over resolved jobs)"
-    ~headers:[ "component"; "seconds"; "% of wall" ]
-    ~rows:
-      [
-        [ "wall (submit->outcome)"; Printf.sprintf "%.3f" wall_s; "100.0" ];
-        [
-          "queue wait";
-          Printf.sprintf "%.3f" (sec bk.Service.bk_queue_ns);
-          Printf.sprintf "%.1f" (pct bk.Service.bk_queue_ns);
-        ];
-        [
-          "run (attempts)";
-          Printf.sprintf "%.3f" (sec bk.Service.bk_run_ns);
-          Printf.sprintf "%.1f" (pct bk.Service.bk_run_ns);
-        ];
-        [
-          "backoff/chaos wait";
-          Printf.sprintf "%.3f" (sec bk.Service.bk_backoff_ns);
-          Printf.sprintf "%.1f" (pct bk.Service.bk_backoff_ns);
-        ];
-        [
-          "overhead (residue)";
-          Printf.sprintf "%.3f" (sec (bk.Service.bk_wall_ns - accounted_ns));
-          Printf.sprintf "%.1f" (pct (bk.Service.bk_wall_ns - accounted_ns));
-        ];
-      ];
-  record ~section:"service" ~bench:"loadgen" ~version:"service"
-    ~procs:cfg.procs ~metric:"breakdown_accounted_frac" frac;
-  let chaos_off = Bds_runtime.Chaos.describe () = "chaos: off" in
-  (* 5% tolerance for clock reads straddling the component edges. *)
-  if frac > 1.05 then begin
-    Printf.eprintf
-      "FAIL: breakdown components sum to %.1f%% of wall (> 105%%)\n"
-      (100.0 *. frac);
-    exit 1
-  end;
-  if chaos_off && bk.Service.bk_jobs > 0 && frac < 0.5 then begin
-    Printf.eprintf
-      "FAIL: breakdown accounts for only %.1f%% of wall without chaos \
-       (want >= 50%%)\n"
-      (100.0 *. frac);
-    exit 1
-  end;
-  Printf.printf "breakdown coheres: %.1f%% of wall accounted\n" (100.0 *. frac);
-  (* Scrape and validate the OpenMetrics exposition the service built
-     up during the run — the same body bds_serve streams for METRICS. *)
-  Service.collect_metrics svc;
-  let exposition = Bds_runtime.Metrics.render () in
-  (match Bds_runtime.Metrics.validate_string exposition with
-  | Ok samples -> Printf.printf "metrics exposition valid: %d samples\n" samples
-  | Error e ->
-    Printf.eprintf "FAIL: metrics exposition invalid: %s\n" e;
-    exit 1)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks: one Test per paper table                  *)
-
-let micro cfg =
-  let open Bechamel in
-  let open Toolkit in
-  let n = scaled cfg 200_000 in
-  let bc_input = K.Bestcut.generate n in
-  let mcss_input = K.Mcss.generate n in
-  (* --micro-filter: keep only benchmarks whose name contains the
-     substring (quick single-kernel timings while tuning). *)
-  let wanted name =
-    match cfg.micro_filter with
-    | None -> true
-    | Some sub ->
-      let nl = String.length name and sl = String.length sub in
-      let rec at i = i + sl <= nl && (String.sub name i sl = sub || at (i + 1)) in
-      sl = 0 || at 0
-  in
-  let mk name f =
-    if wanted name then [ Test.make ~name (Staged.stage f) ] else []
-  in
-  let tests =
-    Test.make_grouped ~name:"bds" ~fmt:"%s %s"
-      (List.concat
-      [
-        (* Figure 13's headline kernel in all three versions. *)
-        mk "fig13/bestcut/array" (fun () -> K.Bestcut.Array_version.best_cut bc_input);
-        mk "fig13/bestcut/rad" (fun () -> K.Bestcut.Rad_version.best_cut bc_input);
-        mk "fig13/bestcut/delay" (fun () -> K.Bestcut.Delay_version.best_cut bc_input);
-        (* Figure 14's map+reduce shape. *)
-        mk "fig14/mcss/array" (fun () -> K.Mcss.Array_version.mcss mcss_input);
-        mk "fig14/mcss/delay" (fun () -> K.Mcss.Delay_version.mcss mcss_input);
-        (* Figure 16's within-block-parallel pipeline. *)
-        mk "fig16/bestcut/sob" (fun () -> K.Bestcut.best_cut_sob ~block_size:10_000 bc_input);
-        (* Individual operations of Figure 1, fused vs array. *)
-        mk "ops/map+reduce/delay" (fun () ->
-            Bds.Seq.(reduce ( + ) 0 (map (fun x -> x * 3) (iota n))));
-        mk "ops/map+reduce/array" (fun () ->
-            Bds_parray.Parray.(reduce ( + ) 0 (map (fun x -> x * 3) (iota n))));
-        mk "ops/scan/delay" (fun () ->
-            Bds.Seq.(reduce ( + ) 0 (fst (scan ( + ) 0 (iota n)))));
-        mk "ops/scan/array" (fun () ->
-            Bds_parray.Parray.(reduce ( + ) 0 (fst (scan ( + ) 0 (iota n)))));
-        mk "ops/filter/delay" (fun () ->
-            Bds.Seq.(reduce ( + ) 0 (filter (fun x -> x land 7 < 3) (iota n))));
-        mk "ops/filter/array" (fun () ->
-            Bds_parray.Parray.(reduce ( + ) 0 (filter (fun x -> x land 7 < 3) (iota n))));
-      ])
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg_b =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg_b instances tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Printf.printf "\nBechamel microbenchmarks (ns/run, n=%d)\n%s\n" n
-    (String.make 46 '=');
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> Printf.printf "%-28s %12.0f ns/run\n" name est
-      | _ -> Printf.printf "%-28s (no estimate)\n" name)
-    results
-
-(* ------------------------------------------------------------------ *)
-(* --profile: per-op work/span rows for the whole run                  *)
-
-(* Everything the harness ran this process accumulated into the op
-   registry (profiling was enabled before the first section); emit one
-   CSV row per op metric under section "profile" and print the human
-   report.  [procs] is the nominal P=max — sections run at several
-   worker counts, so utilization here is indicative, not exact. *)
-let profile_report cfg =
-  let rows = Profile.rows () in
-  List.iter
-    (fun (r : Profile.row) ->
-      let p metric v =
-        record ~section:"profile" ~bench:r.Profile.r_name ~version:"all"
-          ~procs:cfg.procs ~metric v
-      in
-      p "calls" (float_of_int r.Profile.r_calls);
-      p "chunks" (float_of_int r.Profile.r_chunks);
-      p "wall_ns" (float_of_int r.Profile.r_wall_ns);
-      p "work_ns" (float_of_int r.Profile.r_work_ns);
-      p "span_ns" (float_of_int r.Profile.r_span_ns);
-      p "p50_ns" (float_of_int r.Profile.r_p50_ns);
-      p "p99_ns" (float_of_int r.Profile.r_p99_ns);
-      p "max_chunk_ns" (float_of_int r.Profile.r_max_chunk_ns);
-      p "parallelism" r.Profile.r_parallelism;
-      p "tiny_fraction" r.Profile.r_tiny_fraction)
-    rows;
-  print_newline ();
-  print_string (Profile.render ~workers:cfg.procs rows)
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
-let run_sections cfg =
+(* Figures 13 and 14: the time and space tables of [benches], then their
+   scheduler pressure. *)
+let bench_figure ~figure ~kind benches print cfg =
+  let section = Printf.sprintf "fig%d" figure in
+  Printf.eprintf "%s (%s benchmarks)...\n%!" section kind;
+  let results = List.map (run_bench cfg ~section) benches in
+  print results;
+  print_sched
+    ~title:(Printf.sprintf "Figure %d scheduler pressure (P=%d, per call)" figure cfg.procs)
+    results
+
+(* Every --only section, in run order. *)
+let sections =
+  [
+    ("fig5", fig5);
+    ("fig13", bench_figure ~figure:13 ~kind:"BID" Registry.bid_benches print_fig13);
+    ("fig14", bench_figure ~figure:14 ~kind:"RAD" Registry.rad_benches print_fig14);
+    ("fig15", fig15);
+    ("fig16", fig16);
+    ("ablation", ablation);
+    ("stream-overhead", stream_overhead);
+    ("float-kernels", float_kernels);
+  ]
+
+let run cfg =
   Printf.printf
     "Parallel block-delayed sequences: benchmark harness\n\
      host workers: %d requested for P=max; scale %.2fx; repeat %d\n"
     cfg.procs cfg.scale cfg.repeat;
-  if enabled cfg "fig5" then fig5 cfg;
-  if enabled cfg "fig13" then begin
-    Printf.eprintf "fig13 (BID benchmarks)...\n%!";
-    let results = fig13_rows cfg in
-    print_fig13 results;
-    print_sched
-      ~title:(Printf.sprintf "Figure 13 scheduler pressure (P=%d, per call)" cfg.procs)
-      results
-  end;
-  if enabled cfg "fig14" then begin
-    Printf.eprintf "fig14 (RAD benchmarks)...\n%!";
-    let results = fig14_rows cfg in
-    print_fig14 results;
-    print_sched
-      ~title:(Printf.sprintf "Figure 14 scheduler pressure (P=%d, per call)" cfg.procs)
-      results
-  end;
-  if enabled cfg "fig15" then fig15 cfg;
-  if enabled cfg "fig16" then fig16 cfg;
-  if enabled cfg "ext" then begin
-    Printf.eprintf "ext (extension applications)...\n%!";
-    ext cfg
-  end;
-  if enabled cfg "ablation" then ablation cfg;
-  if enabled cfg "stream-overhead" then stream_overhead cfg;
-  if enabled cfg "float-kernels" then float_kernels cfg;
-  if cfg.sweep_grain <> [] || cfg.sweep_block <> [] then sweeps cfg;
-  if enabled cfg "micro" then micro cfg;
-  if cfg.profile then profile_report cfg;
+  List.iter (fun (name, section) -> if enabled cfg name then section cfg) sections;
+  if cfg.sweep_grain <> [] then sweep_grain cfg;
   Option.iter write_csv cfg.csv;
   Printf.printf "\ndone. (sink: %d %.3f)\n" !Registry.sink_int !Registry.sink_float
-
-let run cfg =
-  if cfg.profile then Profile.set_enabled true;
-  if cfg.service then begin
-    (* The load generator stands alone: it measures the service layer,
-       not the paper's figures, and owns its own pass/fail criterion. *)
-    service_bench cfg;
-    Option.iter write_csv cfg.csv
-  end
-  else run_sections cfg
 
 (* ------------------------------------------------------------------ *)
 (* CLI                                                                 *)
@@ -1357,13 +983,10 @@ let repeat_arg =
   Arg.(value & opt int 3 & info [ "repeat" ] ~doc:"Timed rounds per measurement, one call of each compared version per round (the best call is reported).")
 
 let only_arg =
-  Arg.(value & opt (list string) []
-       & info [ "only" ] ~doc:"Sections to run: fig5, fig13, fig14, fig15, fig16, ext, ablation, stream-overhead, float-kernels, micro. Default: all.")
-
-let micro_filter_arg =
-  Arg.(value & opt (some string) None
-       & info [ "micro-filter" ]
-           ~doc:"Only run microbenchmarks whose name contains this substring.")
+  let names = List.map fst sections in
+  Arg.(value & opt (list (enum (List.map (fun n -> (n, n)) names))) []
+       & info [ "only" ]
+           ~doc:("Sections to run: " ^ String.concat ", " names ^ ". Default: all."))
 
 let csv_arg =
   Arg.(value & opt (some string) None
@@ -1384,47 +1007,17 @@ let sweep_grain_arg =
                  steals/s and tasks/s per point; rows land in --csv under \
                  sweep-grain.")
 
-let sweep_block_arg =
-  Arg.(value & opt (list int) []
-       & info [ "sweep-block" ]
-           ~doc:"Fixed block sizes (comma-separated) to sweep the bestcut \
-                 delayed pipeline over (equivalent to BDS_BLOCK_SIZE).  \
-                 Emits time, steals/s and tasks/s per point; rows land in \
-                 --csv under sweep-block.")
-
-let profile_arg =
-  Arg.(value & flag
-       & info [ "profile" ]
-           ~doc:"Run everything under the work/span profiler: print the \
-                 per-op report at the end and append per-op rows (section \
-                 \"profile\") to --csv output.")
-
-let service_arg =
-  Arg.(value & flag
-       & info [ "service" ]
-           ~doc:"Run the job-service open-loop load generator instead of \
-                 the paper sections: submit a deterministic mixed workload \
-                 at a fixed arrival rate and report p50/p99 job latency, \
-                 rejection rate and retries.  Exits non-zero if any \
-                 admitted job is lost.  --scale sizes the job count, \
-                 --procs the runner count.")
-
-let main scale quick procs proc_list repeat sections micro_filter csv plots
-    sweep_grain sweep_block profile service =
+let main scale quick procs proc_list repeat only csv plots sweep_grain =
   let cfg =
     {
       scale = (if quick then scale /. 10.0 else scale);
       procs;
       proc_list;
       repeat = (if quick then 1 else repeat);
-      sections;
-      micro_filter;
+      sections = only;
       csv;
       plots;
       sweep_grain;
-      sweep_block;
-      profile;
-      service;
     }
   in
   Option.iter
@@ -1438,7 +1031,6 @@ let cmd =
     (Cmd.info "bds-bench" ~doc:"Regenerate the paper's tables and figures")
     Term.(
       const main $ scale_arg $ quick_arg $ procs_arg $ proc_list_arg $ repeat_arg
-      $ only_arg $ micro_filter_arg $ csv_arg $ plots_arg $ sweep_grain_arg
-      $ sweep_block_arg $ profile_arg $ service_arg)
+      $ only_arg $ csv_arg $ plots_arg $ sweep_grain_arg)
 
 let () = exit (Cmd.eval cmd)

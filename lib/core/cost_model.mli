@@ -32,9 +32,6 @@ val simple : fn_cost
 (** Max over blocks of the within-block sum of [f] (the paper's bmax). *)
 val bmax : block_size:int -> int -> (int -> int) -> int
 
-val sum_over : int -> (int -> int) -> int
-val log2_ceil : int -> int
-
 (** {1 Figure 11, row by row} *)
 
 val tabulate : int -> fn_cost -> seq * cost
@@ -77,10 +74,6 @@ val bestcut_rw : n:int -> b:int -> rw_row list
 val rw_totals : rw_row list -> int * int * int * int
 
 (** {1 §5.1: BFS allocation} *)
-
-(** Allocation of one BFS round: |F| + |F'| + ⌈|E|/B⌉. *)
-val bfs_round_alloc :
-  block_size:int -> frontier:int -> edges:int -> next_frontier:int -> int
 
 (** Total over a [(frontier, edges, next_frontier)] trace; the paper's
     claim is that this is O(N + M/B). *)

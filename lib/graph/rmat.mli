@@ -5,9 +5,6 @@
     Generation is a pure function of (seed, scale, edge index), so graphs
     are deterministic and can be generated in parallel. *)
 
-(** Edge [k] of the graph with [2^scale] vertices. *)
-val edge_of_index : seed:int -> scale:int -> int -> int * int
-
 (** A graph with [2^scale] vertices and [num_edges] directed edges
     (self-loops and parallel edges possible, as in the standard model). *)
 val generate : ?seed:int -> scale:int -> num_edges:int -> unit -> Csr.t

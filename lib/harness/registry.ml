@@ -10,7 +10,6 @@ type version = { vname : string; run : unit -> unit }
 
 type bench = {
   name : string;
-  category : [ `Bid | `Rad | `Ext ];  (** paper figure, or extension *)
   default_size : int;
   describe : int -> string;
   prepare : int -> version list;  (** array, [rad], delay *)
@@ -35,7 +34,6 @@ let use_float f = sink_float := !sink_float +. (f *. 1e-30)
 let bestcut =
   {
     name = "bestcut";
-    category = `Bid;
     default_size = 2_000_000;
     describe = (fun n -> Printf.sprintf "%d bounding-box events" n);
     prepare =
@@ -51,7 +49,6 @@ let bestcut =
 let bfs =
   {
     name = "bfs";
-    category = `Bid;
     default_size = 1_000_000;
     describe =
       (fun n ->
@@ -71,7 +68,6 @@ let bfs =
 let bignum_add =
   {
     name = "bignum-add";
-    category = `Bid;
     default_size = 2_000_000;
     describe = (fun n -> Printf.sprintf "two %d-byte bignums" n);
     prepare =
@@ -91,7 +87,6 @@ let bignum_add =
 let primes =
   {
     name = "primes";
-    category = `Bid;
     default_size = 2_000_000;
     describe = (fun n -> Printf.sprintf "primes below %d" n);
     prepare =
@@ -106,7 +101,6 @@ let primes =
 let tokens =
   {
     name = "tokens";
-    category = `Bid;
     default_size = 5_000_000;
     describe = (fun n -> Printf.sprintf "%d chars, avg word length ~7" n);
     prepare =
@@ -126,7 +120,6 @@ let tokens =
 let grep =
   {
     name = "grep";
-    category = `Rad;
     default_size = 5_000_000;
     describe = (fun n -> Printf.sprintf "%d chars, ~3%% of lines match" n);
     prepare =
@@ -145,7 +138,6 @@ let grep =
 let integrate =
   {
     name = "integrate";
-    category = `Rad;
     default_size = 5_000_000;
     describe = (fun n -> Printf.sprintf "sqrt(1/x) on [1,1000], %d points" n);
     prepare =
@@ -159,7 +151,6 @@ let integrate =
 let linearrec =
   {
     name = "linearrec";
-    category = `Rad;
     default_size = 2_000_000;
     describe = (fun n -> Printf.sprintf "%d (x,y) pairs" n);
     prepare =
@@ -175,7 +166,6 @@ let linearrec =
 let linefit =
   {
     name = "linefit";
-    category = `Rad;
     default_size = 2_000_000;
     describe = (fun n -> Printf.sprintf "%d 2D points" n);
     prepare =
@@ -194,7 +184,6 @@ let linefit =
 let mcss =
   {
     name = "mcss";
-    category = `Rad;
     default_size = 5_000_000;
     describe = (fun n -> Printf.sprintf "%d signed ints" n);
     prepare =
@@ -209,7 +198,6 @@ let mcss =
 let quickhull =
   {
     name = "quickhull";
-    category = `Rad;
     default_size = 200_000;
     describe = (fun n -> Printf.sprintf "%d points in a disc" n);
     prepare =
@@ -224,7 +212,6 @@ let quickhull =
 let sparse_mxv =
   {
     name = "sparse-mxv";
-    category = `Rad;
     default_size = 1_000_000;
     describe = (fun n -> Printf.sprintf "%d rows x ~50 nnz (%d nnz total)" (n / 50) n);
     prepare =
@@ -241,7 +228,6 @@ let sparse_mxv =
 let wc =
   {
     name = "wc";
-    category = `Rad;
     default_size = 5_000_000;
     describe = (fun n -> Printf.sprintf "%d chars" n);
     prepare =
@@ -263,7 +249,6 @@ let wc =
 let inverted_index =
   {
     name = "inverted-index";
-    category = `Ext;
     default_size = 2_000_000;
     describe = (fun n -> Printf.sprintf "%d chars of documents" n);
     prepare =
@@ -283,7 +268,6 @@ let inverted_index =
 let raycast =
   {
     name = "raycast";
-    category = `Ext;
     default_size = 1_000_000;
     describe =
       (fun n -> Printf.sprintf "%d ray-triangle tests (%d triangles x %d rays)" n 1000 (n / 1000));
@@ -307,7 +291,6 @@ let raycast =
 let sort_bench =
   {
     name = "sort";
-    category = `Ext;
     default_size = 2_000_000;
     describe = (fun n -> Printf.sprintf "%d random ints, parallel stable merge sort" n);
     prepare =
@@ -332,7 +315,6 @@ let sort_bench =
 let histogram =
   {
     name = "histogram";
-    category = `Ext;
     default_size = 2_000_000;
     describe = (fun n -> Printf.sprintf "%d skewed keys into 256 buckets" n);
     prepare =
@@ -353,7 +335,6 @@ let histogram =
 let dedup =
   {
     name = "dedup";
-    category = `Ext;
     default_size = 2_000_000;
     describe = (fun n -> Printf.sprintf "%d keys, ~%d distinct" n (n / 20));
     prepare =

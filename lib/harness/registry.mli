@@ -6,7 +6,6 @@ type version = { vname : string; run : unit -> unit }
 
 type bench = {
   name : string;
-  category : [ `Bid | `Rad | `Ext ];  (** paper figure, or extension *)
   default_size : int;
   describe : int -> string;
   prepare : int -> version list;
@@ -23,8 +22,6 @@ val describe_version : string -> string
 val sink_int : int ref
 
 val sink_float : float ref
-val use_int : int -> unit
-val use_float : float -> unit
 
 (** Figure 13's benchmarks: bestcut, bfs, bignum-add, primes, tokens. *)
 val bid_benches : bench list

@@ -120,7 +120,6 @@ let describe () =
 
 let faults = Atomic.make 0
 
-let faults_injected () = Atomic.get faults
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain splitmix64 streams *)

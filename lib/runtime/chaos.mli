@@ -71,6 +71,3 @@ val starve_steal : unit -> bool
     sleep [s] seconds before starting.  [`None] when chaos is off or
     the [jobs] kind is not active. *)
 val point_job : unit -> [ `None | `Cancel of int | `Delay of float ]
-
-(** Total faults injected since start (all kinds, all domains). *)
-val faults_injected : unit -> int

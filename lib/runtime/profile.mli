@@ -35,13 +35,9 @@ type region
     [None]-like when profiling is off or no op is open, making the hook
     free to thread through uninstrumented paths. *)
 
-val region_begin : unit -> region
-
-val region_end : region -> unit
-
 val with_region : (region -> 'a) -> 'a
-(** [with_region f] brackets [f] with {!region_begin}/{!region_end}
-    (also on exception) and hands it the region for its leaves. *)
+(** [with_region f] opens a region, runs [f] with it (its leaves go
+    there), and closes it, also on exception. *)
 
 val leaf : region -> (unit -> 'a) -> 'a
 (** [leaf r f] times [f] as one sequential leaf of [r]'s op: the

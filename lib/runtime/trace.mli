@@ -78,18 +78,12 @@ val validate_string : string -> (int, string) result
     the granularity cram test. *)
 val count_events_file : string -> name:string -> (int, string) result
 
-(** Like {!count_events_file}, on an in-memory string. *)
-val count_events_string : string -> name:string -> (int, string) result
-
 (** [dropped_of_file path] reads the total number of events lost to ring
     wrap-around from the trace's top-level ["bdsDroppedEvents"] key
     (per-domain counts are also flushed as ["bds_dropped_events"]
     metadata events).  Traces written before that key existed read as 0.
     Backs the drop warning of [bds_probe trace-check]. *)
 val dropped_of_file : string -> (int, string) result
-
-(** Like {!dropped_of_file}, on an in-memory string. *)
-val dropped_of_string : string -> (int, string) result
 
 (** [flows_of_file path] inspects the flow events of a trace and returns
     [(flows, disconnected)]: the number of distinct flow ids, and the
@@ -98,9 +92,6 @@ val dropped_of_string : string -> (int, string) result
     ([`End]) events both survived the ring.  Backs the job-flow check of
     [bds_probe trace-check] and the service trace round-trip test. *)
 val flows_of_file : string -> (int * int list, string) result
-
-(** Like {!flows_of_file}, on an in-memory string. *)
-val flows_of_string : string -> (int * int list, string) result
 
 (** Test backdoors — not part of the public contract. *)
 module For_testing : sig

@@ -48,6 +48,8 @@ let flight_dump t =
     with Sys_error msg ->
       Log.err (fun m -> m "flight dump to %s failed: %s" path msg))
 
+(* Refresh the service gauges and render the full OpenMetrics exposition:
+   the METRICS response body. *)
 let metrics_exposition t =
   Service.collect_metrics t.service;
   Metrics.render ()
@@ -108,6 +110,9 @@ let stop t =
 
 let request_flight_dump t = Atomic.set t.dump_requested true
 
+(* The STATS payload: one-line JSON with schema_version (2), monotonic
+   uptime_ns, the Service.summary fields and the jobs_* telemetry
+   counters. *)
 let stats_json t =
   let s = Service.summary t.service in
   let jobs =

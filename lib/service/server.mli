@@ -45,12 +45,3 @@ val request_flight_dump : t -> unit
 (** Ask the sampler to snapshot ("sigquit") and dump the flight ring at
     its next 50ms slice.  Async-signal-safe (one atomic store) — this is
     the SIGQUIT handler's body in [bds_serve]. *)
-
-val stats_json : t -> string
-(** The [STATS] payload: one-line JSON with [schema_version] (2),
-    monotonic [uptime_ns], the {!Service.summary} fields and the
-    [jobs_*] telemetry counters. *)
-
-val metrics_exposition : t -> string
-(** Refresh the service gauges ({!Service.collect_metrics}) and render
-    the full OpenMetrics exposition — the [METRICS] response body. *)
