@@ -80,6 +80,28 @@ let test_registry () =
     H.Registry.all;
   Alcotest.(check bool) "unknown" true (H.Registry.find "no-such-bench" = None)
 
+(* Every version of a bench computes the same result: the registry
+   wires each name to its own library's kernel, so the figures compare
+   the same work.  Each run is read from freshly zeroed sinks; float
+   results may differ by the reassociation of a parallel reduction. *)
+let test_versions_agree (b : H.Registry.bench) () =
+  let result (v : H.Registry.version) =
+    H.Registry.sink_int := 0;
+    H.Registry.sink_float := 0.0;
+    v.run ();
+    (v.vname, !H.Registry.sink_int, !H.Registry.sink_float)
+  in
+  match List.map result (b.prepare (min 2000 b.default_size)) with
+  | [] -> Alcotest.fail (b.name ^ ": no versions")
+  | (v0, i0, f0) :: rest ->
+    List.iter
+      (fun (v, i, f) ->
+        Alcotest.(check int) (Printf.sprintf "%s int result = %s's" v v0) i0 i;
+        Alcotest.(check (float (1e-9 *. Float.abs f0)))
+          (Printf.sprintf "%s float result = %s's" v v0)
+          f0 f)
+      rest
+
 let test_measure () =
   let a =
     H.Measure.alloc_single_domain (fun () ->
@@ -200,6 +222,11 @@ let () =
           Alcotest.test_case "degenerate" `Quick test_svg_degenerate;
         ] );
       ("registry", [ Alcotest.test_case "all benches" `Quick test_registry ]);
+      ( "versions agree",
+        List.map
+          (fun (b : H.Registry.bench) ->
+            Alcotest.test_case b.name `Quick (test_versions_agree b))
+          H.Registry.all );
       ( "measure",
         [
           Alcotest.test_case "alloc and printing" `Quick test_measure;
