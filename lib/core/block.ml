@@ -2,8 +2,8 @@
 
    The policy itself lives in the unified granularity layer
    (Bds_runtime.Grain): one Atomic policy cell shared by every block-based
-   layer (Parray, Rad, Seq), with BDS_BLOCK_SIZE / BDS_BLOCKS_PER_WORKER
-   environment overrides.  This module keeps the Fixed/Scaled constructors
+   layer (Parray, Rad, Seq), with the BDS_BLOCK_SIZE environment
+   override.  This module keeps the Fixed/Scaled constructors
    as the public ablation API (Figure 16-style sweeps) and supplies the
    worker count. *)
 

@@ -8,9 +8,9 @@
 
     This module is a thin facade over {!Bds_runtime.Grain}, the single
     granularity layer: the policy state (an [Atomic]), the
-    [BDS_BLOCK_SIZE] / [BDS_BLOCKS_PER_WORKER] environment overrides, and
-    the grid arithmetic all live there and are shared with [Parray],
-    [Rad], and the [Runtime] loop grain. *)
+    [BDS_BLOCK_SIZE] environment override, and the grid arithmetic all
+    live there and are shared with [Parray], [Rad], and the [Runtime]
+    loop grain. *)
 
 type policy = Bds_runtime.Grain.policy =
   | Fixed of int

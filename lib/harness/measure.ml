@@ -126,11 +126,12 @@ let pp_bytes b =
    idle gap: from its [Gc.minor_words] read at the end of one task to
    the read at the start of the next, submitted [gap] seconds after the
    first resolved.  [Gc.minor_words] is domain-local, so the count is
-   the worker's alone.  The tasks go through [async_external] and are
-   waited on with [peek]: [await] from outside the pool would run the
-   task on the caller.  The difference includes a fixed per-task cost
-   (the promise, the effect handler, the overflow pop).  Each length is
-   the median of five gaps. *)
+   the worker's alone.  The tasks go through [Pool.async] from outside
+   any [run], hence the overflow queue, and are waited on with [peek]:
+   [await] from outside the pool would run the task on the caller.  The
+   difference includes a fixed per-task cost (the promise, the effect
+   handler, the overflow pop).  Each length is the median of five
+   gaps. *)
 let idle_worker_words gaps =
   let repeat = 5 in
   let module Pool = Bds_runtime.Pool in
@@ -143,7 +144,7 @@ let idle_worker_words gaps =
     | Some (Ok v) -> v
     | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
   in
-  let on_worker () = wait (Pool.async_external pool Gc.minor_words) in
+  let on_worker () = wait (Pool.async pool Gc.minor_words) in
   Fun.protect
     ~finally:(fun () -> Pool.teardown pool)
     (fun () ->

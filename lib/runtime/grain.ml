@@ -45,17 +45,7 @@ let ensure_env () =
       (fun () ->
         if not (Atomic.get env_done) then begin
           let g = Env.pos_int "BDS_GRAIN" in
-          let p =
-            match Env.pos_int "BDS_BLOCK_SIZE" with
-            | Some b -> Some (Fixed b)
-            | None -> (
-              match Env.pos_int "BDS_BLOCKS_PER_WORKER" with
-              | Some k ->
-                Some
-                  (Scaled
-                     { per_worker_blocks = k; min_size = 1; max_size = max_int })
-              | None -> None)
-          in
+          let p = Option.map (fun b -> Fixed b) (Env.pos_int "BDS_BLOCK_SIZE") in
           Atomic.set env_grain g;
           Atomic.set env_policy p;
           (match g with Some _ -> Atomic.set leaf_override g | None -> ());

@@ -18,10 +18,7 @@
     - [BDS_GRAIN=<int>=1..] — fixed leaf grain for parallel loops
       (overrides the [chunks_per_worker] heuristic);
     - [BDS_BLOCK_SIZE=<int>=1..] — fixed block size: initial policy
-      becomes [Fixed];
-    - [BDS_BLOCKS_PER_WORKER=<int>=1..] — initial policy becomes [Scaled]
-      with that many blocks per worker (ignored when [BDS_BLOCK_SIZE] is
-      also set, which takes precedence).
+      becomes [Fixed].
 
     An unset, empty or whitespace-only variable means "use the
     default" (the rule of {!Env}).  Programmatic setters ({!set_policy},
@@ -50,8 +47,8 @@ val set_policy : policy -> unit
 
 val get_policy : unit -> policy
 
-(** Restore {!default_policy} (and the [BDS_BLOCK_SIZE] /
-    [BDS_BLOCKS_PER_WORKER] override, if one is set). *)
+(** Restore {!default_policy} (or the [BDS_BLOCK_SIZE] override, if one
+    is set). *)
 val reset_policy : unit -> unit
 
 (** {2 Block grids} *)

@@ -5,16 +5,19 @@
    - one Chase-Lev deque per worker; the domain that calls [run] occupies
      worker slot 0, and [num_additional_domains] spawned domains occupy
      slots 1..n;
-   - [async] pushes a task on the current worker's deque (or a mutex-
-     protected overflow queue when called from outside the pool);
+   - [async] pushes a task on the deque of the slot the calling thread
+     operates, and every other caller's task on a mutex-protected
+     overflow queue: only a slot's own thread touches its deque's owner
+     end;
    - idle workers steal from victims in round-robin order, then block on a
      condition variable after a time-bounded spin;
    - [fork_join] is work-first: it pushes the right branch's task, runs
-     the left branch, then pops the deque of the worker the fiber is on
-     now.  If that pop returns the task it pushed, nobody stole it, and
-     the right branch runs inline in the same fiber.  Otherwise (stolen,
-     the fiber migrated, or an orphaned task sits on top, which is put
-     back) the join falls to [await];
+     the left branch, then pops the deque of the slot the thread running
+     the fiber now operates.  If that pop returns the task it pushed,
+     nobody stole it, and the right branch runs inline in the same
+     fiber.  Otherwise (stolen, the fiber migrated, an orphaned task sits
+     on top, which is put back, or the thread operates no slot) the join
+     falls to [await];
    - [await] suspends the current fiber with an effect when the promise is
      unresolved; the continuation is re-scheduled by whoever fulfills the
      promise.
@@ -72,7 +75,6 @@ type t = {
   spin_us : int;
   (* Each worker's last idle period in µs, written by that worker only. *)
   idle_us : int array;
-  steals : int Atomic.t; (* statistics: successful steals *)
   executed : int Atomic.t; (* statistics: tasks executed *)
 }
 
@@ -173,11 +175,7 @@ let pop_overflow pool =
 let steal_from pool victim =
   if (not (Atomic.get pool.shutdown)) && Chaos.starve_steal () then None
   else
-    match Ws_deque.steal pool.deques.(victim) with
-    | Some _ as r ->
-      Atomic.incr pool.steals;
-      r
-    | None -> None
+    Ws_deque.steal pool.deques.(victim)
 
 (* Try [count] victims in round-robin order from [victim]. *)
 let rec steal_scan pool victim count =
@@ -210,12 +208,20 @@ let push_overflow pool task =
   Atomic.incr pool.overflow_size;
   Mutex.unlock pool.overflow_mutex
 
+(* The calling thread's context, if that thread operates a slot of
+   [pool]: the one rule for who may touch a deque's owner end, suspend
+   in [await] and run inline in [run].  A sibling sys-thread of a member
+   domain reads the member's context from DLS, but is not its thread. *)
+let owned pool =
+  match current_context () with
+  | Some c as r when c.ctx_pool == pool && c.ctx_thread = self_id () -> r
+  | _ -> None
+
 let push_task pool task =
   Telemetry.incr_tasks_spawned ();
-  (match current_context () with
-  | Some { ctx_pool; ctx_id; _ } when ctx_pool == pool ->
-    Ws_deque.push pool.deques.(ctx_id) task
-  | _ -> push_overflow pool task);
+  (match owned pool with
+  | Some c -> Ws_deque.push pool.deques.(c.ctx_id) task
+  | None -> push_overflow pool task);
   wake_idlers pool
 
 (* Run one task under the suspend handler.  The handler closes over the
@@ -455,7 +461,6 @@ let create ?(num_additional_domains = 0) () =
       spin_us =
         (if n > Domain.recommended_domain_count () then 0 else spin_budget_us);
       idle_us = Array.make n 0;
-      steals = Atomic.make 0;
       executed = Atomic.make 0;
     }
   in
@@ -514,21 +519,12 @@ let teardown pool =
        joined, so every ring buffer is quiescent. *)
     Trace.flush ();
     Log.debug (fun m ->
-        m "pool torn down: %d tasks executed, %d steals"
-          (Atomic.get pool.executed) (Atomic.get pool.steals))
+        m "pool torn down: %d tasks executed" (Atomic.get pool.executed))
   end
 
 let in_context pool =
   match current_context () with
   | Some { ctx_pool; _ } -> ctx_pool == pool
-  | None -> false
-
-(* The calling thread operates a worker slot of [pool]: it is inside the
-   pool's suspend handler, where [await] may suspend. *)
-let owns pool =
-  match current_context () with
-  | Some { ctx_pool; ctx_thread; _ } ->
-    ctx_pool == pool && ctx_thread = self_id ()
   | None -> false
 
 let promise_task f p () =
@@ -547,19 +543,7 @@ let async pool f =
   push_task pool (promise_task f p);
   p
 
-(* Submission path for sys-threads that may share a domain with a pool
-   member: the worker-context DLS is domain-local, so such a thread can
-   observe the member's context and [push_task] would then touch the
-   member's deque owner-side — a single-owner violation.  Routing
-   unconditionally through the mutex-protected overflow queue is always
-   safe, whatever thread calls it. *)
-let async_external pool f =
-  check_alive pool;
-  let p = promise () in
-  Telemetry.incr_tasks_spawned ();
-  push_overflow pool (promise_task f p);
-  wake_idlers pool;
-  p
+let async_external = async
 
 (* [await] beside another thread's [run] yields the domain lock this
    many times, then sleeps this long per round. *)
@@ -569,7 +553,7 @@ let beside_run_delay_s = 0.001
 let await pool p =
   (match Atomic.get p with
   | Pending _ ->
-    if owns pool then
+    if Option.is_some (owned pool) then
       Effect.perform (Suspend (fun resume -> add_waiter p resume))
     else
       (* Called from outside the pool (no handler installed): help by
@@ -577,15 +561,15 @@ let await pool p =
          guaranteed even on a pool with no spawned workers and no active
          [run].  While another thread of this domain operates a worker
          slot (it is inside [run]), only wait, yielding the domain lock
-         to it: a task run here could push to that slot's deque from a
-         second thread.  That thread executes the pool's tasks, and
-         helping resumes once it leaves [run].  A run that keeps the
-         domain without wanting the lock (blocked in a sleep or a
-         syscall) makes [Thread.yield] return at once, so the wait
-         backs off to short sleeps instead of spinning a core.  Fail
-         fast instead of spinning forever when the pool can no longer
-         resolve the promise: poisoned, or fully terminated with no work left to
-         run.  Each fail-fast raise re-checks the promise one final time
+         to it: a task run here would swap the domain's ambient token
+         and profiler context (DLS) under that thread.  That thread
+         executes the pool's tasks, and helping resumes once it leaves
+         [run].  A run that keeps the domain without wanting the lock
+         (blocked in a sleep or a syscall) makes [Thread.yield] return
+         at once, so the wait backs off to short sleeps instead of
+         spinning a core.  Fail fast instead of spinning forever when
+         the pool can no longer resolve the promise: poisoned, or fully
+         terminated with no work left to run.  Each fail-fast raise re-checks the promise one final time
          first: teardown's drain (or a concurrent worker) may have
          resolved it after we observed it pending, and the documented
          guarantee is that a resolved promise's result is always
@@ -620,10 +604,11 @@ let await pool p =
   promise_result p
 
 (* Work-first fork-join (docs/RUNTIME.md "Inline join").  The join pops
-   the deque of the worker the fiber is on *now*: [left] may have
-   suspended and resumed elsewhere.  Only our own task back (physical
-   equality) proves nobody stole it; any other task (an orphan of [left],
-   or another fiber's) is put back where it was, and the join awaits. *)
+   the deque of the slot that the thread running the fiber operates
+   *now*: [left] may have suspended and resumed elsewhere.  Only our own
+   task back (physical equality) proves nobody stole it; any other task
+   (an orphan of [left], or another fiber's) is put back where it was,
+   and the join awaits, as it does on a thread that operates no slot. *)
 let fork_join pool left right =
   check_alive pool;
   let p = promise () in
@@ -631,16 +616,16 @@ let fork_join pool left right =
   push_task pool task;
   let a = left () in
   let inline =
-    match current_context () with
-    | Some { ctx_pool; ctx_id; _ } when ctx_pool == pool -> (
-        let dq = pool.deques.(ctx_id) in
+    match owned pool with
+    | Some c -> (
+        let dq = pool.deques.(c.ctx_id) in
         match Ws_deque.pop dq with
         | Some t when t == task -> true
         | Some t ->
           Ws_deque.push dq t;
           false
         | None -> false)
-    | _ -> false
+    | None -> false
   in
   if inline then begin
     Chaos.point_task ();
@@ -650,7 +635,7 @@ let fork_join pool left right =
 
 let run pool f =
   check_alive pool;
-  if owns pool then
+  if Option.is_some (owned pool) then
     (* Already inside the pool: just run inline under the existing
        handler. *)
     f ()
@@ -688,7 +673,7 @@ let run pool f =
         promise_result p)
   end
 
-let stats pool = (Atomic.get pool.executed, Atomic.get pool.steals)
+let stats pool = Atomic.get pool.executed
 
 (* ------------------------------------------------------------------ *)
 (* Test backdoors                                                      *)

@@ -43,7 +43,10 @@ val size : t -> int
 val teardown : t -> unit
 
 (** [async pool f] schedules [f] and immediately returns its promise. May
-    be called from inside or outside pool tasks.
+    be called from any thread.  The task goes on the deque of the worker
+    slot that the calling thread operates (a spawned worker, or the
+    thread inside {!run}); from every other thread, including a second
+    sys-thread of a member domain, it goes on the pool's overflow queue.
     @raise Shutdown on a torn-down pool.
     @raise Worker_crashed on a poisoned pool. *)
 val async : t -> (unit -> 'a) -> 'a promise
@@ -62,19 +65,14 @@ val await : t -> 'a promise -> 'a
     runs inline in the caller's fiber (no suspension, no extra task);
     a stolen [right] is joined as by {!await}.  An exception from either
     branch propagates as itself; one from [left] leaves [right] queued.
-    Outside the pool's context this is {!async}, [left ()], {!await}.
+    [right] is queued as by {!async}, and only a thread that operates a
+    worker slot pops its deque at the join: on any other thread this is
+    {!async}, [left ()], {!await}.
     @raise Shutdown on a torn-down pool.
     @raise Worker_crashed on a poisoned pool. *)
 val fork_join : t -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 
-(** Like {!async}, but always routes the task through the external
-    overflow queue, never the calling worker's deque.  Required for
-    sys-threads that may {e share a domain} with a pool member (e.g. the
-    job service's callers on the main domain): the worker context
-    is domain-local, so such a thread could otherwise push to a deque it
-    does not own concurrently with the owner.
-    @raise Shutdown on a torn-down pool.
-    @raise Worker_crashed on a poisoned pool. *)
+(** Alias of {!async}, kept for the [benchmark/] drivers that call it. *)
 val async_external : t -> (unit -> 'a) -> 'a promise
 
 (** [peek p] is the promise's result if it has resolved ([Ok] /
@@ -101,8 +99,9 @@ val run : t -> (unit -> 'a) -> 'a
     [`Poisoned diag] after a worker-domain crash. *)
 val health : t -> [ `Ok | `Shutdown | `Poisoned of string ]
 
-(** [(executed, steals)] counters, for observability and tests. *)
-val stats : t -> int * int
+(** Tasks executed so far, for observability and tests (successful steals
+    are {!Telemetry}'s [steals]). *)
+val stats : t -> int
 
 (** Test backdoors — not part of the public contract. *)
 module For_testing : sig

@@ -1,8 +1,9 @@
 (* The multi-tenant job scheduler (see service.mli and docs/SERVICE.md).
 
    Threading model.  No runner threads: an attempt is dispatched by
-   whichever thread makes a slot useful, with [Pool.async_external]
-   (never the deque of a worker whose domain we might share).
+   whichever thread makes a slot useful, with [Pool.async] (a worker's
+   own deque from a thunk on that worker, the overflow queue from any
+   other thread).
 
    - [submit] queues the job and [pump]s: queued jobs start while fewer
      than [runners] hold a slot;
@@ -443,13 +444,13 @@ and launch t job number tok =
             Cancel.check tok;
             job.work ~attempt:number))
   in
-  match Pool.async_external pool body with
+  match Pool.async pool body with
   | exception (Pool.Shutdown | Pool.Worker_crashed _) ->
     settle t job att (`Pool_dead pool)
   | p ->
     if Pool.size pool <= 1 then begin
       (* No spawned worker domain (single-core host, BDS_NUM_DOMAINS=1)
-         pops the overflow queue, so a helper thread [Pool.await]s the
+         takes the attempt, so a helper thread [Pool.await]s the
          attempt: that executes it (or, while a [Pool.run] on this
          domain is in progress, waits for that run's thread to), and
          fails fast once the pool dies (the monitor then abandons the

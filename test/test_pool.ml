@@ -103,7 +103,9 @@ let test_run_inline_when_nested () =
 (* Worker context is domain-local, so a sys-thread that awaits while
    another thread of its domain sits inside [run] sees that thread's
    context but not its suspend handler.  It must wait (the run's thread
-   owns worker 0) and get the value, not raise [Effect.Unhandled]. *)
+   owns worker 0) and get the value, not raise [Effect.Unhandled].  Its
+   [async] goes on the overflow queue, and it runs the task itself once
+   [run] has returned. *)
 let test_await_beside_run () =
   let pool = Pool.create ~num_additional_domains:0 () in
   let inside_run = Atomic.make false and beside_run = Atomic.make false in
@@ -116,7 +118,7 @@ let test_await_beside_run () =
         Some
           (Thread.create
              (fun () ->
-               let p = Pool.async_external pool (fun () -> 42) in
+               let p = Pool.async pool (fun () -> 42) in
                Atomic.set beside_run (Atomic.get inside_run);
                Atomic.set awaiting true;
                got :=
@@ -136,6 +138,61 @@ let test_await_beside_run () =
   Alcotest.(check bool) "awaited while run was in progress" true (Atomic.get beside_run);
   Alcotest.(check (result int string)) "await beside run" (Ok 42) !got
 
+(* A sys-thread started inside [run] reads the runner's worker context
+   from DLS but operates no slot, so what it submits goes on the
+   overflow queue, not on worker 0's deque from the wrong thread.  The
+   thread signals once it has submitted; [run]'s body returns then, and
+   the thread's await helps (runs the task) once [run] has left. *)
+let beside_run submit =
+  let pool = Pool.create ~num_additional_domains:0 () in
+  let overflow_pushes () =
+    (Bds_runtime.Telemetry.snapshot ()).Bds_runtime.Telemetry.s_overflow_pushes
+  in
+  let o0 = overflow_pushes () in
+  let submitted = Atomic.make false in
+  let signal () = Atomic.set submitted true in
+  let result = ref None in
+  let thread =
+    Pool.run pool (fun () ->
+        let th =
+          Thread.create
+            (fun () ->
+              Fun.protect ~finally:signal (fun () ->
+                  result := Some (submit pool signal)))
+            ()
+        in
+        while not (Atomic.get submitted) do
+          Thread.yield ()
+        done;
+        th)
+  in
+  Thread.join thread;
+  let pushes = overflow_pushes () - o0 in
+  Pool.teardown pool;
+  (pushes, !result)
+
+let test_async_beside_run () =
+  let pushes, r =
+    beside_run (fun pool signal ->
+        let p = Pool.async pool (fun () -> 42) in
+        signal ();
+        Pool.await pool p)
+  in
+  Alcotest.(check int) "overflow pushes" 1 pushes;
+  Alcotest.(check (option int)) "result" (Some 42) r
+
+let test_fork_join_beside_run () =
+  let pushes, r =
+    beside_run (fun pool signal ->
+        Pool.fork_join pool
+          (fun () ->
+            signal ();
+            1)
+          (fun () -> 2))
+  in
+  Alcotest.(check int) "overflow pushes" 1 pushes;
+  Alcotest.(check (option (pair int int))) "result" (Some (1, 2)) r
+
 let test_stats_and_teardown () =
   (* Use a private pool so the global one keeps running. *)
   let pool = Pool.create ~num_additional_domains:2 () in
@@ -145,7 +202,7 @@ let test_stats_and_teardown () =
         Pool.await pool p * 2)
   in
   Alcotest.(check int) "private pool" 42 r;
-  let executed, _steals = Pool.stats pool in
+  let executed = Pool.stats pool in
   Alcotest.(check bool) "executed > 0" true (executed > 0);
   Pool.teardown pool;
   Pool.teardown pool (* idempotent *);
@@ -177,10 +234,10 @@ let test_inline_join_counts () =
   with_domains 1 (fun () ->
       let pool = Runtime.get_pool () in
       let counts f =
-        let ex0, _ = Pool.stats pool in
+        let ex0 = Pool.stats pool in
         let t0 = Bds_runtime.Telemetry.snapshot () in
         f ();
-        let ex1, _ = Pool.stats pool in
+        let ex1 = Pool.stats pool in
         let t1 = Bds_runtime.Telemetry.snapshot () in
         let d = Bds_runtime.Telemetry.diff ~before:t0 ~after:t1 in
         (ex1 - ex0, d.Bds_runtime.Telemetry.s_tasks_spawned)
@@ -690,7 +747,7 @@ let rec wait_peek p =
 let test_idle_pool_parks () =
   let pool = Pool.create ~num_additional_domains:1 () in
   let p0 = idle_parks () in
-  ignore (wait_peek (Pool.async_external pool (fun () -> ())));
+  ignore (wait_peek (Pool.async pool (fun () -> ())));
   Unix.sleepf 0.02;
   let deadline = Unix.gettimeofday () +. 1. in
   while idle_parks () <= p0 && Unix.gettimeofday () < deadline do
@@ -716,11 +773,11 @@ let parks_fast ~num_additional_domains () =
     Unix.sleepf 0.005;
     let p0 = idle_parks () in
     let t0 = Unix.gettimeofday () in
-    ignore (wait_peek (Pool.async_external pool (fun () -> ())));
+    ignore (wait_peek (Pool.async pool (fun () -> ())));
     (* Time for the 64 rounds after the first task. *)
     Unix.sleepf 5e-5;
     let t1 = Unix.gettimeofday () in
-    let parks = wait_peek (Pool.async_external pool idle_parks) - p0 in
+    let parks = wait_peek (Pool.async pool idle_parks) - p0 in
     if t1 -. t0 >= 0.001 then `Void
     else if parks >= workers then `Parked
     else `Spinning parks
@@ -797,6 +854,8 @@ let () =
           Alcotest.test_case "async outside run" `Quick test_async_from_outside;
           Alcotest.test_case "run inline nested" `Quick test_run_inline_when_nested;
           Alcotest.test_case "await beside run" `Quick test_await_beside_run;
+          Alcotest.test_case "async beside run" `Quick test_async_beside_run;
+          Alcotest.test_case "fork_join beside run" `Quick test_fork_join_beside_run;
           Alcotest.test_case "stats and teardown" `Quick test_stats_and_teardown;
           Alcotest.test_case "async after teardown" `Quick test_async_after_teardown;
           Alcotest.test_case "teardown drains queued" `Quick test_teardown_drains_queued;
