@@ -112,13 +112,10 @@ bench-quick:
 bench-compare:
 	scripts/bench_compare
 
+# Run every example: examples/dune's run-examples alias is the one list
+# (--force reruns them even when nothing changed).
 examples:
-	dune exec examples/quickstart.exe
-	dune exec examples/bestcut_example.exe
-	dune exec examples/bfs_example.exe
-	dune exec examples/text_pipeline.exe
-	dune exec examples/primes_example.exe
-	dune exec examples/inverted_index_example.exe
+	dune build --force @run-examples
 
 clean:
 	dune clean

@@ -3,18 +3,16 @@
     The polymorphic ['a Seq.t] pipeline boxes every float it touches —
     polymorphic array reads, boxed closure arguments, an allocation per
     pushed element.  A {!t} keeps float data in [floatarray] blocks and
-    drives every eager operation through [Runtime.apply_blocks] with a
-    monomorphic inner loop: unboxed reads, local [float ref]
-    accumulators (4-way split in sum/dot so the adds form independent
-    FMA-friendly chains), unboxed [floatarray] stores for per-block
-    partials, and a cancellation poll every 64 elements — the same
-    cadence as the stream push path.
+    runs its two reductions, {!sum} and {!dot}, through
+    [Runtime.reduce_blocks] with a monomorphic inner loop per block:
+    unboxed reads, local [float ref] accumulators (4-way split on a
+    [Mat], 2-way on an [Fn], so the adds form independent FMA-friendly
+    chains), and a cancellation poll every 64 elements — the same
+    cadence as the stream push path.  Each block's partial is boxed once
+    and the partials are combined left to right.
 
-    Delayed values ([tabulate], [map], [map2]) are pure index functions
-    that compose at construction time, exactly like the PR-4 stream
-    fusion; eager consumers ([sum], [dot], [reduce], [scan],
-    [to_floatarray]) get the block grid, grain policy, per-block trace
-    spans, and work/span attribution from the shared runtime.
+    [tabulate] is a pure index function, delayed until a consumer reads
+    it; {!force} materialises one over the same block grid.
 
     Every per-block loop bumps the [float_fast_path] telemetry counter;
     chains that fall back to the generic boxed fold (see
@@ -24,85 +22,30 @@
 
 type t =
   | Fn of { len : int; get : int -> float }
-      (** Delayed: a pure index function (composes with {!map}). *)
+      (** Delayed: a pure index function. *)
   | Mat of floatarray  (** Materialised: contiguous unboxed storage. *)
 
 val length : t -> int
 
-(** Bounds-checked element read ([Fn] applies the index function). *)
-val get : t -> int -> float
-
-val empty : t
-
 (** Delayed; raises [Invalid_argument] on negative length. *)
 val tabulate : int -> (int -> float) -> t
-
-(** Zero-cost view of a [floatarray] (not copied — treat as shared). *)
-val of_floatarray : floatarray -> t
 
 (** In flat-float-array mode (the default runtime) this is a zero-copy
     cast — the result aliases [a]; otherwise it copies. *)
 val of_array : float array -> t
 
-(** Delayed composition: no intermediate is materialised. *)
-val map : (float -> float) -> t -> t
-
-(** Delayed elementwise combination; raises on length mismatch. *)
-val map2 : (float -> float -> float) -> t -> t -> t
-
-(** Parallel unboxed sum.  Association order is: 4-way-split
-    accumulators within a block, blocks combined left-to-right — so
-    results differ from a sequential left fold by the usual
-    summation-order rounding (compare with a tolerance). *)
+(** Parallel unboxed sum.  Association order is: split accumulators
+    within a block, blocks combined left-to-right — so results differ
+    from a sequential left fold by the usual summation-order rounding
+    (compare with a tolerance). *)
 val sum : t -> float
 
 (** Parallel unboxed dot product; raises on length mismatch. *)
 val dot : t -> t -> float
 
-(** Generic parallel fold: [f] associative with left unit [z].  [f] is
-    an arbitrary closure, so its arguments box at the call boundary —
-    {!sum}/{!dot} are the fully unboxed reductions. *)
-val reduce : (float -> float -> float) -> float -> t -> float
-
-(** One-pass dual reduction over paired elements: returns
-    [(sum_i f1 x_i y_i, sum_i f2 x_i y_i)].  Both accumulators live in
-    the same per-block loop, so the inputs are read once where two
-    chained {!sum}/{!dot} calls would read them twice (the kernels'
-    second-moment passes).  [f1]/[f2] box at the call boundary like
-    {!reduce}'s [f]; association order is per-block partials combined
-    left-to-right.  Raises on length mismatch. *)
-val fold2 :
-  f1:(float -> float -> float) ->
-  f2:(float -> float -> float) ->
-  t ->
-  t ->
-  float * float
-
-(** Eager parallel filter: packs the survivors into fresh unboxed
-    storage (a [Mat]), preserving order.  The predicate runs exactly
-    once per element (count+pack per block, offsets scan, parallel
-    blit).  Unlike [Seq.filter] the result is materialised — the float
-    lane keeps no delayed region views. *)
-val filter : (float -> bool) -> t -> t
-
-(** Exclusive parallel prefix sums, returning (prefixes, total).
-    Specialised to [( +. )] so all three phases stay unboxed; the output
-    is materialised eagerly (a [Mat]) rather than delayed like
-    [Seq.scan]. *)
-val scan : t -> t * float
-
-(** Inclusive parallel prefix sums (element [i] includes input [i]). *)
-val scan_incl : t -> t
-
-(** Materialise.  For a [Mat] this returns the underlying storage
-    without copying — treat it as read-only. *)
-val to_floatarray : t -> floatarray
-
-(** {!to_floatarray} re-wrapped as a [Mat]. *)
+(** Materialise: a [Mat] is returned as is, an [Fn] is written into
+    fresh unboxed storage block by block. *)
 val force : t -> t
-
-(** Boxed-type bridge ([float array] view; zero-copy in flat mode). *)
-val to_array : t -> float array
 
 (** Zero-copy cast in flat-float-array mode, copy otherwise.  Exposed
     for the kernels and [Seq.float_sum]'s memoised-BID path. *)

@@ -82,6 +82,10 @@ let block_bounds b j =
 let apply_bid_blocks b body =
   Runtime.apply_blocks ~bounds:(block_bounds b) ~nb:(num_blocks_of b) body
 
+(* [b]'s own block grid, for [Runtime.reduce_blocks]. *)
+let bid_grid b =
+  { Bds_runtime.Grain.n = b.b_len; block_size = b.b_size; num_blocks = num_blocks_of b }
+
 let unopt = function Some v -> v | None -> assert false
 
 (* ------------------------------------------------------------------ *)
@@ -765,13 +769,11 @@ let equal eq s1 s2 =
 let int_sum s =
   Profile.with_op "int_sum" @@ fun () ->
   let b = bid_of_seq s in
-  let nb = num_blocks_of b in
-  if nb = 0 then 0
+  if b.b_len = 0 then 0
   else begin
     let blocks = drive b in
-    let partial = Array.make nb 0 in
-    apply_bid_blocks b (fun j -> partial.(j) <- Stream.sum_ints (blocks j));
-    Array.fold_left ( + ) 0 partial
+    Runtime.reduce_blocks (bid_grid b) ~combine:( + ) ~init:0 (fun j ->
+        Stream.sum_ints (blocks j))
   end
 
 let sum s = int_sum s
@@ -785,9 +787,9 @@ let sum s = int_sum s
    block drives [Stream.sum_floats] — monomorphic with an unboxed
    accumulator when the block stream carries a pure index function, the
    generic boxed fold otherwise (the only path that still boxes, and it
-   announces itself via the [float_boxed_fallback] counter) — with the
-   per-block partials in a [floatarray] and a sequential unboxed
-   combine across blocks. *)
+   announces itself via the [float_boxed_fallback] counter) — reduced
+   on the BID's own grid by [Runtime.reduce_blocks].  [Stream.sum_floats]
+   bumps the lane counters itself, so the body here bumps nothing. *)
 let float_sum s =
   Profile.with_op "float_sum" @@ fun () ->
   match s with
@@ -796,18 +798,11 @@ let float_sum s =
     match Atomic.get b.memo with
     | Some a -> Float_seq.sum (Float_seq.of_array a)
     | None ->
-      let nb = num_blocks_of b in
-      if nb = 0 then 0.0
+      if b.b_len = 0 then 0.0
       else begin
         let blocks = drive b in
-        let partial = Float.Array.create nb in
-        apply_bid_blocks b (fun j ->
-            Float.Array.unsafe_set partial j (Stream.sum_floats (blocks j)));
-        let acc = ref 0.0 in
-        for j = 0 to nb - 1 do
-          acc := !acc +. Float.Array.unsafe_get partial j
-        done;
-        !acc
+        Runtime.reduce_blocks (bid_grid b) ~combine:( +. ) ~init:0.0 (fun j ->
+            Stream.sum_floats (blocks j))
       end)
 
 (* A block reduce that keeps the left operand on ties, so the leftmost

@@ -19,9 +19,9 @@ module Array_version = Make (Bds_seqs.Impl_array)
 module Rad_version = Make (Bds_seqs.Impl_rad)
 module Delay_version = Make (Bds_seqs.Impl_delay)
 
-(* Unboxed variant (ISSUE 7): the same tabulate-into-reduce shape, but
-   as a dedicated monomorphic block loop over the [Grain] grid.  The
-   integrand is inlined (not called through [f]) so [sqrt] and [/.]
+(* Unboxed variant: the same tabulate-into-reduce shape, but as a
+   dedicated monomorphic block loop run through [Runtime.reduce_blocks].
+   The integrand is inlined (not called through [f]) so [sqrt] and [/.]
    compile to unboxed intrinsics — a call through a float-returning
    closure would box one float per sample, which on this compute-light
    kernel is the whole margin.  Same cadence as the Float_seq loops:
@@ -41,37 +41,33 @@ let integrate_unboxed ?(lo = 1.0) ?(hi = 1000.0) (n : int) : float =
   else
     Profile.with_op "float_sum" @@ fun () ->
     let g = Runtime.block_grid n in
-    let nb = g.Grain.num_blocks in
-    let partial = Float.Array.create nb in
-    Runtime.apply_blocks ~bounds:(Grain.bounds g) ~nb (fun j ->
-        Telemetry.incr_float_fast_path ();
-        let blo, bhi = Grain.bounds g j in
-        let s0 = ref 0.0 and s1 = ref 0.0 in
-        let i = ref blo in
-        while !i < bhi do
-          Cancel.poll ();
-          let stop = Int.min bhi (!i + 64) in
-          let k = ref !i in
-          while !k + 1 < stop do
-            (* f (lo + (k + 0.5) dx), inlined *)
-            let x0 = lo +. ((float_of_int !k +. 0.5) *. dx) in
-            let x1 = lo +. ((float_of_int (!k + 1) +. 0.5) *. dx) in
-            s0 := !s0 +. Float.sqrt (1.0 /. x0);
-            s1 := !s1 +. Float.sqrt (1.0 /. x1);
-            k := !k + 2
+    let sum =
+      Runtime.reduce_blocks g ~combine:( +. ) ~init:0.0 (fun j ->
+          Telemetry.incr_float_fast_path ();
+          let blo, bhi = Grain.bounds g j in
+          let s0 = ref 0.0 and s1 = ref 0.0 in
+          let i = ref blo in
+          while !i < bhi do
+            Cancel.poll ();
+            let stop = Int.min bhi (!i + 64) in
+            let k = ref !i in
+            while !k + 1 < stop do
+              (* f (lo + (k + 0.5) dx), inlined *)
+              let x0 = lo +. ((float_of_int !k +. 0.5) *. dx) in
+              let x1 = lo +. ((float_of_int (!k + 1) +. 0.5) *. dx) in
+              s0 := !s0 +. Float.sqrt (1.0 /. x0);
+              s1 := !s1 +. Float.sqrt (1.0 /. x1);
+              k := !k + 2
+            done;
+            if !k < stop then begin
+              let x = lo +. ((float_of_int !k +. 0.5) *. dx) in
+              s0 := !s0 +. Float.sqrt (1.0 /. x)
+            end;
+            i := stop
           done;
-          if !k < stop then begin
-            let x = lo +. ((float_of_int !k +. 0.5) *. dx) in
-            s0 := !s0 +. Float.sqrt (1.0 /. x)
-          end;
-          i := stop
-        done;
-        Float.Array.unsafe_set partial j (!s0 +. !s1));
-    let acc = ref 0.0 in
-    for j = 0 to nb - 1 do
-      acc := !acc +. Float.Array.unsafe_get partial j
-    done;
-    !acc *. dx
+          !s0 +. !s1)
+    in
+    sum *. dx
 
 let reference ?(lo = 1.0) ?(hi = 1000.0) n =
   let dx = (hi -. lo) /. float_of_int n in

@@ -14,9 +14,9 @@ module Array_version : sig val integrate : ?lo:float -> ?hi:float -> int -> floa
 module Rad_version : sig val integrate : ?lo:float -> ?hi:float -> int -> float end
 module Delay_version : sig val integrate : ?lo:float -> ?hi:float -> int -> float end
 
-(** Unboxed-lane variant: the sample function goes straight into
-    [Float_seq.sum]'s monomorphic loop (no per-element boxing, no
-    materialised intermediate).  Differs from the boxed pipelines by
+(** Unboxed-lane variant: the integrand is inlined into one
+    monomorphic loop per block (no per-element boxing, no materialised
+    intermediate), the blocks reduced by [Runtime.reduce_blocks].  Differs from the boxed pipelines by
     summation-order rounding only. *)
 val integrate_unboxed : ?lo:float -> ?hi:float -> int -> float
 

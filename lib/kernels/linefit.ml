@@ -30,64 +30,27 @@ module Rad_version = Make (Bds_seqs.Impl_rad)
 module Delay_version = Make (Bds_seqs.Impl_delay)
 
 (* ------------------------------------------------------------------ *)
-(* Unboxed variant (ISSUE 7): the boxed pipeline allocates a (float *
-   float) tuple per element per pass.  Here the coordinates are split
-   once into two [floatarray]s (one boxed tuple read per element, paid a
-   single time), the means come from [Float_seq.sum] (Mat fast path),
-   and the second moments run as one dedicated monomorphic block loop —
-   per element, two [floatarray] reads and the centred products, with
-   2x2 split accumulators (sxx and sxy each keep two independent add
-   chains).  Routing the centred coordinates through [Float_seq.dot] of
-   delayed [Fn]s instead would pay four float-returning closure calls
-   per element, which costs more than the tuples it saves. *)
+(* Unboxed variant: the boxed pipeline allocates a (float * float)
+   tuple per element per pass.  Here both passes are dedicated
+   monomorphic block loops over the tuple array itself, run through
+   [Runtime.reduce_blocks] with a pair partial per block: a tuple read
+   is a pointer load plus two unboxed field loads — no per-element
+   allocation — so folding in place beats splitting the coordinates
+   into two fresh 16n-byte [floatarray]s first (the split's allocations
+   and cold stores cost more than every tuple dereference it saves, and
+   the repeated large allocations thrash the major GC under
+   benchmarking). *)
 
-module Float_seq = Bds.Float_seq
 module Runtime = Bds_runtime.Runtime
 module Cancel = Bds_runtime.Cancel
 module Grain = Bds_runtime.Grain
 module Telemetry = Bds_runtime.Telemetry
 module Profile = Bds_runtime.Profile
 
-(* The second moments are one [Float_seq.fold2] over the coordinate
-   pair: (sum dx*dx, sum dx*dy) in a single read of both inputs, with
-   the Mat x Mat unsafe-read loop and per-block partial combine living
-   in the library instead of a bespoke kernel loop.  The two closure
-   calls per element cost a little over the old hand-unrolled loop;
-   [fit_unboxed] below keeps the dedicated tuple-array loop for the
-   perf-gated path. *)
-let fit_xy (xs : floatarray) (ys : floatarray) : float * float =
-  let n = Float.Array.length xs in
-  if Float.Array.length ys <> n then invalid_arg "Linefit.fit_xy";
-  if n = 0 then invalid_arg "Linefit.fit_xy: empty";
-  let fn = float_of_int n in
-  let sx = Float_seq.sum (Float_seq.of_floatarray xs) in
-  let sy = Float_seq.sum (Float_seq.of_floatarray ys) in
-  let mx = sx /. fn and my = sy /. fn in
-  let sxx, sxy =
-    Float_seq.fold2
-      ~f1:(fun x _ ->
-        let dx = x -. mx in
-        dx *. dx)
-      ~f2:(fun x y -> (x -. mx) *. (y -. my))
-      (Float_seq.of_floatarray xs) (Float_seq.of_floatarray ys)
-  in
-  let slope = sxy /. sxx in
-  (slope, my -. (slope *. mx))
-
-(* The tuple-array entry point works directly on [pts]: a tuple read is
-   a pointer load plus two unboxed field loads — no per-element
-   allocation — so folding in place beats splitting the coordinates into
-   two fresh 16n-byte [floatarray]s first (the split's allocations and
-   cold stores cost more than every tuple dereference it saves, and the
-   repeated large allocations thrash the major GC under benchmarking). *)
-
 let sums_pts (pts : (float * float) array) =
-  let n = Array.length pts in
   Profile.with_op "float_sum" @@ fun () ->
-  let g = Runtime.block_grid n in
-  let nb = g.Grain.num_blocks in
-  let px = Float.Array.create nb and py = Float.Array.create nb in
-  Runtime.apply_blocks ~bounds:(Grain.bounds g) ~nb (fun j ->
+  let g = Runtime.block_grid (Array.length pts) in
+  Runtime.reduce_blocks g ~combine:add2 ~init:(0.0, 0.0) (fun j ->
       Telemetry.incr_float_fast_path ();
       let lo, hi = Grain.bounds g j in
       let sx = ref 0.0 and sy = ref 0.0 in
@@ -102,22 +65,12 @@ let sums_pts (pts : (float * float) array) =
         done;
         i := stop
       done;
-      Float.Array.unsafe_set px j !sx;
-      Float.Array.unsafe_set py j !sy);
-  let sx = ref 0.0 and sy = ref 0.0 in
-  for j = 0 to nb - 1 do
-    sx := !sx +. Float.Array.unsafe_get px j;
-    sy := !sy +. Float.Array.unsafe_get py j
-  done;
-  (!sx, !sy)
+      (!sx, !sy))
 
 let second_moments_pts (pts : (float * float) array) ~mx ~my =
-  let n = Array.length pts in
   Profile.with_op "float_dot" @@ fun () ->
-  let g = Runtime.block_grid n in
-  let nb = g.Grain.num_blocks in
-  let pxx = Float.Array.create nb and pxy = Float.Array.create nb in
-  Runtime.apply_blocks ~bounds:(Grain.bounds g) ~nb (fun j ->
+  let g = Runtime.block_grid (Array.length pts) in
+  Runtime.reduce_blocks g ~combine:add2 ~init:(0.0, 0.0) (fun j ->
       Telemetry.incr_float_fast_path ();
       let lo, hi = Grain.bounds g j in
       let sxx = ref 0.0 and sxy = ref 0.0 in
@@ -133,14 +86,7 @@ let second_moments_pts (pts : (float * float) array) ~mx ~my =
         done;
         i := stop
       done;
-      Float.Array.unsafe_set pxx j !sxx;
-      Float.Array.unsafe_set pxy j !sxy);
-  let sxx = ref 0.0 and sxy = ref 0.0 in
-  for j = 0 to nb - 1 do
-    sxx := !sxx +. Float.Array.unsafe_get pxx j;
-    sxy := !sxy +. Float.Array.unsafe_get pxy j
-  done;
-  (!sxx, !sxy)
+      (!sxx, !sxy))
 
 let fit_unboxed (pts : (float * float) array) : float * float =
   let n = Array.length pts in

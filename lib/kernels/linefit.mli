@@ -19,11 +19,6 @@ module Delay_version : sig val fit : (float * float) array -> float * float end
     [Invalid_argument] on an empty input. *)
 val fit_unboxed : (float * float) array -> float * float
 
-(** The column variant, for callers that already hold the coordinates
-    as two [floatarray]s: means via {!Bds.Float_seq.sum}, second
-    moments as one fused monomorphic pass. *)
-val fit_xy : floatarray -> floatarray -> float * float
-
 val reference : (float * float) array -> float * float
 
 (** Points near y = 2.5x - 1 with small noise. *)

@@ -33,7 +33,7 @@ module Rad_version = Make (Bds_seqs.Impl_rad)
 module Delay_version = Make (Bds_seqs.Impl_delay)
 
 (* ------------------------------------------------------------------ *)
-(* Float mcss: the float lane's flagship reduction (ISSUE 7).
+(* Float mcss: the float lane's flagship reduction.
 
    The monoid is the same 4-tuple, over floats.  The boxed baseline runs
    it through the generic delayed pipeline — one [fsummary] record
@@ -41,8 +41,9 @@ module Delay_version = Make (Bds_seqs.Impl_delay)
    unboxed variant folds the monoid inside each block with four local
    [float ref] accumulators over a [floatarray] view (zero-copy in
    flat-float-array mode), allocating one [fsummary] per *block*; blocks
-   run through [Runtime.apply_blocks] (grain policy, cancellation at the
-   64-element cadence, per-block spans) and combine sequentially. *)
+   run through [Runtime.reduce_blocks] (grain policy, cancellation at
+   the 64-element cadence, per-block spans), whose partials combine
+   left to right with [combine_f]. *)
 
 module Runtime = Bds_runtime.Runtime
 module Cancel = Bds_runtime.Cancel
@@ -78,14 +79,10 @@ let mcss_floats_boxed (a : float array) : float =
   (Bds.Seq.reduce combine_f unit_fsummary s).fbest
 
 let mcss_floats (a : float array) : float =
-  let n = Array.length a in
-  if n = 0 then 0.0
-  else begin
-    let fa = Float_seq.floatarray_of_array a in
-    let g = Runtime.block_grid n in
-    let nb = g.Grain.num_blocks in
-    let partial = Array.make nb unit_fsummary in
-    Runtime.apply_blocks ~bounds:(Grain.bounds g) ~nb (fun j ->
+  let fa = Float_seq.floatarray_of_array a in
+  let g = Runtime.block_grid (Array.length a) in
+  let s =
+    Runtime.reduce_blocks g ~combine:combine_f ~init:unit_fsummary (fun j ->
         Telemetry.incr_float_fast_path ();
         let lo, hi = Grain.bounds g j in
         (* [combine_f acc (of_element_f x)] unrolled over four unboxed
@@ -111,14 +108,9 @@ let mcss_floats (a : float array) : float =
           done;
           i := stop
         done;
-        partial.(j) <-
-          { ftotal = !total; fprefix = !prefix; fsuffix = !suffix; fbest = !best });
-    let acc = ref unit_fsummary in
-    for j = 0 to nb - 1 do
-      acc := combine_f !acc partial.(j)
-    done;
-    !acc.fbest
-  end
+        { ftotal = !total; fprefix = !prefix; fsuffix = !suffix; fbest = !best })
+  in
+  s.fbest
 
 (* Kadane over floats (empty subsequence allowed), for checks. *)
 let reference_floats (a : float array) : float =

@@ -192,6 +192,17 @@ let apply_blocks ?bounds ~nb (body : int -> unit) =
       (fun _ j _ -> body j)
       0 nb
 
+(* The one block-reduction driver (the float lane's sums, dots and
+   kernel reductions, and [Seq]'s typed sums): one partial per block,
+   combined sequentially left to right — the default grid has about 8
+   blocks per worker, so the combine is short. *)
+let reduce_blocks (g : Grain.grid) ~combine ~init body =
+  let nb = g.num_blocks in
+  let partial = Array.make nb init in
+  apply_blocks ~bounds:(Grain.bounds g) ~nb (fun j ->
+      Array.unsafe_set partial j (body j));
+  Array.fold_left combine init partial
+
 (* [init] is combined exactly once, at the top: each leaf folds its
    non-empty range seeded from its first element, so this is correct for
    any associative [combine], with no identity requirement on [init]. *)

@@ -64,6 +64,17 @@ val apply : int -> (int -> unit) -> unit
     [hi] arguments (defaults to the block index range [(j, j+1)]). *)
 val apply_blocks : ?bounds:(int -> int * int) -> nb:int -> (int -> unit) -> unit
 
+(** [reduce_blocks g ~combine ~init body] runs [body j] once per block
+    [j] of [g] through {!apply_blocks}, keeps each result as that
+    block's partial, and folds the partials left to right from [init]:
+    [combine (... (combine init p0) ...) p(nb-1)].  The association
+    depends on the grid alone, not on which worker ran which block.
+    [Array.make nb init] holds the partials, so a float [init] gives a
+    flat float array.  Nothing is counted per block beyond what
+    [apply_blocks] counts; a body bumps its own telemetry. *)
+val reduce_blocks :
+  Grain.grid -> combine:('p -> 'p -> 'p) -> init:'p -> (int -> 'p) -> 'p
+
 (** Parallel for with a sequential accumulator per chunk and an associative
     [combine] across chunks. [init] is combined exactly once (on the left
     of the whole fold), so it need not be an identity of [combine]. *)

@@ -119,20 +119,6 @@ let sort ?grain cmp a =
   sort_in_place ?grain cmp out;
   out
 
-(* Merge two independently sorted arrays. *)
-let merge cmp a b =
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 then Array.copy b
-  else if lb = 0 then Array.copy a
-  else
-    Profile.with_op "sort" (fun () ->
-        let src = Array.append a b in
-        let dst = Array.make (la + lb) a.(0) in
-        Profile.with_region (fun prof ->
-            Runtime.run (fun () ->
-                par_merge cmp Grain.sort_cutoff prof src 0 la la (la + lb) dst 0));
-        dst)
-
 (* ------------------------------------------------------------------ *)
 (* Unboxed float sort (the float lane's sorting substrate).
 
@@ -289,20 +275,6 @@ let sort_floats ?grain a =
   let out = Array.copy a in
   sort_floats_in_place ?grain out;
   out
-
-(* The cache-blocked merge exposed on its own (mirrors {!merge}). *)
-let merge_floats (a : float array) (b : float array) =
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 then Array.copy b
-  else if lb = 0 then Array.copy a
-  else
-    Profile.with_op "sort_floats" (fun () ->
-        let src = Array.append a b in
-        let dst = Array.make (la + lb) 0.0 in
-        Profile.with_region (fun prof ->
-            Runtime.run (fun () ->
-                par_merge_floats Grain.sort_cutoff prof src 0 la la (la + lb) dst 0));
-        dst)
 
 let is_sorted cmp a =
   let n = Array.length a in

@@ -12,10 +12,6 @@ val sort : ?grain:int -> ('a -> 'a -> int) -> 'a array -> 'a array
 (** In-place variant (uses an internal scratch buffer of equal size). *)
 val sort_in_place : ?grain:int -> ('a -> 'a -> int) -> 'a array -> unit
 
-(** [merge cmp a b] merges two sorted arrays (stable: ties from [a]
-    first). *)
-val merge : ('a -> 'a -> int) -> 'a array -> 'a array -> 'a array
-
 val is_sorted : ('a -> 'a -> int) -> 'a array -> bool
 
 (** {1 Unboxed float sort}
@@ -38,9 +34,6 @@ val sort_floats : ?grain:int -> float array -> float array
 
 (** In-place variant (internal scratch buffer of equal size). *)
 val sort_floats_in_place : ?grain:int -> float array -> unit
-
-(** Cache-blocked merge of two sorted arrays (ties from the first). *)
-val merge_floats : float array -> float array -> float array
 
 (** [group_by cmp pairs] groups (key, value) pairs by key (keys in
     ascending [cmp] order; values of each group in input order —
