@@ -262,6 +262,101 @@ let test_apply_blocks_one_leaf_per_block () =
       Alcotest.(check int) "one leaf per block" nb c;
       Alcotest.(check (array int)) "each block once" (Array.make nb 1) hits)
 
+(* [reduce_blocks]: one leaf and one body call per block, like
+   [apply_blocks], whatever the leaf grain says. *)
+let test_reduce_blocks_one_leaf_per_block () =
+  with_policy (Grain.Fixed 100) (fun () ->
+      with_grain (Some 1000) (fun () ->
+          let g = Grain.grid ~workers:(Runtime.num_workers ()) 3_700 in
+          let nb = g.Grain.num_blocks in
+          let hits = Array.make nb 0 in
+          let sum = ref 0 in
+          let c =
+            chunks (fun () ->
+                sum :=
+                  Runtime.reduce_blocks g ~combine:( + ) ~init:0 (fun j ->
+                      hits.(j) <- hits.(j) + 1;
+                      j))
+          in
+          Alcotest.(check int) "37 blocks" 37 nb;
+          Alcotest.(check int) "one leaf per block" nb c;
+          Alcotest.(check (array int)) "each block once" (Array.make nb 1) hits;
+          Alcotest.(check int) "sum of block indices" (nb * (nb - 1) / 2) !sum))
+
+(* The partials fold left to right from [init], in block order, whoever
+   ran each block: a non-commutative [combine] sees the sequential
+   order, and [init] appears once, at the left. *)
+let test_reduce_blocks_left_to_right () =
+  List.iter
+    (fun (n, b) ->
+      with_policy (Grain.Fixed b) (fun () ->
+          let g = Grain.grid ~workers:(Runtime.num_workers ()) n in
+          let got =
+            Runtime.reduce_blocks g ~combine:( @ ) ~init:[ -1 ] (fun j ->
+                let lo, hi = Grain.bounds g j in
+                List.init (hi - lo) (fun k -> lo + k))
+          in
+          Alcotest.(check (list int))
+            (Printf.sprintf "n=%d B=%d" n b)
+            (-1 :: List.init n Fun.id)
+            got))
+    [ (1, 1); (100, 7); (1000, 1); (5_000, 64); (5_000, 10_000) ];
+  (* Float partials: the association is the grid's, so the result is the
+     sequential fold of the per-block sums, bit for bit. *)
+  with_policy (Grain.Fixed 1000) (fun () ->
+      let n = 25_013 in
+      let x i = 1.0 /. float_of_int (i + 3) in
+      let g = Grain.grid ~workers:(Runtime.num_workers ()) n in
+      let block j =
+        let lo, hi = Grain.bounds g j in
+        let s = ref 0.0 in
+        for i = lo to hi - 1 do
+          s := !s +. x i
+        done;
+        !s
+      in
+      let expect = ref 0.25 in
+      for j = 0 to g.Grain.num_blocks - 1 do
+        expect := !expect +. block j
+      done;
+      Alcotest.(check int64) "float bits"
+        (Int64.bits_of_float !expect)
+        (Int64.bits_of_float
+           (Runtime.reduce_blocks g ~combine:( +. ) ~init:0.25 block)))
+
+let test_reduce_blocks_empty_grid () =
+  let g = Grain.grid ~workers:(Runtime.num_workers ()) 0 in
+  let calls = ref 0 in
+  let c =
+    chunks (fun () ->
+        Alcotest.(check int) "init back" 42
+          (Runtime.reduce_blocks g ~combine:( + ) ~init:42 (fun _ ->
+               incr calls;
+               1)))
+  in
+  Alcotest.(check int) "no body call" 0 !calls;
+  Alcotest.(check int) "no leaf" 0 c
+
+let prop_reduce_blocks_sequential =
+  QCheck2.Test.make ~name:"reduce_blocks = sequential fold of block partials"
+    ~count:200
+    QCheck2.Gen.(pair (int_bound 20_000) (int_range 1 3000))
+    (fun (n, b) ->
+      with_policy (Grain.Fixed b) (fun () ->
+          let g = Grain.grid ~workers:(Runtime.num_workers ()) n in
+          (* Non-commutative and non-associative combine: only the exact
+             left-to-right order of the partials matches. *)
+          let combine acc p = (acc * 31) + p in
+          let block j =
+            let lo, hi = Grain.bounds g j in
+            (lo * 7) + hi
+          in
+          let expect = ref 5 in
+          for j = 0 to g.Grain.num_blocks - 1 do
+            expect := combine !expect (block j)
+          done;
+          Runtime.reduce_blocks g ~combine ~init:5 block = !expect))
+
 let test_reduce_across_grains () =
   let n = 200_003 in
   let body i = (3 * (i land 1023)) + 1 in
@@ -325,6 +420,13 @@ let () =
           Alcotest.test_case "default grain chunks" `Quick test_default_grain_chunks;
           Alcotest.test_case "apply_blocks one leaf per block" `Quick
             test_apply_blocks_one_leaf_per_block;
+          Alcotest.test_case "reduce_blocks one leaf per block" `Quick
+            test_reduce_blocks_one_leaf_per_block;
+          Alcotest.test_case "reduce_blocks left to right" `Quick
+            test_reduce_blocks_left_to_right;
+          Alcotest.test_case "reduce_blocks empty grid" `Quick
+            test_reduce_blocks_empty_grid;
+          QCheck_alcotest.to_alcotest ~long:false prop_reduce_blocks_sequential;
           Alcotest.test_case "reduce across grains" `Quick test_reduce_across_grains;
           Alcotest.test_case "pipeline across block sizes" `Quick
             test_pipeline_across_block_sizes;

@@ -698,9 +698,19 @@ let test_worker_crash_fails_fast_and_heals () =
       Thread.delay 0.01;
       (* Crash a worker domain: an exception escapes the scheduler and
          poisons the pool. *)
-      Pool.For_testing.inject_raw_task (Runtime.get_pool ()) (fun () ->
-          failwith "injected worker crash");
+      let pool = Runtime.get_pool () in
+      Pool.For_testing.inject_raw_task pool (fun () -> failwith "injected worker crash");
       check_all_resolve_exactly_once "worker crash" tickets;
+      (* The crash task waits in the overflow queue while the workers
+         chain attempts through their own deques, so it can land after
+         the last ticket: wait for it, or the echo below can be
+         dispatched to the pool it is about to poison. *)
+      let stop_at = Unix.gettimeofday () +. wait_bound_s in
+      while Pool.health pool = `Ok && Unix.gettimeofday () < stop_at do
+        Thread.delay 0.001
+      done;
+      Alcotest.(check bool) "injected crash poisoned the pool" true
+        (match Pool.health pool with `Poisoned _ -> true | _ -> false);
       (* In-flight jobs either completed before the poison landed or
          failed fast with a typed error — never hung, never lost. *)
       List.iter
