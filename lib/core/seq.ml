@@ -17,6 +17,7 @@ module Stream = Bds_stream.Stream
 module Buffer_ext = Bds_stream.Buffer_ext
 module Parray = Bds_parray.Parray
 module Runtime = Bds_runtime.Runtime
+module Grain = Bds_runtime.Grain
 module Cancel = Bds_runtime.Cancel
 module Profile = Bds_runtime.Profile
 module Telemetry = Bds_runtime.Telemetry
@@ -82,11 +83,8 @@ let block_bounds b j =
 let apply_bid_blocks b body =
   Runtime.apply_blocks ~bounds:(block_bounds b) ~nb:(num_blocks_of b) body
 
-(* [b]'s own block grid, for [Runtime.reduce_blocks]. *)
-let bid_grid b =
-  { Bds_runtime.Grain.n = b.b_len; block_size = b.b_size; num_blocks = num_blocks_of b }
-
-let unopt = function Some v -> v | None -> assert false
+(* [b]'s own block grid, for [Runtime.map_blocks]/[reduce_blocks]. *)
+let bid_grid b = { Grain.n = b.b_len; block_size = b.b_size; num_blocks = num_blocks_of b }
 
 (* ------------------------------------------------------------------ *)
 (* Shared-consumer memo plan
@@ -176,36 +174,6 @@ let replan b =
 
 let fresh_bid ~b_len ~b_size plan =
   { b_len; b_size; plan; memo = Atomic.make None; consumed = Atomic.make 0 }
-
-(* Per-block stream reductions as heavy block bodies.  The option array
-   avoids an allocation witness, so block 0 participates in the parallel
-   phase like every other block; each per-block sum is seeded from the
-   block's first pushed element ([Stream.reduce1]), so no witness is
-   needed inside a block either.  Callers fold/scan the option array
-   directly — no intermediate unwrapped copy. *)
-let block_sums_bid f b =
-  let blocks = drive b in
-  let sums = Array.make (num_blocks_of b) None in
-  apply_bid_blocks b (fun j -> sums.(j) <- Some (Stream.reduce1 f (blocks j)));
-  sums
-
-(* Sequential fold of an option array of per-block sums, [z] on the left. *)
-let fold_sums f z sums =
-  Array.fold_left (fun acc o -> f acc (unopt o)) z sums
-
-(* Sequential exclusive scan of an option array of per-block sums:
-   [offsets.(j)] combines [z] with sums 0..j-1 (so [offsets.(0) = z],
-   which also serves as the output array's witness), plus the grand
-   total.  The option-array counterpart of [Parray.scan_seq]. *)
-let scan_sums f z sums =
-  let nb = Array.length sums in
-  let offsets = Array.make nb z in
-  let acc = ref z in
-  for j = 0 to nb - 1 do
-    offsets.(j) <- !acc;
-    acc := f !acc (unopt sums.(j))
-  done;
-  (offsets, !acc)
 
 (* ------------------------------------------------------------------ *)
 (* Conversions (Figure 9)                                              *)
@@ -335,58 +303,54 @@ let reduce f z s =
       | Rad { r_len; get } ->
         if r_len = 0 then z
         else begin
-          let bsize = Block.size r_len in
-          let nb = Block.num_blocks ~block_size:bsize r_len in
-          let bounds j = (j * bsize, Int.min r_len ((j + 1) * bsize)) in
-          let sums = Array.make nb None in
-          Runtime.apply_blocks ~bounds ~nb (fun j ->
-              let lo, hi = bounds j in
+          let g = Runtime.block_grid r_len in
+          Runtime.reduce_blocks g ~combine:f ~init:z (fun j ->
+              let lo, hi = Grain.bounds g j in
               let acc = ref (get lo) in
               for i = lo + 1 to hi - 1 do
                 acc := f !acc (get i)
               done;
-              sums.(j) <- Some !acc);
-          fold_sums f z sums
+              !acc)
         end
       | Bid b ->
-        if b.b_len = 0 then z else fold_sums f z (block_sums_bid f b))
+        if b.b_len = 0 then z
+        else begin
+          let blocks = drive b in
+          Runtime.reduce_blocks (bid_grid b) ~combine:f ~init:z (fun j ->
+              Stream.reduce1 f (blocks j))
+        end)
 
-(* Three-phase scan (Figure 10 lines 33-40): phases 1 and 2 are eager,
-   phase 3 is delayed in the output BID.  Note the delayed phase 3
-   re-drives the input blocks; this is the "evaluated twice" cost that the
-   cost semantics (Figure 11) exposes — the re-drive goes through
-   [replan] (memo-aware, consumption-blind): it is part of the scan's
-   own already-priced cost, not a second consumer of the input. *)
+(* Three-phase scan (Figure 10 lines 33-40), shared by [scan] and
+   [scan_incl]: phase 1 folds each input block seeded from its first
+   element ([Stream.reduce1]), so [z] is combined exactly once, in phase
+   2's sequential prefix of the block sums; phase 3 ([rescan], the
+   stream's exclusive or inclusive scan from the block's offset) is
+   delayed in the output BID.  The delayed phase 3 re-drives the input
+   blocks; this is the "evaluated twice" cost that the cost semantics
+   (Figure 11) exposes — the re-drive goes through [replan]
+   (memo-aware, consumption-blind): it is part of the scan's own
+   already-priced cost, not a second consumer of the input. *)
+let scan_blocks rescan f z s =
+  let b = bid_of_seq s in
+  let blocks = drive b in
+  let sums =
+    Runtime.map_blocks (bid_grid b) ~init:z (fun j -> Stream.reduce1 f (blocks j))
+  in
+  let offsets, total = Parray.scan_seq f z sums in
+  let out =
+    fresh_bid ~b_len:b.b_len ~b_size:b.b_size (fun () ->
+        let p = replan b in
+        fun j -> rescan f offsets.(j) (p j))
+  in
+  (Bid out, total)
+
 let scan f z s =
   Profile.with_op "scan" (fun () ->
-      let n = length s in
-      if n = 0 then (empty, z)
-      else begin
-        let b = bid_of_seq s in
-        let sums = block_sums_bid f b in
-        let offsets, total = scan_sums f z sums in
-        let out =
-          Bid
-            (fresh_bid ~b_len:n ~b_size:b.b_size (fun () ->
-                 let p = replan b in
-                 fun j -> Stream.scan f offsets.(j) (p j)))
-        in
-        (out, total)
-      end)
+      if length s = 0 then (empty, z) else scan_blocks Stream.scan f z s)
 
 let scan_incl f z s =
   Profile.with_op "scan" (fun () ->
-      let n = length s in
-      if n = 0 then empty
-      else begin
-        let b = bid_of_seq s in
-        let sums = block_sums_bid f b in
-        let offsets, _ = scan_sums f z sums in
-        Bid
-          (fresh_bid ~b_len:n ~b_size:b.b_size (fun () ->
-               let p = replan b in
-               fun j -> Stream.scan_incl f offsets.(j) (p j)))
-      end)
+      if length s = 0 then empty else fst (scan_blocks Stream.scan_incl f z s))
 
 (* Largest j with offsets.(j) <= pos: locates the subsequence containing
    output position [pos] (getRegion's binary search, Figure 10 line 42).
@@ -465,20 +429,19 @@ let packed_bid (packed : 'a array array) =
    repeated emission, and the predicate is never re-run, so effectful
    predicates keep filter-once semantics. *)
 
-(* Phase 1 over the input's block grid: [mark j lo hi mask] sets the
+(* Phase 1 over the input's block grid [g]: [mark j lo hi mask] sets the
    survivor bits of block [j] (input positions [lo, hi)) in the fresh
    [mask] and returns its survivor count.  Then the output BID, whose
    region constructor [region masks] is built once per drive. *)
-let filter_blocks ~n ~bsize mark region =
-  let nb = Block.num_blocks ~block_size:bsize n in
-  let bounds j = (j * bsize, Int.min n ((j + 1) * bsize)) in
-  let masks = Array.make nb Bytes.empty in
-  let counts = Array.make nb 0 in
-  Runtime.apply_blocks ~bounds ~nb (fun j ->
-      let lo, hi = bounds j in
-      let mask = Stream.mask_create (hi - lo) in
-      counts.(j) <- mark j lo hi mask;
-      masks.(j) <- mask);
+let filter_blocks (g : Grain.grid) mark region =
+  let masks = Array.make g.num_blocks Bytes.empty in
+  let counts =
+    Runtime.map_blocks g ~init:0 (fun j ->
+        let lo, hi = Grain.bounds g j in
+        let mask = Stream.mask_create (hi - lo) in
+        masks.(j) <- mask;
+        mark j lo hi mask)
+  in
   let offsets, total = Parray.scan_seq ( + ) 0 counts in
   if total = 0 then empty
   else begin
@@ -505,8 +468,8 @@ let filter p s =
       else
         match index_fn s with
         | Some get ->
-          let bsize = match s with Bid b -> b.b_size | Rad _ -> Block.size n in
-          filter_blocks ~n ~bsize
+          let g = match s with Bid b -> bid_grid b | Rad _ -> Runtime.block_grid n in
+          filter_blocks g
             (fun _ lo hi mask ->
               (* The stream lane's cadence: one poll per 64 elements. *)
               let cnt = ref 0 in
@@ -523,11 +486,11 @@ let filter p s =
                 i := chunk_hi
               done;
               !cnt)
-            (fun masks -> Stream.masked_region ~masks ~block_size:bsize ~get)
+            (fun masks -> Stream.masked_region ~masks ~block_size:g.block_size ~get)
         | None ->
           let b = bid_of_seq s in
           let blocks = drive b in
-          filter_blocks ~n ~bsize:b.b_size
+          filter_blocks (bid_grid b)
             (fun j _ _ mask ->
               let cnt = ref 0 in
               Stream.iteri
@@ -562,10 +525,9 @@ let filter_op select s =
       else begin
         let b = bid_of_seq s in
         let blocks = drive b in
-        let packed = Array.make (num_blocks_of b) [||] in
-        apply_bid_blocks b (fun j ->
-            packed.(j) <- Stream.pack_op_to_array select (blocks j));
-        packed_bid packed
+        packed_bid
+          (Runtime.map_blocks (bid_grid b) ~init:[||] (fun j ->
+               Stream.pack_op_to_array select (blocks j)))
       end)
 
 (* Flatten (Figure 10 lines 44-47): block the *output* index space; each
@@ -604,9 +566,7 @@ let flatten (s : 'a t t) =
       else begin
         let ob = bid_of_seq s in
         let oblocks = drive ob in
-        let nb = num_blocks_of ob in
         let offsets = Array.make (n_out + 1) 0 in
-        let sums = Array.make nb 0 in
         (* The kept inners, installed by the first BID inner the pass
            meets; [empty] marks a slot not stored. *)
         let kept = Atomic.make None in
@@ -617,16 +577,18 @@ let flatten (s : 'a t t) =
            | _ -> ());
           match Atomic.get kept with Some k -> k.(i) <- rad_of_seq inner | None -> ()
         in
-        apply_bid_blocks ob (fun j ->
-            let sum = ref 0 in
-            Stream.iteri ~first:(j * ob.b_size)
-              (fun i inner ->
-                let l = length inner in
-                Array.unsafe_set offsets (i + 1) l;
-                sum := !sum + l;
-                keep i inner)
-              (oblocks j);
-            sums.(j) <- !sum);
+        let sums =
+          Runtime.map_blocks (bid_grid ob) ~init:0 (fun j ->
+              let sum = ref 0 in
+              Stream.iteri ~first:(j * ob.b_size)
+                (fun i inner ->
+                  let l = length inner in
+                  Array.unsafe_set offsets (i + 1) l;
+                  sum := !sum + l;
+                  keep i inner)
+                (oblocks j);
+              !sum)
+        in
         let check_length inner l =
           if length inner <> l then
             invalid_arg
@@ -653,18 +615,12 @@ let flatten (s : 'a t t) =
                        end)
                      (p j))
            end);
-        let total = ref 0 in
-        for j = 0 to nb - 1 do
-          let sum = sums.(j) in
-          sums.(j) <- !total;
-          total := !total + sum
-        done;
-        let total = !total in
+        let starts, total = Parray.scan_seq ( + ) 0 sums in
         if total = 0 then empty
         else begin
           apply_bid_blocks ob (fun j ->
               let lo, hi = block_bounds ob j in
-              let acc = ref sums.(j) in
+              let acc = ref starts.(j) in
               for i = lo + 1 to hi do
                 acc := !acc + Array.unsafe_get offsets i;
                 Array.unsafe_set offsets i !acc
@@ -813,10 +769,15 @@ let max_by cmp s =
   if length s = 0 then invalid_arg "Seq.max_by: empty";
   Profile.with_op "max_by" (fun () ->
       let pick x y = if cmp x y >= 0 then x else y in
-      let sums = block_sums_bid pick (bid_of_seq s) in
-      let acc = ref (unopt sums.(0)) in
+      let b = bid_of_seq s in
+      let blocks = drive b in
+      let sums =
+        Runtime.map_blocks (bid_grid b) ~init:None (fun j ->
+            Some (Stream.reduce1 pick (blocks j)))
+      in
+      let acc = ref (Option.get sums.(0)) in
       for j = 1 to Array.length sums - 1 do
-        acc := pick !acc (unopt sums.(j))
+        acc := pick !acc (Option.get sums.(j))
       done;
       !acc)
 

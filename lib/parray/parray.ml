@@ -11,8 +11,6 @@ module Grain = Bds_runtime.Grain
    Bds.Block) decides the grid for Parray, Rad and Seq alike. *)
 let grid n = Runtime.block_grid n
 
-let unopt = function Some v -> v | None -> assert false
-
 let length = Array.length
 
 let tabulate n f =
@@ -51,65 +49,52 @@ let scan_seq f z a =
   done;
   (out, !acc)
 
-(* Phase 1 of scan/reduce-style operations: per-block sums, seeded from
-   each block's first element (blocks are never empty), so the caller's
-   seed is combined exactly once in phase 2 and needs no identity
-   property.  Runs as one heavy block body per grid block — no witness
-   pre-evaluation, so block 0 participates in the parallel phase too. *)
-let block_sums f a (g : Grain.grid) =
-  let sums = Array.make g.Grain.num_blocks None in
+(* Three-phase block-based scan (Figure 2), shared by [scan] and
+   [scan_incl]: phase 1 sums each block seeded from its first element
+   (blocks are never empty), so [z] is combined exactly once, in phase 2,
+   and needs no identity property; phase 2 scans the block sums
+   sequentially (nb is small); phase 3 runs [rescan out acc lo hi] on
+   each block from its offset [acc].  Returns the output and the total. *)
+let scan_blocks f z a rescan =
+  let n = Array.length a in
+  let g = grid n in
+  let sums =
+    Runtime.map_blocks g ~init:z (fun b ->
+        let lo, hi = Grain.bounds g b in
+        let acc = ref (Array.unsafe_get a lo) in
+        for i = lo + 1 to hi - 1 do
+          acc := f !acc (Array.unsafe_get a i)
+        done;
+        !acc)
+  in
+  let offsets, total = scan_seq f z sums in
+  let out = Array.make n z in
   Runtime.apply_blocks ~bounds:(Grain.bounds g) ~nb:g.Grain.num_blocks
     (fun b ->
       let lo, hi = Grain.bounds g b in
-      let acc = ref (Array.unsafe_get a lo) in
-      for i = lo + 1 to hi - 1 do
-        acc := f !acc (Array.unsafe_get a i)
-      done;
-      sums.(b) <- Some !acc);
-  Array.map unopt sums
+      rescan out offsets.(b) lo hi);
+  (out, total)
 
-(* Three-phase block-based exclusive scan (Figure 2). *)
 let scan f z a =
-  let n = Array.length a in
-  if n = 0 then ([||], z)
-  else begin
-    let g = grid n in
-    (* Phase 1: per-block sums. *)
-    let sums = block_sums f a g in
-    (* Phase 2: scan the block sums (sequential; nb is small). *)
-    let offsets, total = scan_seq f z sums in
-    (* Phase 3: re-scan each block from its offset. *)
-    let out = Array.make n z in
-    Runtime.apply_blocks ~bounds:(Grain.bounds g) ~nb:g.Grain.num_blocks
-      (fun b ->
-        let lo, hi = Grain.bounds g b in
-        let acc = ref offsets.(b) in
+  if Array.length a = 0 then ([||], z)
+  else
+    scan_blocks f z a (fun out acc lo hi ->
+        let acc = ref acc in
         for i = lo to hi - 1 do
           Array.unsafe_set out i !acc;
           acc := f !acc (Array.unsafe_get a i)
-        done);
-    (out, total)
-  end
+        done)
 
-(* Inclusive variant (same structure). *)
 let scan_incl f z a =
-  let n = Array.length a in
-  if n = 0 then [||]
-  else begin
-    let g = grid n in
-    let sums = block_sums f a g in
-    let offsets, _ = scan_seq f z sums in
-    let out = Array.make n z in
-    Runtime.apply_blocks ~bounds:(Grain.bounds g) ~nb:g.Grain.num_blocks
-      (fun b ->
-        let lo, hi = Grain.bounds g b in
-        let acc = ref offsets.(b) in
-        for i = lo to hi - 1 do
-          acc := f !acc (Array.unsafe_get a i);
-          Array.unsafe_set out i !acc
-        done);
-    out
-  end
+  if Array.length a = 0 then [||]
+  else
+    fst
+      (scan_blocks f z a (fun out acc lo hi ->
+           let acc = ref acc in
+           for i = lo to hi - 1 do
+             acc := f !acc (Array.unsafe_get a i);
+             Array.unsafe_set out i !acc
+           done))
 
 (* Copy [packed.(b)] blocks into one contiguous array. *)
 let concat_packed (packed : 'a array array) =
@@ -128,47 +113,38 @@ let concat_packed (packed : 'a array array) =
     out
   end
 
-(* Block-wise pack shared by filter / filter_op. *)
-let pack_blocks (g : Grain.grid) (pack : int -> int -> 'b array) =
-  let packed = Array.make g.Grain.num_blocks [||] in
-  Runtime.apply_blocks ~bounds:(Grain.bounds g) ~nb:g.Grain.num_blocks
-    (fun b ->
-      let lo, hi = Grain.bounds g b in
-      packed.(b) <- pack lo hi);
-  packed
-
 (* Two-phase block-based filter (§2.2): pack within blocks, then flatten. *)
 let filter p a =
   let n = Array.length a in
   if n = 0 then [||]
   else begin
-    let packed =
-      pack_blocks (grid n) (fun lo hi ->
-          let buf = Bds_stream.Buffer_ext.create () in
-          for i = lo to hi - 1 do
-            let v = Array.unsafe_get a i in
-            if p v then Bds_stream.Buffer_ext.push buf v
-          done;
-          Bds_stream.Buffer_ext.to_array buf)
-    in
-    concat_packed packed
+    let g = grid n in
+    concat_packed
+      (Runtime.map_blocks g ~init:[||] (fun b ->
+           let lo, hi = Grain.bounds g b in
+           let buf = Bds_stream.Buffer_ext.create () in
+           for i = lo to hi - 1 do
+             let v = Array.unsafe_get a i in
+             if p v then Bds_stream.Buffer_ext.push buf v
+           done;
+           Bds_stream.Buffer_ext.to_array buf))
   end
 
 let filter_op p a =
   let n = Array.length a in
   if n = 0 then [||]
   else begin
-    let packed =
-      pack_blocks (grid n) (fun lo hi ->
-          let buf = Bds_stream.Buffer_ext.create () in
-          for i = lo to hi - 1 do
-            match p (Array.unsafe_get a i) with
-            | Some w -> Bds_stream.Buffer_ext.push buf w
-            | None -> ()
-          done;
-          Bds_stream.Buffer_ext.to_array buf)
-    in
-    concat_packed packed
+    let g = grid n in
+    concat_packed
+      (Runtime.map_blocks g ~init:[||] (fun b ->
+           let lo, hi = Grain.bounds g b in
+           let buf = Bds_stream.Buffer_ext.create () in
+           for i = lo to hi - 1 do
+             match p (Array.unsafe_get a i) with
+             | Some w -> Bds_stream.Buffer_ext.push buf w
+             | None -> ()
+           done;
+           Bds_stream.Buffer_ext.to_array buf))
   end
 
 (* Eager flatten: scan of lengths for offsets, then parallel copy. *)

@@ -6,7 +6,8 @@
     implementations of §2.2.  The block grid comes from the unified
     granularity layer ({!Bds_runtime.Grain}, surfaced as [Bds.Block]):
     this module has no block-size heuristic of its own, and each block
-    phase runs through [Runtime.apply_blocks]. *)
+    phase runs through [Runtime.apply_blocks], the per-block results
+    through [Runtime.map_blocks]. *)
 
 val length : 'a array -> int
 
@@ -33,7 +34,8 @@ val scan : ('a -> 'a -> 'a) -> 'a -> 'a array -> 'a array * 'a
 (** Inclusive scan: element [i] combines [z] with inputs [0..i]. *)
 val scan_incl : ('a -> 'a -> 'a) -> 'a -> 'a array -> 'a array
 
-(** Sequential exclusive scan (used on small per-block arrays). *)
+(** Sequential exclusive scan: the one prefix over per-block arrays
+    (scan offsets, packed-block offsets) in A, R and Ours. *)
 val scan_seq : ('a -> 'a -> 'a) -> 'a -> 'a array -> 'a array * 'a
 
 (** Two-phase block-based filter (§2.2). *)

@@ -14,24 +14,9 @@ type 'a t = { len : int; get : int -> 'a }
 
 (* Block grid from the unified granularity layer (shared with Parray and
    Seq); per-block phases run as heavy block bodies via
-   [Runtime.apply_blocks]. *)
+   [Runtime.apply_blocks], and [Runtime.map_blocks] collects their
+   per-block results. *)
 let grid n = Runtime.block_grid n
-
-let unopt = function Some v -> v | None -> assert false
-
-(* Per-block sums of [s.get] over the grid, seeded from each block's
-   first element (no identity requirement on the caller's seed). *)
-let block_sums f (s : 'a t) (g : Grain.grid) =
-  let sums = Array.make g.Grain.num_blocks None in
-  Runtime.apply_blocks ~bounds:(Grain.bounds g) ~nb:g.Grain.num_blocks
-    (fun b ->
-      let lo, hi = Grain.bounds g b in
-      let acc = ref (s.get lo) in
-      for i = lo + 1 to hi - 1 do
-        acc := f !acc (s.get i)
-      done;
-      sums.(b) <- Some !acc);
-  Array.map unopt sums
 
 let length s = s.len
 
@@ -89,61 +74,59 @@ let iter f s = Runtime.parallel_for 0 s.len (fun i -> f (s.get i))
 
 let iteri f s = Runtime.parallel_for 0 s.len (fun i -> f i (s.get i))
 
-(* scan fuses with its (delayed) input but materialises its output. *)
-let scan f z s =
-  let n = s.len in
-  if n = 0 then (empty, z)
-  else begin
-    let g = grid n in
-    let sums = block_sums f s g in
-    let offsets, total = Bds_parray.Parray.scan_seq f z sums in
-    let out = Array.make n z in
-    Runtime.apply_blocks ~bounds:(Grain.bounds g) ~nb:g.Grain.num_blocks
-      (fun b ->
+(* scan fuses with its (delayed) input but materialises its output: the
+   three phases of [Parray.scan], reading the input through [s.get].
+   Phase 1's block sums are seeded from each block's first element, so
+   [z] is combined exactly once; [rescan out acc lo hi] is phase 3. *)
+let scan_blocks f z s rescan =
+  let g = grid s.len in
+  let sums =
+    Runtime.map_blocks g ~init:z (fun b ->
         let lo, hi = Grain.bounds g b in
-        let acc = ref offsets.(b) in
-        for i = lo to hi - 1 do
-          Array.unsafe_set out i !acc;
+        let acc = ref (s.get lo) in
+        for i = lo + 1 to hi - 1 do
           acc := f !acc (s.get i)
-        done);
-    (of_array out, total)
-  end
-
-let scan_incl f z s =
-  let n = s.len in
-  if n = 0 then empty
-  else begin
-    let g = grid n in
-    let sums = block_sums f s g in
-    let offsets, _ = Bds_parray.Parray.scan_seq f z sums in
-    let out = Array.make n z in
-    Runtime.apply_blocks ~bounds:(Grain.bounds g) ~nb:g.Grain.num_blocks
-      (fun b ->
-        let lo, hi = Grain.bounds g b in
-        let acc = ref offsets.(b) in
-        for i = lo to hi - 1 do
-          acc := f !acc (s.get i);
-          Array.unsafe_set out i !acc
-        done);
-    of_array out
-  end
-
-(* Block-wise pack shared by filter / filter_op. *)
-let pack_grid (g : Grain.grid) (pack : int -> int -> 'b array) =
-  let packed = Array.make g.Grain.num_blocks [||] in
+        done;
+        !acc)
+  in
+  let offsets, total = Bds_parray.Parray.scan_seq f z sums in
+  let out = Array.make s.len z in
   Runtime.apply_blocks ~bounds:(Grain.bounds g) ~nb:g.Grain.num_blocks
     (fun b ->
       let lo, hi = Grain.bounds g b in
-      packed.(b) <- pack lo hi);
-  packed
+      rescan out offsets.(b) lo hi);
+  (of_array out, total)
+
+let scan f z s =
+  if s.len = 0 then (empty, z)
+  else
+    scan_blocks f z s (fun out acc lo hi ->
+        let acc = ref acc in
+        for i = lo to hi - 1 do
+          Array.unsafe_set out i !acc;
+          acc := f !acc (s.get i)
+        done)
+
+let scan_incl f z s =
+  if s.len = 0 then empty
+  else
+    fst
+      (scan_blocks f z s (fun out acc lo hi ->
+           let acc = ref acc in
+           for i = lo to hi - 1 do
+             acc := f !acc (s.get i);
+             Array.unsafe_set out i !acc
+           done))
 
 (* filter fuses with its input but packs into an eager array. *)
 let filter p s =
   let n = s.len in
   if n = 0 then empty
   else begin
+    let g = grid n in
     let packed =
-      pack_grid (grid n) (fun lo hi ->
+      Runtime.map_blocks g ~init:[||] (fun b ->
+          let lo, hi = Grain.bounds g b in
           let buf = Bds_stream.Buffer_ext.create () in
           for i = lo to hi - 1 do
             let v = s.get i in
@@ -158,8 +141,10 @@ let filter_op p s =
   let n = s.len in
   if n = 0 then empty
   else begin
+    let g = grid n in
     let packed =
-      pack_grid (grid n) (fun lo hi ->
+      Runtime.map_blocks g ~init:[||] (fun b ->
+          let lo, hi = Grain.bounds g b in
           let buf = Bds_stream.Buffer_ext.create () in
           for i = lo to hi - 1 do
             match p (s.get i) with

@@ -192,16 +192,23 @@ let apply_blocks ?bounds ~nb (body : int -> unit) =
       (fun _ j _ -> body j)
       0 nb
 
-(* The one block-reduction driver (the float lane's sums, dots and
-   kernel reductions, and [Seq]'s typed sums): one partial per block,
-   combined sequentially left to right — the default grid has about 8
-   blocks per worker, so the combine is short. *)
-let reduce_blocks (g : Grain.grid) ~combine ~init body =
+(* The one per-block results driver (block sums of every scan's phase 1,
+   filter packing, flatten's spine sums): [body j] once per block of
+   [g], its result kept in slot [j].  [init] only fills the slots before
+   the blocks run, so a float [init] gives a flat float array. *)
+let map_blocks (g : Grain.grid) ~init body =
   let nb = g.num_blocks in
-  let partial = Array.make nb init in
-  apply_blocks ~bounds:(Grain.bounds g) ~nb (fun j ->
-      Array.unsafe_set partial j (body j));
-  Array.fold_left combine init partial
+  let out = Array.make nb init in
+  apply_blocks ~bounds:(Grain.bounds g) ~nb (fun j -> Array.unsafe_set out j (body j));
+  out
+
+(* The one block-reduction driver (both branches of [Seq.reduce],
+   [Seq]'s typed sums, the float lane's sums, dots and kernel
+   reductions): one partial per block, combined sequentially left to
+   right — the default grid has about 8 blocks per worker, so the
+   combine is short. *)
+let reduce_blocks g ~combine ~init body =
+  Array.fold_left combine init (map_blocks g ~init body)
 
 (* [init] is combined exactly once, at the top: each leaf folds its
    non-empty range seeded from its first element, so this is correct for

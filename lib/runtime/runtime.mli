@@ -64,14 +64,22 @@ val apply : int -> (int -> unit) -> unit
     [hi] arguments (defaults to the block index range [(j, j+1)]). *)
 val apply_blocks : ?bounds:(int -> int * int) -> nb:int -> (int -> unit) -> unit
 
-(** [reduce_blocks g ~combine ~init body] runs [body j] once per block
-    [j] of [g] through {!apply_blocks}, keeps each result as that
-    block's partial, and folds the partials left to right from [init]:
-    [combine (... (combine init p0) ...) p(nb-1)].  The association
-    depends on the grid alone, not on which worker ran which block.
-    [Array.make nb init] holds the partials, so a float [init] gives a
-    flat float array.  Nothing is counted per block beyond what
+(** [map_blocks g ~init body] runs [body j] once per block [j] of [g]
+    through {!apply_blocks} (with [Grain.bounds g] as the span bounds)
+    and returns the results in block order: slot [j] holds [body j],
+    whichever worker ran it.  The array is [Array.make nb init], filled
+    in place, so [init] is never a result (it need not be an identity)
+    and a float [init] gives a flat float array.  An empty grid returns
+    [[||]] and runs no body.  Nothing is counted per block beyond what
     [apply_blocks] counts; a body bumps its own telemetry. *)
+val map_blocks : Grain.grid -> init:'a -> (int -> 'a) -> 'a array
+
+(** [reduce_blocks g ~combine ~init body] is
+    [Array.fold_left combine init (map_blocks g ~init body)]: one
+    partial per block, folded left to right from [init],
+    [combine (... (combine init p0) ...) p(nb-1)].  [init] is combined
+    exactly once, and the association depends on the grid alone, not on
+    which worker ran which block. *)
 val reduce_blocks :
   Grain.grid -> combine:('p -> 'p -> 'p) -> init:'p -> (int -> 'p) -> 'p
 

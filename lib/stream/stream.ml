@@ -81,25 +81,30 @@ let fold s ~stop f z = s.fold ~stop f z
 (* ------------------------------------------------------------------ *)
 (* O(1) constructors                                                   *)
 
+(* Push [get lo .. get (hi - 1)] through [g], polling cancellation once
+   per [poll_chunk] elements: the fold of [tabulate_slice], the inner
+   loop of [nested] and [reduce1]'s indexed loop.  The accumulator is a
+   local of this function, not a cell captured by a closure, so each
+   step is a register update with no write barrier. *)
+let push_range g get lo hi z =
+  let acc = ref z in
+  let i = ref lo in
+  while !i < hi do
+    Cancel.poll ();
+    let h = Int.min hi (!i + poll_chunk) in
+    for k = !i to h - 1 do
+      acc := g !acc (get k)
+    done;
+    i := h
+  done;
+  !acc
+
 (* [tabulate_slice f off len] streams [f off .. f (off + len - 1)]. *)
 let tabulate_slice f off len =
   {
     length = len;
     view = Indexed (off, f);
-    fold =
-      (fun ~stop g z ->
-        let acc = ref z in
-        let i = ref off in
-        let stop = off + stop in
-        while !i < stop do
-          Cancel.poll ();
-          let hi = Int.min stop (!i + poll_chunk) in
-          for k = !i to hi - 1 do
-            acc := g !acc (f k)
-          done;
-          i := hi
-        done;
-        !acc);
+    fold = (fun ~stop g z -> push_range g f off (off + stop) z);
   }
 
 let tabulate n f = tabulate_slice f 0 n
@@ -253,23 +258,6 @@ let scan_incl f z s =
 let take n s =
   if n < 0 then invalid_arg "Stream.take";
   { s with length = Int.min n s.length }
-
-(* Push the elements [lo, hi) of one segment through [g]: the inner loop
-   of [nested].  The accumulator is a local of this function, not a
-   cell captured by a closure, so each step is a register update with no
-   write barrier. *)
-let push_range g get lo hi z =
-  let acc = ref z in
-  let i = ref lo in
-  while !i < hi do
-    Cancel.poll ();
-    let h = Int.min hi (!i + poll_chunk) in
-    for k = !i to h - 1 do
-      acc := g !acc (get k)
-    done;
-    i := h
-  done;
-  !acc
 
 (* Nested-push concatenation of segments, starting mid-segment: the
    region view behind [Seq.flatten] and the packed two-level results
@@ -766,19 +754,7 @@ let reduce1 f s =
   Telemetry.incr_fused_folds ();
   profiled (fun () ->
       match s.view with
-      | Indexed (base, get) ->
-        let acc = ref (get base) in
-        let i = ref (base + 1) in
-        let stop = base + s.length in
-        while !i < stop do
-          Cancel.poll ();
-          let hi = Int.min stop (!i + poll_chunk) in
-          for k = !i to hi - 1 do
-            acc := f !acc (get k)
-          done;
-          i := hi
-        done;
-        !acc
+      | Indexed (base, get) -> push_range f get (base + 1) (base + s.length) (get base)
       | Masked r ->
         let blk, bi, bits = mask_seek r.masks r.start_block r.skip in
         let seed = r.get ((blk * r.block_size) + (bi lsl 3) + lowest_bit bits) in

@@ -262,26 +262,33 @@ let test_apply_blocks_one_leaf_per_block () =
       Alcotest.(check int) "one leaf per block" nb c;
       Alcotest.(check (array int)) "each block once" (Array.make nb 1) hits)
 
-(* [reduce_blocks]: one leaf and one body call per block, like
-   [apply_blocks], whatever the leaf grain says. *)
+(* [map_blocks] and [reduce_blocks]: one leaf and one body call per
+   block, like [apply_blocks], whatever the leaf grain says; [map_blocks]
+   returns the results in block order. *)
 let test_reduce_blocks_one_leaf_per_block () =
   with_policy (Grain.Fixed 100) (fun () ->
       with_grain (Some 1000) (fun () ->
           let g = Grain.grid ~workers:(Runtime.num_workers ()) 3_700 in
           let nb = g.Grain.num_blocks in
+          Alcotest.(check int) "37 blocks" 37 nb;
           let hits = Array.make nb 0 in
+          let body j =
+            hits.(j) <- hits.(j) + 1;
+            j
+          in
           let sum = ref 0 in
           let c =
-            chunks (fun () ->
-                sum :=
-                  Runtime.reduce_blocks g ~combine:( + ) ~init:0 (fun j ->
-                      hits.(j) <- hits.(j) + 1;
-                      j))
+            chunks (fun () -> sum := Runtime.reduce_blocks g ~combine:( + ) ~init:0 body)
           in
-          Alcotest.(check int) "37 blocks" 37 nb;
-          Alcotest.(check int) "one leaf per block" nb c;
-          Alcotest.(check (array int)) "each block once" (Array.make nb 1) hits;
-          Alcotest.(check int) "sum of block indices" (nb * (nb - 1) / 2) !sum))
+          Alcotest.(check int) "reduce: one leaf per block" nb c;
+          Alcotest.(check (array int)) "reduce: each block once" (Array.make nb 1) hits;
+          Alcotest.(check int) "sum of block indices" (nb * (nb - 1) / 2) !sum;
+          Array.fill hits 0 nb 0;
+          let got = ref [||] in
+          let c = chunks (fun () -> got := Runtime.map_blocks g ~init:(-1) body) in
+          Alcotest.(check int) "map: one leaf per block" nb c;
+          Alcotest.(check (array int)) "map: each block once" (Array.make nb 1) hits;
+          Alcotest.(check (array int)) "map: block order" (Array.init nb Fun.id) !got))
 
 (* The partials fold left to right from [init], in block order, whoever
    ran each block: a non-commutative [combine] sees the sequential
@@ -302,7 +309,8 @@ let test_reduce_blocks_left_to_right () =
             got))
     [ (1, 1); (100, 7); (1000, 1); (5_000, 64); (5_000, 10_000) ];
   (* Float partials: the association is the grid's, so the result is the
-     sequential fold of the per-block sums, bit for bit. *)
+     sequential fold of the per-block sums, bit for bit; [map_blocks]
+     keeps them in a flat float array, each the bits its body returned. *)
   with_policy (Grain.Fixed 1000) (fun () ->
       let n = 25_013 in
       let x i = 1.0 /. float_of_int (i + 3) in
@@ -322,7 +330,13 @@ let test_reduce_blocks_left_to_right () =
       Alcotest.(check int64) "float bits"
         (Int64.bits_of_float !expect)
         (Int64.bits_of_float
-           (Runtime.reduce_blocks g ~combine:( +. ) ~init:0.25 block)))
+           (Runtime.reduce_blocks g ~combine:( +. ) ~init:0.25 block));
+      let partials = Runtime.map_blocks g ~init:0.25 block in
+      Alcotest.(check bool) "flat float array" true
+        (Obj.tag (Obj.repr partials) = Obj.double_array_tag);
+      Alcotest.(check (array int64)) "partial bits"
+        (Array.init g.Grain.num_blocks (fun j -> Int64.bits_of_float (block j)))
+        (Array.map Int64.bits_of_float partials))
 
 let test_reduce_blocks_empty_grid () =
   let g = Grain.grid ~workers:(Runtime.num_workers ()) 0 in
@@ -335,7 +349,16 @@ let test_reduce_blocks_empty_grid () =
                1)))
   in
   Alcotest.(check int) "no body call" 0 !calls;
-  Alcotest.(check int) "no leaf" 0 c
+  Alcotest.(check int) "no leaf" 0 c;
+  let c =
+    chunks (fun () ->
+        Alcotest.(check (array int)) "map: empty" [||]
+          (Runtime.map_blocks g ~init:42 (fun _ ->
+               incr calls;
+               1)))
+  in
+  Alcotest.(check int) "map: no body call" 0 !calls;
+  Alcotest.(check int) "map: no leaf" 0 c
 
 let prop_reduce_blocks_sequential =
   QCheck2.Test.make ~name:"reduce_blocks = sequential fold of block partials"
@@ -355,7 +378,8 @@ let prop_reduce_blocks_sequential =
           for j = 0 to g.Grain.num_blocks - 1 do
             expect := combine !expect (block j)
           done;
-          Runtime.reduce_blocks g ~combine ~init:5 block = !expect))
+          Runtime.reduce_blocks g ~combine ~init:5 block = !expect
+          && Runtime.map_blocks g ~init:5 block = Array.init g.Grain.num_blocks block))
 
 let test_reduce_across_grains () =
   let n = 200_003 in
