@@ -82,8 +82,7 @@ let enabled cfg name = cfg.sections = [] || List.mem name cfg.sections
 
 let fig5 cfg =
   let n = scaled cfg 2_000_000 in
-  let bsize = Bds.Block.size n in
-  let b = (n + bsize - 1) / bsize in
+  let b = (Runtime.block_grid n).num_blocks in
   let rows = Bds.Cost_model.bestcut_rw ~n ~b in
   let cell = function None -> "-" | Some v -> string_of_int v in
   Tables.print
@@ -395,8 +394,8 @@ let ablation cfg =
              (List.map
                 (fun bs ->
                   Measure.point (string_of_int bs)
-                    ~setup:(fun () -> Bds.Block.set_policy (Bds.Block.Fixed bs))
-                    ~teardown:Bds.Block.reset_policy
+                    ~setup:(fun () -> Grain.set_policy (Grain.Fixed bs))
+                    ~teardown:Grain.reset_policy
                     (fun () -> K.Bestcut.Delay_version.best_cut a))
                 [ 512; 2048; 8192; 32768; 131072; 524288 ]))
       in
@@ -442,10 +441,10 @@ let ablation cfg =
                            (fun floor ->
                              Measure.point (string_of_int floor)
                                ~setup:(fun () ->
-                                 Bds.Block.set_policy
-                                   (Bds.Block.Scaled
+                                 Grain.set_policy
+                                   (Grain.Scaled
                                       { per_worker_blocks = 8; min_size = floor; max_size = 65536 }))
-                               ~teardown:Bds.Block.reset_policy
+                               ~teardown:Grain.reset_policy
                                (fun () ->
                                  for _ = 1 to batch do
                                    call ()

@@ -193,7 +193,7 @@ let alloc () =
   let module S = Bds.Seq in
   let n = 1 lsl 18 and block_size = 4096 in
   Runtime.set_num_domains 1;
-  Bds.Block.set_policy (Bds.Block.Fixed block_size);
+  Grain.set_policy (Grain.Fixed block_size);
   let major_words f =
     f ();
     Gc.full_major ();
@@ -270,7 +270,7 @@ let calls () =
   let module K = Bds_kernels in
   let n = 1 lsl 16 and block_size = 1024 in
   Runtime.set_num_domains 1;
-  Bds.Block.set_policy (Bds.Block.Fixed block_size);
+  Grain.set_policy (Grain.Fixed block_size);
   let module A = C.Make (Bds_seqs.Impl_array) in
   let module R = C.Make (Bds_seqs.Impl_rad) in
   let module O = C.Make (Bds_seqs.Impl_delay) in
@@ -325,7 +325,7 @@ let calls () =
   (* A flatten over four BID inners (each a scan_incl of m elements), in
      Ours under the default block policy: each inner is built and forced
      once per call, however many output blocks it spans. *)
-  Bds.Block.reset_policy ();
+  Grain.reset_policy ();
   List.iter
     (fun m ->
       count (Printf.sprintf "flatten of 4 scan_incl inners, m=%d, delay" m) (4 * m) (fun () ->

@@ -201,8 +201,7 @@ let to_floatarray t =
     let out = Float.Array.create len in
     if len > 0 then begin
       let g = Runtime.block_grid len in
-      Runtime.apply_blocks ~bounds:(Grain.bounds g) ~nb:g.Grain.num_blocks
-        (fun j ->
+      Runtime.iter_blocks g (fun j ->
           Telemetry.incr_float_fast_path ();
           let lo, hi = Grain.bounds g j in
           write_slice out get lo hi)

@@ -8,10 +8,10 @@
 
    Parallelism is always across blocks; the stream within each block is
    sequential, which is what lets scan/filter/flatten outputs fuse with the
-   next operation.  BIDs carry their block size (fixed at creation by the
-   {!Block} policy) and memoise their forced form so that random access on
-   a BID — which the paper handles by "implicitly forcing where
-   necessary" — forces at most once. *)
+   next operation.  BIDs carry their block grid (a [Grain.grid], fixed at
+   creation by the block-size policy) and memoise their forced form so
+   that random access on a BID — which the paper handles by "implicitly
+   forcing where necessary" — forces at most once. *)
 
 module Stream = Bds_stream.Stream
 module Buffer_ext = Bds_stream.Buffer_ext
@@ -23,8 +23,9 @@ module Profile = Bds_runtime.Profile
 module Telemetry = Bds_runtime.Telemetry
 
 type 'a bid = {
-  b_len : int;
-  b_size : int;  (** block size B; blocks 0 .. ceil(len/B)-1 *)
+  grid : Grain.grid;
+      (** length and block layout, fixed when the BID is made: a later
+          policy change never moves its blocks *)
   plan : unit -> int -> 'a Stream.t;
       (** per-drive block plan: called once per consumer drive (never
           per block), so the plan can route through a parent's memo
@@ -50,7 +51,7 @@ type 'a t =
 (* ------------------------------------------------------------------ *)
 (* Basics                                                              *)
 
-let length = function Rad { r_len; _ } -> r_len | Bid { b_len; _ } -> b_len
+let length = function Rad { r_len; _ } -> r_len | Bid { grid; _ } -> grid.n
 
 let repr = function Rad _ -> `Rad | Bid _ -> `Bid
 
@@ -68,23 +69,12 @@ let of_list l = of_array (Array.of_list l)
 
 let iota n = tabulate n (fun i -> i)
 
-let num_blocks_of b = Block.num_blocks ~block_size:b.b_size b.b_len
-
-let block_bounds b j =
-  let lo = j * b.b_size in
-  let hi = Int.min b.b_len (lo + b.b_size) in
-  (lo, hi)
-
-(* Run [body j] once per block of [b] through the runtime's heavy-block
-   primitive: leaf grain pinned to 1 (the element-loop grain policy never
-   re-chunks the block index space), cancellation checked at every split
-   and block entry, and a per-block trace span carrying the block's
-   element bounds. *)
-let apply_bid_blocks b body =
-  Runtime.apply_blocks ~bounds:(block_bounds b) ~nb:(num_blocks_of b) body
-
-(* [b]'s own block grid, for [Runtime.map_blocks]/[reduce_blocks]. *)
-let bid_grid b = { Grain.n = b.b_len; block_size = b.b_size; num_blocks = num_blocks_of b }
+(* Every per-block run below is [Runtime.iter_blocks], [map_blocks] or
+   [reduce_blocks] on the BID's own grid, never on the current policy's
+   ([array_of_bid]'s blocks [1 .. nb-1] are the one [apply_blocks]
+   call): leaf grain pinned to 1, cancellation checked at every split
+   and block entry, and a per-block trace span over the block's element
+   bounds. *)
 
 (* ------------------------------------------------------------------ *)
 (* Shared-consumer memo plan
@@ -109,8 +99,8 @@ let bid_grid b = { Grain.n = b.b_len; block_size = b.b_size; num_blocks = num_bl
    new consumer nor triggers a force. *)
 
 let memo_blocks b a j =
-  let lo = j * b.b_size in
-  Stream.of_array_slice a lo (Int.min b.b_size (b.b_len - lo))
+  let lo, hi = Grain.bounds b.grid j in
+  Stream.of_array_slice a lo (hi - lo)
 
 (* toArray over a block function (the paper's [applySeq (zip (I, S))]
    with the index fused in).  Block 0 is folded first, the way
@@ -120,20 +110,19 @@ let memo_blocks b a j =
    apply.  Every element is evaluated exactly once, as the cost
    semantics of [force] requires. *)
 let array_of_bid b blocks =
-  if b.b_len = 0 then [||]
+  let g = b.grid in
+  if g.n = 0 then [||]
   else begin
     let out = ref [||] in
     Stream.iteri
       (fun k v ->
-        if k = 0 then out := Array.make b.b_len v;
+        if k = 0 then out := Array.make g.n v;
         Array.unsafe_set !out k v)
       (blocks 0);
     let out = !out in
-    Runtime.apply_blocks
-      ~bounds:(fun j -> block_bounds b (j + 1))
-      ~nb:(num_blocks_of b - 1)
-      (fun j ->
-        Stream.iteri ~first:((j + 1) * b.b_size) (Array.unsafe_set out) (blocks (j + 1)));
+    let bounds j = Grain.bounds g (j + 1) in
+    Runtime.apply_blocks ~bounds ~nb:(g.num_blocks - 1) (fun j ->
+        Stream.iteri ~first:(fst (bounds j)) (Array.unsafe_set out) (blocks (j + 1)));
     out
   end
 
@@ -172,23 +161,26 @@ let drive b =
 let replan b =
   match Atomic.get b.memo with Some a -> memo_blocks b a | None -> b.plan ()
 
-let fresh_bid ~b_len ~b_size plan =
-  { b_len; b_size; plan; memo = Atomic.make None; consumed = Atomic.make 0 }
+let fresh_bid grid plan =
+  { grid; plan; memo = Atomic.make None; consumed = Atomic.make 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Conversions (Figure 9)                                              *)
 
-(* BIDfromSeq, with a caller-specified block size for RAD inputs so [zip]
-   can align blocks with an existing BID.  Each block is the RAD's own
+(* BIDfromSeq, with a caller-specified grid for RAD inputs so [zip] can
+   cut a RAD on an existing BID's grid.  Each block is the RAD's own
    index function at the block's base: no per-element wrapper. *)
-let bid_of_seq_with bsize = function
+let bid_of_seq_with grid = function
   | Bid b -> b
-  | Rad { r_len; get } ->
-    fresh_bid ~b_len:r_len ~b_size:bsize (fun () j ->
-        let lo = j * bsize in
-        Stream.tabulate_slice get lo (Int.min bsize (r_len - lo)))
+  | Rad { get; _ } ->
+    fresh_bid grid (fun () j ->
+        let lo, hi = Grain.bounds grid j in
+        Stream.tabulate_slice get lo (hi - lo))
 
-let bid_of_seq s = bid_of_seq_with (Block.size (length s)) s
+let bid_of_seq s =
+  match s with
+  | Bid b -> b
+  | Rad { r_len; _ } -> bid_of_seq_with (Runtime.block_grid r_len) s
 
 (* applySeq: parallel across blocks, sequential stream within each.
    [apply_blocks] checks the enclosing scope's cancellation token at every
@@ -205,7 +197,7 @@ let iter f s =
   Profile.with_op "iter" (fun () ->
       let b = bid_of_seq s in
       let blocks = drive b in
-      apply_bid_blocks b (fun j -> Stream.iter f (blocks j)))
+      Runtime.iter_blocks b.grid (fun j -> Stream.iter f (blocks j)))
 
 (* toArray.  For a RAD this is a plain parallel tabulate; for a BID the
    result is the CAS-published memo ([force_memo], via [array_of_bid]),
@@ -248,7 +240,7 @@ let get s i =
    replaces the old construction-time [refresh_bid], which could only
    see a memo that existed when the derived BID was built.) *)
 let derived_bid b g =
-  fresh_bid ~b_len:b.b_len ~b_size:b.b_size (fun () ->
+  fresh_bid b.grid (fun () ->
       let p = drive b in
       fun j -> g (p j) j)
 
@@ -263,7 +255,9 @@ let mapi g s =
       match s with
       | Rad { r_len; get } -> Rad { r_len; get = (fun i -> g i (get i)) }
       | Bid b ->
-        Bid (derived_bid b (fun st j -> Stream.mapi ~first:(j * b.b_size) g st)))
+        Bid
+          (derived_bid b (fun st j ->
+               Stream.mapi ~first:(fst (Grain.bounds b.grid j)) g st)))
 
 let zip_with f s1 s2 =
   if length s1 <> length s2 then invalid_arg "Seq.zip: length mismatch";
@@ -271,18 +265,20 @@ let zip_with f s1 s2 =
   | Rad r1, Rad r2 ->
     Rad { r_len = r1.r_len; get = (fun i -> f (r1.get i) (r2.get i)) }
   | _ ->
-    (* At least one BID: align blocks.  If both are BIDs with different
+    (* At least one BID: align blocks.  A RAD side is cut on the BID's
+       own grid (the lengths are equal).  If both are BIDs with different
        block sizes (possible across policy changes), force the second. *)
     let b1, s2 =
       match (s1, s2) with
-      | Bid b1, Bid b2 when b1.b_size <> b2.b_size -> (b1, rad_of_seq s2)
+      | Bid b1, Bid b2 when b1.grid.block_size <> b2.grid.block_size ->
+        (b1, rad_of_seq s2)
       | Bid b1, _ -> (b1, s2)
-      | Rad _, Bid b2 -> (bid_of_seq_with b2.b_size s1, s2)
+      | Rad _, Bid b2 -> (bid_of_seq_with b2.grid s1, s2)
       | Rad _, Rad _ -> assert false
     in
-    let b2 = bid_of_seq_with b1.b_size s2 in
+    let b2 = bid_of_seq_with b1.grid s2 in
     Bid
-      (fresh_bid ~b_len:b1.b_len ~b_size:b1.b_size (fun () ->
+      (fresh_bid b1.grid (fun () ->
            let p1 = drive b1 in
            let p2 = drive b2 in
            fun j -> Stream.zip_with f (p1 j) (p2 j)))
@@ -313,10 +309,10 @@ let reduce f z s =
               !acc)
         end
       | Bid b ->
-        if b.b_len = 0 then z
+        if b.grid.n = 0 then z
         else begin
           let blocks = drive b in
-          Runtime.reduce_blocks (bid_grid b) ~combine:f ~init:z (fun j ->
+          Runtime.reduce_blocks b.grid ~combine:f ~init:z (fun j ->
               Stream.reduce1 f (blocks j))
         end)
 
@@ -334,11 +330,11 @@ let scan_blocks rescan f z s =
   let b = bid_of_seq s in
   let blocks = drive b in
   let sums =
-    Runtime.map_blocks (bid_grid b) ~init:z (fun j -> Stream.reduce1 f (blocks j))
+    Runtime.map_blocks b.grid ~init:z (fun j -> Stream.reduce1 f (blocks j))
   in
   let offsets, total = Parray.scan_seq f z sums in
   let out =
-    fresh_bid ~b_len:b.b_len ~b_size:b.b_size (fun () ->
+    fresh_bid b.grid (fun () ->
         let p = replan b in
         fun j -> rescan f offsets.(j) (p j))
   in
@@ -369,22 +365,23 @@ let offset_search (offsets : int array) pos =
 (* getRegion (Figure 10 lines 41-43) as a nested-push stream: a BID of
    [total] elements concatenating segments whose boundaries are
    [offsets] ([offsets.(j)] is where segment [j] starts, the last entry
-   is [total]).  Output block [i] starts at position [pos = i * bsize],
-   in the segment located by one binary search on [offsets] (the
-   parallel split point); from there a [Stream.nested] walk pushes
-   across adjacent segments, so consumers of region blocks are fused
-   instead of trickle fallbacks.  [outer ()] is called once per drive
-   and gives the segments blockwise, [block_size] per block. *)
+   is [total]), on the grid [Runtime.block_grid total].  Output block
+   [i] starts at its first position [pos], in the segment located by one
+   binary search on [offsets] (the parallel split point); from there a
+   [Stream.nested] walk pushes across adjacent segments, so consumers of
+   region blocks are fused instead of trickle fallbacks.  [outer ()] is
+   called once per drive and gives the segments blockwise, [block_size]
+   per block. *)
 let region_bid ~offsets ~total ~block_size ~outer ~seg_len ~seg_get =
-  let bsize = Block.size total in
+  let grid = Runtime.block_grid total in
   Bid
-    (fresh_bid ~b_len:total ~b_size:bsize (fun () ->
+    (fresh_bid grid (fun () ->
          let blocks = outer () in
          fun i ->
-           let pos = i * bsize in
+           let pos, hi = Grain.bounds grid i in
            let j0 = offset_search offsets pos in
-           Stream.nested ~length:(Int.min bsize (total - pos)) ~block_size ~blocks
-             ~seg_len ~seg_get ~start_seg:j0 ~start_ofs:(pos - offsets.(j0))))
+           Stream.nested ~length:(hi - pos) ~block_size ~blocks ~seg_len ~seg_get
+             ~start_seg:j0 ~start_ofs:(pos - offsets.(j0))))
 
 (* Two-level packed results ([filter_op], [partition]): expose [packed]
    — one compact array per input block — as a BID of nested-push region
@@ -409,9 +406,10 @@ let packed_bid (packed : 'a array array) =
    element, recording per input block a survivor *bitmask* and count
    (one pass, one bit per element — survivor values are never copied);
    the counts are prefix-summed into output offsets.  Output block [i]
-   is a region view starting at survivor [i * bsize], located by binary
-   search on the offsets.  How a region reaches its survivors depends
-   only on the input's representation:
+   of the grid [Runtime.block_grid total] is a region view starting at
+   its first survivor, located by binary search on the offsets.  How a
+   region reaches its survivors depends only on the input's
+   representation:
 
    - indexed input (a RAD, or a BID whose memo is published): phase 1 is
      a direct [p (get i)] loop per block, and a region is a
@@ -445,15 +443,14 @@ let filter_blocks (g : Grain.grid) mark region =
   let offsets, total = Parray.scan_seq ( + ) 0 counts in
   if total = 0 then empty
   else begin
-    let out_bsize = Block.size total in
+    let grid = Runtime.block_grid total in
     Bid
-      (fresh_bid ~b_len:total ~b_size:out_bsize (fun () ->
+      (fresh_bid grid (fun () ->
            let region = region masks in
            fun i ->
-             let pos = i * out_bsize in
+             let pos, hi = Grain.bounds grid i in
              let j0 = offset_search offsets pos in
-             region ~length:(Int.min out_bsize (total - pos)) ~start_block:j0
-               ~skip:(pos - offsets.(j0))))
+             region ~length:(hi - pos) ~start_block:j0 ~skip:(pos - offsets.(j0))))
   end
 
 (* The input's index function, when it has one without forcing. *)
@@ -468,7 +465,7 @@ let filter p s =
       else
         match index_fn s with
         | Some get ->
-          let g = match s with Bid b -> bid_grid b | Rad _ -> Runtime.block_grid n in
+          let g = match s with Bid b -> b.grid | Rad _ -> Runtime.block_grid n in
           filter_blocks g
             (fun _ lo hi mask ->
               (* The stream lane's cadence: one poll per 64 elements. *)
@@ -490,7 +487,7 @@ let filter p s =
         | None ->
           let b = bid_of_seq s in
           let blocks = drive b in
-          filter_blocks (bid_grid b)
+          filter_blocks b.grid
             (fun j _ _ mask ->
               let cnt = ref 0 in
               Stream.iteri
@@ -526,7 +523,7 @@ let filter_op select s =
         let b = bid_of_seq s in
         let blocks = drive b in
         packed_bid
-          (Runtime.map_blocks (bid_grid b) ~init:[||] (fun j ->
+          (Runtime.map_blocks b.grid ~init:[||] (fun j ->
                Stream.pack_op_to_array select (blocks j)))
       end)
 
@@ -578,9 +575,9 @@ let flatten (s : 'a t t) =
           match Atomic.get kept with Some k -> k.(i) <- rad_of_seq inner | None -> ()
         in
         let sums =
-          Runtime.map_blocks (bid_grid ob) ~init:0 (fun j ->
+          Runtime.map_blocks ob.grid ~init:0 (fun j ->
               let sum = ref 0 in
-              Stream.iteri ~first:(j * ob.b_size)
+              Stream.iteri ~first:(fst (Grain.bounds ob.grid j))
                 (fun i inner ->
                   let l = length inner in
                   Array.unsafe_set offsets (i + 1) l;
@@ -604,8 +601,8 @@ let flatten (s : 'a t t) =
               some block needs it. *)
            if any 0 n_out then begin
              let p = replan ob in
-             apply_bid_blocks ob (fun j ->
-                 let lo, hi = block_bounds ob j in
+             Runtime.iter_blocks ob.grid (fun j ->
+                 let lo, hi = Grain.bounds ob.grid j in
                  if any lo hi then
                    Stream.iteri ~first:lo
                      (fun i inner ->
@@ -618,8 +615,8 @@ let flatten (s : 'a t t) =
         let starts, total = Parray.scan_seq ( + ) 0 sums in
         if total = 0 then empty
         else begin
-          apply_bid_blocks ob (fun j ->
-              let lo, hi = block_bounds ob j in
+          Runtime.iter_blocks ob.grid (fun j ->
+              let lo, hi = Grain.bounds ob.grid j in
               let acc = ref starts.(j) in
               for i = lo + 1 to hi do
                 acc := !acc + Array.unsafe_get offsets i;
@@ -635,7 +632,7 @@ let flatten (s : 'a t t) =
               ~seg_len:(fun _ inner -> length inner)
               ~seg_get
           | None ->
-            region_bid ~offsets ~total ~block_size:ob.b_size
+            region_bid ~offsets ~total ~block_size:ob.grid.block_size
               ~outer:(fun () -> replan ob)
               ~seg_len:(fun i inner ->
                 let l = offsets.(i + 1) - offsets.(i) in
@@ -665,15 +662,18 @@ let take s n =
     let a = match Atomic.get b.memo with Some a -> a | None -> assert false in
     Rad { r_len = n; get = Array.unsafe_get a }
   | Bid b ->
-    if n = b.b_len then s
+    if n = b.grid.n then s
     else if n = 0 then empty
-    else
+    else begin
+      (* The prefix of [b]'s grid: same block size, [n] elements. *)
+      let grid = Grain.grid_of_size ~block_size:b.grid.block_size n in
       Bid
-        (fresh_bid ~b_len:n ~b_size:b.b_size (fun () ->
+        (fresh_bid grid (fun () ->
              let p = drive b in
              fun j ->
-               let lo = j * b.b_size in
-               Stream.take (Int.min b.b_size (n - lo)) (p j)))
+               let lo, hi = Grain.bounds grid j in
+               Stream.take (hi - lo) (p j)))
+    end
 
 let drop s n = slice s n (length s - n)
 
@@ -682,10 +682,12 @@ let drop s n = slice s n (length s - n)
 let iter_block_streams f s =
   let b = bid_of_seq s in
   let blocks = drive b in
-  apply_bid_blocks b (fun j -> f j (blocks j))
+  Runtime.iter_blocks b.grid (fun j -> f j (blocks j))
 
 let block_size_of s =
-  match s with Rad _ -> Block.size (length s) | Bid b -> b.b_size
+  match s with
+  | Rad { r_len; _ } -> (Runtime.block_grid r_len).block_size
+  | Bid b -> b.grid.block_size
 
 let rev s =
   match rad_of_seq s with
@@ -706,7 +708,8 @@ let iteri f s =
   Profile.with_op "iter" (fun () ->
       let b = bid_of_seq s in
       let blocks = drive b in
-      apply_bid_blocks b (fun j -> Stream.iteri ~first:(j * b.b_size) f (blocks j)))
+      Runtime.iter_blocks b.grid (fun j ->
+          Stream.iteri ~first:(fst (Grain.bounds b.grid j)) f (blocks j)))
 
 let to_list s = Array.to_list (to_array s)
 
@@ -725,10 +728,10 @@ let equal eq s1 s2 =
 let int_sum s =
   Profile.with_op "int_sum" @@ fun () ->
   let b = bid_of_seq s in
-  if b.b_len = 0 then 0
+  if b.grid.n = 0 then 0
   else begin
     let blocks = drive b in
-    Runtime.reduce_blocks (bid_grid b) ~combine:( + ) ~init:0 (fun j ->
+    Runtime.reduce_blocks b.grid ~combine:( + ) ~init:0 (fun j ->
         Stream.sum_ints (blocks j))
   end
 
@@ -754,10 +757,10 @@ let float_sum s =
     match Atomic.get b.memo with
     | Some a -> Float_seq.sum (Float_seq.of_array a)
     | None ->
-      if b.b_len = 0 then 0.0
+      if b.grid.n = 0 then 0.0
       else begin
         let blocks = drive b in
-        Runtime.reduce_blocks (bid_grid b) ~combine:( +. ) ~init:0.0 (fun j ->
+        Runtime.reduce_blocks b.grid ~combine:( +. ) ~init:0.0 (fun j ->
             Stream.sum_floats (blocks j))
       end)
 
@@ -772,7 +775,7 @@ let max_by cmp s =
       let b = bid_of_seq s in
       let blocks = drive b in
       let sums =
-        Runtime.map_blocks (bid_grid b) ~init:None (fun j ->
+        Runtime.map_blocks b.grid ~init:None (fun j ->
             Some (Stream.reduce1 pick (blocks j)))
       in
       let acc = ref (Option.get sums.(0)) in
@@ -819,7 +822,7 @@ let exists p s =
     let b = bid_of_seq s in
     let blocks = drive b in
     try
-      apply_bid_blocks b (fun j ->
+      Runtime.iter_blocks b.grid (fun j ->
           let st = blocks j in
           Stream.fold st ~stop:(Stream.length st)
             (fun () v -> if p v then raise_notrace Found)
@@ -849,9 +852,9 @@ let find_mapi_leftmost (f : int -> 'a -> 'b option) s =
       if pos < cur && not (Atomic.compare_and_set best cur pos) then cas_min pos
     in
     let blocks = drive b in
-    let results = Array.make (num_blocks_of b) None in
-    apply_bid_blocks b (fun j ->
-        let lo, _ = block_bounds b j in
+    let results = Array.make b.grid.num_blocks None in
+    Runtime.iter_blocks b.grid (fun j ->
+        let lo, _ = Grain.bounds b.grid j in
         if Atomic.get best > lo then begin
           let st = blocks j in
           try
@@ -870,7 +873,7 @@ let find_mapi_leftmost (f : int -> 'a -> 'b option) s =
           with Stop -> ()
         end);
     let pos = Atomic.get best in
-    if pos = max_int then None else results.(pos / b.b_size)
+    if pos = max_int then None else results.(pos / b.grid.block_size)
   end
 
 let find_opt p s =
@@ -895,10 +898,9 @@ let partition p s =
       else begin
         let b = bid_of_seq s in
         let blocks = drive b in
-        let nb = num_blocks_of b in
-        let yes = Array.make nb [||] in
-        let no = Array.make nb [||] in
-        apply_bid_blocks b (fun j ->
+        let yes = Array.make b.grid.num_blocks [||] in
+        let no = Array.make b.grid.num_blocks [||] in
+        Runtime.iter_blocks b.grid (fun j ->
             let ybuf = Buffer_ext.create () in
             let nbuf = Buffer_ext.create () in
             Stream.iter

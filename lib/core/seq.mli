@@ -11,8 +11,10 @@
       implementations of reduce/scan/filter/flatten consume, so chains of
       these operations fuse without materialising intermediates.
 
-    Parallelism is across blocks ({!Block} chooses the block size);
-    traversal within a block is sequential.
+    Parallelism is across blocks; traversal within a block is
+    sequential.  A new BID takes its block grid from
+    {!Bds_runtime.Runtime.block_grid} (the {!Bds_runtime.Grain} policy)
+    and keeps it, so a later policy change never moves its blocks.
 
     Cost discipline (details in {!Cost_model}): constructors and {!map} /
     {!zip} are O(1) eager work; {!reduce}, {!scan}, {!filter}, {!flatten},

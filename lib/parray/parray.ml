@@ -3,13 +3,12 @@
    its result.  reduce/scan/filter/flatten use the standard block-based
    parallel implementations described in §2.2. *)
 
+(* The block grid for every block-based operation below is
+   [Runtime.block_grid]: one policy (Bds_runtime.Grain) decides the grid
+   for Parray, Rad and Seq alike. *)
+
 module Runtime = Bds_runtime.Runtime
 module Grain = Bds_runtime.Grain
-
-(* The block grid for every block-based operation below comes from the
-   unified granularity layer: one policy (Bds_runtime.Grain, surfaced as
-   Bds.Block) decides the grid for Parray, Rad and Seq alike. *)
-let grid n = Runtime.block_grid n
 
 let length = Array.length
 
@@ -57,7 +56,7 @@ let scan_seq f z a =
    each block from its offset [acc].  Returns the output and the total. *)
 let scan_blocks f z a rescan =
   let n = Array.length a in
-  let g = grid n in
+  let g = Runtime.block_grid n in
   let sums =
     Runtime.map_blocks g ~init:z (fun b ->
         let lo, hi = Grain.bounds g b in
@@ -69,8 +68,7 @@ let scan_blocks f z a rescan =
   in
   let offsets, total = scan_seq f z sums in
   let out = Array.make n z in
-  Runtime.apply_blocks ~bounds:(Grain.bounds g) ~nb:g.Grain.num_blocks
-    (fun b ->
+  Runtime.iter_blocks g (fun b ->
       let lo, hi = Grain.bounds g b in
       rescan out offsets.(b) lo hi);
   (out, total)
@@ -96,29 +94,33 @@ let scan_incl f z a =
              Array.unsafe_set out i !acc
            done))
 
-(* Copy [packed.(b)] blocks into one contiguous array. *)
-let concat_packed (packed : 'a array array) =
-  let nb = Array.length packed in
-  let counts = Array.map Array.length packed in
-  let offsets, total = scan_seq ( + ) 0 counts in
+(* The copy phase of [flatten] and [concat_packed]: [aa.(j)] goes to
+   [offsets.(j)] of a [total]-element output, one block per inner. *)
+let blit_at (aa : 'a array array) offsets total =
   if total = 0 then [||]
   else begin
     (* Witness element for allocation. *)
-    let rec first b = if Array.length packed.(b) > 0 then packed.(b).(0) else first (b + 1) in
+    let rec first j = if Array.length aa.(j) > 0 then aa.(j).(0) else first (j + 1) in
     let out = Array.make total (first 0) in
     Runtime.apply_blocks
-      ~bounds:(fun b -> (offsets.(b), offsets.(b) + Array.length packed.(b)))
-      ~nb
-      (fun b -> Array.blit packed.(b) 0 out offsets.(b) (Array.length packed.(b)));
+      ~bounds:(fun j -> (offsets.(j), offsets.(j) + Array.length aa.(j)))
+      ~nb:(Array.length aa)
+      (fun j -> Array.blit aa.(j) 0 out offsets.(j) (Array.length aa.(j)));
     out
   end
+
+(* The per-block packs of a filter are a few per worker: their offsets
+   are one sequential scan. *)
+let concat_packed (packed : 'a array array) =
+  let offsets, total = scan_seq ( + ) 0 (Array.map Array.length packed) in
+  blit_at packed offsets total
 
 (* Two-phase block-based filter (§2.2): pack within blocks, then flatten. *)
 let filter p a =
   let n = Array.length a in
   if n = 0 then [||]
   else begin
-    let g = grid n in
+    let g = Runtime.block_grid n in
     concat_packed
       (Runtime.map_blocks g ~init:[||] (fun b ->
            let lo, hi = Grain.bounds g b in
@@ -134,7 +136,7 @@ let filter_op p a =
   let n = Array.length a in
   if n = 0 then [||]
   else begin
-    let g = grid n in
+    let g = Runtime.block_grid n in
     concat_packed
       (Runtime.map_blocks g ~init:[||] (fun b ->
            let lo, hi = Grain.bounds g b in
@@ -147,24 +149,11 @@ let filter_op p a =
            Bds_stream.Buffer_ext.to_array buf))
   end
 
-(* Eager flatten: scan of lengths for offsets, then parallel copy. *)
+(* Eager flatten: the outer can be long, so its offsets are a parallel
+   scan of the lengths; then the parallel copy. *)
 let flatten (aa : 'a array array) =
-  let m = Array.length aa in
-  if m = 0 then [||]
-  else begin
-    let lengths = map Array.length aa in
-    let offsets, total = scan ( + ) 0 lengths in
-    if total = 0 then [||]
-    else begin
-      let rec first j = if Array.length aa.(j) > 0 then aa.(j).(0) else first (j + 1) in
-      let out = Array.make total (first 0) in
-      Runtime.apply_blocks
-        ~bounds:(fun j -> (offsets.(j), offsets.(j) + Array.length aa.(j)))
-        ~nb:m
-        (fun j -> Array.blit aa.(j) 0 out offsets.(j) (Array.length aa.(j)));
-      out
-    end
-  end
+  let offsets, total = scan ( + ) 0 (map Array.length aa) in
+  blit_at aa offsets total
 
 let rev a =
   let n = Array.length a in

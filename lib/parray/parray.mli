@@ -3,11 +3,11 @@
 
     Every operation materialises its result array.  [reduce], [scan],
     [filter] and [flatten] use the standard block-based parallel
-    implementations of §2.2.  The block grid comes from the unified
-    granularity layer ({!Bds_runtime.Grain}, surfaced as [Bds.Block]):
-    this module has no block-size heuristic of its own, and each block
-    phase runs through [Runtime.apply_blocks], the per-block results
-    through [Runtime.map_blocks]. *)
+    implementations of §2.2.  The block grid is
+    [Bds_runtime.Runtime.block_grid], from the unified granularity layer
+    ({!Bds_runtime.Grain}): this module has no block-size heuristic of
+    its own, and each block phase runs through [Runtime.iter_blocks],
+    the per-block results through [Runtime.map_blocks]. *)
 
 val length : 'a array -> int
 
@@ -44,8 +44,14 @@ val filter : ('a -> bool) -> 'a array -> 'a array
 (** filterOp / mapPartial: keep the [Some] images, preserving order. *)
 val filter_op : ('a -> 'b option) -> 'a array -> 'b array
 
-(** Eager flatten: offsets by scan over lengths, then parallel copy. *)
+(** Eager flatten: offsets by a parallel scan over the lengths, then
+    parallel copy. *)
 val flatten : 'a array array -> 'a array
+
+(** [flatten] for a filter's per-block packs (A's and R's [filter] and
+    [filter_op]): the same copy, with the offsets from one sequential
+    scan ({!scan_seq}), since there are only a few packs per worker. *)
+val concat_packed : 'a array array -> 'a array
 
 val rev : 'a array -> 'a array
 val append : 'a array -> 'a array -> 'a array

@@ -12,12 +12,6 @@ module Grain = Bds_runtime.Grain
 
 type 'a t = { len : int; get : int -> 'a }
 
-(* Block grid from the unified granularity layer (shared with Parray and
-   Seq); per-block phases run as heavy block bodies via
-   [Runtime.apply_blocks], and [Runtime.map_blocks] collects their
-   per-block results. *)
-let grid n = Runtime.block_grid n
-
 let length s = s.len
 
 let get s i =
@@ -74,12 +68,16 @@ let iter f s = Runtime.parallel_for 0 s.len (fun i -> f (s.get i))
 
 let iteri f s = Runtime.parallel_for 0 s.len (fun i -> f i (s.get i))
 
-(* scan fuses with its (delayed) input but materialises its output: the
+(* The block grid is [Runtime.block_grid], shared with Parray and Seq;
+   per-block phases run as heavy block bodies via [Runtime.iter_blocks],
+   and [Runtime.map_blocks] collects their per-block results.
+
+   scan fuses with its (delayed) input but materialises its output: the
    three phases of [Parray.scan], reading the input through [s.get].
    Phase 1's block sums are seeded from each block's first element, so
    [z] is combined exactly once; [rescan out acc lo hi] is phase 3. *)
 let scan_blocks f z s rescan =
-  let g = grid s.len in
+  let g = Runtime.block_grid s.len in
   let sums =
     Runtime.map_blocks g ~init:z (fun b ->
         let lo, hi = Grain.bounds g b in
@@ -91,8 +89,7 @@ let scan_blocks f z s rescan =
   in
   let offsets, total = Bds_parray.Parray.scan_seq f z sums in
   let out = Array.make s.len z in
-  Runtime.apply_blocks ~bounds:(Grain.bounds g) ~nb:g.Grain.num_blocks
-    (fun b ->
+  Runtime.iter_blocks g (fun b ->
       let lo, hi = Grain.bounds g b in
       rescan out offsets.(b) lo hi);
   (of_array out, total)
@@ -118,12 +115,13 @@ let scan_incl f z s =
              Array.unsafe_set out i !acc
            done))
 
-(* filter fuses with its input but packs into an eager array. *)
+(* filter fuses with its input but packs into an eager array, joined
+   the way A joins its packs ([Parray.concat_packed]). *)
 let filter p s =
   let n = s.len in
   if n = 0 then empty
   else begin
-    let g = grid n in
+    let g = Runtime.block_grid n in
     let packed =
       Runtime.map_blocks g ~init:[||] (fun b ->
           let lo, hi = Grain.bounds g b in
@@ -134,14 +132,14 @@ let filter p s =
           done;
           Bds_stream.Buffer_ext.to_array buf)
     in
-    of_array (Bds_parray.Parray.flatten packed)
+    of_array (Bds_parray.Parray.concat_packed packed)
   end
 
 let filter_op p s =
   let n = s.len in
   if n = 0 then empty
   else begin
-    let g = grid n in
+    let g = Runtime.block_grid n in
     let packed =
       Runtime.map_blocks g ~init:[||] (fun b ->
           let lo, hi = Grain.bounds g b in
@@ -153,7 +151,7 @@ let filter_op p s =
           done;
           Bds_stream.Buffer_ext.to_array buf)
     in
-    of_array (Bds_parray.Parray.flatten packed)
+    of_array (Bds_parray.Parray.concat_packed packed)
   end
 
 (* Eager flatten: compute offsets, copy everything. *)

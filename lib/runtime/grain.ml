@@ -93,20 +93,17 @@ let block_size ~workers n =
       let b = (n + k - 1) / k in
       Int.max min_size (Int.min max_size b)
 
-let num_blocks ~block_size n =
-  if n = 0 then 0 else (n + block_size - 1) / block_size
-
-let block_bounds ~block_size ~n j =
-  let lo = j * block_size in
-  (lo, Int.min n (lo + block_size))
-
 type grid = { n : int; block_size : int; num_blocks : int }
 
-let grid ~workers n =
-  let bs = block_size ~workers n in
-  { n; block_size = bs; num_blocks = num_blocks ~block_size:bs n }
+let grid_of_size ~block_size n =
+  if block_size < 1 then invalid_arg "Grain.grid_of_size: block_size must be >= 1";
+  { n; block_size; num_blocks = (n + block_size - 1) / block_size }
 
-let bounds g j = block_bounds ~block_size:g.block_size ~n:g.n j
+let grid ~workers n = grid_of_size ~block_size:(block_size ~workers n) n
+
+let bounds g j =
+  let lo = j * g.block_size in
+  (lo, Int.min g.n (lo + g.block_size))
 
 (* ------------------------------------------------------------------ *)
 (* Leaf grain *)

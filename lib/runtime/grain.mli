@@ -6,8 +6,8 @@
     policies with conflicting constants (Runtime's grain, Parray's private
     block heuristic, Block's B(n)); this module is now the only place that
     computes granularity, and every layer (Runtime loops, Parray, Rad,
-    Seq, Psort) consumes it.  [Block] in [lib/core] remains the public
-    ablation API and delegates here.
+    Seq, Psort) consumes it.  {!set_policy} and its siblings are the
+    public ablation API: the harness's block-size sweeps call them.
 
     {2 Environment overrides}
 
@@ -27,7 +27,7 @@
     All policy state is {!Atomic}: the bench harness mutates it between
     sweep points while worker domains read it. *)
 
-(** The block-size policy B(n) (re-exported by [Bds.Block]). *)
+(** The block-size policy B(n). *)
 type policy =
   | Fixed of int
       (** Every sequence uses this block size, regardless of length. *)
@@ -57,17 +57,19 @@ val reset_policy : unit -> unit
     (always >= 1). *)
 val block_size : workers:int -> int -> int
 
-(** [num_blocks ~block_size n] = ⌈n / block_size⌉ (0 for empty). *)
-val num_blocks : block_size:int -> int -> int
-
-(** [block_bounds ~block_size ~n j] = the element range [\[lo, hi)] of
-    block [j] in an [n]-element grid. *)
-val block_bounds : block_size:int -> n:int -> int -> int * int
-
 (** A concrete grid: [n] elements cut into [num_blocks] blocks of
-    [block_size] (the last one possibly short). *)
+    [block_size] (the last one possibly short).  The one description of
+    a block layout: a BID keeps the grid it was made with, so a later
+    policy change never moves its blocks. *)
 type grid = { n : int; block_size : int; num_blocks : int }
 
+(** [grid_of_size ~block_size n]: [n] elements cut into blocks of
+    [block_size], so [num_blocks] = ⌈n / block_size⌉ (0 for [n = 0]).
+    Raises [Invalid_argument] if [block_size < 1]. *)
+val grid_of_size : block_size:int -> int -> grid
+
+(** [grid ~workers n] = [grid_of_size ~block_size:(block_size ~workers n) n]:
+    the grid the current policy gives [n] elements. *)
 val grid : workers:int -> int -> grid
 
 (** [bounds g j]: element range [\[lo, hi)] of block [j] of [g]. *)

@@ -115,9 +115,9 @@ let par f g =
    "Granularity policy". *)
 let auto_grain n = Grain.leaf_grain ~workers:(num_workers ()) n
 
-(* The block grid the block-based layers (Parray, Rad, Seq, and
-   [Block.size]) use for an [n]-element input: the worker count is
-   supplied here so Grain stays a pure policy module. *)
+(* The block grid the block-based layers (Parray, Rad, Seq, Float_seq)
+   use for an [n]-element input: the worker count is supplied here so
+   Grain stays a pure policy module. *)
 let block_grid n = Grain.grid ~workers:(num_workers ()) n
 
 let loop_grain grain n =
@@ -192,14 +192,18 @@ let apply_blocks ?bounds ~nb (body : int -> unit) =
       (fun _ j _ -> body j)
       0 nb
 
+(* [body j] once per block of [g], each block's span over its element
+   range. *)
+let iter_blocks (g : Grain.grid) body =
+  apply_blocks ~bounds:(Grain.bounds g) ~nb:g.num_blocks body
+
 (* The one per-block results driver (block sums of every scan's phase 1,
    filter packing, flatten's spine sums): [body j] once per block of
    [g], its result kept in slot [j].  [init] only fills the slots before
    the blocks run, so a float [init] gives a flat float array. *)
 let map_blocks (g : Grain.grid) ~init body =
-  let nb = g.num_blocks in
-  let out = Array.make nb init in
-  apply_blocks ~bounds:(Grain.bounds g) ~nb (fun j -> Array.unsafe_set out j (body j));
+  let out = Array.make g.num_blocks init in
+  iter_blocks g (fun j -> Array.unsafe_set out j (body j));
   out
 
 (* The one block-reduction driver (both branches of [Seq.reduce],

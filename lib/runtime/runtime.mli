@@ -40,7 +40,8 @@ val auto_grain : int -> int
 
 (** The {!Grain} block grid for an [n]-element input under the current
     policy and worker count — the single grid every block-based layer
-    (Parray, Rad, Seq, [Bds.Block.size]) uses. *)
+    (Parray, Rad, Seq, Float_seq) cuts; a new BID takes its grid from
+    here and keeps it. *)
 val block_grid : int -> Grain.grid
 
 (** Binary fork-join: evaluate both closures, potentially in parallel. *)
@@ -64,14 +65,20 @@ val apply : int -> (int -> unit) -> unit
     [hi] arguments (defaults to the block index range [(j, j+1)]). *)
 val apply_blocks : ?bounds:(int -> int * int) -> nb:int -> (int -> unit) -> unit
 
+(** [iter_blocks g body] is
+    [apply_blocks ~bounds:(Grain.bounds g) ~nb:g.num_blocks body]: [body j]
+    once per block [j] of [g], each block's span over its element
+    range. *)
+val iter_blocks : Grain.grid -> (int -> unit) -> unit
+
 (** [map_blocks g ~init body] runs [body j] once per block [j] of [g]
-    through {!apply_blocks} (with [Grain.bounds g] as the span bounds)
-    and returns the results in block order: slot [j] holds [body j],
-    whichever worker ran it.  The array is [Array.make nb init], filled
-    in place, so [init] is never a result (it need not be an identity)
-    and a float [init] gives a flat float array.  An empty grid returns
-    [[||]] and runs no body.  Nothing is counted per block beyond what
-    [apply_blocks] counts; a body bumps its own telemetry. *)
+    through {!iter_blocks} and returns the results in block order: slot
+    [j] holds [body j], whichever worker ran it.  The array is
+    [Array.make nb init], filled in place, so [init] is never a result
+    (it need not be an identity) and a float [init] gives a flat float
+    array.  An empty grid returns [[||]] and runs no body.  Nothing is
+    counted per block beyond what [apply_blocks] counts; a body bumps its
+    own telemetry. *)
 val map_blocks : Grain.grid -> init:'a -> (int -> 'a) -> 'a array
 
 (** [reduce_blocks g ~combine ~init body] is

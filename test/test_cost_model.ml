@@ -4,6 +4,7 @@
 
 module CM = Bds.Cost_model
 module S = Bds.Seq
+module Grain = Bds_runtime.Grain
 open Bds_test_util
 
 let () = init ()
@@ -185,7 +186,7 @@ let measure_block_size n =
   Bds_runtime.Runtime.set_num_domains 1;
   Fun.protect
     ~finally:(fun () -> Bds_runtime.Runtime.set_num_domains Bds_test_util.domains)
-    (fun () -> Bds.Block.size n)
+    (fun () -> (Bds_runtime.Runtime.block_grid n).block_size)
 
 let test_measured_alloc_reduce () =
   let n = 300_000 in
@@ -318,10 +319,10 @@ let test_to_array_witness () =
                   Alcotest.(check bool) (tag ^ " flat float array") true
                     (Obj.tag (Obj.repr floats) = Obj.double_array_tag)))
             [
-              ("B=1", Bds.Block.Fixed 1);
-              ("B=3", Bds.Block.Fixed 3);
-              ("B=17", Bds.Block.Fixed 17);
-              ("scaled", Bds.Block.default_policy);
+              ("B=1", Grain.Fixed 1);
+              ("B=3", Grain.Fixed 3);
+              ("B=17", Grain.Fixed 17);
+              ("scaled", Grain.default_policy);
             ])
         [ 1; 2 ])
 

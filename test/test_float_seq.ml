@@ -8,6 +8,7 @@
 module FS = Bds.Float_seq
 module S = Bds.Seq
 module Runtime = Bds_runtime.Runtime
+module Grain = Bds_runtime.Grain
 open Bds_test_util
 
 let () = init ()
@@ -164,7 +165,7 @@ let qcheck_tests =
    worker count under a [Fixed] policy. *)
 
 let test_association_pin () =
-  with_policy (Bds.Block.Fixed 1000) (fun () ->
+  with_policy (Grain.Fixed 1000) (fun () ->
       let n = 10_007 in
       let a =
         Array.init n (fun i -> (float_of_int (i * 7919 mod 1000) /. 7.0) -. 50.0)

@@ -83,6 +83,76 @@ let test_leaf_grain () =
     (Invalid_argument "Grain.set_leaf_grain: grain must be >= 1") (fun () ->
       Grain.set_leaf_grain (Some 0))
 
+(* The block-size policy, read through the grid every block-based layer
+   cuts ([Runtime.block_grid]). *)
+let size n = (Runtime.block_grid n).Grain.block_size
+
+let test_fixed () =
+  with_policy (Grain.Fixed 37) (fun () ->
+      Alcotest.(check int) "fixed" 37 (size 1_000_000);
+      Alcotest.(check int) "fixed small n" 37 (size 3);
+      Alcotest.(check int) "empty" 1 (size 0))
+
+let test_scaled_clamps () =
+  with_policy
+    (Grain.Scaled { per_worker_blocks = 8; min_size = 100; max_size = 1000 })
+    (fun () ->
+      let p = Runtime.num_workers () in
+      Alcotest.(check int) "clamped below" 100 (size 10);
+      Alcotest.(check int) "clamped above" 1000 (size 100_000_000);
+      let mid = 8 * p * 500 in
+      Alcotest.(check int) "in range" 500 (size mid))
+
+let test_invalid_policies () =
+  Alcotest.check_raises "fixed 0"
+    (Invalid_argument "Grain.set_policy: Fixed size must be >= 1") (fun () ->
+      Grain.set_policy (Grain.Fixed 0));
+  Alcotest.check_raises "bad scaled"
+    (Invalid_argument "Grain.set_policy: invalid Scaled parameters") (fun () ->
+      Grain.set_policy
+        (Grain.Scaled { per_worker_blocks = 1; min_size = 10; max_size = 5 }))
+
+let test_reset_and_get () =
+  Grain.set_policy (Grain.Fixed 5);
+  Alcotest.(check bool) "get reflects set" true (Grain.get_policy () = Grain.Fixed 5);
+  Grain.reset_policy ();
+  Alcotest.(check bool) "reset" true (Grain.get_policy () = Grain.default_policy)
+
+let test_grid_of_size () =
+  let blocks block_size n = (Grain.grid_of_size ~block_size n).Grain.num_blocks in
+  Alcotest.(check int) "exact" 4 (blocks 25 100);
+  Alcotest.(check int) "round up" 5 (blocks 24 100);
+  Alcotest.(check int) "one" 1 (blocks 1000 100);
+  Alcotest.(check int) "zero" 0 (blocks 10 0);
+  Alcotest.check_raises "block size 0"
+    (Invalid_argument "Grain.grid_of_size: block_size must be >= 1") (fun () ->
+      ignore (Grain.grid_of_size ~block_size:0 10 : Grain.grid))
+
+(* Any block size cuts [0, n) into ⌈n / B⌉ contiguous blocks, all of
+   size B but the last, which holds 1 to B; and the policy's grid is
+   that cut at the policy's block size. *)
+let prop_grid_of_size =
+  QCheck2.Test.make ~name:"grid_of_size cuts [0, n) into blocks of B" ~count:500
+    QCheck2.Gen.(triple (int_bound 20_000) (int_range 1 3000) (int_range 1 8))
+    (fun (n, b, workers) ->
+      let g = Grain.grid_of_size ~block_size:b n in
+      let prev = ref 0 and ok = ref true in
+      for j = 0 to g.Grain.num_blocks - 1 do
+        let lo, hi = Grain.bounds g j in
+        let last = j = g.Grain.num_blocks - 1 in
+        if lo <> !prev || hi - lo > b || hi <= lo || ((not last) && hi - lo <> b) then
+          ok := false;
+        prev := hi
+      done;
+      !ok && !prev = n
+      && g.Grain.num_blocks = (n + b - 1) / b
+      && List.for_all
+           (fun (_, p) ->
+             with_policy p (fun () ->
+                 Grain.grid ~workers n
+                 = Grain.grid_of_size ~block_size:(Grain.block_size ~workers n) n))
+           policies)
+
 let test_grid () =
   with_policy (Grain.Fixed 25) (fun () ->
       let g = Grain.grid ~workers:3 100 in
@@ -262,6 +332,25 @@ let test_apply_blocks_one_leaf_per_block () =
       Alcotest.(check int) "one leaf per block" nb c;
       Alcotest.(check (array int)) "each block once" (Array.make nb 1) hits)
 
+(* [iter_blocks]: one leaf and one body call per block of its grid,
+   whatever the leaf grain says; nothing on an empty grid. *)
+let test_iter_blocks_one_leaf_per_block () =
+  with_grain (Some 1000) (fun () ->
+      let g = Grain.grid_of_size ~block_size:100 3_650 in
+      let nb = g.Grain.num_blocks in
+      Alcotest.(check int) "37 blocks" 37 nb;
+      let hits = Array.make nb 0 in
+      let c =
+        chunks (fun () -> Runtime.iter_blocks g (fun j -> hits.(j) <- hits.(j) + 1))
+      in
+      Alcotest.(check int) "one leaf per block" nb c;
+      Alcotest.(check (array int)) "each block once" (Array.make nb 1) hits;
+      let calls = ref 0 in
+      let empty = Grain.grid_of_size ~block_size:7 0 in
+      let c = chunks (fun () -> Runtime.iter_blocks empty (fun _ -> incr calls)) in
+      Alcotest.(check int) "empty: no body call" 0 !calls;
+      Alcotest.(check int) "empty: no leaf" 0 c)
+
 (* [map_blocks] and [reduce_blocks]: one leaf and one body call per
    block, like [apply_blocks], whatever the leaf grain says; [map_blocks]
    returns the results in block order. *)
@@ -434,6 +523,15 @@ let () =
           Alcotest.test_case "default grids" `Quick test_default_grids;
           QCheck_alcotest.to_alcotest ~long:false prop_default_grid;
         ] );
+      ( "policy",
+        [
+          Alcotest.test_case "fixed" `Quick test_fixed;
+          Alcotest.test_case "scaled clamps" `Quick test_scaled_clamps;
+          Alcotest.test_case "invalid" `Quick test_invalid_policies;
+          Alcotest.test_case "grid_of_size" `Quick test_grid_of_size;
+          Alcotest.test_case "reset/get" `Quick test_reset_and_get;
+          QCheck_alcotest.to_alcotest ~long:false prop_grid_of_size;
+        ] );
       ( "static",
         [
           Alcotest.test_case "set_adaptive is a no-op" `Quick test_set_adaptive_noop;
@@ -444,6 +542,8 @@ let () =
           Alcotest.test_case "default grain chunks" `Quick test_default_grain_chunks;
           Alcotest.test_case "apply_blocks one leaf per block" `Quick
             test_apply_blocks_one_leaf_per_block;
+          Alcotest.test_case "iter_blocks one leaf per block" `Quick
+            test_iter_blocks_one_leaf_per_block;
           Alcotest.test_case "reduce_blocks one leaf per block" `Quick
             test_reduce_blocks_one_leaf_per_block;
           Alcotest.test_case "reduce_blocks left to right" `Quick

@@ -4,6 +4,7 @@
 module Csr = Bds_graph.Csr
 module Rmat = Bds_graph.Rmat
 module Bfs = Bds_graph.Bfs
+module Grain = Bds_runtime.Grain
 open Bds_test_util
 
 let () = init ()
@@ -121,7 +122,7 @@ let test_bfs_seed_matrix () =
 
 let test_bfs_small_blocks () =
   (* Tiny blocks stress the BID paths inside BFS. *)
-  with_policy (Bds.Block.Fixed 2) (fun () ->
+  with_policy (Grain.Fixed 2) (fun () ->
       let g = Rmat.generate ~seed:5 ~scale:7 ~num_edges:600 () in
       check_bfs "delay small blocks" Bfs.Delay_version.bfs g 0)
 

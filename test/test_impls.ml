@@ -3,6 +3,7 @@
    operation pipelines — the property that makes the paper's benchmark
    comparison meaningful. *)
 
+module Grain = Bds_runtime.Grain
 open Bds_test_util
 
 let () = init ()
@@ -121,7 +122,7 @@ let gen =
       (int_range 1 32))
 
 let prop_all_impls_agree (a, steps, bsize) =
-  with_policy (Bds.Block.Fixed bsize) (fun () ->
+  with_policy (Grain.Fixed bsize) (fun () ->
       let rm = P_model.run a steps in
       let ra = P_array.run a steps in
       let rr = P_rad.run a steps in

@@ -1,6 +1,7 @@
 (* The twelve benchmark kernels: every library version against the
    sequential reference, on several sizes and seeds. *)
 
+module Grain = Bds_runtime.Grain
 open Bds_test_util
 module K = Bds_kernels
 
@@ -223,10 +224,10 @@ let mcss_input_gen =
 
 let mcss_policies =
   [
-    ("B=1", Bds.Block.Fixed 1);
-    ("B=3", Bds.Block.Fixed 3);
-    ("B=17", Bds.Block.Fixed 17);
-    ("scaled", Bds.Block.default_policy);
+    ("B=1", Grain.Fixed 1);
+    ("B=3", Grain.Fixed 3);
+    ("B=17", Grain.Fixed 17);
+    ("scaled", Grain.default_policy);
   ]
 
 let mcss_matches_reference =
@@ -368,16 +369,16 @@ let test_policy_matrix () =
           Alcotest.(check int_array) (ctx "dedup") (K.Dedup.reference keys)
             (K.Dedup.Delay_version.dedup keys)))
     [
-      ("B=1", Bds.Block.Fixed 1);
-      ("B=2", Bds.Block.Fixed 2);
-      ("B=7", Bds.Block.Fixed 7);
-      ("B=100", Bds.Block.Fixed 100);
-      ("B=1000", Bds.Block.Fixed 1000);
+      ("B=1", Grain.Fixed 1);
+      ("B=2", Grain.Fixed 2);
+      ("B=7", Grain.Fixed 7);
+      ("B=100", Grain.Fixed 100);
+      ("B=1000", Grain.Fixed 1000);
     ]
 
 (* Kernels must stay correct under degenerate block sizes. *)
 let test_kernels_small_blocks () =
-  with_policy (Bds.Block.Fixed 3) (fun () ->
+  with_policy (Grain.Fixed 3) (fun () ->
       let a = K.Bestcut.generate ~seed:23 997 in
       float_eq "bestcut" (K.Bestcut.reference a) (K.Bestcut.Delay_version.best_cut a);
       let x, y = K.Bignum.generate_input ~seed:23 997 in

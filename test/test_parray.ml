@@ -108,6 +108,13 @@ let qcheck_tests =
         let nested = P.map (fun x -> Array.make (abs x mod 4) x) a in
         alist (P.flatten nested)
         = List.concat_map (fun x -> List.init (abs x mod 4) (fun _ -> x)) (alist a));
+    (* A filter's packs are joined by [concat_packed]: the same output
+       as [flatten], with empty packs anywhere. *)
+    Test.make ~name:"concat_packed = flatten" ~count:200 small_int_array (fun a ->
+        let packs = P.map (fun x -> Array.make (abs x mod 3) x) a in
+        P.concat_packed packs = P.flatten packs
+        && alist (P.concat_packed packs)
+           = List.concat_map (fun x -> List.init (abs x mod 3) (fun _ -> x)) (alist a));
   ]
 
 let () =

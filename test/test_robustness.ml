@@ -7,6 +7,7 @@ module Pool = Bds_runtime.Pool
 module Runtime = Bds_runtime.Runtime
 module Chaos = Bds_runtime.Chaos
 module K = Bds_kernels
+module Grain = Bds_runtime.Grain
 open Bds_test_util
 
 let () = init ()
@@ -53,7 +54,7 @@ let test_cancellation_in_fused_pipeline () =
      that have not started observe the token (Seq polls it at block
      boundaries) and skip their streams, so only a small fraction of the
      input is ever touched. *)
-  with_policy (Bds.Block.Fixed 1000) (fun () ->
+  with_policy (Grain.Fixed 1000) (fun () ->
       let n = 1_000_000 in
       let fired = Atomic.make false in
       let late = Atomic.make 0 in
@@ -89,7 +90,7 @@ let test_cancellation_in_scan_phase1 () =
     ~finally:(fun () -> Runtime.set_num_domains Bds_test_util.domains)
     (fun () ->
       Runtime.set_num_domains 1;
-      with_policy (Bds.Block.Fixed 100) (fun () ->
+      with_policy (Grain.Fixed 100) (fun () ->
           let n = 100_000 in
           let touches = ref 0 in
           let poison x =
@@ -126,7 +127,7 @@ let test_cancellation_mid_block_push () =
     ~finally:(fun () -> Runtime.set_num_domains Bds_test_util.domains)
     (fun () ->
       Runtime.set_num_domains 1;
-      with_policy (Bds.Block.Fixed 100_000) (fun () ->
+      with_policy (Grain.Fixed 100_000) (fun () ->
           let n = 100_000 in
           let bid, _ = S.scan ( + ) 0 (S.iota n) in
           let touches = ref 0 in
@@ -163,7 +164,7 @@ let test_cancellation_mid_block_unboxed () =
     ~finally:(fun () -> Runtime.set_num_domains Bds_test_util.domains)
     (fun () ->
       Runtime.set_num_domains 1;
-      with_policy (Bds.Block.Fixed 100_000) (fun () ->
+      with_policy (Grain.Fixed 100_000) (fun () ->
           let n = 100_000 in
           let touches = ref 0 in
           let poison i =
@@ -199,7 +200,7 @@ let test_cancellation_mid_block_indexed_filter () =
     ~finally:(fun () -> Runtime.set_num_domains Bds_test_util.domains)
     (fun () ->
       Runtime.set_num_domains 1;
-      with_policy (Bds.Block.Fixed 100_000) (fun () ->
+      with_policy (Grain.Fixed 100_000) (fun () ->
           let n = 100_000 in
           let emitting = ref false in
           let touches = ref 0 in
@@ -308,7 +309,7 @@ let test_chaos_kernel_sweep () =
 let test_shared_bid_concurrent_force () =
   (* Many tasks force the same BID concurrently; memoisation races are
      benign and every consumer sees the same contents. *)
-  with_policy (Bds.Block.Fixed 16) (fun () ->
+  with_policy (Grain.Fixed 16) (fun () ->
       let pool = Runtime.get_pool () in
       let b = S.filter (fun x -> x mod 3 <> 1) (S.iota 5_000) in
       let expect = List.filter (fun x -> x mod 3 <> 1) (List.init 5_000 Fun.id) in
@@ -327,7 +328,7 @@ let test_shared_bid_memo_published_once () =
      wins.  (With the old plain-mutable-field publication each forcer
      kept its own copy — equal contents, different arrays — and the
      store itself was a data race under the OCaml memory model.) *)
-  with_policy (Bds.Block.Fixed 1000) (fun () ->
+  with_policy (Grain.Fixed 1000) (fun () ->
       let pool = Runtime.get_pool () in
       (* Forcing must outlast an OS timeslice so that the two forcers
          overlap even when the pool's domains timeshare one core: a

@@ -3,6 +3,7 @@
    behaviour, and edge cases. *)
 
 module S = Bds.Seq
+module Grain = Bds_runtime.Grain
 open Bds_test_util
 
 let () = init ()
@@ -13,7 +14,7 @@ let repr_t = Alcotest.of_pp (fun fmt r ->
     Format.pp_print_string fmt (match r with `Rad -> "RAD" | `Bid -> "BID"))
 
 let test_representation_rules () =
-  with_policy (Bds.Block.Fixed 8) (fun () ->
+  with_policy (Grain.Fixed 8) (fun () ->
       let t = S.tabulate 100 Fun.id in
       Alcotest.check repr_t "tabulate is RAD" `Rad (S.repr t);
       Alcotest.check repr_t "map RAD is RAD" `Rad (S.repr (S.map (( + ) 1) t));
@@ -61,7 +62,7 @@ let pipeline_on_policy _name =
 let test_pipelines_all_policies () = for_all_policies pipeline_on_policy
 
 let test_scan_variants () =
-  with_policy (Bds.Block.Fixed 5) (fun () ->
+  with_policy (Grain.Fixed 5) (fun () ->
       let a = Array.init 137 (fun i -> (i mod 11) - 5) in
       let s = S.of_array a in
       let got, total = S.scan ( + ) 7 s in
@@ -80,7 +81,7 @@ let test_scan_variants () =
       Alcotest.(check (pair int int)) "affine total" et gt)
 
 let test_delaying_and_memoisation () =
-  with_policy (Bds.Block.Fixed 16) (fun () ->
+  with_policy (Grain.Fixed 16) (fun () ->
       let calls = Atomic.make 0 in
       let s =
         S.map
@@ -112,7 +113,7 @@ let test_memoised_bid_reuse () =
      every traversal of the derived sequence.  (Regression: map/mapi/
      zip_with used to close over the original [block] even when the memo
      was populated; only [take] routed through it.) *)
-  with_policy (Bds.Block.Fixed 16) (fun () ->
+  with_policy (Grain.Fixed 16) (fun () ->
       let calls = Atomic.make 0 in
       let counted =
         S.map
@@ -142,7 +143,7 @@ let test_memoised_bid_reuse () =
         baseline (Atomic.get calls))
 
 let test_force_semantics () =
-  with_policy (Bds.Block.Fixed 8) (fun () ->
+  with_policy (Grain.Fixed 8) (fun () ->
       (* RADs are not memoised: every to_array is a fresh array. *)
       let r = S.map (( + ) 1) (S.iota 100) in
       Alcotest.(check bool) "rad to_array fresh" false (S.to_array r == S.to_array r);
@@ -159,7 +160,7 @@ let test_force_semantics () =
       Alcotest.(check int_list) "same contents" (slist b) (slist fb))
 
 let test_random_access () =
-  with_policy (Bds.Block.Fixed 10) (fun () ->
+  with_policy (Grain.Fixed 10) (fun () ->
       let s = S.tabulate 100 (fun i -> i * 3) in
       Alcotest.(check int) "rad get" 30 (S.get s 10);
       let b = S.filter (fun x -> x mod 2 = 0) s in
@@ -169,28 +170,82 @@ let test_random_access () =
         (fun () -> ignore (S.get s 100)))
 
 let test_policy_change_mid_life () =
-  (* A BID records its block size at creation: changing the policy before
+  (* A BID records its block grid at creation: changing the policy before
      consumption must not corrupt it. *)
   let b =
-    with_policy (Bds.Block.Fixed 4) (fun () ->
+    with_policy (Grain.Fixed 4) (fun () ->
         fst (S.scan ( + ) 0 (S.filter (fun x -> x mod 2 = 0) (S.iota 100))))
   in
-  with_policy (Bds.Block.Fixed 17) (fun () ->
-      let evens = List.filter (fun x -> x mod 2 = 0) (List.init 100 Fun.id) in
-      Alcotest.(check int_list) "consumed under new policy"
-        (fst (list_scan ( + ) 0 evens))
-        (slist b))
+  let evens = List.filter (fun x -> x mod 2 = 0) (List.init 100 Fun.id) in
+  let model = fst (list_scan ( + ) 0 evens) in
+  with_policy (Grain.Fixed 17) (fun () ->
+      Alcotest.(check int_list) "consumed under new policy" model (slist b);
+      (* Every per-block consumer of a fresh BID cut under [Fixed 4],
+         run under [Fixed 17]: each must walk the BID's own grid. *)
+      let fresh () =
+        with_policy (Grain.Fixed 4) (fun () ->
+            fst (S.scan ( + ) 0 (S.filter (fun x -> x mod 2 = 0) (S.iota 100))))
+      in
+      let n = List.length model in
+      let arr = Array.of_list model in
+      let total = List.fold_left ( + ) 0 model in
+      Alcotest.(check int) "block size kept" 4 (S.block_size_of (fresh ()));
+      let sum = Atomic.make 0 and seen = Atomic.make 0 in
+      S.iter
+        (fun v ->
+          ignore (Atomic.fetch_and_add sum v : int);
+          Atomic.incr seen)
+        (fresh ());
+      Alcotest.(check (pair int int)) "iter" (total, n) (Atomic.get sum, Atomic.get seen);
+      let got = Array.make n (-1) in
+      S.iteri (fun i v -> got.(i) <- v) (fresh ());
+      Alcotest.(check int_array) "iteri" arr got;
+      Alcotest.(check int) "reduce" total (S.reduce ( + ) 0 (fresh ()));
+      Alcotest.(check int) "int_sum" total (S.int_sum (fresh ()));
+      Alcotest.(check (float 0.0)) "float_sum" (float_of_int total)
+        (S.float_sum (S.map float_of_int (fresh ())));
+      Alcotest.(check int) "max_by" arr.(n - 1) (S.max_by compare (fresh ()));
+      Alcotest.(check bool) "exists" true (S.exists (fun v -> v = arr.(n - 1)) (fresh ()));
+      Alcotest.(check bool) "exists none" false (S.exists (fun v -> v < 0) (fresh ()));
+      Alcotest.(check (option int)) "find_index" (Some (n - 1))
+        (S.find_index (fun v -> v = arr.(n - 1)) (fresh ()));
+      let yes, no = S.partition (fun v -> v mod 3 = 0) (fresh ()) in
+      Alcotest.(check (pair int_list int_list)) "partition"
+        (List.partition (fun v -> v mod 3 = 0) model)
+        (slist yes, slist no);
+      let half v = if v mod 4 = 0 then Some (v / 4) else None in
+      Alcotest.(check int_list) "filter_op" (List.filter_map half model)
+        (slist (S.filter_op half (fresh ())));
+      let inner v = List.init (v mod 3) (fun k -> v + k) in
+      Alcotest.(check int_list) "flatten" (List.concat_map inner model)
+        (slist (S.flatten (S.map (fun v -> S.of_list (inner v)) (fresh ()))));
+      Alcotest.(check int_array) "to_array" arr (S.to_array (fresh ()));
+      Alcotest.(check int_list) "mapi" (List.mapi ( + ) model)
+        (slist (S.mapi ( + ) (fresh ())));
+      Alcotest.(check int_list) "take" (List.filteri (fun i _ -> i < 30) model)
+        (slist (S.take (fresh ()) 30));
+      Alcotest.(check int_list) "zip BID x RAD" (List.mapi ( + ) model)
+        (slist (S.zip_with ( + ) (fresh ()) (S.iota n)));
+      Alcotest.(check int_list) "zip RAD x BID" (List.mapi ( + ) model)
+        (slist (S.zip_with ( + ) (S.iota n) (fresh ()))))
 
 let test_zip_mixed_block_sizes () =
   (* BIDs created under different policies must still zip correctly. *)
   let mk policy =
     with_policy policy (fun () -> S.filter (fun x -> x mod 2 = 0) (S.iota 100))
   in
-  let b1 = mk (Bds.Block.Fixed 4) in
-  let b2 = mk (Bds.Block.Fixed 9) in
+  let b1 = mk (Grain.Fixed 4) in
+  let b2 = mk (Grain.Fixed 9) in
   let got = slist (S.zip_with ( + ) b1 b2) in
   let evens = List.filter (fun x -> x mod 2 = 0) (List.init 100 Fun.id) in
   Alcotest.(check int_list) "zip across block sizes" (List.map (fun x -> 2 * x) evens) got;
+  (* A RAD zipped with a BID is cut on the BID's grid, whatever the
+     policy says now. *)
+  with_policy (Grain.Fixed 17) (fun () ->
+      let b3 = mk (Grain.Fixed 4) in
+      Alcotest.(check int_list) "zip RAD x BID across block sizes"
+        (List.mapi (fun i x -> i + x) evens)
+        (slist (S.zip_with ( + ) (S.iota 50) b3)));
   Alcotest.check_raises "zip length mismatch" (Invalid_argument "Seq.zip: length mismatch")
     (fun () -> ignore (S.zip (S.iota 3) (S.iota 4)))
 
@@ -231,7 +286,7 @@ let test_flatten_length_guard () =
   in
   List.iter
     (fun (name, bsize, first_len, later_len) ->
-      with_policy (Bds.Block.Fixed bsize) (fun () ->
+      with_policy (Grain.Fixed bsize) (fun () ->
           let n = 40 in
           let seen = Array.make n false in
           let outer =
@@ -259,7 +314,7 @@ let test_flatten_length_guard () =
     ]
 
 let test_iteration () =
-  with_policy (Bds.Block.Fixed 7) (fun () ->
+  with_policy (Grain.Fixed 7) (fun () ->
       let hits = Array.init 500 (fun _ -> Atomic.make 0) in
       S.iter (fun i -> Atomic.incr hits.(i)) (S.iota 500);
       Array.iteri
@@ -271,7 +326,7 @@ let test_iteration () =
       Alcotest.(check int_array) "iteri on BID" (Array.init 200 Fun.id) out)
 
 let test_derived () =
-  with_policy (Bds.Block.Fixed 6) (fun () ->
+  with_policy (Grain.Fixed 6) (fun () ->
       let s = S.iota 10 in
       Alcotest.(check int_list) "slice" [ 3; 4; 5 ] (slist (S.slice s 3 3));
       Alcotest.(check int_list) "take" [ 0; 1; 2 ] (slist (S.take s 3));
@@ -293,7 +348,7 @@ let test_derived () =
       Alcotest.(check bool) "not equal" false (S.equal ( = ) s (S.rev s)))
 
 let test_blockwise_api () =
-  with_policy (Bds.Block.Fixed 8) (fun () ->
+  with_policy (Grain.Fixed 8) (fun () ->
       (* take on a BID must not force it. *)
       let calls = Atomic.make 0 in
       let counted =
@@ -329,7 +384,7 @@ let test_blockwise_api () =
         (Array.to_list out))
 
 let test_extended_combinators () =
-  with_policy (Bds.Block.Fixed 9) (fun () ->
+  with_policy (Grain.Fixed 9) (fun () ->
       let s = S.iota 100 in
       Alcotest.(check int_list) "map3"
         (List.init 100 (fun i -> 3 * i))
@@ -397,7 +452,7 @@ let test_filter_op () =
 let test_partition_single_pass () =
   (* One pass producing both halves: the predicate runs exactly once per
      element, whichever side the element lands on. *)
-  with_policy (Bds.Block.Fixed 16) (fun () ->
+  with_policy (Grain.Fixed 16) (fun () ->
       let n = 1000 in
       let evals = Atomic.make 0 in
       let p x =
@@ -428,7 +483,7 @@ let test_partition_single_pass () =
    A non-indexed BID keeps the re-drive: phase 1 folds its blocks and
    each emission re-runs input elements, non-survivors included. *)
 let test_filter_eval_counts () =
-  with_policy (Bds.Block.Fixed 16) (fun () ->
+  with_policy (Grain.Fixed 16) (fun () ->
       let module T = Bds_runtime.Telemetry in
       let n = 1000 in
       let keep x = x mod 7 < 2 in
@@ -508,7 +563,7 @@ let test_shared_forces () =
      forces its memo exactly once (one shared_forces bump for the whole
      BID lifetime); the producer runs at most twice (once for the first
      consumer's drive, once for the memo force), never per consumer. *)
-  with_policy (Bds.Block.Fixed 16) (fun () ->
+  with_policy (Grain.Fixed 16) (fun () ->
       let module T = Bds_runtime.Telemetry in
       let calls = Atomic.make 0 in
       let counted =
@@ -559,7 +614,7 @@ let test_early_exit_counts () =
   Fun.protect
     ~finally:(fun () -> Bds_runtime.Runtime.set_num_domains domains)
     (fun () ->
-      with_policy (Bds.Block.Fixed 100) (fun () ->
+      with_policy (Grain.Fixed 100) (fun () ->
           let n = 100_000 in
           let s = S.iota n in
           let evals = Atomic.make 0 in
@@ -615,7 +670,7 @@ let test_early_exit_exact_counts () =
   Fun.protect
     ~finally:(fun () -> Bds_runtime.Runtime.set_num_domains domains)
     (fun () ->
-      with_policy (Bds.Block.Fixed 1000) (fun () ->
+      with_policy (Grain.Fixed 1000) (fun () ->
           List.iter
             (fun (name, input, value) ->
               List.iter
@@ -640,7 +695,7 @@ let test_early_exit_exact_counts () =
             inputs))
 
 let test_early_exit_parallel () =
-  with_policy (Bds.Block.Fixed 100) (fun () ->
+  with_policy (Grain.Fixed 100) (fun () ->
       let n = 100_000 in
       let s = S.iota n in
       Alcotest.(check bool) "exists hit" true (S.exists (( = ) 0) s);

@@ -2,6 +2,7 @@
    pipelines compared against a list model, under random block sizes. *)
 
 module S = Bds.Seq
+module Grain = Bds_runtime.Grain
 open Bds_test_util
 
 let () = init ()
@@ -101,10 +102,10 @@ let policy_gen =
   let open QCheck2.Gen in
   oneof
     [
-      map (fun b -> Bds.Block.Fixed b) (int_range 1 40);
+      map (fun b -> Grain.Fixed b) (int_range 1 40);
       map2
         (fun pw mn ->
-          Bds.Block.Scaled
+          Grain.Scaled
             { per_worker_blocks = pw + 1; min_size = mn + 1; max_size = mn + 64 })
         (int_bound 7) (int_bound 16);
     ]
@@ -129,7 +130,7 @@ let prop_reduce_after_pipeline (a, steps, policy) =
    region blocks rather than array-backed ones — the chain the tentpole
    fuses end to end. *)
 let prop_filter_after_flatten (a, bsize) =
-  with_policy (Bds.Block.Fixed bsize) (fun () ->
+  with_policy (Grain.Fixed bsize) (fun () ->
       let mk x = S.tabulate (abs x mod 4) (fun j -> x - j) in
       let p x = x land 1 = 0 in
       let got = S.to_list (S.filter p (S.flat_map mk (S.of_array a))) in
@@ -155,7 +156,7 @@ let prop_shared_consumption (a, steps, policy) =
 
 (* flatten . map ≡ concat_map *)
 let prop_flatten (a, bsize) =
-  with_policy (Bds.Block.Fixed bsize) (fun () ->
+  with_policy (Grain.Fixed bsize) (fun () ->
       let mk x = S.tabulate (abs x mod 5) (fun j -> x + j) in
       let got = S.to_list (S.flatten (S.map mk (S.of_array a))) in
       let expect =
@@ -166,7 +167,7 @@ let prop_flatten (a, bsize) =
 (* Affine-composition scan (non-commutative monoid) against the list
    model, under random block sizes. *)
 let prop_affine_scan (pairs, bsize) =
-  with_policy (Bds.Block.Fixed bsize) (fun () ->
+  with_policy (Grain.Fixed bsize) (fun () ->
       let compose (a1, b1) (a2, b2) = (a1 * a2, (b1 * a2) + b2) in
       let arr = Array.map (fun (a, b) -> (a mod 3, b mod 5)) pairs in
       let got, gt = S.scan compose (1, 0) (S.of_array arr) in
@@ -175,7 +176,7 @@ let prop_affine_scan (pairs, bsize) =
 
 (* filter distributes over map. *)
 let prop_filter_map_commute (a, bsize) =
-  with_policy (Bds.Block.Fixed bsize) (fun () ->
+  with_policy (Grain.Fixed bsize) (fun () ->
       let f x = (2 * x) + 1 in
       let p x = x > 0 in
       let lhs = S.to_list (S.filter p (S.map f (S.of_array a))) in
@@ -184,7 +185,7 @@ let prop_filter_map_commute (a, bsize) =
 
 (* to_array . of_array = id; force is semantically the identity. *)
 let prop_roundtrip (a, bsize) =
-  with_policy (Bds.Block.Fixed bsize) (fun () ->
+  with_policy (Grain.Fixed bsize) (fun () ->
       S.to_array (S.of_array a) = a
       && S.to_list (S.force (S.filter (fun x -> x <> 0) (S.of_array a)))
          = S.to_list (S.filter (fun x -> x <> 0) (S.of_array a)))
@@ -199,10 +200,10 @@ let grid_points =
   List.concat_map
     (fun p -> List.map (fun g -> (p, g)) [ None; Some 1; Some 7 ])
     [
-      Bds.Block.Fixed 1;
-      Bds.Block.Fixed 3;
-      Bds.Block.Fixed 17;
-      Bds.Block.default_policy;
+      Grain.Fixed 1;
+      Grain.Fixed 3;
+      Grain.Fixed 17;
+      Grain.default_policy;
     ]
 
 let prop_policy_invariance (a, steps) =
@@ -216,7 +217,7 @@ let prop_policy_invariance (a, steps) =
     grid_points
 
 let prop_search_invariance (a, bsize) =
-  with_policy (Bds.Block.Fixed bsize) (fun () ->
+  with_policy (Grain.Fixed bsize) (fun () ->
       let s = S.of_array a in
       let l = Array.to_list a in
       let p x = x land 3 = 0 in
@@ -252,7 +253,7 @@ let filter_inputs a =
   [ (fun () -> S.of_array a); memoised; identity_scan ]
 
 let filter_policies =
-  [ Bds.Block.Fixed 1; Bds.Block.Fixed 3; Bds.Block.Fixed 17; Bds.Block.default_policy ]
+  [ Grain.Fixed 1; Grain.Fixed 3; Grain.Fixed 17; Grain.default_policy ]
 
 let prop_filter_inputs (a, k, r) =
   let p x = (x mod k + k) mod k = r in
@@ -363,7 +364,7 @@ let prop_flatten_outers (front, body, back) =
   let even x = x land 1 = 0 in
   List.for_all
     (fun bsize ->
-      with_policy (Bds.Block.Fixed bsize) (fun () ->
+      with_policy (Grain.Fixed bsize) (fun () ->
           List.for_all
             (fun mode ->
               List.for_all
@@ -513,7 +514,7 @@ let test_domains_sweep () =
                       in
                       Alcotest.(check int_list) tag l (S.to_list s))
                     chains))
-            [ ("B=17", Bds.Block.Fixed 17); ("scaled", Bds.Block.default_policy) ])
+            [ ("B=17", Grain.Fixed 17); ("scaled", Grain.default_policy) ])
         [ 1; 2; 4 ])
 
 let () =

@@ -17,9 +17,9 @@ let init =
 
 (* Run [f] under a block-size policy, restoring the previous policy. *)
 let with_policy p f =
-  let old = Bds.Block.get_policy () in
-  Bds.Block.set_policy p;
-  Fun.protect ~finally:(fun () -> Bds.Block.set_policy old) f
+  let old = Bds_runtime.Grain.get_policy () in
+  Bds_runtime.Grain.set_policy p;
+  Fun.protect ~finally:(fun () -> Bds_runtime.Grain.set_policy old) f
 
 (* Run [f] under a leaf-grain override ([None] = the heuristic),
    restoring the previous override. *)
@@ -32,11 +32,11 @@ let with_grain g f =
    degenerate ones. *)
 let policies =
   [
-    ("B=1", Bds.Block.Fixed 1);
-    ("B=3", Bds.Block.Fixed 3);
-    ("B=64", Bds.Block.Fixed 64);
-    ("B=10000", Bds.Block.Fixed 10000);
-    ("scaled", Bds.Block.default_policy);
+    ("B=1", Bds_runtime.Grain.Fixed 1);
+    ("B=3", Bds_runtime.Grain.Fixed 3);
+    ("B=64", Bds_runtime.Grain.Fixed 64);
+    ("B=10000", Bds_runtime.Grain.Fixed 10000);
+    ("scaled", Bds_runtime.Grain.default_policy);
   ]
 
 let for_all_policies f =
