@@ -106,8 +106,8 @@ bench:
 bench-quick:
 	dune exec bench/main.exe -- --quick
 
-# Perf-regression gate: stream-overhead + float-kernels + sweep-grain
-# bench vs the ratio gates BENCH_11.json declares (see
+# Perf-regression gate: stream-overhead + float-kernels + sweep-block
+# bench vs the ratio gates BENCH_12.json declares (see
 # scripts/bench_compare).
 bench-compare:
 	scripts/bench_compare

@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates the tables and figures of the paper's
    evaluation and the ratios the perf gate (scripts/bench_compare)
-   checks against BENCH_11.json.  Each section, by --only name:
+   checks against BENCH_12.json.  Each section, by --only name:
 
    - fig5: Figure 5, best-cut reads and writes, normal vs fused
      (Cost_model counts, no timing).
@@ -12,13 +12,13 @@
    - fig16: Figure 16, stream-of-blocks bestcut across block sizes
      (SVG with --plots).
    - ablation: §3 force-vs-recompute on bestcut; the block-size and
-     small-n floor tables that docs/COST.md cites; the leaf-grain and
-     triangular-load tables of DESIGN.md §6.
+     small-n floor tables that docs/COST.md cites; the triangular-load
+     table of DESIGN.md §6.
    - stream-overhead: gates chain3 pull/push, filter-chain and
      flatten-chain materialized/fused, consumers reduce/iteri.
    - float-kernels: gates ref/unboxed of sum, dot, integrate, linefit,
      mcss-float and sort-floats.
-   - --sweep-grain (not an --only section; runs whenever given): gate
+   - --sweep-block (not an --only section; runs whenever given): gate
      default/best-fixed.
 
    Run `dune exec bench/main.exe` for every section at the default
@@ -51,8 +51,8 @@ type config = {
   sections : string list;
   csv : string option;
   plots : string option;  (** directory for SVG versions of the figures *)
-  sweep_grain : int list;
-      (** leaf-grain values to sweep the bestcut pipeline over (--sweep-grain) *)
+  sweep_block : int list;
+      (** fixed block sizes to sweep the bestcut pipeline over (--sweep-block) *)
 }
 
 (* Raw results accumulated for --csv: section, bench, version, procs,
@@ -476,28 +476,7 @@ let ablation cfg =
       @ List.filteri (fun k _ -> k < List.length floors - 1)
           (List.map (Printf.sprintf "/%d") floors))
     ~rows;
-  (* 2. Leaf grain, swept through the unified granularity layer: the
-     override steers every auto-grained parallel_for, exactly what
-     BDS_GRAIN does from the environment. *)
-  Printf.eprintf "  ablation: grain...\n%!" ;
-  let out = Array.make n 0 in
-  Measure.with_domains cfg.procs (fun () ->
-      let rows =
-        List.map
-          (fun (g, (m : Measure.timed)) -> [ g; Measure.pp_time m.best_s ])
-          (Measure.rounds ~repeat:cfg.repeat
-             (List.map
-                (fun g ->
-                  Measure.point (string_of_int g)
-                    ~setup:(fun () -> Grain.set_leaf_grain (Some g))
-                    ~teardown:(fun () -> Grain.set_leaf_grain None)
-                    (fun () -> Runtime.parallel_for 0 n (fun i -> Array.unsafe_set out i (i * 3))))
-                [ 16; 256; 4096; 65536; 1048576 ]))
-      in
-      Tables.print
-        ~title:(Printf.sprintf "Ablation: leaf grain via Grain.set_leaf_grain (n=%d, P=%d)" n cfg.procs)
-        ~headers:[ "grain"; "time" ] ~rows);
-  (* 3. The §3 force-vs-recompute tradeoff: fully delayed bestcut
+  (* 2. The §3 force-vs-recompute tradeoff: fully delayed bestcut
      evaluates the initial map twice (2n + O(b) memory ops); forcing it
      costs an n-word array but computes the map once (4n + O(b)). *)
   Printf.eprintf "  ablation: force vs delay...\n%!" ;
@@ -545,8 +524,9 @@ let ablation cfg =
             [ "delay (map evaluated twice)"; Measure.pp_time td; Measure.pp_bytes ad ];
             [ "force (extra n-word array)"; Measure.pp_time tf; Measure.pp_bytes af ];
           ]);
-  (* 3b. Static grain on an imbalanced loop (iteration i costs ~i work:
-     a triangular load): the auto grain against one coarse fixed grain. *)
+  (* 3. The one split rule on an imbalanced loop (iteration i costs ~i
+     work: a triangular load): the default block policy against one
+     coarse fixed block size. *)
   Printf.eprintf "  ablation: triangular load...\n%!" ;
   let nl = scaled cfg 30_000 in
   let body i =
@@ -562,42 +542,44 @@ let ablation cfg =
           (fun (name, (m : Measure.timed)) -> [ name; Measure.pp_time m.best_s ])
           (Measure.rounds ~repeat:cfg.repeat
              [
-               Measure.point "static grain (auto)" (fun () -> Runtime.parallel_for 0 nl body);
-               Measure.point "static grain 4096" (fun () ->
-                   Runtime.parallel_for ~grain:4096 0 nl body);
+               Measure.point "default policy" (fun () -> Runtime.parallel_for 0 nl body);
+               Measure.point "Fixed 4096"
+                 ~setup:(fun () -> Grain.set_policy (Grain.Fixed 4096))
+                 ~teardown:Grain.reset_policy
+                 (fun () -> Runtime.parallel_for 0 nl body);
              ])
       in
       Tables.print
         ~title:
           (Printf.sprintf
-             "Ablation: static grain, triangular load (n=%d, P=%d)"
+             "Ablation: block policy, triangular load (n=%d, P=%d)"
              nl cfg.procs)
-        ~headers:[ "strategy"; "time" ] ~rows)
+        ~headers:[ "policy"; "time" ] ~rows)
 
 (* ------------------------------------------------------------------ *)
-(* Leaf-grain sweep (--sweep-grain): the bestcut delayed pipeline at each
-   fixed grain, then once more at the shipped default, all in shared
-   rounds with the grain switched in each point's setup.  Reports time
-   plus scheduler pressure per point, and the best fixed grain's time
-   over the default's (gate default/best-fixed: ~1.0 means the static
-   policy already sits at the sweep optimum).  Rows land in --csv under
-   section "sweep-grain". *)
+(* Block-size sweep (--sweep-block): the bestcut delayed pipeline at each
+   fixed block size, then once more at the shipped default policy, all
+   in shared rounds with the policy switched in each point's setup.
+   Reports time plus scheduler pressure per point, and the best fixed
+   size's time over the default's (gate default/best-fixed: ~1.0 means
+   the default policy already sits at the sweep optimum).  Rows land in
+   --csv under section "sweep-block". *)
 
-let sweep_grain cfg =
+let sweep_block cfg =
   let n = scaled cfg 2_000_000 in
   let a = K.Bestcut.generate n in
   let bestcut () = K.Bestcut.Delay_version.best_cut a in
-  Printf.eprintf "  sweep: leaf grain...\n%!";
+  Printf.eprintf "  sweep: block size...\n%!";
   Measure.with_domains cfg.procs (fun () ->
       let timed =
         Measure.rounds ~repeat:cfg.repeat
           (List.map
-             (fun g ->
-               Measure.point (Printf.sprintf "grain=%d" g)
-                 ~setup:(fun () -> Grain.set_leaf_grain (Some g))
-                 ~teardown:(fun () -> Grain.set_leaf_grain None)
+             (fun b ->
+               Measure.point (Printf.sprintf "block=%d" b)
+                 ~setup:(fun () -> Grain.set_policy (Grain.Fixed b))
+                 ~teardown:Grain.reset_policy
                  bestcut)
-             cfg.sweep_grain
+             cfg.sweep_block
           @ [ Measure.point "default" bestcut ])
       in
       let rows =
@@ -606,7 +588,7 @@ let sweep_grain cfg =
             let steals_per_s = per_s m m.counters.Telemetry.s_steals in
             let tasks_per_s = per_s m m.counters.Telemetry.s_tasks_spawned in
             let put =
-              record ~section:"sweep-grain" ~bench:"bestcut-delay" ~version ~procs:cfg.procs
+              record ~section:"sweep-block" ~bench:"bestcut-delay" ~version ~procs:cfg.procs
             in
             put ~metric:"time_s" m.best_s;
             put ~metric:"steals_per_s" steals_per_s;
@@ -627,12 +609,12 @@ let sweep_grain cfg =
           infinity timed
       in
       let ratio = if t_default > 0.0 then t_best /. t_default else 0.0 in
-      record ~section:"sweep-grain" ~bench:"bestcut-delay" ~version:"default"
+      record ~section:"sweep-block" ~bench:"bestcut-delay" ~version:"default"
         ~procs:cfg.procs ~metric:"default_vs_best_fixed" ratio;
       Printf.eprintf "  default_vs_best_fixed = %.3f\n%!" ratio;
       Tables.print
         ~title:
-          (Printf.sprintf "Sweep: leaf grain (BDS_GRAIN) on bestcut/delay (n=%d, P=%d)"
+          (Printf.sprintf "Sweep: block size (Grain.Fixed) on bestcut/delay (n=%d, P=%d)"
              n cfg.procs)
         ~headers:[ "setting"; "time"; "steals/s"; "tasks/s" ]
         ~rows)
@@ -812,7 +794,7 @@ let stream_overhead cfg =
    the generic polymorphic pipeline (polymorphic reads, boxed closure
    crossings, an allocation per element); and "unboxed", the float lane
    (Float_seq / Stream.sum_floats / Psort.sort_floats).  The gated
-   quantity is ref/unboxed (BENCH_11.json, bench_compare): the yardstick
+   quantity is ref/unboxed (BENCH_12.json, bench_compare): the yardstick
    is fixed code, so the ratio moves only when the lane moves.
    boxed/unboxed is printed but not gated, since a faster boxed
    pipeline would read as a slower lane.
@@ -957,7 +939,7 @@ let run cfg =
      host workers: %d requested for P=max; scale %.2fx; repeat %d\n"
     cfg.procs cfg.scale cfg.repeat;
   List.iter (fun (name, section) -> if enabled cfg name then section cfg) sections;
-  if cfg.sweep_grain <> [] then sweep_grain cfg;
+  if cfg.sweep_block <> [] then sweep_block cfg;
   Option.iter write_csv cfg.csv;
   Printf.printf "\ndone. (sink: %d %.3f)\n" !Registry.sink_int !Registry.sink_float
 
@@ -995,18 +977,18 @@ let plots_arg =
   Arg.(value & opt (some string) None
        & info [ "plots" ] ~doc:"Also write SVG versions of the plotted figures to this directory.")
 
-let sweep_grain_arg =
+let sweep_block_arg =
   Arg.(value & opt (list int) []
-       & info [ "sweep-grain" ]
-           ~doc:"Leaf-grain values (comma-separated) to sweep the bestcut \
-                 delayed pipeline over via the unified granularity layer \
-                 (equivalent to BDS_GRAIN), then once more at the shipped \
-                 default grain (version default), recording best-fixed \
-                 over default as default_vs_best_fixed.  Emits time, \
-                 steals/s and tasks/s per point; rows land in --csv under \
-                 sweep-grain.")
+       & info [ "sweep-block" ]
+           ~doc:"Block sizes (comma-separated) to sweep the bestcut \
+                 delayed pipeline over via Grain.set_policy (Fixed b) \
+                 (equivalent to BDS_BLOCK_SIZE), then once more at the \
+                 shipped default policy (version default), recording \
+                 best-fixed over default as default_vs_best_fixed.  Emits \
+                 time, steals/s and tasks/s per point; rows land in --csv \
+                 under sweep-block.")
 
-let main scale quick procs proc_list repeat only csv plots sweep_grain =
+let main scale quick procs proc_list repeat only csv plots sweep_block =
   let cfg =
     {
       scale = (if quick then scale /. 10.0 else scale);
@@ -1016,7 +998,7 @@ let main scale quick procs proc_list repeat only csv plots sweep_grain =
       sections = only;
       csv;
       plots;
-      sweep_grain;
+      sweep_block;
     }
   in
   Option.iter
@@ -1030,6 +1012,6 @@ let cmd =
     (Cmd.info "bds-bench" ~doc:"Regenerate the paper's tables and figures")
     Term.(
       const main $ scale_arg $ quick_arg $ procs_arg $ proc_list_arg $ repeat_arg
-      $ only_arg $ csv_arg $ plots_arg $ sweep_grain_arg)
+      $ only_arg $ csv_arg $ plots_arg $ sweep_block_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -78,7 +78,7 @@ let probe ~stats ~json =
    BDS_TRACE capture holds exactly one "block" span per grid block.  The
    cram tests pin the grid with BDS_BLOCK_SIZE and check both the
    reported shape and the span count; a malformed override (e.g.
-   BDS_GRAIN=banana) makes the grid request itself raise. *)
+   BDS_BLOCK_SIZE=banana) makes the grid request itself raise. *)
 let blocks () =
   let n = 8_000 in
   let g = Runtime.block_grid n in

@@ -72,8 +72,8 @@ let iota n = tabulate n (fun i -> i)
 (* Every per-block run below is [Runtime.iter_blocks], [map_blocks] or
    [reduce_blocks] on the BID's own grid, never on the current policy's
    ([array_of_bid]'s blocks [1 .. nb-1] are the one [apply_blocks]
-   call): leaf grain pinned to 1, cancellation checked at every split
-   and block entry, and a per-block trace span over the block's element
+   call): one leaf per block, cancellation checked at every split and
+   block entry, and a per-block trace span over the block's element
    bounds. *)
 
 (* ------------------------------------------------------------------ *)

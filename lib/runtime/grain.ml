@@ -2,7 +2,7 @@
 
    Everything here is either pure arithmetic over (n, workers) or a read
    of one of the Atomic policy cells below.  No other module computes a
-   grain or a block grid from n and the worker count — Runtime, Parray,
+   block grid from n and the worker count — Runtime's loops, Parray,
    Rad, Seq and Psort all consume this one. *)
 
 type policy =
@@ -12,7 +12,6 @@ type policy =
 let default_policy =
   Scaled { per_worker_blocks = 8; min_size = 512; max_size = 65536 }
 
-let chunks_per_worker = 32
 let sort_cutoff = 4096
 let default_merge_tile = 4096
 
@@ -20,7 +19,6 @@ let default_merge_tile = 4096
    mutate it between sweep points while worker domains read it.  A plain
    ref here would be a data race under the OCaml memory model. *)
 let policy_state : policy Atomic.t = Atomic.make default_policy
-let leaf_override : int option Atomic.t = Atomic.make None
 let merge_tile_state : int Atomic.t = Atomic.make default_merge_tile
 
 (* ------------------------------------------------------------------ *)
@@ -29,7 +27,6 @@ let merge_tile_state : int Atomic.t = Atomic.make default_merge_tile
 (* The policy the environment requests (before any programmatic
    set_policy), remembered so reset_policy restores it. *)
 let env_policy : policy option Atomic.t = Atomic.make None
-let env_grain : int option Atomic.t = Atomic.make None
 
 let env_done = Atomic.make false
 let env_lock = Mutex.create ()
@@ -44,11 +41,8 @@ let ensure_env () =
       ~finally:(fun () -> Mutex.unlock env_lock)
       (fun () ->
         if not (Atomic.get env_done) then begin
-          let g = Env.pos_int "BDS_GRAIN" in
           let p = Option.map (fun b -> Fixed b) (Env.pos_int "BDS_BLOCK_SIZE") in
-          Atomic.set env_grain g;
           Atomic.set env_policy p;
-          (match g with Some _ -> Atomic.set leaf_override g | None -> ());
           (match p with Some p -> Atomic.set policy_state p | None -> ());
           Atomic.set env_done true
         end)
@@ -104,27 +98,6 @@ let grid ~workers n = grid_of_size ~block_size:(block_size ~workers n) n
 let bounds g j =
   let lo = j * g.block_size in
   (lo, Int.min g.n (lo + g.block_size))
-
-(* ------------------------------------------------------------------ *)
-(* Leaf grain *)
-
-let leaf_grain ~workers n =
-  ensure_env ();
-  match Atomic.get leaf_override with
-  | Some g -> g
-  | None -> Int.max 1 (n / (chunks_per_worker * Int.max 1 workers))
-
-let set_leaf_grain o =
-  ensure_env ();
-  (match o with
-  | Some g when g < 1 -> invalid_arg "Grain.set_leaf_grain: grain must be >= 1"
-  | _ -> ());
-  Atomic.set leaf_override
-    (match o with Some _ -> o | None -> Atomic.get env_grain)
-
-let leaf_grain_override () =
-  ensure_env ();
-  Atomic.get leaf_override
 
 (* ------------------------------------------------------------------ *)
 (* Other knobs *)

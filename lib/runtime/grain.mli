@@ -1,28 +1,24 @@
 (** The single granularity layer: every mapping from [(n, workers)] to a
-    leaf grain, a block grid, or a sequential cutoff lives here.
+    block grid or a sequential cutoff lives here.
 
-    The paper (§4) leaves the block-size policy B(n) open and ablates it
-    (Figure 16).  Historically this reproduction grew three independent
-    policies with conflicting constants (Runtime's grain, Parray's private
-    block heuristic, Block's B(n)); this module is now the only place that
-    computes granularity, and every layer (Runtime loops, Parray, Rad,
-    Seq, Psort) consumes it.  {!set_policy} and its siblings are the
-    public ablation API: the harness's block-size sweeps call them.
+    The paper (§4) splits all parallel work the same way, across uniform
+    blocks of B(n), and leaves the policy B(n) open and ablates it
+    (Figure 16).  This module is the only place that computes B(n), and
+    it is the only split rule: every parallel loop ([Runtime]'s
+    [parallel_for], [parallel_for_reduce] and [apply]) and every
+    per-block phase (Parray, Rad, Seq) runs one leaf per block of the
+    grid it gives.  {!set_policy} and its siblings are the public
+    ablation API: the harness's block-size sweeps call them.
 
-    {2 Environment overrides}
+    {2 Environment override}
 
-    Read and validated at first use (a malformed value raises [Failure]
-    naming the variable, on the first call that needs it — and on every
-    call after that, since validation is retried until it succeeds):
-
-    - [BDS_GRAIN=<int>=1..] — fixed leaf grain for parallel loops
-      (overrides the [chunks_per_worker] heuristic);
-    - [BDS_BLOCK_SIZE=<int>=1..] — fixed block size: initial policy
-      becomes [Fixed].
-
-    An unset, empty or whitespace-only variable means "use the
-    default" (the rule of {!Env}).  Programmatic setters ({!set_policy},
-    {!set_leaf_grain}) override the environment.
+    [BDS_BLOCK_SIZE=<int>=1..] fixes the block size: the initial policy
+    becomes [Fixed].  It is read and validated at first use (a malformed
+    value raises [Failure] naming the variable, on the first call that
+    needs it — and on every call after that, since validation is
+    retried until it succeeds).  An unset, empty or whitespace-only
+    value means "use the default" (the rule of {!Env}).  {!set_policy}
+    overrides the environment.
 
     All policy state is {!Atomic}: the bench harness mutates it between
     sweep points while worker domains read it. *)
@@ -75,23 +71,6 @@ val grid : workers:int -> int -> grid
 (** [bounds g j]: element range [\[lo, hi)] of block [j] of [g]. *)
 val bounds : grid -> int -> int * int
 
-(** {2 Leaf grain for parallel loops} *)
-
-(** Target leaf chunks per worker for auto-grained loops (32): the
-    rationale is in docs/RUNTIME.md "Granularity policy". *)
-val chunks_per_worker : int
-
-(** The sequential-chunk size for an [n]-iteration loop:
-    the [BDS_GRAIN] / {!set_leaf_grain} override if set, else
-    [max 1 (n / (chunks_per_worker * workers))]. *)
-val leaf_grain : workers:int -> int -> int
-
-(** Programmatic equivalent of [BDS_GRAIN]; [None] restores the
-    heuristic (and the environment override, if any). *)
-val set_leaf_grain : int option -> unit
-
-val leaf_grain_override : unit -> int option
-
 (** {2 Other granularity knobs} *)
 
 (** Sequential cutoff for the sorting substrate [Psort] (4096); a
@@ -106,8 +85,8 @@ val merge_tile : unit -> int
 
 val set_merge_tile : int -> unit
 
-(** Does nothing: granularity is static (B(n) and the leaf grain above,
-    or an explicit override).  Kept only because the end-to-end
+(** Does nothing: granularity is static (B(n) above, or an explicit
+    override).  Kept only because the end-to-end
     benchmark ([benchmark/main.ml]) calls it; EXPERIMENTS.md "Retiring
     the grain controller" measured why no online controller sits
     behind it. *)

@@ -300,7 +300,7 @@ let grain_warning row =
     Some
       (Printf.sprintf
          "%s: chunks too small: %.0f%% of chunk time < %dus (raise \
-          BDS_GRAIN / BDS_BLOCK_SIZE)"
+          BDS_BLOCK_SIZE)"
          row.r_name
          (100. *. row.r_tiny_fraction)
          (tiny_chunk_ns / 1000))

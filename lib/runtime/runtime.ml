@@ -5,7 +5,7 @@
    Every combinator here is a *cancellation scope*: it owns a
    [Cancel.t] token; the first exception in any branch records itself in
    the token and cancels it, un-started subtasks observe the token and
-   become no-ops, and sequential grain chunks poll it every
+   become no-ops, and sequential leaves poll it every
    [poll_mask + 1] iterations — so a poisoned 10M-iteration loop stops
    within a few thousand iterations instead of running to completion.
    The scope root re-raises the recorded first exception, preserving the
@@ -19,7 +19,7 @@ let poll_mask = 63
 
 let global : Pool.t option Atomic.t = Atomic.make None
 
-(* A malformed or zero [BDS_NUM_DOMAINS] fails fast, like [BDS_GRAIN];
+(* A malformed or zero [BDS_NUM_DOMAINS] fails fast, like [BDS_BLOCK_SIZE];
    unset or blank means the recommended count. *)
 let requested_domains () =
   match Env.pos_int "BDS_NUM_DOMAINS" with
@@ -109,88 +109,82 @@ let par f g =
       Pool.run pool (fun () ->
           scoped tok (fun () -> Pool.fork_join pool (branch f) (branch g))))
 
-(* Sequential base-case threshold: delegated to the unified granularity
-   layer (Grain.leaf_grain — about 32 leaf chunks per worker, or the
-   BDS_GRAIN override).  The policy rationale lives in docs/RUNTIME.md
-   "Granularity policy". *)
-let auto_grain n = Grain.leaf_grain ~workers:(num_workers ()) n
-
-(* The block grid the block-based layers (Parray, Rad, Seq, Float_seq)
-   use for an [n]-element input: the worker count is supplied here so
+(* The block grid for an [n]-element input: the one split rule.  Every
+   range primitive below and every block-based layer (Parray, Rad, Seq,
+   Float_seq) cuts this grid; the worker count is supplied here so
    Grain stays a pure policy module. *)
 let block_grid n = Grain.grid ~workers:(num_workers ()) n
 
-let loop_grain grain n =
-  match grain with Some g -> Int.max 1 g | None -> Int.max 1 (auto_grain n)
-
 (* The one divide-and-conquer driver under every range primitive: split
-   the non-empty range [lo, hi) in halves down to [grain], fork each
-   split with [Pool.fork_join], and fold the halves' results with
-   [combine].  The call is one cancellation scope, one [span] trace span
-   and one profile region; each leaf [leaf tok lo hi] counts one
-   executed chunk, is one profiled leaf with a [leaf_span] trace span
-   (category "chunk", over [bounds lo] when given, else [lo, hi)), and
-   runs under [tok], which it polls every [poll_mask + 1] iterations. *)
-let drive ~span ~leaf_span ?bounds ~grain ~combine leaf lo hi =
+   the block indices [0, nb) in halves down to single blocks, forking
+   each split with [Pool.fork_join].  The call is one cancellation
+   scope, one [span] trace span over [lo, hi) and one profile region;
+   each leaf [leaf tok j] counts one executed chunk, is one profiled
+   leaf with a [leaf_span] trace span (category "chunk", over
+   [bounds j]), and runs under [tok], which it polls every
+   [poll_mask + 1] iterations.  [nb] must be positive. *)
+let drive ~span ~leaf_span ~lo ~hi ~bounds nb leaf =
   let pool = get_pool () in
   let tok = scope_token () in
   Profile.with_region (fun prof ->
-      let run_leaf lo hi =
+      let run_leaf j =
         Telemetry.incr_chunks_executed ();
-        let chunk () = in_scope tok (fun () -> leaf tok lo hi) in
+        let chunk () = in_scope tok (fun () -> leaf tok j) in
         Profile.leaf prof (fun () ->
             if Trace.enabled () then begin
-              let lo, hi = match bounds with Some f -> f lo | None -> (lo, hi) in
+              let lo, hi = bounds j in
               Trace.with_span ~cat:"chunk" ~lo ~hi leaf_span chunk
             end
             else chunk ())
       in
-      let rec go lo hi =
+      let rec go a b =
         Cancel.check tok;
-        if hi - lo <= grain then run_leaf lo hi
+        if b - a = 1 then run_leaf a
         else begin
-          let mid = lo + ((hi - lo) / 2) in
-          let a, b =
-            Pool.fork_join pool (fun () -> go lo mid) (fun () -> go mid hi)
+          let mid = a + ((b - a) / 2) in
+          let (), () =
+            Pool.fork_join pool (fun () -> go a mid) (fun () -> go mid b)
           in
-          combine a b
+          ()
         end
       in
       Trace.with_span ~lo ~hi span (fun () ->
-          Pool.run pool (fun () -> scoped tok (fun () -> go lo hi))))
+          Pool.run pool (fun () -> scoped tok (fun () -> go 0 nb))))
 
-let ignore2 () () = ()
+(* An element loop over [lo, lo + g.n): [leaf tok j blo bhi] once per
+   block [j] of [g], its range offset by [lo], each leaf a "chunk"
+   span. *)
+let loop ~span lo (g : Grain.grid) leaf =
+  let bounds j =
+    let a, b = Grain.bounds g j in
+    (lo + a, lo + b)
+  in
+  drive ~span ~leaf_span:"chunk" ~lo ~hi:(lo + g.n) ~bounds g.num_blocks
+    (fun tok j ->
+      let blo, bhi = bounds j in
+      leaf tok j blo bhi)
 
-let parallel_for ?grain lo hi (body : int -> unit) =
-  let n = hi - lo in
-  if n > 0 then begin
-    let grain = loop_grain grain n in
-    drive ~span:"parallel_for" ~leaf_span:"chunk" ~grain ~combine:ignore2
-      (fun tok lo hi ->
+let parallel_for lo hi (body : int -> unit) =
+  if hi > lo then
+    loop ~span:"parallel_for" lo (block_grid (hi - lo)) (fun tok _ lo hi ->
         for i = lo to hi - 1 do
           if (i - lo) land poll_mask = 0 then Cancel.check tok;
           body i
         done)
-      lo hi
-  end
 
 (* The paper's [apply : int -> (int -> unit) -> unit]. *)
 let apply n f = parallel_for 0 n f
 
-(* Heavy-body primitive for loops whose iterations are whole block
-   bodies (Seq / Parray / Rad per-block phases).  Unlike [apply], the
-   grain is pinned to 1 — a block body is already a coarse unit of work,
-   and re-chunking block indices with the element-loop grain policy
-   would batch heavy bodies and starve thieves.  Each block runs as its
-   own cancellation-polled leaf, with a per-block "block" trace span
-   (category "chunk") whose lo/hi arguments are the block's element
-   range when [bounds] is given (block indices otherwise). *)
-let apply_blocks ?bounds ~nb (body : int -> unit) =
+(* Heavy-body primitive: [body j] for each of [nb] units of work that
+   are already coarse (a block body of a Seq / Parray / Rad per-block
+   phase, a merge tile), so each runs as its own cancellation-polled
+   leaf, with a per-block "block" trace span (category "chunk") whose
+   lo/hi arguments are the block's element range when [bounds] is
+   given (block indices otherwise). *)
+let apply_blocks ?(bounds = fun j -> (j, j + 1)) ~nb (body : int -> unit) =
   if nb > 0 then
-    drive ~span:"apply_blocks" ~leaf_span:"block" ?bounds ~grain:1
-      ~combine:ignore2
-      (fun _ j _ -> body j)
-      0 nb
+    drive ~span:"apply_blocks" ~leaf_span:"block" ~lo:0 ~hi:nb ~bounds nb
+      (fun _ j -> body j)
 
 (* [body j] once per block of [g], each block's span over its element
    range. *)
@@ -214,22 +208,22 @@ let map_blocks (g : Grain.grid) ~init body =
 let reduce_blocks g ~combine ~init body =
   Array.fold_left combine init (map_blocks g ~init body)
 
-(* [init] is combined exactly once, at the top: each leaf folds its
-   non-empty range seeded from its first element, so this is correct for
-   any associative [combine], with no identity requirement on [init]. *)
-let parallel_for_reduce ?grain lo hi ~combine ~init (body : int -> 'a) =
-  let n = hi - lo in
-  if n <= 0 then init
+(* [init] is combined exactly once, at the left: each block folds its
+   non-empty range seeded from its first element, and the partials fold
+   left to right from [init] as in [reduce_blocks], so this is correct
+   for any associative [combine], with no identity requirement on
+   [init], and the association depends on the grid alone. *)
+let parallel_for_reduce lo hi ~combine ~init (body : int -> 'a) =
+  if hi <= lo then init
   else begin
-    let grain = loop_grain grain n in
-    combine init
-      (drive ~span:"parallel_for_reduce" ~leaf_span:"chunk" ~grain ~combine
-         (fun tok lo hi ->
-           let acc = ref (body lo) in
-           for i = lo + 1 to hi - 1 do
-             if (i - lo) land poll_mask = 0 then Cancel.check tok;
-             acc := combine !acc (body i)
-           done;
-           !acc)
-         lo hi)
+    let g = block_grid (hi - lo) in
+    let partials = Array.make g.num_blocks init in
+    loop ~span:"parallel_for_reduce" lo g (fun tok j lo hi ->
+        let acc = ref (body lo) in
+        for i = lo + 1 to hi - 1 do
+          if (i - lo) land poll_mask = 0 then Cancel.check tok;
+          acc := combine !acc (body i)
+        done;
+        Array.unsafe_set partials j !acc);
+    Array.fold_left combine init partials
   end

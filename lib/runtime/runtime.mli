@@ -6,7 +6,7 @@
     Every combinator below is a {e cancellation scope} (see {!Cancel}):
     the first exception raised in any branch cancels the scope's token,
     remaining un-started subtasks become no-ops, in-flight sequential
-    chunks poll the token at grain boundaries (every 64 iterations) and
+    leaves poll the token every 64 iterations and
     stop early, and the scope re-raises that first exception with its
     original backtrace.  Nested scopes link to the enclosing scope's
     token, so cancelling an outer loop also winds down loops nested in
@@ -31,36 +31,30 @@ val num_workers : unit -> int
 (** [run f] executes [f] inside the global pool (inline if already inside). *)
 val run : (unit -> 'a) -> 'a
 
-(** The default sequential-chunk size for an [n]-iteration loop:
-    {!Grain.leaf_grain} with the current worker count — ~32 leaf chunks
-    per worker, or the [BDS_GRAIN] override (policy rationale in
-    docs/RUNTIME.md "Granularity policy").  Exposed so harnesses and
-    tests can reason about the chunking a loop will get. *)
-val auto_grain : int -> int
-
 (** The {!Grain} block grid for an [n]-element input under the current
-    policy and worker count — the single grid every block-based layer
-    (Parray, Rad, Seq, Float_seq) cuts; a new BID takes its grid from
+    policy and worker count: the one split rule.  Every range primitive
+    below runs one leaf per block of it, and every block-based layer
+    (Parray, Rad, Seq, Float_seq) cuts it; a new BID takes its grid from
     here and keeps it. *)
 val block_grid : int -> Grain.grid
 
 (** Binary fork-join: evaluate both closures, potentially in parallel. *)
 val par : (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 
-(** [parallel_for ?grain lo hi body] runs [body i] for [lo <= i < hi] by
-    parallel divide-and-conquer; chunks of at most [grain] iterations run
-    sequentially. *)
-val parallel_for : ?grain:int -> int -> int -> (int -> unit) -> unit
+(** [parallel_for lo hi body] runs [body i] for [lo <= i < hi]: one
+    sequential leaf (a ["chunk"] span) per block of
+    [block_grid (hi - lo)], its range offset by [lo], the blocks forked
+    by parallel divide-and-conquer over their indices. *)
+val parallel_for : int -> int -> (int -> unit) -> unit
 
 (** The paper's [apply n f]: run [f i] in parallel for [0 <= i < n]. *)
 val apply : int -> (int -> unit) -> unit
 
 (** [apply_blocks ?bounds ~nb body] runs [body j] for [0 <= j < nb],
-    where each iteration is a whole {e block body} (a per-block phase of
-    scan/filter/reduce/to_array).  The grain is pinned to 1 — block
-    bodies are already coarse, so they are never re-chunked by the
-    element-loop grain policy — and every block is a cancellation-polled
-    leaf recording one ["block"] trace span (category ["chunk"]).
+    where each iteration is already a coarse unit of work (a per-block
+    phase of scan/filter/reduce/to_array, a merge tile): every [j] is
+    its own cancellation-polled leaf recording one ["block"] trace span
+    (category ["chunk"]).
     [bounds j] supplies the block's element range for the span's [lo]/
     [hi] arguments (defaults to the block index range [(j, j+1)]). *)
 val apply_blocks : ?bounds:(int -> int * int) -> nb:int -> (int -> unit) -> unit
@@ -90,8 +84,12 @@ val map_blocks : Grain.grid -> init:'a -> (int -> 'a) -> 'a array
 val reduce_blocks :
   Grain.grid -> combine:('p -> 'p -> 'p) -> init:'p -> (int -> 'p) -> 'p
 
-(** Parallel for with a sequential accumulator per chunk and an associative
-    [combine] across chunks. [init] is combined exactly once (on the left
-    of the whole fold), so it need not be an identity of [combine]. *)
+(** [parallel_for_reduce lo hi ~combine ~init body]: on the leaves of
+    {!parallel_for}, each block folds [body] over its range seeded from
+    its first element; the partials then fold left to right from [init],
+    as in {!reduce_blocks}.  [init] is combined exactly once (on the
+    left of the whole fold), so it need not be an identity of the
+    associative [combine], and the association depends on the grid
+    alone. *)
 val parallel_for_reduce :
-  ?grain:int -> int -> int -> combine:('a -> 'a -> 'a) -> init:'a -> (int -> 'a) -> 'a
+  int -> int -> combine:('a -> 'a -> 'a) -> init:'a -> (int -> 'a) -> 'a

@@ -132,7 +132,7 @@ let sort ?grain cmp a =
    cache-resident), each tile locates its input split with one binary
    search along the merge path, and then writes its slice of the output
    in a single sequential pass.  Tiles are independent, so they run as
-   a flat [parallel_for] — span O(log n) per merge level instead of the
+   a flat [apply_blocks] — span O(log n) per merge level instead of the
    generic merge's recursive splitting, and every memory access within
    a tile is sequential (streaming loads from two runs, streaming
    stores to one output range).
@@ -211,8 +211,8 @@ let par_merge_floats grain prof (src : float array) alo ahi blo bhi
   else begin
     let tile = Grain.merge_tile () in
     let nt = (total + tile - 1) / tile in
-    (* Grain 1: a tile is already a coarse unit of work. *)
-    Runtime.parallel_for ~grain:1 0 nt (fun t ->
+    (* One leaf per tile: a tile is already a coarse unit of work. *)
+    Runtime.apply_blocks ~nb:nt (fun t ->
         Profile.leaf prof (fun () ->
             let k1 = t * tile in
             let k2 = Int.min total (k1 + tile) in

@@ -3,7 +3,7 @@
    pipelines — exactly on integer-valued data (where float addition is
    exact, so block splits cannot change the result), and within a
    summation-order error bound on arbitrary data — across block
-   policies, grain overrides and 1/2/4 domains. *)
+   policies and 1/2/4 domains. *)
 
 module FS = Bds.Float_seq
 module S = Bds.Seq
@@ -99,8 +99,8 @@ let test_seq_float_sum_exact () =
         (S.reduce ( +. ) 0.0 sc) (S.float_sum sc))
 
 (* ------------------------------------------------------------------ *)
-(* Grain overrides x 1/2/4 domains (the ISSUE 7 sweep): still exact on
-   integer-valued data, whatever the leaf decomposition. *)
+(* Block policies x 1/2/4 domains: still exact on integer-valued data,
+   whatever the leaf decomposition. *)
 
 let test_grain_domains_sweep () =
   let n = 50_000 in
@@ -113,19 +113,20 @@ let test_grain_domains_sweep () =
         (fun d ->
           Runtime.set_num_domains d;
           List.iter
-            (fun g ->
-              with_grain g (fun () ->
-                  let tag =
-                    Printf.sprintf "d=%d grain=%s" d
-                      (match g with Some v -> string_of_int v | None -> "auto")
-                  in
+            (fun (name, p) ->
+              with_policy p (fun () ->
+                  let tag = Printf.sprintf "d=%d policy=%s" d name in
                   let mat = FS.of_array a in
                   Alcotest.(check (float 0.0)) (tag ^ " sum") want_sum
                     (FS.sum mat);
                   Alcotest.(check (float 0.0)) (tag ^ " seq float_sum")
                     want_sum
                     (S.float_sum (S.tabulate n (fun i -> a.(i))))))
-            [ Some 1; Some 97; None ])
+            [
+              ("B=1", Grain.Fixed 1);
+              ("B=97", Grain.Fixed 97);
+              ("default", Grain.default_policy);
+            ])
         [ 1; 2; 4 ])
 
 (* ------------------------------------------------------------------ *)

@@ -1,7 +1,7 @@
-(* The unified granularity layer: env-override parsing, the leaf-grain
-   heuristic, and block-grid arithmetic (docs/RUNTIME.md "Granularity
-   policy").  These tests use explicit [~workers] so they are independent
-   of the pool. *)
+(* The unified granularity layer: env-override parsing, block-grid
+   arithmetic, and the one split rule every loop follows
+   (docs/RUNTIME.md "Granularity policy").  The grid tests use explicit
+   [~workers] so they are independent of the pool. *)
 
 module Env = Bds_runtime.Env
 module Grain = Bds_runtime.Grain
@@ -68,20 +68,6 @@ let test_get () =
   Alcotest.(check (option string))
     "value as set" (Some " out.json") (get " out.json");
   Alcotest.(check (option string)) "zero is a value" (Some "0") (get "0")
-
-let test_leaf_grain () =
-  with_grain None (fun () ->
-      (* ~32 chunks per worker. *)
-      Alcotest.(check int) "formula" 32 (Grain.leaf_grain ~workers:4 4096);
-      Alcotest.(check int) "small n floors at 1" 1 (Grain.leaf_grain ~workers:4 7);
-      Alcotest.(check int) "zero n" 1 (Grain.leaf_grain ~workers:4 0));
-  with_grain (Some 5) (fun () ->
-      Alcotest.(check int) "override wins" 5 (Grain.leaf_grain ~workers:4 4096);
-      Alcotest.(check bool) "override visible" true
-        (Grain.leaf_grain_override () = Some 5));
-  Alcotest.check_raises "override must be positive"
-    (Invalid_argument "Grain.set_leaf_grain: grain must be >= 1") (fun () ->
-      Grain.set_leaf_grain (Some 0))
 
 (* The block-size policy, read through the grid every block-based layer
    cuts ([Runtime.block_grid]). *)
@@ -237,13 +223,11 @@ let prop_default_grid =
           && (n > 8 * workers * 65_536 || g.Grain.num_blocks <= 8 * workers)))
 
 (* Granularity is static: [set_adaptive] (kept for the end-to-end
-   benchmark) moves no grain, grid, policy or override. *)
+   benchmark) moves no grid or policy. *)
 let test_set_adaptive_noop () =
   let observe () =
-    ( List.map (fun n -> Grain.leaf_grain ~workers:4 n) [ 0; 7; 4096; 1_000_000 ],
-      List.map (fun n -> Grain.grid ~workers:2 n) [ 0; 50; 25_000; 2_000_000 ],
-      Grain.get_policy (),
-      Grain.leaf_grain_override () )
+    ( List.map (fun n -> Grain.grid ~workers:2 n) [ 0; 50; 25_000; 2_000_000 ],
+      Grain.get_policy () )
   in
   let before = observe () in
   Fun.protect
@@ -256,20 +240,7 @@ let test_set_adaptive_noop () =
 
 let sizes = [ 0; 1; 511; 512; 862; 10_000; 100_000; 2_000_000 ]
 
-(* The Runtime views are the Grain policy at the pool's worker count. *)
-let test_auto_grain_is_leaf_grain () =
-  let w = Runtime.num_workers () in
-  let check what =
-    List.iter
-      (fun n ->
-        Alcotest.(check int)
-          (Printf.sprintf "%s n=%d" what n)
-          (Grain.leaf_grain ~workers:w n) (Runtime.auto_grain n))
-      sizes
-  in
-  with_grain None (fun () -> check "heuristic");
-  with_grain (Some 77) (fun () -> check "override")
-
+(* The Runtime view is the Grain policy at the pool's worker count. *)
 let test_block_grid_is_grid () =
   let w = Runtime.num_workers () in
   for_all_policies (fun name ->
@@ -281,10 +252,6 @@ let test_block_grid_is_grid () =
             (Runtime.block_grid n = Grain.grid ~workers:w n))
         sizes)
 
-(* Leaves of the loop driver: halve [n] until a half fits in [grain]. *)
-let rec leaves ~grain n =
-  if n <= grain then 1 else leaves ~grain (n / 2) + leaves ~grain (n - (n / 2))
-
 (* Chunks executed by [f]; nothing else in this suite runs a loop while
    it does, and the join orders every leaf's count before the read. *)
 let chunks f =
@@ -292,39 +259,109 @@ let chunks f =
   f ();
   (Telemetry.diff ~before ~after:(Telemetry.snapshot ())).Telemetry.s_chunks_executed
 
-let loop ?grain n () = Runtime.parallel_for ?grain 0 n (fun _ -> ())
+(* The one split rule: [parallel_for], [parallel_for_reduce] and [apply]
+   run one leaf per block of [Runtime.block_grid n], whatever the
+   policy, each index of the range once; and a non-commutative reduce
+   is the sequential fold, [init] once at the left. *)
+let policy_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        pure Grain.default_policy;
+        map (fun b -> Grain.Fixed b) (int_range 1 3000);
+        map3
+          (fun per_worker_blocks min_size span ->
+            Grain.Scaled { per_worker_blocks; min_size; max_size = min_size + span })
+          (int_range 1 16) (int_range 1 1000) (int_bound 5000);
+      ])
 
-let test_explicit_grain_chunks () =
+let prop_loops_on_block_grid =
+  QCheck2.Test.make ~name:"loops run one leaf per block of block_grid" ~count:200
+    QCheck2.Gen.(triple (int_range (-1000) 1000) (int_bound 4000) policy_gen)
+    (fun (lo, n, p) ->
+      with_policy p (fun () ->
+          let nb = (Runtime.block_grid n).Grain.num_blocks in
+          let hits = Array.make n 0 in
+          let visit i = hits.(i - lo) <- hits.(i - lo) + 1 in
+          (* Each index visited once by [run], and exactly [nb] leaves. *)
+          let one_rule run =
+            Array.fill hits 0 n 0;
+            let c = chunks run in
+            c = nb && Array.for_all (( = ) 1) hits
+          in
+          let digits i = string_of_int i ^ "," in
+          let expect = ref "<" in
+          for i = lo to lo + n - 1 do
+            expect := !expect ^ digits i
+          done;
+          one_rule (fun () -> Runtime.parallel_for lo (lo + n) visit)
+          && one_rule (fun () ->
+                 ignore
+                   (Runtime.parallel_for_reduce lo (lo + n) ~combine:( + ) ~init:0
+                      (fun i ->
+                        visit i;
+                        i)))
+          && one_rule (fun () -> Runtime.apply n (fun i -> visit (lo + i)))
+          && Runtime.parallel_for_reduce lo (lo + n) ~combine:( ^ ) ~init:"<" digits
+             = !expect))
+
+(* Under [Fixed b] every loop runs ceil(n / b) leaves, wherever the
+   range starts: the offset moves the blocks, not the cut. *)
+let test_fixed_block_chunks () =
   let n = 10_000 in
-  with_grain None (fun () ->
-      List.iter
-        (fun g ->
-          Alcotest.(check int)
-            (Printf.sprintf "grain %d" g)
-            (leaves ~grain:g n)
-            (chunks (loop ~grain:g n)))
-        [ 1; 100; 512; 8192; n ]);
-  with_grain (Some 50) (fun () ->
-      Alcotest.(check int) "explicit grain beats the override"
-        (leaves ~grain:1000 n)
-        (chunks (loop ~grain:1000 n)));
-  Alcotest.(check int) "non-positive grain runs single elements" 37
-    (chunks (loop ~grain:0 37))
+  List.iter
+    (fun b ->
+      with_policy (Grain.Fixed b) (fun () ->
+          let nb = (n + b - 1) / b in
+          let check what run =
+            Alcotest.(check int) (Printf.sprintf "%s B=%d" what b) nb (chunks run)
+          in
+          check "parallel_for" (fun () -> Runtime.parallel_for 0 n ignore);
+          check "parallel_for at lo=-77" (fun () ->
+              Runtime.parallel_for (-77) (n - 77) ignore);
+          check "parallel_for_reduce" (fun () ->
+              ignore
+                (Runtime.parallel_for_reduce 5 (5 + n) ~combine:( + ) ~init:0 Fun.id));
+          check "apply" (fun () -> Runtime.apply n ignore)))
+    [ 1; 100; 512; 8192; n; 2 * n ]
 
-let test_default_grain_chunks () =
+(* The default policy and a [set_policy] override both reach the loops
+   through [block_grid]: B(n) keeps about 8 blocks per worker. *)
+let test_default_policy_chunks () =
   let n = 100_000 in
-  with_grain None (fun () ->
-      Alcotest.(check int) "heuristic"
-        (leaves ~grain:(Runtime.auto_grain n) n)
-        (chunks (loop n)));
-  with_grain (Some 3000) (fun () ->
-      Alcotest.(check int) "override" (leaves ~grain:3000 n) (chunks (loop n)))
+  let w = Runtime.num_workers () in
+  with_policy Grain.default_policy (fun () ->
+      let nb = (Runtime.block_grid n).Grain.num_blocks in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d blocks for %d workers" nb w)
+        true
+        (nb >= 1 && nb <= 8 * w);
+      Alcotest.(check int) "default" nb
+        (chunks (fun () -> Runtime.parallel_for 0 n ignore)));
+  with_policy (Grain.Fixed 3000) (fun () ->
+      Alcotest.(check int) "override" 34
+        (chunks (fun () -> Runtime.parallel_for 0 n ignore)))
+
+(* An empty or reversed range runs no leaf and no body, and the reduce
+   returns [init] untouched. *)
+let test_empty_ranges () =
+  let body _ = Alcotest.fail "body ran on an empty range" in
+  let c =
+    chunks (fun () ->
+        Runtime.parallel_for 5 5 body;
+        Runtime.parallel_for 7 3 body;
+        Runtime.apply 0 body;
+        Runtime.apply (-3) body;
+        Alcotest.(check string) "reduce of [9, 2) is init" "init"
+          (Runtime.parallel_for_reduce 9 2 ~combine:( ^ ) ~init:"init" body))
+  in
+  Alcotest.(check int) "no leaf" 0 c
 
 (* Block bodies are never re-chunked: one leaf per block, each body
-   once, whatever the leaf grain says. *)
+   once, whatever the block policy says. *)
 let test_apply_blocks_one_leaf_per_block () =
   let nb = 37 in
-  with_grain (Some 1000) (fun () ->
+  with_policy (Grain.Fixed 1000) (fun () ->
       let hits = Array.make nb 0 in
       let c =
         chunks (fun () -> Runtime.apply_blocks ~nb (fun j -> hits.(j) <- hits.(j) + 1))
@@ -333,9 +370,9 @@ let test_apply_blocks_one_leaf_per_block () =
       Alcotest.(check (array int)) "each block once" (Array.make nb 1) hits)
 
 (* [iter_blocks]: one leaf and one body call per block of its grid,
-   whatever the leaf grain says; nothing on an empty grid. *)
+   whatever the block policy says; nothing on an empty grid. *)
 let test_iter_blocks_one_leaf_per_block () =
-  with_grain (Some 1000) (fun () ->
+  with_policy (Grain.Fixed 1000) (fun () ->
       let g = Grain.grid_of_size ~block_size:100 3_650 in
       let nb = g.Grain.num_blocks in
       Alcotest.(check int) "37 blocks" 37 nb;
@@ -352,32 +389,31 @@ let test_iter_blocks_one_leaf_per_block () =
       Alcotest.(check int) "empty: no leaf" 0 c)
 
 (* [map_blocks] and [reduce_blocks]: one leaf and one body call per
-   block, like [apply_blocks], whatever the leaf grain says; [map_blocks]
-   returns the results in block order. *)
+   block of their grid, like [apply_blocks]; [map_blocks] returns the
+   results in block order. *)
 let test_reduce_blocks_one_leaf_per_block () =
   with_policy (Grain.Fixed 100) (fun () ->
-      with_grain (Some 1000) (fun () ->
-          let g = Grain.grid ~workers:(Runtime.num_workers ()) 3_700 in
-          let nb = g.Grain.num_blocks in
-          Alcotest.(check int) "37 blocks" 37 nb;
-          let hits = Array.make nb 0 in
-          let body j =
-            hits.(j) <- hits.(j) + 1;
-            j
-          in
-          let sum = ref 0 in
-          let c =
-            chunks (fun () -> sum := Runtime.reduce_blocks g ~combine:( + ) ~init:0 body)
-          in
-          Alcotest.(check int) "reduce: one leaf per block" nb c;
-          Alcotest.(check (array int)) "reduce: each block once" (Array.make nb 1) hits;
-          Alcotest.(check int) "sum of block indices" (nb * (nb - 1) / 2) !sum;
-          Array.fill hits 0 nb 0;
-          let got = ref [||] in
-          let c = chunks (fun () -> got := Runtime.map_blocks g ~init:(-1) body) in
-          Alcotest.(check int) "map: one leaf per block" nb c;
-          Alcotest.(check (array int)) "map: each block once" (Array.make nb 1) hits;
-          Alcotest.(check (array int)) "map: block order" (Array.init nb Fun.id) !got))
+      let g = Grain.grid ~workers:(Runtime.num_workers ()) 3_700 in
+      let nb = g.Grain.num_blocks in
+      Alcotest.(check int) "37 blocks" 37 nb;
+      let hits = Array.make nb 0 in
+      let body j =
+        hits.(j) <- hits.(j) + 1;
+        j
+      in
+      let sum = ref 0 in
+      let c =
+        chunks (fun () -> sum := Runtime.reduce_blocks g ~combine:( + ) ~init:0 body)
+      in
+      Alcotest.(check int) "reduce: one leaf per block" nb c;
+      Alcotest.(check (array int)) "reduce: each block once" (Array.make nb 1) hits;
+      Alcotest.(check int) "sum of block indices" (nb * (nb - 1) / 2) !sum;
+      Array.fill hits 0 nb 0;
+      let got = ref [||] in
+      let c = chunks (fun () -> got := Runtime.map_blocks g ~init:(-1) body) in
+      Alcotest.(check int) "map: one leaf per block" nb c;
+      Alcotest.(check (array int)) "map: each block once" (Array.make nb 1) hits;
+      Alcotest.(check (array int)) "map: block order" (Array.init nb Fun.id) !got)
 
 (* The partials fold left to right from [init], in block order, whoever
    ran each block: a non-commutative [combine] sees the sequential
@@ -477,16 +513,14 @@ let test_reduce_across_grains () =
   for i = 0 to n - 1 do
     expected := !expected + body i
   done;
-  let reduce ?grain () =
-    Runtime.parallel_for_reduce ?grain 0 n ~combine:( + ) ~init:7 body
-  in
+  let reduce () = Runtime.parallel_for_reduce 0 n ~combine:( + ) ~init:7 body in
   List.iter
-    (fun g ->
-      Alcotest.(check int) (Printf.sprintf "grain %d" g) !expected (reduce ~grain:g ()))
+    (fun b ->
+      with_policy (Grain.Fixed b) (fun () ->
+          Alcotest.(check int) (Printf.sprintf "B=%d" b) !expected (reduce ())))
     [ 1; 512; 8192; 131_072 ];
-  with_grain None (fun () -> Alcotest.(check int) "heuristic" !expected (reduce ()));
-  with_grain (Some 4096) (fun () ->
-      Alcotest.(check int) "override" !expected (reduce ()))
+  with_policy Grain.default_policy (fun () ->
+      Alcotest.(check int) "default B(n)" !expected (reduce ()))
 
 (* The map-reduce pipeline the grain measurement timed, at every block
    size it swept. *)
@@ -517,7 +551,6 @@ let () =
           Alcotest.test_case "parse bad" `Quick test_parse_bad;
           Alcotest.test_case "env flag" `Quick test_flag;
           Alcotest.test_case "env get" `Quick test_get;
-          Alcotest.test_case "leaf grain" `Quick test_leaf_grain;
           Alcotest.test_case "grid" `Quick test_grid;
           Alcotest.test_case "scaled grid" `Quick test_scaled_grid;
           Alcotest.test_case "default grids" `Quick test_default_grids;
@@ -535,11 +568,11 @@ let () =
       ( "static",
         [
           Alcotest.test_case "set_adaptive is a no-op" `Quick test_set_adaptive_noop;
-          Alcotest.test_case "auto_grain is leaf_grain" `Quick
-            test_auto_grain_is_leaf_grain;
           Alcotest.test_case "block_grid is grid" `Quick test_block_grid_is_grid;
-          Alcotest.test_case "explicit grain chunks" `Quick test_explicit_grain_chunks;
-          Alcotest.test_case "default grain chunks" `Quick test_default_grain_chunks;
+          QCheck_alcotest.to_alcotest ~long:false prop_loops_on_block_grid;
+          Alcotest.test_case "fixed block chunks" `Quick test_fixed_block_chunks;
+          Alcotest.test_case "default policy chunks" `Quick test_default_policy_chunks;
+          Alcotest.test_case "empty ranges run no leaf" `Quick test_empty_ranges;
           Alcotest.test_case "apply_blocks one leaf per block" `Quick
             test_apply_blocks_one_leaf_per_block;
           Alcotest.test_case "iter_blocks one leaf per block" `Quick

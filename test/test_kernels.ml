@@ -174,6 +174,43 @@ let test_linefit () =
   Alcotest.(check bool) "slope near 2.5" true (Float.abs (es -. 2.5) < 0.05);
   Alcotest.(check bool) "intercept near -1" true (Float.abs (ei +. 1.0) < 0.1)
 
+(* A, R and Ours reduce on the same grid in the same order (each block
+   folded from its first element, the partials left to right), so their
+   float results agree bit for bit, on any pool. *)
+let test_float_kernels_bit_identical () =
+  let bits = Int64.bits_of_float in
+  let same what a r o =
+    Alcotest.(check int64) (what ^ ": array = delay") (bits o) (bits a);
+    Alcotest.(check int64) (what ^ ": rad = delay") (bits o) (bits r)
+  in
+  Fun.protect
+    ~finally:(fun () -> Bds_runtime.Runtime.set_num_domains domains)
+    (fun () ->
+      List.iter
+        (fun d ->
+          Bds_runtime.Runtime.set_num_domains d;
+          List.iter
+            (fun n ->
+              same
+                (Printf.sprintf "integrate d=%d n=%d" d n)
+                (K.Integrate.Array_version.integrate n)
+                (K.Integrate.Rad_version.integrate n)
+                (K.Integrate.Delay_version.integrate n))
+            [ 10_000; 100_000; 333_333 ];
+          List.iter
+            (fun n ->
+              let pts = K.Linefit.generate ~seed:n n in
+              let (sa, ia), (sr, ir), (so, io) =
+                ( K.Linefit.Array_version.fit pts,
+                  K.Linefit.Rad_version.fit pts,
+                  K.Linefit.Delay_version.fit pts )
+              in
+              let what = Printf.sprintf "linefit d=%d n=%d" d n in
+              same (what ^ " slope") sa sr so;
+              same (what ^ " intercept") ia ir io)
+            [ 10_000; 100_000 ])
+        [ 1; 2 ])
+
 (* ---------------- mcss ---------------- *)
 
 let test_mcss () =
@@ -408,6 +445,8 @@ let () =
           Alcotest.test_case "integrate" `Quick test_integrate;
           Alcotest.test_case "linearrec" `Quick test_linearrec;
           Alcotest.test_case "linefit" `Quick test_linefit;
+          Alcotest.test_case "float results bit-identical across A/R/Ours" `Quick
+            test_float_kernels_bit_identical;
           Alcotest.test_case "mcss" `Quick test_mcss;
           Alcotest.test_case "mcss floats" `Quick test_mcss_floats;
           Alcotest.test_case "quickhull" `Quick test_quickhull;

@@ -2,8 +2,13 @@
 
 module Pool = Bds_runtime.Pool
 module Runtime = Bds_runtime.Runtime
+module Grain = Bds_runtime.Grain
 
 let () = Bds_test_util.init ()
+
+(* Loops split on the block grid: [fixed b f] runs [f] with blocks of
+   [b] iterations. *)
+let fixed b f = Bds_test_util.with_policy (Grain.Fixed b) f
 
 let test_fib () =
   let rec fib n =
@@ -19,7 +24,7 @@ let test_fib () =
 let test_parallel_for_covers () =
   let n = 100_000 in
   let hits = Array.init n (fun _ -> Atomic.make 0) in
-  Runtime.parallel_for ~grain:13 0 n (fun i -> Atomic.incr hits.(i));
+  fixed 13 (fun () -> Runtime.parallel_for 0 n (fun i -> Atomic.incr hits.(i)));
   let bad = ref 0 in
   Array.iter (fun a -> if Atomic.get a <> 1 then incr bad) hits;
   Alcotest.(check int) "each index exactly once" 0 !bad
@@ -29,8 +34,9 @@ let test_reduce_order () =
      apply the seed exactly once, on the left. *)
   let n = 500 in
   let s =
-    Runtime.parallel_for_reduce ~grain:7 0 n ~combine:( ^ ) ~init:">"
-      (fun i -> string_of_int (i mod 10))
+    fixed 7 (fun () ->
+        Runtime.parallel_for_reduce 0 n ~combine:( ^ ) ~init:">" (fun i ->
+            string_of_int (i mod 10)))
   in
   let expect =
     ">" ^ String.concat "" (List.init n (fun i -> string_of_int (i mod 10)))
@@ -57,13 +63,15 @@ let test_exception_propagation () =
 
 let test_exception_in_parallel_for () =
   Alcotest.check_raises "body exception" (Boom 1) (fun () ->
-      Runtime.parallel_for ~grain:1 0 64 (fun i -> if i = 33 then raise (Boom 1)))
+      fixed 1 (fun () ->
+          Runtime.parallel_for 0 64 (fun i -> if i = 33 then raise (Boom 1))))
 
 let test_nested_parallelism () =
   let r =
-    Runtime.parallel_for_reduce ~grain:1 0 50 ~combine:( + ) ~init:0 (fun i ->
-        Runtime.parallel_for_reduce ~grain:3 0 50 ~combine:( + ) ~init:0
-          (fun j -> i * j))
+    fixed 3 (fun () ->
+        Runtime.parallel_for_reduce 0 50 ~combine:( + ) ~init:0 (fun i ->
+            Runtime.parallel_for_reduce 0 50 ~combine:( + ) ~init:0 (fun j ->
+                i * j)))
   in
   Alcotest.(check int) "nested sum" (1225 * 1225) r
 
@@ -290,8 +298,9 @@ let test_orphan_push_back () =
           Alcotest.(check int)
             (Printf.sprintf "pool usable afterwards, %d domain(s)" d)
             4950
-            (Runtime.parallel_for_reduce ~grain:1 0 100 ~combine:( + )
-               ~init:0 Fun.id)))
+            (fixed 1 (fun () ->
+                 Runtime.parallel_for_reduce 0 100 ~combine:( + ) ~init:0
+                   Fun.id))))
     [ 1; Bds_test_util.domains ]
 
 let test_inline_right_raises () =
@@ -319,7 +328,7 @@ let test_inline_right_raises () =
 type nest =
   | Val of int
   | Par of nest * nest
-  | Reduce of int * int * nest (* range, grain, body *)
+  | Reduce of int * nest (* range, body *)
 
 let rec nest_gen depth =
   let open QCheck2.Gen in
@@ -332,14 +341,13 @@ let rec nest_gen depth =
         (1, leaf);
         (2, map2 (fun l r -> Par (l, r)) sub sub);
         ( 2,
-          map3 (fun n g b -> Reduce (n, g, b)) (int_bound 12) (int_range 1 4)
-            sub );
+          map2 (fun n b -> Reduce (n, b)) (int_bound 12) sub );
       ]
 
 let rec nest_seq = function
   | Val v -> v
   | Par (l, r) -> nest_seq l + (2 * nest_seq r)
-  | Reduce (n, _, b) ->
+  | Reduce (n, b) ->
     let v = nest_seq b in
     List.fold_left ( + ) 1 (List.init n (fun i -> (3 * i) + v))
 
@@ -348,8 +356,8 @@ let rec nest_par = function
   | Par (l, r) ->
     let a, b = Runtime.par (fun () -> nest_par l) (fun () -> nest_par r) in
     a + (2 * b)
-  | Reduce (n, grain, b) ->
-    Runtime.parallel_for_reduce ~grain 0 n ~combine:( + ) ~init:1 (fun i ->
+  | Reduce (n, b) ->
+    Runtime.parallel_for_reduce 0 n ~combine:( + ) ~init:1 (fun i ->
         (3 * i) + nest_par b)
 
 let nest_tests =
@@ -359,8 +367,9 @@ let nest_tests =
         QCheck_alcotest.to_alcotest ~long:false
           (QCheck2.Test.make
              ~name:(Printf.sprintf "par/reduce nests, %d domain(s)" d)
-             ~count:60 (nest_gen 4)
-             (fun t -> nest_par t = nest_seq t))
+             ~count:60
+             QCheck2.Gen.(pair (int_range 1 4) (nest_gen 4))
+             (fun (b, t) -> fixed b (fun () -> nest_par t) = nest_seq t))
       in
       (name, speed, fun () -> with_domains d run))
     [ 1; 2; 4 ]
@@ -405,9 +414,10 @@ let test_cancellation_single_domain_exact () =
     (fun () ->
       let count = Atomic.make 0 in
       (try
-         Runtime.parallel_for ~grain:100 0 100_000 (fun i ->
-             ignore (Atomic.fetch_and_add count 1);
-             if i = 0 then raise (Boom 0))
+         fixed 100 (fun () ->
+             Runtime.parallel_for 0 100_000 (fun i ->
+                 ignore (Atomic.fetch_and_add count 1);
+                 if i = 0 then raise (Boom 0)))
        with Boom 0 -> ());
       Alcotest.(check int) "exactly one body call" 1 (Atomic.get count))
 
@@ -461,22 +471,22 @@ let test_ambient_fiber_local () =
      inherits the ambient as parent — was born cancelled and raised raw
      [Cancel.Cancelled].  Interleave raising and healthy nested scopes
      repeatedly and require the healthy ones to always complete. *)
+  fixed 1 @@ fun () ->
   for _round = 1 to 50 do
     (try
        ignore
          (Runtime.par
             (fun () ->
-              Runtime.parallel_for ~grain:1 0 64 (fun i ->
+              Runtime.parallel_for 0 64 (fun i ->
                   if i = 13 then raise (Boom 13)))
             (fun () ->
-              Runtime.parallel_for_reduce ~grain:1 0 64 ~combine:( + ) ~init:0
+              Runtime.parallel_for_reduce 0 64 ~combine:( + ) ~init:0
                 (fun i ->
-                  Runtime.parallel_for_reduce ~grain:1 0 8 ~combine:( + )
-                    ~init:0 (fun j -> i + j))))
+                  Runtime.parallel_for_reduce 0 8 ~combine:( + ) ~init:0
+                    (fun j -> i + j))))
      with Boom 13 -> ());
     Alcotest.(check int) "healthy scope after cancelled one" 4950
-      (Runtime.parallel_for_reduce ~grain:1 0 100 ~combine:( + ) ~init:0
-         Fun.id)
+      (Runtime.parallel_for_reduce 0 100 ~combine:( + ) ~init:0 Fun.id)
   done
 
 let test_pool_alive_after_cancellation () =
@@ -568,15 +578,12 @@ let test_spawn_degradation () =
   Alcotest.(check int) "degraded pool computes" 42 r;
   Pool.teardown pool
 
-(* Every range primitive runs on one divide-and-conquer driver.  On one
-   domain, at edge sizes and grains, each primitive must run every index
-   exactly once, count exactly the leaves of the halving split in
-   [chunks_executed], and re-raise a leaf's exception as itself. *)
+(* Every range primitive runs on one divide-and-conquer driver over
+   block indices.  On one domain, at edge sizes and block sizes, each
+   primitive must run every index exactly once, count exactly one leaf
+   per block in [chunks_executed], and re-raise a leaf's exception as
+   itself. *)
 exception Leaf_raise of int
-
-let rec halving_leaves ~grain n =
-  if n <= grain then 1
-  else halving_leaves ~grain (n / 2) + halving_leaves ~grain (n - (n / 2))
 
 let test_driver_table () =
   with_domains 1 (fun () ->
@@ -590,28 +597,30 @@ let test_driver_table () =
       List.iter
         (fun n ->
           List.iter
-            (fun grain ->
+            (fun b ->
               let sum = n * (n - 1) / 2 in
               let reduce body =
-                Runtime.parallel_for_reduce ~grain 0 n ~combine:( + ) ~init:0
+                Runtime.parallel_for_reduce 0 n ~combine:( + ) ~init:0
                   (fun i -> body i; i)
               in
+              let blocks = (n + b - 1) / b in
               let primitives =
                 [
                   ( "parallel_for",
-                    (if n = 0 then 0 else halving_leaves ~grain n),
-                    fun body -> Runtime.parallel_for ~grain 0 n body );
+                    blocks,
+                    fun body -> fixed b (fun () -> Runtime.parallel_for 0 n body) );
                   ( "parallel_for_reduce",
-                    (if n = 0 then 0 else halving_leaves ~grain n),
+                    blocks,
                     fun body ->
-                      Alcotest.(check int) "reduce sum" sum (reduce body) );
+                      Alcotest.(check int) "reduce sum" sum
+                        (fixed b (fun () -> reduce body)) );
                   ("apply_blocks", n, fun body -> Runtime.apply_blocks ~nb:n body);
                 ]
               in
               List.iter
                 (fun (prim, leaves, run) ->
                   let name what =
-                    Printf.sprintf "%s n=%d grain=%d: %s" prim n grain what
+                    Printf.sprintf "%s n=%d B=%d: %s" prim n b what
                   in
                   let hits = Array.make n 0 in
                   let executed =
@@ -635,8 +644,9 @@ let test_driver_table () =
 let test_grain_extremes () =
   let n = 1000 in
   let a = Array.make n 0 in
-  Runtime.parallel_for ~grain:1 0 n (fun i -> a.(i) <- i);
-  Runtime.parallel_for ~grain:1_000_000 0 n (fun i -> a.(i) <- a.(i) + 1);
+  fixed 1 (fun () -> Runtime.parallel_for 0 n (fun i -> a.(i) <- i));
+  fixed 1_000_000 (fun () ->
+      Runtime.parallel_for 0 n (fun i -> a.(i) <- a.(i) + 1));
   let ok = ref true in
   Array.iteri (fun i v -> if v <> i + 1 then ok := false) a;
   Alcotest.(check bool) "grain extremes" true !ok
@@ -669,12 +679,13 @@ let fuzz_tests =
   [
     QCheck2.Test.make ~name:"random fork-join trees" ~count:150 (tree_gen 9)
       (fun t -> eval_par t = eval_seq t);
-    QCheck2.Test.make ~name:"parallel_for_reduce = fold (random grain)" ~count:150
+    QCheck2.Test.make ~name:"parallel_for_reduce = fold (random block size)" ~count:150
       QCheck2.Gen.(
         triple (int_bound 2000) (int_range 1 500) (int_range (-50) 50))
-      (fun (n, grain, k) ->
-        Runtime.parallel_for_reduce ~grain 0 n ~combine:( + ) ~init:k (fun i ->
-            (i * i) mod 7)
+      (fun (n, b, k) ->
+        fixed b (fun () ->
+            Runtime.parallel_for_reduce 0 n ~combine:( + ) ~init:k (fun i ->
+                (i * i) mod 7))
         = List.fold_left ( + ) k (List.init n (fun i -> (i * i) mod 7)));
   ]
 
@@ -715,9 +726,11 @@ let int_cas_race d () =
       let slots = 1024 and n = 100_000 in
       let a = Array.make slots (-1) in
       let wins = Atomic.make 0 in
-      Runtime.parallel_for ~grain:256 0 n (fun i ->
-          let s = i mod slots in
-          if a.(s) = -1 && Int_cas.compare_and_set a s (-1) i then Atomic.incr wins);
+      fixed 256 (fun () ->
+          Runtime.parallel_for 0 n (fun i ->
+              let s = i mod slots in
+              if a.(s) = -1 && Int_cas.compare_and_set a s (-1) i then
+                Atomic.incr wins));
       Alcotest.(check int) "one win per slot" slots (Atomic.get wins);
       Array.iteri
         (fun s v ->

@@ -266,10 +266,10 @@ let test_chaos_delay_starve_preserves_results () =
       let n = 200_000 in
       Alcotest.(check int) "sum under chaos" (n * (n - 1) / 2) (S.sum (S.iota n));
       Alcotest.(check int) "nested under chaos" (45 * 45)
-        (Runtime.parallel_for_reduce ~grain:1 0 10 ~combine:( + ) ~init:0
-           (fun i ->
-             Runtime.parallel_for_reduce ~grain:2 0 10 ~combine:( + ) ~init:0
-               (fun j -> i * j))))
+        (with_policy (Grain.Fixed 1) (fun () ->
+             Runtime.parallel_for_reduce 0 10 ~combine:( + ) ~init:0 (fun i ->
+                 Runtime.parallel_for_reduce 0 10 ~combine:( + ) ~init:0
+                   (fun j -> i * j)))))
 
 let test_chaos_kernel_sweep () =
   (* Acceptance: a chaos-seeded sweep of three kernels across 1, 2 and 4

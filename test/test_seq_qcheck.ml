@@ -193,18 +193,17 @@ let prop_roundtrip (a, bsize) =
 let with_bsize g = QCheck2.Gen.(pair g (int_range 1 40))
 
 (* Policy invariance: the observable result of a pipeline must not
-   depend on the granularity knobs — block-size policy or leaf-grain
-   override.  This is the contract of the unified granularity layer:
-   knobs move work between blocks and chunks, never change answers. *)
+   depend on the block-size policy, the one granularity knob.  This is
+   the contract of the unified granularity layer: the policy moves work
+   between blocks, never changes answers. *)
 let grid_points =
-  List.concat_map
-    (fun p -> List.map (fun g -> (p, g)) [ None; Some 1; Some 7 ])
-    [
-      Grain.Fixed 1;
-      Grain.Fixed 3;
-      Grain.Fixed 17;
-      Grain.default_policy;
-    ]
+  [
+    Grain.Fixed 1;
+    Grain.Fixed 3;
+    Grain.Fixed 7;
+    Grain.Fixed 17;
+    Grain.default_policy;
+  ]
 
 let prop_policy_invariance (a, steps) =
   let eval () =
@@ -212,9 +211,7 @@ let prop_policy_invariance (a, steps) =
     (S.to_list s, S.reduce ( + ) 0 s)
   in
   let baseline = eval () in
-  List.for_all
-    (fun (p, g) -> with_policy p (fun () -> with_grain g eval) = baseline)
-    grid_points
+  List.for_all (fun p -> with_policy p eval = baseline) grid_points
 
 let prop_search_invariance (a, bsize) =
   with_policy (Grain.Fixed bsize) (fun () ->

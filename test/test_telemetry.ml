@@ -20,7 +20,8 @@ let test_monotone () =
   let s0 = snap () in
   let n = 100_000 in
   let sum =
-    Runtime.parallel_for_reduce ~grain:1000 0 n ~combine:( + ) ~init:0 Fun.id
+    with_policy (Bds_runtime.Grain.Fixed 1000) (fun () ->
+        Runtime.parallel_for_reduce 0 n ~combine:( + ) ~init:0 Fun.id)
   in
   Alcotest.(check int) "sum" (n * (n - 1) / 2) sum;
   let s1 = snap () in
@@ -31,7 +32,7 @@ let test_monotone () =
   let d = Telemetry.diff ~before:s0 ~after:s1 in
   Alcotest.(check bool) "spawned tasks" true (d.Telemetry.s_tasks_spawned > 0);
   Alcotest.(check bool) "executed chunks" true
-    (d.Telemetry.s_chunks_executed >= 99 (* ~n/grain, minus boundary *));
+    (d.Telemetry.s_chunks_executed >= 99 (* n/B, minus boundary *));
   Alcotest.(check bool) "polled cancellation" true (d.Telemetry.s_cancel_polls > 0)
 
 (* diff clamps at zero even for inverted snapshot pairs (racy lag). *)
@@ -148,13 +149,25 @@ let test_no_alloc () =
   Alcotest.(check bool)
     (Printf.sprintf "record: %.0f minor words" record) true (record < 100.)
 
-(* The exposed grain policy: ~32 leaf chunks per worker, floor 1. *)
-let test_auto_grain () =
+(* Every loop counts at least one executed chunk per block of the
+   one split rule, [Runtime.block_grid]. *)
+let test_chunks_per_block () =
   init ();
-  let w = Runtime.num_workers () in
-  Alcotest.(check int) "large n" (1_000_000 / (32 * w)) (Runtime.auto_grain 1_000_000);
-  Alcotest.(check int) "small n floors at 1" 1 (Runtime.auto_grain 10);
-  Alcotest.(check int) "zero" 1 (Runtime.auto_grain 0)
+  let n = 1_000_000 in
+  let nb = (Runtime.block_grid n).Bds_runtime.Grain.num_blocks in
+  let counted what run =
+    let s0 = snap () in
+    run ();
+    let d = Telemetry.diff ~before:s0 ~after:(snap ()) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d chunks for %d blocks" what d.Telemetry.s_chunks_executed nb)
+      true
+      (d.Telemetry.s_chunks_executed >= nb)
+  in
+  counted "parallel_for" (fun () -> Runtime.parallel_for 0 n ignore);
+  counted "parallel_for_reduce" (fun () ->
+      ignore (Runtime.parallel_for_reduce 0 n ~combine:( + ) ~init:0 Fun.id));
+  counted "apply" (fun () -> Runtime.apply n ignore)
 
 (* Trace round-trip: enable tracing, run every Runtime combinator, flush,
    and validate the JSON with the same checker `bds_probe trace-check`
@@ -171,8 +184,11 @@ let test_trace_roundtrip () =
       Trace.reset ();
       let a, b = Runtime.par (fun () -> 1) (fun () -> 2) in
       Alcotest.(check int) "par" 3 (a + b);
-      Runtime.parallel_for ~grain:100 0 1_000 (fun _ -> ());
-      let s = Runtime.parallel_for_reduce ~grain:100 0 1_000 ~combine:( + ) ~init:0 Fun.id in
+      let s =
+        with_policy (Bds_runtime.Grain.Fixed 100) (fun () ->
+            Runtime.parallel_for 0 1_000 (fun _ -> ());
+            Runtime.parallel_for_reduce 0 1_000 ~combine:( + ) ~init:0 Fun.id)
+      in
       Alcotest.(check int) "reduce" 499_500 s;
       Trace.flush ();
       (match Trace.validate_file file with
@@ -234,7 +250,7 @@ let () =
           Alcotest.test_case "each key reads its slot" `Quick test_slot_order;
           Alcotest.test_case "each incr bumps its key" `Quick test_incr_own_key;
           Alcotest.test_case "incr and record allocate nothing" `Quick test_no_alloc;
-          Alcotest.test_case "auto_grain policy" `Quick test_auto_grain;
+          Alcotest.test_case "loops count a chunk per block" `Quick test_chunks_per_block;
         ] );
       ( "trace",
         [

@@ -21,13 +21,6 @@ let with_policy p f =
   Bds_runtime.Grain.set_policy p;
   Fun.protect ~finally:(fun () -> Bds_runtime.Grain.set_policy old) f
 
-(* Run [f] under a leaf-grain override ([None] = the heuristic),
-   restoring the previous override. *)
-let with_grain g f =
-  let old = Bds_runtime.Grain.leaf_grain_override () in
-  Bds_runtime.Grain.set_leaf_grain g;
-  Fun.protect ~finally:(fun () -> Bds_runtime.Grain.set_leaf_grain old) f
-
 (* Exercise a check under several block-size policies, including
    degenerate ones. *)
 let policies =
