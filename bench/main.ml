@@ -11,15 +11,17 @@
      with --plots).
    - fig16: Figure 16, stream-of-blocks bestcut across block sizes
      (SVG with --plots).
-   - ablation: §3 force-vs-recompute on bestcut; the block-size and
-     small-n floor tables that docs/COST.md cites; the triangular-load
-     table of DESIGN.md §6.
+   - ablation: §3 force-vs-recompute on bestcut; the small-n floor
+     table that docs/COST.md cites; the triangular-load table of
+     DESIGN.md §6.
    - stream-overhead: gates chain3 pull/push, filter-chain and
      flatten-chain materialized/fused, consumers reduce/iteri.
    - float-kernels: gates ref/unboxed of sum, dot, integrate, linefit,
      mcss-float and sort-floats.
    - --sweep-block (not an --only section; runs whenever given): gate
-     default/best-fixed.
+     default/best-fixed.  `--sweep-block
+     512,2048,8192,32768,131072,524288` gives docs/COST.md's block-size
+     table.
 
    Run `dune exec bench/main.exe` for every section at the default
    scale, or select some: `dune exec bench/main.exe -- --only
@@ -382,27 +384,7 @@ let fig16 cfg =
 
 let ablation cfg =
   let n = scaled cfg 2_000_000 in
-  (* 1. Block-size policy: the bestcut-shaped pipeline across fixed block
-     sizes. *)
-  Printf.eprintf "  ablation: block size...\n%!" ;
-  let a = K.Bestcut.generate n in
-  Measure.with_domains cfg.procs (fun () ->
-      let rows =
-        List.map
-          (fun (bs, (m : Measure.timed)) -> [ bs; Measure.pp_time m.best_s ])
-          (Measure.rounds ~repeat:cfg.repeat
-             (List.map
-                (fun bs ->
-                  Measure.point (string_of_int bs)
-                    ~setup:(fun () -> Grain.set_policy (Grain.Fixed bs))
-                    ~teardown:Grain.reset_policy
-                    (fun () -> K.Bestcut.Delay_version.best_cut a))
-                [ 512; 2048; 8192; 32768; 131072; 524288 ]))
-      in
-      Tables.print
-        ~title:(Printf.sprintf "Ablation: BID block size B on bestcut/delay (n=%d, P=%d)" n cfg.procs)
-        ~headers:[ "B"; "time" ] ~rows);
-  (* 1b. The default policy's floor at small n, where it (not P) sets
+  (* 1. The default policy's floor at small n, where it (not P) sets
      the block count: n / (8P) is below the floor whenever n < 8P x
      floor.  Every floor is timed in the same rounds; a call is a batch
      of about 200k elements of kernel calls. *)
@@ -480,6 +462,7 @@ let ablation cfg =
      evaluates the initial map twice (2n + O(b) memory ops); forcing it
      costs an n-word array but computes the map once (4n + O(b)). *)
   Printf.eprintf "  ablation: force vs delay...\n%!" ;
+  let a = K.Bestcut.generate n in
   let delayed () =
     let s = S.of_array a in
     let is_end = S.map (fun x -> if x > K.Bestcut.end_threshold then 1 else 0) s in
@@ -876,9 +859,9 @@ let float_kernels cfg =
         ~agree:(close ~tol:1e-9);
       bench "sort-floats"
         ~reference:(fun () ->
-          let c = Float.Array.copy (FS.floatarray_of_array af) in
+          let c = Float.Array.copy (FS.of_array af) in
           Float.Array.stable_sort Float.compare c;
-          FS.array_of_floatarray c)
+          FS.to_array c)
         ~boxed:(fun () -> Bds_sort.Psort.sort Float.compare af)
         ~unboxed:(fun () -> Bds_sort.Psort.sort_floats af)
         ~agree:(fun a b ->

@@ -147,10 +147,11 @@ let streams () =
    counters each bumped (docs/STREAMS.md "Unboxed float lane").  With
    BDS_BLOCK_SIZE pinned the counts are exact, one bump per per-block
    loop: a RAD map|float_sum chain stays entirely on the unboxed fast
-   path; summing a scan_incl output falls back block-by-block (the scan
-   stream is stateful, so its blocks carry no pure index function); a
-   Float_seq dot runs one fast-path loop per block.  The cram test pins
-   zero fallbacks on the fused chains. *)
+   path (each block's stream carries the RAD's index function); summing
+   a scan_incl output falls back block-by-block (the scan stream is
+   stateful, so its blocks carry no pure index function); a
+   Float_seq dot over two floatarrays runs one fast-path loop per
+   block.  The cram test pins zero fallbacks on the fused chains. *)
 let floats () =
   let n = 8_000 in
   let report label before v =
@@ -167,11 +168,8 @@ let floats () =
   let sum2 = Bds.Seq.float_sum scanned in
   report "scan-sum" b1 sum2;
   let b2 = Telemetry.snapshot () in
-  (* force materialises once (one fast-path loop per block), then dot
-     runs one more per block: 2x the block count, zero fallbacks. *)
-  let xs =
-    Bds.Float_seq.force (Bds.Float_seq.tabulate n (fun i -> float_of_int (i land 7)))
-  in
+  (* dot runs one fast-path loop per block, zero fallbacks. *)
+  let xs = Bds.Float_seq.of_array (Array.init n (fun i -> float_of_int (i land 7))) in
   let d = Bds.Float_seq.dot xs xs in
   report "floatarray-dot" b2 d;
   Runtime.shutdown ()

@@ -348,20 +348,6 @@ let scan_incl f z s =
   Profile.with_op "scan" (fun () ->
       if length s = 0 then empty else fst (scan_blocks Stream.scan_incl f z s))
 
-(* Largest j with offsets.(j) <= pos: locates the subsequence containing
-   output position [pos] (getRegion's binary search, Figure 10 line 42).
-   The annotation matters: inferred as ['a array], every step would be a
-   polymorphic [caml_lessequal] call. *)
-let offset_search (offsets : int array) pos =
-  let rec search lo hi =
-    if lo >= hi then lo
-    else begin
-      let mid = (lo + hi + 1) / 2 in
-      if offsets.(mid) <= pos then search mid hi else search lo (mid - 1)
-    end
-  in
-  search 0 (Array.length offsets - 1)
-
 (* getRegion (Figure 10 lines 41-43) as a nested-push stream: a BID of
    [total] elements concatenating segments whose boundaries are
    [offsets] ([offsets.(j)] is where segment [j] starts, the last entry
@@ -379,7 +365,7 @@ let region_bid ~offsets ~total ~block_size ~outer ~seg_len ~seg_get =
          let blocks = outer () in
          fun i ->
            let pos, hi = Grain.bounds grid i in
-           let j0 = offset_search offsets pos in
+           let j0 = Parray.offset_search offsets pos in
            Stream.nested ~length:(hi - pos) ~block_size ~blocks ~seg_len ~seg_get
              ~start_seg:j0 ~start_ofs:(pos - offsets.(j0))))
 
@@ -449,7 +435,7 @@ let filter_blocks (g : Grain.grid) mark region =
            let region = region masks in
            fun i ->
              let pos, hi = Grain.bounds grid i in
-             let j0 = offset_search offsets pos in
+             let j0 = Parray.offset_search offsets pos in
              region ~length:(hi - pos) ~start_block:j0 ~skip:(pos - offsets.(j0))))
   end
 
@@ -719,50 +705,47 @@ let equal eq s1 s2 =
   let a1 = to_array s1 and a2 = to_array s2 in
   Parray.equal eq a1 a2
 
+(* The typed sums' one driver: the lane's monomorphic per-block sum
+   ([Stream.sum_ints] / [Stream.sum_floats]) on every block of the BID
+   view of [s], the partials folded left to right from [zero] on its
+   grid by [Runtime.reduce_blocks].  A RAD block is the RAD's own index
+   function at the block's base, and a memo slice is indexed too, so
+   both run the sum's direct loop; an unforced BID's blocks run it when
+   their stream carries a pure index function, the generic fold
+   otherwise.  The per-block sums bump the lane counters themselves. *)
+let[@inline] block_sum ~zero ~add sum_block s =
+  let b = bid_of_seq s in
+  if b.grid.n = 0 then zero
+  else begin
+    let blocks = drive b in
+    Runtime.reduce_blocks b.grid ~combine:add ~init:zero (fun j ->
+        sum_block (blocks j))
+  end
+
 (* First rung of the int lane (ROADMAP "Extend the unboxed lane").
    OCaml ints are unboxed, so unlike [float_sum] there is no boxing to
    remove — the win is purely skipping the polymorphic combine-closure
-   dispatch per element: each block drives [Stream.sum_ints], one
-   monomorphic [int] loop over an indexed block (a RAD block or a memo
-   slice), the generic fold otherwise, with plain-int partials. *)
+   dispatch per element. *)
 let int_sum s =
   Profile.with_op "int_sum" @@ fun () ->
-  let b = bid_of_seq s in
-  if b.grid.n = 0 then 0
-  else begin
-    let blocks = drive b in
-    Runtime.reduce_blocks b.grid ~combine:( + ) ~init:0 (fun j ->
-        Stream.sum_ints (blocks j))
-  end
+  block_sum ~zero:0 ~add:( + ) Stream.sum_ints s
 
 let sum s = int_sum s
 
-(* The Seq entry of the unboxed float lane (bugfix: this was
-   [reduce ( +. ) 0.0], which boxed every element through the
-   polymorphic combine closure).  A RAD is already a pure index
-   function — hand it straight to [Float_seq].  A memoised BID reuses
+(* The Seq entry of the unboxed float lane.  Each block drives
+   [Stream.sum_floats]: an unboxed accumulator over the block's index
+   function when it has one (a RAD, a map over one), the generic boxed
+   fold otherwise (the only path that still boxes, and it announces
+   itself via the [float_boxed_fallback] counter).  A memoised BID sums
    its forced array as a (zero-copy, in flat-float-array mode)
-   floatarray view.  An unforced BID keeps its per-block streams: each
-   block drives [Stream.sum_floats] — monomorphic with an unboxed
-   accumulator when the block stream carries a pure index function, the
-   generic boxed fold otherwise (the only path that still boxes, and it
-   announces itself via the [float_boxed_fallback] counter) — reduced
-   on the BID's own grid by [Runtime.reduce_blocks].  [Stream.sum_floats]
-   bumps the lane counters itself, so the body here bumps nothing. *)
+   floatarray in [Float_seq]: read through its memo slices, every
+   element would box at the index-function call. *)
 let float_sum s =
   Profile.with_op "float_sum" @@ fun () ->
-  match s with
-  | Rad { r_len; get } -> Float_seq.sum (Float_seq.tabulate r_len get)
-  | Bid b -> (
-    match Atomic.get b.memo with
-    | Some a -> Float_seq.sum (Float_seq.of_array a)
-    | None ->
-      if b.grid.n = 0 then 0.0
-      else begin
-        let blocks = drive b in
-        Runtime.reduce_blocks b.grid ~combine:( +. ) ~init:0.0 (fun j ->
-            Stream.sum_floats (blocks j))
-      end)
+  let memo = match s with Bid b -> Atomic.get b.memo | Rad _ -> None in
+  match memo with
+  | Some a -> Float_seq.sum (Float_seq.of_array a)
+  | None -> block_sum ~zero:0.0 ~add:( +. ) Stream.sum_floats s
 
 (* A block reduce that keeps the left operand on ties, so the leftmost
    maximum wins: O(n/B) space, like [reduce], with no forced copy of the

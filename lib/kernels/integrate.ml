@@ -24,9 +24,9 @@ module Delay_version = Make (Bds_seqs.Impl_delay)
    The integrand is inlined (not called through [f]) so [sqrt] and [/.]
    compile to unboxed intrinsics — a call through a float-returning
    closure would box one float per sample, which on this compute-light
-   kernel is the whole margin.  Same cadence as the Float_seq loops:
-   2-way split accumulators, one cancellation poll per 64 elements, one
-   [float_fast_path] bump per block. *)
+   kernel is the whole margin.  Same cadence as [Stream.sum_floats]'s
+   indexed loop: 2-way split accumulators, one cancellation poll per 64
+   elements, one [float_fast_path] bump per block. *)
 
 module Runtime = Bds_runtime.Runtime
 module Cancel = Bds_runtime.Cancel

@@ -79,7 +79,7 @@ let mcss_floats_boxed (a : float array) : float =
   (Bds.Seq.reduce combine_f unit_fsummary s).fbest
 
 let mcss_floats (a : float array) : float =
-  let fa = Float_seq.floatarray_of_array a in
+  let fa = Float_seq.of_array a in
   let g = Runtime.block_grid (Array.length a) in
   let s =
     Runtime.reduce_blocks g ~combine:combine_f ~init:unit_fsummary (fun j ->

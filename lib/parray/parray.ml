@@ -94,6 +94,19 @@ let scan_incl f z a =
              Array.unsafe_set out i !acc
            done))
 
+(* Largest j with offsets.(j) <= pos.  The annotation matters: inferred
+   as ['a array], every step would be a polymorphic [caml_lessequal]
+   call. *)
+let offset_search (offsets : int array) pos =
+  let rec search lo hi =
+    if lo >= hi then lo
+    else begin
+      let mid = (lo + hi + 1) / 2 in
+      if offsets.(mid) <= pos then search mid hi else search lo (mid - 1)
+    end
+  in
+  search 0 (Array.length offsets - 1)
+
 (* The copy phase of [flatten] and [concat_packed]: [aa.(j)] goes to
    [offsets.(j)] of a [total]-element output, one block per inner. *)
 let blit_at (aa : 'a array array) offsets total =

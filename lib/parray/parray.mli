@@ -38,6 +38,14 @@ val scan_incl : ('a -> 'a -> 'a) -> 'a -> 'a array -> 'a array
     (scan offsets, packed-block offsets) in A, R and Ours. *)
 val scan_seq : ('a -> 'a -> 'a) -> 'a -> 'a array -> 'a array * 'a
 
+(** [offset_search offsets pos]: the largest [j] with
+    [offsets.(j) <= pos], for non-decreasing [offsets] starting at 0 —
+    the segment holding output position [pos] of a concatenation whose
+    segment [j] starts at [offsets.(j)] (getRegion's binary search,
+    Figure 10 line 42).  Seq's region builders and [Rad.flatten] locate
+    a block's first segment with it. *)
+val offset_search : int array -> int -> int
+
 (** Two-phase block-based filter (§2.2). *)
 val filter : ('a -> bool) -> 'a array -> 'a array
 

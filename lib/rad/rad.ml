@@ -154,7 +154,10 @@ let filter_op p s =
     of_array (Bds_parray.Parray.concat_packed packed)
   end
 
-(* Eager flatten: compute offsets, copy everything. *)
+(* Eager flatten: compute offsets, copy everything.  The copy runs on
+   the output's grid, so a few long inners still split across blocks:
+   block [i] finds the inner holding its first position by binary
+   search on the offsets, then copies across inners to its end. *)
 let flatten (ss : 'a t t) =
   let m = ss.len in
   if m = 0 then empty
@@ -166,11 +169,19 @@ let flatten (ss : 'a t t) =
     else begin
       let rec first j = if inners.(j).len > 0 then inners.(j).get 0 else first (j + 1) in
       let out = Array.make total (first 0) in
-      Runtime.apply m (fun j ->
-          let s = inners.(j) in
-          let off = offsets.(j) in
-          for k = 0 to s.len - 1 do
-            Array.unsafe_set out (off + k) (s.get k)
+      let g = Runtime.block_grid total in
+      Runtime.iter_blocks g (fun i ->
+          let lo, hi = Grain.bounds g i in
+          let j = ref (Bds_parray.Parray.offset_search offsets lo) in
+          let pos = ref lo in
+          while !pos < hi do
+            let s = inners.(!j) and off = offsets.(!j) in
+            let stop = Int.min hi (off + s.len) in
+            for p = !pos to stop - 1 do
+              Array.unsafe_set out p (s.get (p - off))
+            done;
+            pos := stop;
+            incr j
           done);
       of_array out
     end

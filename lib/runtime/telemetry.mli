@@ -29,8 +29,9 @@ type snapshot = {
           the STATS schema and the counter listing stay unchanged. *)
   s_float_fast_path : int;
       (** float-reduction loops that ran monomorphic and unboxed
-          ([Float_seq] block bodies, [Stream.sum_floats] over a pure
-          index function); one bump per block/loop *)
+          ([Float_seq]'s floatarray block bodies, [Stream.sum_floats]
+          over a pure index function, the float kernels' block loops);
+          one bump per block/loop *)
   s_float_boxed_fallback : int;
       (** float-reduction loops that fell back to the generic boxed
           fold (non-materialisable producers); one bump per block *)
@@ -100,11 +101,12 @@ val incr_chaos_injections : unit -> unit
 
 val incr_fused_folds : unit -> unit
 
-(** Bumped by the unboxed float lane ([Float_seq], [Stream.sum_floats],
-    [Seq.float_sum]): one increment per block (or per whole loop for
-    unblocked drives) recording whether the reduction ran monomorphic
-    and unboxed or fell back to the generic boxed fold.  See
-    docs/STREAMS.md "Unboxed float lane". *)
+(** Bumped by the unboxed float lane ([Float_seq]'s floatarray loops,
+    and [Stream.sum_floats], which [Seq.float_sum] runs on each block):
+    one increment per block (or per whole loop for unblocked drives)
+    recording whether the reduction ran monomorphic and unboxed or fell
+    back to the generic boxed fold.  See docs/STREAMS.md "Unboxed float
+    lane". *)
 
 val incr_float_fast_path : unit -> unit
 val incr_float_boxed_fallback : unit -> unit

@@ -39,30 +39,23 @@ let sum_abs = Array.fold_left (fun acc x -> acc +. Float.abs x) 0.0
 (* ------------------------------------------------------------------ *)
 (* Basics *)
 
-let to_array t =
-  match FS.force t with
-  | FS.Mat a -> FS.array_of_floatarray a
-  | FS.Fn _ -> Alcotest.fail "force left a delayed sequence"
-
 let test_basics () =
   let empty = FS.of_array [||] in
-  Alcotest.(check int) "empty length" 0 (FS.length empty);
   Alcotest.(check (float 0.0)) "empty sum" 0.0 (FS.sum empty);
   Alcotest.(check (float 0.0)) "empty dot" 0.0 (FS.dot empty empty);
   let a = int_valued 1000 in
-  Alcotest.(check (array (float 0.0))) "of_array/force roundtrip" a
-    (to_array (FS.of_array a));
-  Alcotest.(check (array (float 0.0))) "force fixes the values" a
-    (to_array (FS.tabulate 1000 (fun i -> a.(i))));
-  Alcotest.check_raises "tabulate negative" (Invalid_argument "Float_seq.tabulate")
-    (fun () -> ignore (FS.tabulate (-1) float_of_int));
+  Alcotest.(check (array (float 0.0))) "of_array/to_array roundtrip" a
+    (FS.to_array (FS.of_array a));
   Alcotest.check_raises "dot mismatch"
     (Invalid_argument "Float_seq.dot: length mismatch") (fun () ->
-      ignore (FS.dot (FS.tabulate 10 float_of_int) (FS.tabulate 3 float_of_int)))
+      ignore
+        (FS.dot
+           (FS.of_array (Array.init 10 float_of_int))
+           (FS.of_array (Array.init 3 float_of_int))))
 
 (* ------------------------------------------------------------------ *)
-(* Exactness on integer-valued data, across block policies: Mat and Fn
-   variants of every eager consumer, against sequential references. *)
+(* Exactness on integer-valued data, across block policies: every eager
+   consumer against sequential references. *)
 
 let test_exact_across_policies () =
   let n = 10_000 in
@@ -70,13 +63,9 @@ let test_exact_across_policies () =
   let want_sum = ref_sum a and want_dot = ref_dot a b in
   for_all_policies (fun name ->
       let mat = FS.of_array a in
-      let fn = FS.tabulate n (fun i -> a.(i)) in
       Alcotest.(check (float 0.0)) (name ^ " sum mat") want_sum (FS.sum mat);
-      Alcotest.(check (float 0.0)) (name ^ " sum fn") want_sum (FS.sum fn);
       Alcotest.(check (float 0.0)) (name ^ " dot mat-mat") want_dot
-        (FS.dot mat (FS.of_array b));
-      Alcotest.(check (float 0.0)) (name ^ " dot fn") want_dot
-        (FS.dot fn (FS.tabulate n (fun i -> b.(i)))))
+        (FS.dot mat (FS.of_array b)))
 
 (* The rerouted [Seq.float_sum] (both RAD and BID representations) and
    the delayed pipeline it fuses must match the boxed generic reduce. *)
@@ -159,6 +148,77 @@ let qcheck_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Model of the association: under [Fixed b] every block of [b] (the
+   last one short) is summed in 64-element chunks from its first index
+   by [ways] split accumulators — element [j] of a chunk goes to
+   accumulator [(j - chunk start) mod ways] while a whole group of
+   [ways] fits, the tail to the first — and the block partials fold
+   left to right from [0.0].  A RAD block runs [Stream.sum_floats]'s
+   2-way loop, a forced BID [Float_seq.sum]'s 4-way loop. *)
+
+let model_sum ~ways ~b (a : float array) =
+  let n = Array.length a in
+  let block lo hi =
+    let acc = Array.make ways 0.0 in
+    let i = ref lo in
+    while !i < hi do
+      let stop = Int.min hi (!i + 64) in
+      let j = ref !i in
+      while !j + ways - 1 < stop do
+        for k = 0 to ways - 1 do
+          acc.(k) <- acc.(k) +. a.(!j + k)
+        done;
+        j := !j + ways
+      done;
+      while !j < stop do
+        acc.(0) <- acc.(0) +. a.(!j);
+        incr j
+      done;
+      i := stop
+    done;
+    if ways = 2 then acc.(0) +. acc.(1)
+    else acc.(0) +. acc.(1) +. (acc.(2) +. acc.(3))
+  in
+  let total = ref 0.0 in
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = Int.min n (!lo + b) in
+    total := !total +. block !lo hi;
+    lo := hi
+  done;
+  !total
+
+let model_gen =
+  QCheck2.Gen.(
+    triple (int_bound 5000) (int_range 1 3000) (int_bound 1_000_000))
+
+let bits v = Printf.sprintf "%Lx" (Int64.bits_of_float v)
+
+let model_tests =
+  let open QCheck2 in
+  [
+    Test.make ~name:"Seq.float_sum association = block model" ~count:200
+      ~print:Print.(triple int int int)
+      model_gen
+      (fun (n, b, seed) ->
+        let st = Random.State.make [| seed |] in
+        let a = Array.init n (fun _ -> Random.State.float st 2000.0 -. 1000.0) in
+        with_policy (Grain.Fixed b) (fun () ->
+            let rad = S.tabulate n (fun i -> a.(i)) in
+            let forced = S.filter (fun _ -> true) (S.of_array a) in
+            ignore (S.to_array forced : float array);
+            let want_rad = bits (model_sum ~ways:2 ~b a)
+            and want_forced = bits (model_sum ~ways:4 ~b a) in
+            let got_rad = bits (S.float_sum rad)
+            and got_forced = bits (S.float_sum forced) in
+            if got_rad <> want_rad then
+              Test.fail_reportf "rad: %s, model %s" got_rad want_rad;
+            if got_forced <> want_forced then
+              Test.fail_reportf "forced bid: %s, model %s" got_forced want_forced;
+            true));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Association pin: on non-integer data every float block reduction's
    result depends on its summation order (inner accumulator split,
    per-block partials, left-to-right combine), so exact result bits on a
@@ -181,7 +241,6 @@ let test_association_pin () =
       let got =
         [
           ("sum mat", FS.sum (FS.of_array a));
-          ("sum fn", FS.sum (FS.tabulate n (fun i -> a.(i))));
           ("dot", FS.dot (FS.of_array a) (FS.of_array b));
           ("float_sum rad", S.float_sum (S.tabulate n (fun i -> a.(i))));
           ("float_sum bid", S.float_sum (bid ()));
@@ -200,7 +259,6 @@ let test_association_pin () =
         got
         [
           "410a1a5c92492494";
-          "410a1a5c92492491";
           "415f31f75ab9ab9a";
           "410a1a5c92492491";
           "4101674edb6db6dd";
@@ -234,5 +292,7 @@ let () =
             test_single_element_exact;
           Alcotest.test_case "association pin" `Quick test_association_pin;
         ] );
-      ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests);
+      ( "properties",
+        List.map (QCheck_alcotest.to_alcotest ~long:false)
+          (qcheck_tests @ model_tests) );
     ]

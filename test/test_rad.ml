@@ -2,6 +2,8 @@
    flatten vs list models. *)
 
 module R = Bds_rad.Rad
+module Grain = Bds_runtime.Grain
+module Telemetry = Bds_runtime.Telemetry
 open Bds_test_util
 
 let () = init ()
@@ -78,6 +80,34 @@ let test_filter_flatten () =
     (rlist (R.flatten nested));
   Alcotest.(check int_list) "flatten empty" [] (rlist (R.flatten R.empty))
 
+(* The copy phase of [flatten] runs on the output's grid: under
+   [Fixed b], four inners (fewer than b) holding 10b elements, the
+   longest inner spanning five blocks, run at least one chunk per
+   output block, not one leaf for all four inners. *)
+let test_flatten_output_grid () =
+  let b = 100 in
+  with_policy (Grain.Fixed b) (fun () ->
+      let lens = [| 1; (4 * b) - 1; 5 * b; b |] in
+      let total = 10 * b in
+      let nested =
+        R.tabulate (Array.length lens) (fun i ->
+            R.tabulate lens.(i) (fun j -> (i * 100_000) + j))
+      in
+      let before = Telemetry.snapshot () in
+      let flat = R.flatten nested in
+      let d = Telemetry.diff ~before ~after:(Telemetry.snapshot ()) in
+      let want_blocks = (total + b - 1) / b in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d chunks for %d output blocks"
+           d.Telemetry.s_chunks_executed want_blocks)
+        true
+        (d.Telemetry.s_chunks_executed >= want_blocks);
+      Alcotest.(check int_list) "contents"
+        (List.concat
+           (List.init (Array.length lens) (fun i ->
+                List.init lens.(i) (fun j -> (i * 100_000) + j))))
+        (rlist flat))
+
 let test_slicing () =
   let s = R.iota 10 in
   Alcotest.(check int_list) "slice" [ 3; 4; 5 ] (rlist (R.slice s 3 3));
@@ -134,6 +164,8 @@ let () =
           Alcotest.test_case "map is delayed" `Quick test_map_is_delayed;
           Alcotest.test_case "reduce/scan" `Quick test_reduce_scan;
           Alcotest.test_case "filter/flatten" `Quick test_filter_flatten;
+          Alcotest.test_case "flatten copies on the output grid" `Quick
+            test_flatten_output_grid;
           Alcotest.test_case "slicing" `Quick test_slicing;
           Alcotest.test_case "equal" `Quick test_equal;
           Alcotest.test_case "iter" `Quick test_iter;

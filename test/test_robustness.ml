@@ -154,9 +154,10 @@ let test_cancellation_mid_block_push () =
             (touches <= 1300)))
 
 let test_cancellation_mid_block_unboxed () =
-  (* The float lane's monomorphic loops (Float_seq) share the push
-     lane's cadence: one ambient poll per 64-element chunk, inside the
-     unboxed accumulator loop.  Same setup as the push-fold test — one
+  (* The float lane's monomorphic loop ([Seq.float_sum] of a RAD, which
+     runs [Stream.sum_floats] on each block) shares the push lane's
+     cadence: one ambient poll per 64-element chunk, inside the unboxed
+     accumulator loop.  Same setup as the push-fold test — one
      worker, one 100k-element block — so block-boundary polling alone
      could not fire before the end; stopping within ~one chunk of the
      poisoned element proves the inner loop itself polls. *)
@@ -178,7 +179,7 @@ let test_cancellation_mid_block_unboxed () =
             float_of_int i
           in
           Alcotest.check_raises "recorded failure propagates" (Kernel_bug 11)
-            (fun () -> ignore (Bds.Float_seq.sum (Bds.Float_seq.tabulate n poison)));
+            (fun () -> ignore (Bds.Seq.float_sum (Bds.Seq.tabulate n poison)));
           let touches = !touches in
           Alcotest.(check bool)
             (Printf.sprintf "reached the cancel point (%d touches)" touches)
