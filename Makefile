@@ -10,8 +10,8 @@
 # opt-out, not the default config).
 CHAOS_SPEC ?= seed=1,p=0.02,kinds=delay+starve
 
-# Domain counts swept by `make stress`.  CI's smoke job narrows this to a
-# single count (STRESS_DOMAINS=2) to keep the job fast.
+# Domain counts swept by `make stress`.  CI's smoke job narrows this to
+# two counts (STRESS_DOMAINS="2 4") to keep the job fast.
 STRESS_DOMAINS ?= 1 2 4
 
 all: build

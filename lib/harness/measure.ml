@@ -129,9 +129,9 @@ let pp_bytes b =
    the worker's alone.  The tasks go through [Pool.async] from outside
    any [run], hence the overflow queue, and are waited on with [peek]:
    [await] from outside the pool would run the task on the caller.  The
-   difference includes a fixed per-task cost (the promise, the effect
-   handler, the overflow pop).  Each length is the median of five
-   gaps. *)
+   difference includes a fixed per-task cost (the promise, the ambient
+   reset around the task, the overflow pop).  Each length is the median
+   of five gaps. *)
 let idle_worker_words gaps =
   let repeat = 5 in
   let module Pool = Bds_runtime.Pool in

@@ -52,13 +52,11 @@ let ambient () = !(Domain.DLS.get ambient_key)
 
 let set_ambient v = Domain.DLS.get ambient_key := v
 
-(* The ambient value is *fiber-local*, not merely domain-local: [f] may
-   suspend (Pool's [Suspend] effect) and resume on a different domain, so
-   both the prologue's save and the epilogue's restore must go through
-   [ambient]/[set_ambient], which re-read the *current* domain's DLS cell
-   at each point.  Pool's scheduler context-switches the value across
-   suspensions (snapshot at suspend, reinstall at resume), which is what
-   makes [saved] meaningful on whichever domain the epilogue runs. *)
+(* [f] starts and ends on one thread: a join inside it waits in place
+   rather than suspending, so nothing migrates and [saved] is this
+   thread's own value.  Tasks that [f]'s thread runs while it waits
+   start with no ambient token ([Pool] clears it around each task) and
+   leave this one in place. *)
 let with_ambient t f =
   let saved = ambient () in
   set_ambient (Some t);

@@ -50,24 +50,23 @@ val reason : t -> (exn * Printexc.raw_backtrace) option
     stream loops) call {!poll} at their own natural boundaries to observe
     cancellation sooner than the enclosing chunk loop would.
 
-    The value is logically {e fiber}-local: a fiber that suspends inside a
-    {!with_ambient} region and resumes on another domain carries its token
-    with it — [Pool]'s scheduler snapshots the ambient value when a fiber
-    suspends and reinstalls it with {!set_ambient} before resuming the
-    remainder. *)
+    The value is per thread, and nothing migrates it: a join inside a
+    {!with_ambient} region waits in place on the same thread.  [Pool]
+    clears it with {!set_ambient} around every task, so a task run while
+    its thread waits sees no token of the waiter's, and restores it
+    afterwards. *)
 
 (** The current domain's ambient token, if a scope chunk is running. *)
 val ambient : unit -> t option
 
 (** [set_ambient v] installs [v] as the current domain's ambient value.
-    Scheduler hook (see the fiber-locality note above): [Pool] uses it to
-    context-switch the token across suspension and around task execution.
-    User code should use {!with_ambient} instead. *)
+    Scheduler hook (see the note above): [Pool] uses it to clear the
+    token around task execution.  User code should use {!with_ambient}
+    instead. *)
 val set_ambient : t option -> unit
 
 (** [with_ambient t f] runs [f] with [t] as the ambient token, restoring
-    the previous ambient token on exit (normal or exceptional) — on
-    whichever domain [f] finishes, if it suspended and migrated. *)
+    the previous ambient token on exit (normal or exceptional). *)
 val with_ambient : t -> (unit -> 'a) -> 'a
 
 (** {!check} on the ambient token; no-op when there is none. *)

@@ -12,7 +12,7 @@
                  running its body (exercises exception containment and
                  cancellation paths);
     - [delay]  — a task body is preceded by a short busy-wait (shakes
-                 schedule interleavings and steal/suspend races);
+                 schedule interleavings and steal/join races);
     - [starve] — a steal attempt spuriously fails (exercises the idle /
                  retry protocol and overflow draining);
     - [jobs]   — an admitted service job is spuriously cancelled or

@@ -12,15 +12,14 @@
    - idle workers steal from victims in round-robin order, then block on a
      condition variable after a time-bounded spin;
    - [fork_join] is work-first: it pushes the right branch's task, runs
-     the left branch, then pops the deque of the slot the thread running
-     the fiber now operates.  If that pop returns the task it pushed,
-     nobody stole it, and the right branch runs inline in the same
-     fiber.  Otherwise (stolen, the fiber migrated, an orphaned task sits
-     on top, which is put back, or the thread operates no slot) the join
-     falls to [await];
-   - [await] suspends the current fiber with an effect when the promise is
-     unresolved; the continuation is re-scheduled by whoever fulfills the
-     promise.
+     the left branch, then pops its own deque.  If that pop returns the
+     task it pushed, nobody stole it, and the right branch runs inline.
+     Otherwise (stolen, or an orphaned task sits on top, which is put
+     back) the join waits in place;
+   - a thread that operates a slot waits in place, in [fork_join] and in
+     [await]: it runs pool tasks (own deque, overflow, steal) on its own
+     stack until the promise resolves.  Nothing suspends, so a task
+     never leaves the thread that started it.
 
    Failure semantics (docs/RUNTIME.md "Failure semantics"):
    - [async]/[run] on a torn-down pool raise [Shutdown] instead of
@@ -78,8 +77,6 @@ type t = {
   executed : int Atomic.t; (* statistics: tasks executed *)
 }
 
-type _ Effect.t += Suspend : ((unit -> unit) -> bool) -> unit Effect.t
-
 exception Shutdown
 
 exception Worker_crashed of string
@@ -91,7 +88,7 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 (* Worker context: which pool and which deque slot the current domain is
    operating, if any, and which of the domain's sys-threads operates it.
    DLS is shared by every thread of a domain, but only that thread runs
-   under the pool's suspend handler. *)
+   the slot's tasks. *)
 type context = { ctx_pool : t; ctx_id : int; ctx_thread : int }
 
 let context_key : context option ref Domain.DLS.key =
@@ -209,69 +206,40 @@ let push_overflow pool task =
   Mutex.unlock pool.overflow_mutex
 
 (* The calling thread's context, if that thread operates a slot of
-   [pool]: the one rule for who may touch a deque's owner end, suspend
-   in [await] and run inline in [run].  A sibling sys-thread of a member
-   domain reads the member's context from DLS, but is not its thread. *)
+   [pool]: the one rule for who may touch a deque's owner end, wait in
+   place in [await] and run inline in [run].  A sibling sys-thread of a
+   member domain reads the member's context from DLS, but is not its
+   thread. *)
 let owned pool =
   match current_context () with
   | Some c as r when c.ctx_pool == pool && c.ctx_thread = self_id () -> r
   | _ -> None
 
-let push_task pool task =
+(* Push on the deque of [own]'s slot, or on the overflow queue when the
+   calling thread operates none. *)
+let push_on pool own task =
   Telemetry.incr_tasks_spawned ();
-  (match owned pool with
+  (match own with
   | Some c -> Ws_deque.push pool.deques.(c.ctx_id) task
   | None -> push_overflow pool task);
   wake_idlers pool
 
-(* Run one task under the suspend handler.  The handler closes over the
-   pool so that resumed continuations are rescheduled on it.
+let push_task pool task = push_on pool (owned pool) task
 
-   The ambient cancellation token (Cancel.ambient) is fiber-local state:
-   when a fiber suspends here, its token is snapshotted off this domain's
-   DLS and reinstalled on whichever domain resumes the remainder, so the
-   resumed code polls *its own* scope's token rather than whatever the
-   hosting domain happens to be running.  The domain's own ambient value
-   is restored around both the suspension and the whole task, so a fiber
-   can never leak its scope's token into the worker loop (where a stale
-   cancelled token would make an unrelated healthy scope raise).
-
-   The profiler's ambient op context (Profile.ambient) follows the exact
-   same discipline: snapshotted at suspension, reinstalled at resumption,
-   restored around the whole task — so a migrated fiber keeps attributing
-   time to its own op, and a worker domain never inherits a stale one. *)
+(* Run one task with no ambient cancellation token (Cancel.ambient) and
+   no profiler context (Profile.ambient), and restore the thread's own
+   afterwards.  A thread that waits in place runs tasks from inside one
+   of its own scopes; cleared, a task neither polls the waiter's token
+   (a cancelled one would make an unrelated healthy scope raise) nor
+   profiles into the waiter's op, and it cannot leak its own into the
+   waiter either. *)
 let execute pool (task : task) =
   Atomic.incr pool.executed;
   let saved = Cancel.ambient () in
   let saved_prof = Profile.ambient () in
-  match
-    Effect.Deep.try_with task ()
-      {
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Suspend register ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  let amb = Cancel.ambient () in
-                  let amb_prof = Profile.ambient () in
-                  Cancel.set_ambient None;
-                  Profile.set_ambient Profile.no_ambient;
-                  let resume () =
-                    push_task pool (fun () ->
-                        Cancel.set_ambient amb;
-                        Profile.set_ambient amb_prof;
-                        Effect.Deep.continue k ())
-                  in
-                  if not (register resume) then begin
-                    (* Already resolved: resume immediately, same domain. *)
-                    Cancel.set_ambient amb;
-                    Profile.set_ambient amb_prof;
-                    Effect.Deep.continue k ()
-                  end)
-            | _ -> None);
-      }
-  with
+  Cancel.set_ambient None;
+  Profile.set_ambient Profile.no_ambient;
+  match task () with
   | () ->
     Cancel.set_ambient saved;
     Profile.set_ambient saved_prof
@@ -313,8 +281,8 @@ let rec fulfill (p : 'a promise) (result : 'a state) =
           | Raised (e, _) -> Printf.sprintf " (dropped exception: %s)" (Printexc.to_string e)
           | _ -> ""))
 
-(* Returns false if the promise was already resolved (caller must not
-   suspend). *)
+(* Returns false if the promise was already resolved (the caller runs
+   its waiter itself). *)
 let rec add_waiter (p : 'a promise) (w : unit -> unit) =
   match Atomic.get p with
   | Pending waiters as old ->
@@ -545,6 +513,25 @@ let async pool f =
 
 let async_external = async
 
+(* Wait in place (docs/RUNTIME.md "Waiting in place"): the thread that
+   operates slot [me] runs pool tasks in the worker loop's order (its
+   own deque, the overflow queue, then steals) until [p] resolves.  A
+   task runs nested on the waiter's stack, under [execute]'s cleared
+   ambient.  A poisoned pool raises [Worker_crashed] unless [p] resolved
+   meanwhile (re-checked under the [when] guard): its result wins. *)
+let rec wait_in_place pool me p =
+  match Atomic.get p with
+  | Pending _ ->
+    (match Atomic.get pool.poisoned with
+    | Some (exn, _) when still_pending p ->
+      raise (Worker_crashed (crash_diagnostic exn))
+    | _ -> ());
+    (match get_task pool me with
+    | Some task -> execute_contained pool task
+    | None -> Domain.cpu_relax ());
+    wait_in_place pool me p
+  | Returned _ | Raised _ -> ()
+
 (* [await] beside another thread's [run] yields the domain lock this
    many times, then sleeps this long per round. *)
 let beside_run_yields = 64
@@ -552,28 +539,28 @@ let beside_run_delay_s = 0.001
 
 let await pool p =
   (match Atomic.get p with
-  | Pending _ ->
-    if Option.is_some (owned pool) then
-      Effect.perform (Suspend (fun resume -> add_waiter p resume))
-    else
-      (* Called from outside the pool (no handler installed): help by
-         draining the overflow queue and stealing, so progress is
-         guaranteed even on a pool with no spawned workers and no active
-         [run].  While another thread of this domain operates a worker
-         slot (it is inside [run]), only wait, yielding the domain lock
-         to it: a task run here would swap the domain's ambient token
-         and profiler context (DLS) under that thread.  That thread
+  | Pending _ -> (
+    match owned pool with
+    | Some c -> wait_in_place pool c.ctx_id p
+    | None ->
+      (* Called from a thread that operates no slot: help by draining
+         the overflow queue and stealing, so progress is guaranteed
+         even on a pool with no spawned workers and no active [run].
+         While another thread of this domain operates a worker slot (it
+         is inside [run]), only wait, yielding the domain lock to it: a
+         task run here would swap the domain's ambient token and
+         profiler context (DLS) under that thread.  That thread
          executes the pool's tasks, and helping resumes once it leaves
          [run].  A run that keeps the domain without wanting the lock
          (blocked in a sleep or a syscall) makes [Thread.yield] return
          at once, so the wait backs off to short sleeps instead of
          spinning a core.  Fail fast instead of spinning forever when
          the pool can no longer resolve the promise: poisoned, or fully
-         terminated with no work left to run.  Each fail-fast raise re-checks the promise one final time
-         first: teardown's drain (or a concurrent worker) may have
-         resolved it after we observed it pending, and the documented
-         guarantee is that a resolved promise's result is always
-         returned. *)
+         terminated with no work left to run.  Each fail-fast raise
+         re-checks the promise one final time first: teardown's drain
+         (or a concurrent worker) may have resolved it after we
+         observed it pending, and the documented guarantee is that a
+         resolved promise's result is always returned. *)
       let yields = ref 0 in
       while
         match Atomic.get p with
@@ -599,45 +586,43 @@ let await pool p =
         | _ -> false
       do
         ()
-      done
+      done)
   | Returned _ | Raised _ -> ());
   promise_result p
 
-(* Work-first fork-join (docs/RUNTIME.md "Inline join").  The join pops
-   the deque of the slot that the thread running the fiber operates
-   *now*: [left] may have suspended and resumed elsewhere.  Only our own
-   task back (physical equality) proves nobody stole it; any other task
-   (an orphan of [left], or another fiber's) is put back where it was,
-   and the join awaits, as it does on a thread that operates no slot. *)
+(* Work-first fork-join (docs/RUNTIME.md "Inline join").  Only our own
+   task back from the pop (physical equality) proves nobody stole it;
+   any other task (an orphan of [left]) is put back where it was, and
+   the join waits in place.  On a thread that operates no slot the join
+   is [await]'s outside wait. *)
 let fork_join pool left right =
   check_alive pool;
+  let own = owned pool in
   let p = promise () in
   let task = promise_task right p in
-  push_task pool task;
+  push_on pool own task;
   let a = left () in
-  let inline =
-    match owned pool with
-    | Some c -> (
-        let dq = pool.deques.(c.ctx_id) in
-        match Ws_deque.pop dq with
-        | Some t when t == task -> true
-        | Some t ->
-          Ws_deque.push dq t;
-          false
-        | None -> false)
-    | None -> false
-  in
-  if inline then begin
-    Chaos.point_task ();
-    (a, right ())
-  end
-  else (a, await pool p)
+  match own with
+  | None -> (a, await pool p)
+  | Some c -> (
+    let dq = pool.deques.(c.ctx_id) in
+    match Ws_deque.pop dq with
+    | Some t when t == task ->
+      Chaos.point_task ();
+      (a, right ())
+    | popped ->
+      Option.iter (Ws_deque.push dq) popped;
+      wait_in_place pool c.ctx_id p;
+      (a, promise_result p))
 
+(* The root runs on the calling thread as slot 0's first task: it is
+   counted as executed and passes the task chaos point, but keeps the
+   caller's ambient scope and profiler context, and nothing follows it:
+   a root that joins a stolen child waits in place. *)
 let run pool f =
   check_alive pool;
   if Option.is_some (owned pool) then
-    (* Already inside the pool: just run inline under the existing
-       handler. *)
+    (* Already inside the pool: just run inline. *)
     f ()
   else begin
     Mutex.lock pool.runner_mutex;
@@ -648,29 +633,9 @@ let run pool f =
         set_context saved;
         Mutex.unlock pool.runner_mutex)
       (fun () ->
-        let p = promise () in
-        execute pool (promise_task f p);
-        (* Participate as worker 0 until the root promise resolves.  If a
-           worker domain crashes while we wait, surface the poisoning as
-           [Worker_crashed] instead of spinning on a promise that may
-           never resolve — unless the promise resolved in the meantime
-           (re-checked under the [when] guard), in which case its result
-           wins. *)
-        let rec help () =
-          match Atomic.get p with
-          | Pending _ ->
-            (match Atomic.get pool.poisoned with
-            | Some (exn, _) when still_pending p ->
-              raise (Worker_crashed (crash_diagnostic exn))
-            | _ -> ());
-            (match get_task pool 0 with
-            | Some task -> execute_contained pool task
-            | None -> Domain.cpu_relax ());
-            help ()
-          | Returned _ | Raised _ -> ()
-        in
-        help ();
-        promise_result p)
+        Atomic.incr pool.executed;
+        Chaos.point_task ();
+        f ())
   end
 
 let stats pool = Atomic.get pool.executed

@@ -1,5 +1,6 @@
 (** Fork-join task pool over OCaml 5 domains, with Chase-Lev work stealing
-    and effects-based suspension.
+    and joins that wait in place: a thread whose forked child was stolen
+    runs other pool tasks on its own stack until the child resolves.
 
     This is the parallel runtime substrate for the block-delayed sequence
     library — the role played by the MPL scheduler / ParlayLib in the
@@ -52,18 +53,24 @@ val teardown : t -> unit
 val async : t -> (unit -> 'a) -> 'a promise
 
 (** [await pool p] returns the result of [p], re-raising any exception with
-    its original backtrace. Inside the pool this suspends the fiber without
-    blocking the worker; outside it helps execute tasks.  A sys-thread
-    whose domain has another thread inside {!run} executes nothing: it
-    yields to that thread until the promise resolves or the run returns.
+    its original backtrace. On a thread that operates a worker slot it
+    waits in place: it runs pool tasks (its own deque, the overflow
+    queue, then steals), each with no ambient cancellation token or
+    profiler context, until [p] resolves, so [p] must not depend on
+    code that runs after an enclosing wait on this thread returns.  On
+    any other thread it helps by draining the overflow queue and
+    stealing.  A sys-thread whose domain has another thread inside
+    {!run} executes nothing: it yields to that thread until the promise
+    resolves or the run returns.
     @raise Shutdown if the pool terminated with [p] unresolvable.
     @raise Worker_crashed if the pool is poisoned while waiting. *)
 val await : t -> 'a promise -> 'a
 
 (** [fork_join pool left right] is [(left (), right ())], with [right]
     open to theft while [left] runs.  If nobody stole [right] by then, it
-    runs inline in the caller's fiber (no suspension, no extra task);
-    a stolen [right] is joined as by {!await}.  An exception from either
+    runs inline on the caller's stack (no extra task); a stolen [right]
+    is joined as by {!await}: the caller waits in place, and the call
+    spawns no task beyond [right]'s.  An exception from either
     branch propagates as itself; one from [left] leaves [right] queued.
     [right] is queued as by {!async}, and only a thread that operates a
     worker slot pops its deque at the join: on any other thread this is
@@ -89,7 +96,9 @@ val peek : 'a promise -> ('a, exn * Printexc.raw_backtrace) result option
 val on_resolve : 'a promise -> (unit -> unit) -> unit
 
 (** [run pool f] executes [f] with the calling domain acting as worker 0
-    and returns its result. Only one concurrent [run] per pool; calls from
+    and returns its result: [f] runs on the calling thread, keeping its
+    ambient cancellation token and profiler context, and counts as one
+    executed task. Only one concurrent [run] per pool; calls from
     within pool tasks execute [f] inline.
     @raise Shutdown on a torn-down pool.
     @raise Worker_crashed on a poisoned pool. *)

@@ -13,7 +13,7 @@
      Psort.sort, a Stream fold...).  [with_op] is outermost-wins: nested
      ops — flatten calling to_array, a sort's merge calling a Seq op —
      fold into the enclosing op so wall time is never double-counted.
-   - *wall* is the op's elapsed time on the calling fiber.
+   - *wall* is the op's elapsed time on the calling thread.
    - *work* is the summed duration of the op's sequential leaves
      (scheduler chunks, block bodies, sort base cases), each recorded
      into the op's per-domain latency histogram.
@@ -27,13 +27,12 @@
      the fraction of leaf time spent in leaves shorter than
      [tiny_chunk_ns].
 
-   Ambient state (the current op and an in-leaf flag) is fiber-local in
-   the same sense as [Cancel.ambient]: it lives in DLS, and [Pool]'s
-   suspend handler snapshots it via [ambient]/[set_ambient] so a fiber
-   resumed on another domain keeps profiling into its own op rather than
-   whatever the hosting domain was doing.  Epilogues re-read the
-   *current* domain's slot (the fiber may have migrated since the
-   prologue ran).
+   Ambient state (the current op and an in-leaf flag) lives in DLS, per
+   thread, like [Cancel.ambient]: nothing migrates it, since a join
+   waits in place on the thread that forked.  [Pool] clears it via
+   [ambient]/[set_ambient] around every task, so a task run while its
+   thread waits inside an op or a leaf profiles into its own op, not
+   the waiter's, and restores it afterwards.
 
    The clock is [Unix.gettimeofday] rebased to a process-start epoch
    (the [Trace] trick: keeps the float mantissa dense so the ns
@@ -93,14 +92,13 @@ let reset () =
   Mutex.unlock registry_mutex
 
 (* ------------------------------------------------------------------ *)
-(* Ambient fiber state *)
+(* Ambient state *)
 
 type ctx = {
   op : op;
   t0 : int;
-  (* Mutated only by the owning fiber (ordinary sequential code from its
-     point of view; migration is ordered through the scheduler's
-     atomics), read once at [with_op]'s epilogue. *)
+  (* Mutated only by the op's own thread (ordinary sequential code),
+     read once at [with_op]'s epilogue. *)
   mutable prim_wall : int;  (* summed wall of the op's parallel regions *)
   mutable prim_span : int;  (* summed longest-leaf of those regions *)
 }

@@ -12,8 +12,8 @@
     small: 41% of chunk time < 5µs").
 
     Disabled, every instrumentation point costs one atomic load.  The
-    ambient op context is fiber-local exactly like [Cancel.ambient]:
-    [Pool]'s suspend handler carries it across fiber migration via
+    ambient op context is per thread exactly like [Cancel.ambient]:
+    nothing migrates it, and [Pool] clears it around every task via
     {!ambient}/{!set_ambient}. *)
 
 val enabled : unit -> bool
@@ -26,7 +26,7 @@ val set_enabled : bool -> unit
 
 val with_op : string -> (unit -> 'a) -> 'a
 (** [with_op name f] runs [f] as profiled operation [name].  Outermost
-    wins: when an op is already open on this fiber (or [f] runs inside a
+    wins: when an op is already open on this thread (or [f] runs inside a
     profiled leaf), [f] just runs — its time folds into the enclosing
     op. *)
 
@@ -52,8 +52,8 @@ val seq_op : string -> (unit -> 'a) -> 'a
     (work = wall, parallelism 1); under an open op it records a leaf of
     that op; inside a profiled leaf it is free. *)
 
-(** {2 Fiber-local ambient state} — used by [Pool]'s suspend handler;
-    same contract as [Cancel.ambient]/[Cancel.set_ambient]. *)
+(** {2 Ambient state} — [Pool] clears it around every task; same
+    contract as [Cancel.ambient]/[Cancel.set_ambient]. *)
 
 type ambient
 

@@ -122,34 +122,55 @@ let block_grid n = Grain.grid ~workers:(num_workers ()) n
    each leaf [leaf tok j] counts one executed chunk, is one profiled
    leaf with a [leaf_span] trace span (category "chunk", over
    [bounds j]), and runs under [tok], which it polls every
-   [poll_mask + 1] iterations.  [nb] must be positive. *)
+   [poll_mask + 1] iterations.  [nb] must be positive.
+
+   A one-block region, untraced and unprofiled, runs its leaf inline on
+   the calling thread: no pool entry, no fork.  Inside a scope's chunk
+   it joins that scope: the leaf polls the ambient token, and a failure
+   propagates as itself to the enclosing chunk, which records it.
+   Elsewhere it is a fresh scope.  It keeps the block-entry poll and the
+   one executed chunk, and touches no pool, so it also runs beside a
+   torn-down or poisoned one. *)
 let drive ~span ~leaf_span ~lo ~hi ~bounds nb leaf =
-  let pool = get_pool () in
-  let tok = scope_token () in
-  Profile.with_region (fun prof ->
-      let run_leaf j =
-        Telemetry.incr_chunks_executed ();
-        let chunk () = in_scope tok (fun () -> leaf tok j) in
-        Profile.leaf prof (fun () ->
-            if Trace.enabled () then begin
-              let lo, hi = bounds j in
-              Trace.with_span ~cat:"chunk" ~lo ~hi leaf_span chunk
-            end
-            else chunk ())
-      in
-      let rec go a b =
-        Cancel.check tok;
-        if b - a = 1 then run_leaf a
-        else begin
-          let mid = a + ((b - a) / 2) in
-          let (), () =
-            Pool.fork_join pool (fun () -> go a mid) (fun () -> go mid b)
-          in
-          ()
-        end
-      in
-      Trace.with_span ~lo ~hi span (fun () ->
-          Pool.run pool (fun () -> scoped tok (fun () -> go 0 nb))))
+  if nb = 1 && not (Trace.enabled () || Profile.enabled ()) then begin
+    match Cancel.ambient () with
+    | Some tok ->
+      Cancel.check tok;
+      Telemetry.incr_chunks_executed ();
+      leaf tok 0
+    | None ->
+      let tok = Cancel.create () in
+      Cancel.check tok;
+      Telemetry.incr_chunks_executed ();
+      scoped tok (fun () -> in_scope tok (fun () -> leaf tok 0))
+  end
+  else
+    let pool = get_pool () in
+    let tok = scope_token () in
+    Profile.with_region (fun prof ->
+        let run_leaf j =
+          Telemetry.incr_chunks_executed ();
+          let chunk () = in_scope tok (fun () -> leaf tok j) in
+          Profile.leaf prof (fun () ->
+              if Trace.enabled () then begin
+                let lo, hi = bounds j in
+                Trace.with_span ~cat:"chunk" ~lo ~hi leaf_span chunk
+              end
+              else chunk ())
+        in
+        let rec go a b =
+          Cancel.check tok;
+          if b - a = 1 then run_leaf a
+          else begin
+            let mid = a + ((b - a) / 2) in
+            let (), () =
+              Pool.fork_join pool (fun () -> go a mid) (fun () -> go mid b)
+            in
+            ()
+          end
+        in
+        Trace.with_span ~lo ~hi span (fun () ->
+            Pool.run pool (fun () -> scoped tok (fun () -> go 0 nb))))
 
 (* An element loop over [lo, lo + g.n): [leaf tok j blo bhi] once per
    block [j] of [g], its range offset by [lo], each leaf a "chunk"

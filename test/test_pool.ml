@@ -323,6 +323,134 @@ let test_inline_right_raises () =
     | exception (Boom (23 | 24)) -> ()
   done
 
+module Cancel = Bds_runtime.Cancel
+
+let tasks_spawned () =
+  (Bds_runtime.Telemetry.snapshot ()).Bds_runtime.Telemetry.s_tasks_spawned
+
+(* A join whose [right] was stolen waits in place: the fork's own push
+   is the only task the call spawns.  [left] spins until the worker of a
+   private 2-domain pool has started [right], so every trial is stolen,
+   and [right] runs on for a millisecond after [left] returns, so the
+   join finds it running; a join that suspended would push its
+   continuation as a second task. *)
+let test_stolen_join_one_task () =
+  let pool = Pool.create ~num_additional_domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Pool.teardown pool)
+    (fun () ->
+      for _ = 1 to 100 do
+        let started = Atomic.make false and left_done = Atomic.make false in
+        let t0 = tasks_spawned () in
+        let r =
+          Pool.run pool (fun () ->
+              Pool.fork_join pool
+                (fun () ->
+                  while not (Atomic.get started) do
+                    Domain.cpu_relax ()
+                  done;
+                  Atomic.set left_done true;
+                  1)
+                (fun () ->
+                  Atomic.set started true;
+                  while not (Atomic.get left_done) do
+                    Domain.cpu_relax ()
+                  done;
+                  Unix.sleepf 0.001;
+                  2))
+        in
+        Alcotest.(check (pair int int)) "results" (1, 2) r;
+        Alcotest.(check int) "tasks spawned" 1 (tasks_spawned () - t0)
+      done)
+
+(* A thread waiting in place runs pool tasks from inside its own scope;
+   each must run with no ambient token.  [left], under a token, queues a
+   task once the worker has stolen [right]; [right] holds the join until
+   that task has run, so the joining thread is the one that runs it,
+   from its wait. *)
+let test_waiting_task_no_ambient () =
+  let pool = Pool.create ~num_additional_domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Pool.teardown pool)
+    (fun () ->
+      for _ = 1 to 20 do
+        let right_started = Atomic.make false and ran = Atomic.make false in
+        let seen = ref (Some (Cancel.create ())) in
+        let record () =
+          seen := Cancel.ambient ();
+          Atomic.set ran true
+        in
+        Pool.run pool (fun () ->
+            Cancel.with_ambient (Cancel.create ()) (fun () ->
+                ignore
+                  (Pool.fork_join pool
+                     (fun () ->
+                       while not (Atomic.get right_started) do
+                         Domain.cpu_relax ()
+                       done;
+                       ignore (Pool.async pool record))
+                     (fun () ->
+                       Atomic.set right_started true;
+                       while not (Atomic.get ran) do
+                         Domain.cpu_relax ()
+                       done))));
+        Alcotest.(check bool) "no ambient token" true (Option.is_none !seen)
+      done)
+
+(* A one-block region runs its leaf on the calling thread: no pool
+   task, no spawn, one chunk — from outside the pool and nested in a
+   leaf, where it also sees the enclosing leaf's token and a failure
+   cancels the enclosing scope and is the exception re-raised. *)
+let test_one_block_inline () =
+  with_domains 1 @@ fun () ->
+  fixed 256 @@ fun () ->
+  let pool = Runtime.get_pool () in
+  let counts f =
+    let ex0 = Pool.stats pool in
+    let t0 = Bds_runtime.Telemetry.snapshot () in
+    f ();
+    let d =
+      Bds_runtime.Telemetry.diff ~before:t0
+        ~after:(Bds_runtime.Telemetry.snapshot ())
+    in
+    ( Pool.stats pool - ex0,
+      d.Bds_runtime.Telemetry.s_tasks_spawned,
+      d.Bds_runtime.Telemetry.s_chunks_executed )
+  in
+  let hits = Atomic.make 0 in
+  let one_block () = Runtime.parallel_for 0 100 (fun _ -> Atomic.incr hits) in
+  let triple = Alcotest.(triple int int int) in
+  Alcotest.check triple "outside (executed, spawned, chunks)" (0, 0, 1)
+    (counts one_block);
+  Alcotest.(check int) "outside covers" 100 (Atomic.get hits);
+  let nested = ref (-1, -1, -1) and same_token = ref false in
+  Runtime.apply_blocks ~nb:2 (fun j ->
+      if j = 0 then begin
+        let outer = Cancel.ambient () in
+        nested := counts one_block;
+        Runtime.parallel_for 0 100 (fun _ ->
+            same_token :=
+              match (outer, Cancel.ambient ()) with
+              | Some a, Some b -> a == b
+              | _ -> false)
+      end);
+  Alcotest.check triple "nested (executed, spawned, chunks)" (0, 0, 1) !nested;
+  Alcotest.(check bool) "nested sees the leaf's token" true !same_token;
+  let outer = ref None in
+  Alcotest.check_raises "nested failure re-raised" (Boom 31) (fun () ->
+      Runtime.apply_blocks ~nb:2 (fun j ->
+          if j = 0 then begin
+            outer := Cancel.ambient ();
+            Runtime.parallel_for 0 100 (fun i -> if i = 40 then raise (Boom 31))
+          end));
+  match !outer with
+  | None -> Alcotest.fail "no enclosing token"
+  | Some tok ->
+    Alcotest.(check bool) "enclosing scope cancelled" true
+      (Cancel.is_cancelled tok);
+    Alcotest.(check bool) "its recorded failure" true
+      (match Cancel.reason tok with Some (Boom 31, _) -> true | _ -> false)
+
 (* Random nests of [par] and [parallel_for_reduce] against a sequential
    model, on pools of 1, 2 and 4 domains. *)
 type nest =
@@ -841,6 +969,12 @@ let () =
           Alcotest.test_case "orphan push-back" `Quick test_orphan_push_back;
           Alcotest.test_case "inlined right raises" `Quick
             test_inline_right_raises;
+          Alcotest.test_case "stolen join pushes no continuation" `Quick
+            test_stolen_join_one_task;
+          Alcotest.test_case "a task run while waiting has no ambient" `Quick
+            test_waiting_task_no_ambient;
+          Alcotest.test_case "one-block regions enter no pool" `Quick
+            test_one_block_inline;
         ] );
       ( "int cas",
         [
